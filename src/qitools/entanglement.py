@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import ATOL, asarray, dag, eigh, outer, partial_trace, tensor
-from .rand import haar_unitary, random_ket, rng_from
+from .rand import haar_unitaries, random_ket, rng_from
 from .states import PAULIS, State, _as_matrix, traceless_hermitian_basis
 
 
@@ -295,15 +295,24 @@ def twirl(x: np.ndarray, d: int | None = None) -> np.ndarray:
     )
 
 
+# Haar samples drawn per stacked QR in twirl_monte_carlo; larger chunks
+# raise peak memory without running faster.
+_TWIRL_BATCH = 256
+
+
 def twirl_monte_carlo(x: np.ndarray, d: int, samples: int, rng=0) -> np.ndarray:
     """Haar Monte-Carlo estimate of the twirl, for cross-checking."""
-    rng = rng_from(rng)
     x = asarray(x)
+    if x.shape != (d * d, d * d):
+        raise ValueError("operator must act on a d*d space")
+    if samples < 1:
+        raise ValueError("at least one sample is required")
+    rng = rng_from(rng)
     acc = np.zeros_like(x)
-    for _ in range(samples):
-        u = haar_unitary(d, rng)
-        uu = tensor(u, u)
-        acc += uu @ x @ dag(uu)
+    for start in range(0, samples, _TWIRL_BATCH):
+        u = haar_unitaries(d, min(_TWIRL_BATCH, samples - start), rng)
+        uu = np.einsum("nij,nkl->nikjl", u, u).reshape(-1, d * d, d * d)
+        acc += (uu @ x @ uu.conj().transpose(0, 2, 1)).sum(axis=0)
     return acc / samples
 
 

@@ -182,56 +182,57 @@ def bb84(rounds: int, eve: str = "none", rng=0, sample_fraction: float = 0.25) -
         raise ValueError("at least one round is required")
     if eve not in ("none", "intercept_resend"):
         raise ValueError("eve must be 'none' or 'intercept_resend'")
+    if not 0 <= sample_fraction <= 1:
+        raise ValueError("sample_fraction must lie in [0, 1]")
     seed = _seed_repr(rng)
     rng = rng_from(rng)
     kets = _bb84_kets()
-    bases = {b: Povm.from_basis([kets[(0, b)], kets[(1, b)]]) for b in (0, 1)}
-    records = []
-    for _ in range(rounds):
-        a_basis = int(rng.integers(2))
-        b_basis = int(rng.integers(2))
-        x = int(rng.integers(2))
-        flying = kets[(x, a_basis)]
-        eve_bit = None
-        if eve == "intercept_resend":
-            e_basis = int(rng.integers(2))
-            p = outcome_distribution(bases[e_basis], State.from_ket(flying))
-            eve_bit = int(rng.choice(2, p=p))
-            flying = kets[(eve_bit, e_basis)]
-        p = outcome_distribution(bases[b_basis], State.from_ket(flying))
-        y = int(rng.choice(2, p=p))
-        records.append(
-            {
-                "alice_basis": a_basis,
-                "bob_basis": b_basis,
-                "alice_bit": x,
-                "bob_bit": y,
-                "eve_bit": eve_bit,
-                "sifted": a_basis == b_basis,
-                "released": False,
-            }
-        )
-    sifted = [r for r in records if r["sifted"]]
-    released = [r for r in sifted if rng.random() < sample_fraction]
-    for r in released:
-        r["released"] = True
-    qber = (
-        float(np.mean([r["alice_bit"] != r["bob_bit"] for r in released]))
-        if released
-        else 0.0
+    bases = [Povm.from_basis([kets[(0, b)], kets[(1, b)]]) for b in (0, 1)]
+    # p_one[bit, prepared basis, measured basis]: probability of reading 1.
+    p_one = np.array(
+        [
+            [[outcome_distribution(bases[m], State.from_ket(kets[(x, b)]))[1] for m in (0, 1)]
+             for b in (0, 1)]
+            for x in (0, 1)
+        ]
     )
+    a_basis, b_basis, x = rng.integers(2, size=(3, rounds))
+    sent_bit, sent_basis, eve_col = x, a_basis, [None] * rounds
+    if eve == "intercept_resend":
+        e_basis = rng.integers(2, size=rounds)
+        eve_bit = (rng.random(rounds) < p_one[x, a_basis, e_basis]).astype(int)
+        sent_bit, sent_basis, eve_col = eve_bit, e_basis, eve_bit.tolist()
+    y = (rng.random(rounds) < p_one[sent_bit, sent_basis, b_basis]).astype(int)
+    sifted = a_basis == b_basis
+    released = sifted & (rng.random(rounds) < sample_fraction)
+    records = tuple(
+        {
+            "alice_basis": ab,
+            "bob_basis": bb,
+            "alice_bit": xa,
+            "bob_bit": yb,
+            "eve_bit": eb,
+            "sifted": sf,
+            "released": rl,
+        }
+        for ab, bb, xa, yb, eb, sf, rl in zip(
+            a_basis.tolist(), b_basis.tolist(), x.tolist(), y.tolist(),
+            eve_col, sifted.tolist(), released.tolist(),
+        )
+    )
+    qber = float(np.mean(x[released] != y[released])) if released.any() else 0.0
     eve_fraction = (
-        float(np.mean([r["eve_bit"] == r["alice_bit"] for r in sifted]))
-        if eve == "intercept_resend" and sifted
+        float(np.mean(eve_bit[sifted] == x[sifted]))
+        if eve == "intercept_resend" and sifted.any()
         else None
     )
     summary = {
-        "sift_rate": len(sifted) / rounds,
-        "released_count": len(released),
+        "sift_rate": int(sifted.sum()) / rounds,
+        "released_count": int(released.sum()),
         "qber": qber,
         "eve_correct_fraction": eve_fraction,
     }
-    return ProtocolReport("bb84", rounds, tuple(records), summary, seed)
+    return ProtocolReport("bb84", rounds, records, summary, seed)
 
 
 def b92(rounds: int, overlap: float, rng=0) -> ProtocolReport:
@@ -250,27 +251,27 @@ def b92(rounds: int, overlap: float, rng=0) -> ProtocolReport:
     psi0 = np.array([[np.cos(theta / 2)], [np.sin(theta / 2)]], dtype=complex)
     psi1 = np.array([[np.cos(theta / 2)], [-np.sin(theta / 2)]], dtype=complex)
     scheme = unambiguous_two_pure(psi0, psi1)
-    records = []
-    conclusive = 0
-    errors = 0
-    for _ in range(rounds):
-        x = int(rng.integers(2))
-        state = State.from_ket(psi0 if x == 0 else psi1)
-        p = outcome_distribution(scheme.povm, state)
-        outcome = scheme.povm.outcomes[int(rng.choice(len(p), p=p))]
-        y = None
-        if outcome != "?":
-            conclusive += 1
-            y = int(outcome) - 1
-            if y != x:
-                errors += 1
-        records.append({"alice_bit": x, "outcome": outcome, "bob_bit": y})
+    outcomes = scheme.povm.outcomes
+    # cdf[bit]: cumulative outcome distribution of the state Alice sends.
+    cdf = np.cumsum(
+        [outcome_distribution(scheme.povm, State.from_ket(k)) for k in (psi0, psi1)], axis=1
+    )
+    cdf /= cdf[:, -1:]  # close the last bin at 1, so every u in [0, 1) lands in range
+    x = rng.integers(2, size=rounds)
+    idx = (rng.random(rounds)[:, None] >= cdf[x]).sum(axis=1)
+    bob_of = [None if o == "?" else int(o) - 1 for o in outcomes]
+    bob = np.array([-1 if b is None else b for b in bob_of])[idx]
+    conclusive = bob >= 0
+    records = tuple(
+        {"alice_bit": xa, "outcome": outcomes[k], "bob_bit": bob_of[k]}
+        for xa, k in zip(x.tolist(), idx.tolist())
+    )
     summary = {
-        "conclusive_rate": conclusive / rounds,
-        "conclusive_errors": errors,
+        "conclusive_rate": int(conclusive.sum()) / rounds,
+        "conclusive_errors": int((conclusive & (bob != x)).sum()),
         "expected_rate": 1 - overlap,
     }
-    return ProtocolReport("b92", rounds, tuple(records), summary, seed)
+    return ProtocolReport("b92", rounds, records, summary, seed)
 
 
 # ---------------------------------------------------------------------------

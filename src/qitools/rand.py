@@ -20,13 +20,24 @@ def random_ket(d: int, rng) -> np.ndarray:
     return (v / np.linalg.norm(v)).reshape(d, 1)
 
 
+def haar_unitaries(d: int, count: int, rng) -> np.ndarray:
+    """Stack of ``count`` Haar unitaries, shape (count, d, d).
+
+    QR of Ginibre matrices with the phases of diag(R) divided out
+    (Mezzadri, Notices AMS 54, 2007).
+    """
+    rng = rng_from(rng)
+    shape = (count, d, d)
+    z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    phase = diag / np.abs(diag)
+    return q * phase.conj()[:, None, :]
+
+
 def haar_unitary(d: int, rng) -> np.ndarray:
     """Haar-distributed unitary via QR of a Ginibre matrix."""
-    rng = rng_from(rng)
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    phase = np.diag(r) / np.abs(np.diag(r))
-    return q * phase.conj()
+    return haar_unitaries(d, 1, rng)[0]
 
 
 def random_density(d: int, rng, rank: int | None = None) -> np.ndarray:

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,3 +170,16 @@ def test_all_document_kinds_round_trip():
         assert type(again).__name__ == type(obj).__name__
         if hasattr(obj, "matrix") and hasattr(again, "matrix"):
             assert np.abs(np.asarray(again.matrix) - np.asarray(obj.matrix)).max() < 1e-12
+
+
+def test_readme_commands_run(capsys):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    commands = [
+        shlex.split(line)[1:]
+        for line in readme.read_text().splitlines()
+        if line.startswith("qitools ") and ".json" not in line
+    ]
+    assert ["--seed", "7", "demo", "bb84", "--rounds", "20000", "--eve"] in commands
+    for argv in commands:
+        assert run(argv) == 0, argv
+        capsys.readouterr()

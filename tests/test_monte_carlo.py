@@ -1,0 +1,113 @@
+"""The batched Monte-Carlo paths: stacked Haar draws, the chunked twirl
+estimate, and the table-driven BB84/B92 rounds."""
+
+import numpy as np
+import pytest
+
+from qitools.entanglement import _TWIRL_BATCH, twirl, twirl_monte_carlo
+from qitools.linalg import dag, is_unitary, tensor
+from qitools.protocols import b92, bb84
+from qitools.rand import haar_unitaries, haar_unitary, random_density
+
+
+def _haar_reference(d, seed):
+    """Single-matrix QR construction that haar_unitary reproduces bit for bit."""
+    rng = np.random.default_rng(seed)
+    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r))).conj()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+def test_haar_unitary_is_first_stacked_sample(d):
+    for seed in range(5):
+        u = haar_unitary(d, seed)
+        assert np.array_equal(u, haar_unitaries(d, 1, seed)[0])
+        assert np.array_equal(u, _haar_reference(d, seed))
+
+
+def test_haar_unitaries_are_unitary():
+    us = haar_unitaries(3, 50, np.random.default_rng(1))
+    assert us.shape == (50, 3, 3)
+    assert all(is_unitary(u) for u in us)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_twirl_monte_carlo_single_sample(d):
+    x = random_density(d * d, np.random.default_rng(2))
+    uu = tensor(haar_unitary(d, 5), haar_unitary(d, 5))
+    assert np.abs(twirl_monte_carlo(x, d, 1, rng=5) - uu @ x @ dag(uu)).max() < 1e-12
+
+
+def test_twirl_monte_carlo_matches_per_sample_loop():
+    d, samples = 2, 300
+    x = random_density(4, np.random.default_rng(3))
+    rng = np.random.default_rng(4)
+    sizes = [min(_TWIRL_BATCH, samples - s) for s in range(0, samples, _TWIRL_BATCH)]
+    us = np.concatenate([haar_unitaries(d, n, rng) for n in sizes])
+    expected = sum(tensor(u, u) @ x @ dag(tensor(u, u)) for u in us) / samples
+    assert np.abs(twirl_monte_carlo(x, d, samples, rng=4) - expected).max() < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_twirl_monte_carlo_partial_chunk_agrees_with_twirl(d):
+    samples = 300  # not a multiple of the chunk size
+    x = random_density(d * d, np.random.default_rng(6))
+    err = twirl_monte_carlo(x, d, samples, rng=7) - twirl(x)
+    # |(U(x)U) x (U(x)U)^dag|_jk^2 summed over k has mean twirl(x^2)_jj.
+    row_var = np.real(np.diag(twirl(x @ x)))
+    sigma = np.sqrt(np.minimum.outer(row_var, row_var) / samples)
+    assert np.all(np.abs(err.real) <= 5 * sigma)
+    assert np.all(np.abs(err.imag) <= 5 * sigma)
+
+
+def test_twirl_monte_carlo_rejects_bad_input():
+    x = random_density(4, np.random.default_rng(8))
+    with pytest.raises(ValueError, match="at least one sample"):
+        twirl_monte_carlo(x, 2, 0)
+    with pytest.raises(ValueError, match=r"operator must act on a d\*d space"):
+        twirl_monte_carlo(x, 3, 10)
+
+
+@pytest.mark.parametrize("fraction", [1.5, -0.5, float("nan")])
+def test_bb84_rejects_bad_sample_fraction(fraction):
+    with pytest.raises(ValueError, match="sample_fraction"):
+        bb84(10, sample_fraction=fraction)
+
+
+def test_bb84_sample_fraction_endpoints():
+    none = bb84(400, rng=1, sample_fraction=0.0)
+    assert none.summary["released_count"] == 0 and none.summary["qber"] == 0.0
+    every = bb84(400, rng=1, sample_fraction=1.0)
+    assert all(r["released"] == r["sifted"] for r in every.records)
+
+
+@pytest.mark.parametrize("eve", ["none", "intercept_resend"])
+def test_bb84_records_agree_with_summary(eve):
+    rep = bb84(3000, eve=eve, rng=12)
+    recs = rep.records
+    assert len(recs) == rep.rounds == 3000
+    assert all(r["sifted"] == (r["alice_basis"] == r["bob_basis"]) for r in recs)
+    assert all(r["sifted"] for r in recs if r["released"])
+    sifted = [r for r in recs if r["sifted"]]
+    released = [r for r in sifted if r["released"]]
+    assert rep.summary["sift_rate"] == len(sifted) / rep.rounds
+    assert rep.summary["released_count"] == len(released)
+    assert rep.summary["qber"] == np.mean([r["alice_bit"] != r["bob_bit"] for r in released])
+    if eve == "none":
+        assert all(r["alice_bit"] == r["bob_bit"] for r in sifted)
+        assert all(r["eve_bit"] is None for r in recs)
+        assert rep.summary["eve_correct_fraction"] is None
+    else:
+        fraction = np.mean([r["eve_bit"] == r["alice_bit"] for r in sifted])
+        assert rep.summary["eve_correct_fraction"] == fraction
+
+
+def test_b92_records_agree_with_summary():
+    rep = b92(3000, 0.3, rng=13)
+    conclusive = [r for r in rep.records if r["outcome"] != "?"]
+    assert rep.summary["conclusive_rate"] == len(conclusive) / rep.rounds
+    assert all(r["bob_bit"] == int(r["outcome"]) - 1 for r in conclusive)
+    assert all(r["bob_bit"] is None for r in rep.records if r["outcome"] == "?")
+    errors = sum(r["bob_bit"] != r["alice_bit"] for r in conclusive)
+    assert rep.summary["conclusive_errors"] == errors == 0
