@@ -7,6 +7,12 @@ named constructors.
 
 Choi convention: Omega = (E (x) I)[P+] with the map acting on the FIRST
 tensor factor; the chi-normalized matrix is Phi = d * Omega.
+
+Internal form: every conversion goes through the superoperator matrix S
+acting on row-major vectorized operators, vec(X)[i*d + j] = X[i, j], so
+vec(E(X)) = S vec(X) and a Kraus list gives S = sum_k A_k (x) conj(A_k).
+S and the Choi matrix hold the same numbers in a different index order:
+S[(a, b), (j, k)] = d_in * Omega[(a, j), (b, k)] (the "reshuffle").
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from .linalg import (
     gram_schmidt_complete,
     is_unitary,
     partial_trace,
+    partial_transpose,
     tensor,
     trace_norm,
 )
@@ -129,6 +136,27 @@ class LinearMap:
 # Action and conversions
 # ---------------------------------------------------------------------------
 
+def _reshuffle(m: np.ndarray, a: int, b: int, c: int, e: int) -> np.ndarray:
+    """Swap the middle indices: m[(i, j), (k, l)] -> out[(i, k), (j, l)].
+
+    With dims (d_out, d_out, d_in, d_in) this takes S to d_in * Omega;
+    with (d_out, d_in, d_out, d_in) it takes Omega back to S / d_in.
+    """
+    return m.reshape(a, b, c, e).transpose(0, 2, 1, 3).reshape(a * c, b * e)
+
+
+def _superop(ch) -> np.ndarray:
+    """Row-major superoperator matrix S of a map in any representation."""
+    if isinstance(ch, LinearMap):
+        return ch.superop
+    if isinstance(ch, KrausChannel):
+        return sum(tensor(a, a.conj()) for a in ch.kraus_ops)
+    if isinstance(ch, ChoiMatrix):
+        d_in, d_out = ch.in_dim, ch.out_dim
+        return d_in * _reshuffle(ch.matrix, d_out, d_in, d_out, d_in)
+    raise TypeError(f"cannot apply object of type {type(ch).__name__}")
+
+
 def apply(ch, t) -> np.ndarray:
     """Apply a map in any representation to an operator."""
     t = _as_matrix(t)
@@ -136,22 +164,14 @@ def apply(ch, t) -> np.ndarray:
         if t.shape != (ch.in_dim, ch.in_dim):
             raise ValueError("operator dimension does not match the channel input")
         return sum(a @ t @ dag(a) for a in ch.kraus_ops)
-    if isinstance(ch, LinearMap):
-        if t.shape != (ch.in_dim, ch.in_dim):
-            raise ValueError("operator dimension does not match the map input")
-        v = ch.superop @ t.reshape(-1)
-        return v.reshape(ch.out_dim, ch.out_dim)
-    if isinstance(ch, ChoiMatrix):
-        if t.shape != (ch.in_dim, ch.in_dim):
-            raise ValueError("operator dimension does not match the Choi input")
-        big = tensor(np.eye(ch.out_dim), t.T) @ ch.matrix
-        return ch.in_dim * partial_trace(big, ch.out_dim, ch.in_dim, side="B")
-    raise TypeError(f"cannot apply object of type {type(ch).__name__}")
+    s = _superop(ch)
+    if t.shape != (ch.in_dim, ch.in_dim):
+        raise ValueError("operator dimension does not match the map input")
+    return (s @ t.reshape(-1)).reshape(ch.out_dim, ch.out_dim)
 
 
 def kraus_to_linear_map(ch: KrausChannel) -> LinearMap:
-    s = sum(tensor(a, a.conj()) for a in ch.kraus_ops)
-    return LinearMap(s, ch.in_dim, ch.out_dim)
+    return LinearMap(_superop(ch), ch.in_dim, ch.out_dim)
 
 
 def compose(outer_map, inner_map) -> LinearMap | KrausChannel:
@@ -159,11 +179,8 @@ def compose(outer_map, inner_map) -> LinearMap | KrausChannel:
     if isinstance(outer_map, KrausChannel) and isinstance(inner_map, KrausChannel):
         ops = tuple(a @ b for a in outer_map.kraus_ops for b in inner_map.kraus_ops)
         return KrausChannel(ops)
-    s2 = outer_map.superop if isinstance(outer_map, LinearMap) else kraus_to_linear_map(outer_map).superop
-    s1 = inner_map.superop if isinstance(inner_map, LinearMap) else kraus_to_linear_map(inner_map).superop
-    out_dim = outer_map.out_dim
-    in_dim = inner_map.in_dim
-    return LinearMap(s2 @ s1, in_dim, out_dim)
+    s = _superop(outer_map) @ _superop(inner_map)
+    return LinearMap(s, inner_map.in_dim, outer_map.out_dim)
 
 
 def tensor_channels(ch1: KrausChannel, ch2: KrausChannel) -> KrausChannel:
@@ -175,14 +192,13 @@ def to_choi(ch) -> ChoiMatrix:
     """Choi matrix Omega = (E (x) I)[P+] of a map in any representation."""
     if isinstance(ch, ChoiMatrix):
         return ch
-    d_in = ch.in_dim
-    d_out = ch.out_dim
-    omega = np.zeros((d_out * d_in,) * 2, dtype=complex)
-    for j in range(d_in):
-        for k in range(d_in):
-            ejk = np.zeros((d_in, d_in), dtype=complex)
-            ejk[j, k] = 1.0
-            omega += tensor(apply(ch, ejk), ejk)
+    d_in, d_out = ch.in_dim, ch.out_dim
+    if isinstance(ch, KrausChannel):
+        # Omega = sum_k vec(A_k) vec(A_k)^dag / d_in
+        vecs = np.stack([a.reshape(-1) for a in ch.kraus_ops])
+        omega = vecs.T @ vecs.conj()
+    else:
+        omega = _reshuffle(_superop(ch), d_out, d_out, d_in, d_in)
     return ChoiMatrix(omega / d_in, d_in, d_out)
 
 
@@ -257,23 +273,27 @@ def chi_to_kraus(chi: ChiMatrix, tol: float = ATOL) -> KrausChannel:
     return KrausChannel(tuple(ops))
 
 
+def _gell_mann_columns(d: int) -> np.ndarray:
+    """Row-major vectorized traceless Hermitian basis, one column per E_j."""
+    return np.stack([e.reshape(-1) for e in traceless_hermitian_basis(d)], axis=1)
+
+
 def to_affine(ch) -> AffineRep:
-    """Bloch-space affine form of a trace-preserving map."""
+    """Bloch-space affine form of a trace-preserving map.
+
+    With G the stacked Gell-Mann columns, tr[E_j X] = (G^dag vec(X))_j, so
+    T = G^dag S G / d and t = G^dag S vec(I) / d.
+    """
     report = certify(ch)
     if not report["tp"]:
         raise ValueError("affine representation requires a trace-preserving map")
     if ch.in_dim != ch.out_dim:
         raise ValueError("affine representation requires equal dimensions")
     d = ch.in_dim
-    es = traceless_hermitian_basis(d)
-    image_id = apply(ch, np.eye(d, dtype=complex))
-    t = np.array([np.trace(e @ image_id).real / d for e in es])
-    n = d * d - 1
-    big_t = np.zeros((n, n))
-    for k, ek in enumerate(es):
-        image = apply(ch, ek)
-        for j, ej in enumerate(es):
-            big_t[j, k] = np.trace(ej @ image).real / d
+    g = _gell_mann_columns(d)
+    gs = dag(g) @ _superop(ch)
+    t = (gs @ np.eye(d).reshape(-1)).real / d
+    big_t = (gs @ g).real / d
     return AffineRep(big_t, t, d)
 
 
@@ -284,21 +304,11 @@ def affine_apply(aff: AffineRep, r: np.ndarray) -> np.ndarray:
 def affine_to_choi(aff: AffineRep) -> ChoiMatrix:
     """Choi matrix of the map defined by a Bloch affine action."""
     d = aff.dim
-    es = traceless_hermitian_basis(d)
-    image_id = np.eye(d, dtype=complex) + sum(tj * ej for tj, ej in zip(aff.t, es))
-    images = []
-    for k in range(len(es)):
-        images.append(sum(aff.T[j, k] * es[j] for j in range(len(es))))
-    omega = np.zeros((d * d, d * d), dtype=complex)
-    for j in range(d):
-        for k in range(d):
-            ejk = np.zeros((d, d), dtype=complex)
-            ejk[j, k] = 1.0
-            out = (1 if j == k else 0) / d * image_id
-            for m, em in enumerate(es):
-                out = out + (em[k, j] / d) * images[m]
-            omega += tensor(out, ejk)
-    return ChoiMatrix(omega / d, d, d)
+    g = _gell_mann_columns(d)
+    vec_id = np.eye(d).reshape(-1)
+    # E(X) = [tr(X) (I + t.E) + sum_jk T_jk tr(E_k X) E_j] / d
+    s = (np.outer(vec_id + g @ aff.t, vec_id) + g @ aff.T @ dag(g)) / d
+    return to_choi(LinearMap(s, d, d))
 
 
 def kraus_equivalent(k1: KrausChannel, k2: KrausChannel, tol: float = 1e-8,
@@ -332,26 +342,31 @@ def stinespring(ch: KrausChannel, tol: float = ATOL):
     ops = [a for a in ch.kraus_ops if np.max(np.abs(a)) > tol]
     if not ops:
         raise ValueError("channel has no nonzero Kraus operators")
-    d = ch.in_dim
     n = len(ops)
-    v = np.zeros((d * n, d), dtype=complex)
-    for k, a in enumerate(ops):
-        for out_idx in range(d):
-            v[out_idx * n + k, :] = a[out_idx, :]
-    # Columns of U at positions b*n (system b, environment 0) are V's columns.
-    full = gram_schmidt_complete(v)
-    u = np.zeros((d * n, d * n), dtype=complex)
-    for b in range(d):
-        u[:, b * n] = full[:, b]
-    extra = iter(range(d, d * n))
-    for col in range(d * n):
-        if col % n != 0:
-            u[:, col] = full[:, next(extra)]
     env_ket = np.zeros((n, 1), dtype=complex)
     env_ket[0, 0] = 1.0
+    return n, _dilation_unitary(ops, n), env_ket
+
+
+def _dilation_unitary(ops, probe_dim: int) -> np.ndarray:
+    """Unitary U on system (x) probe with U (phi (x) |0>) = sum_m B_m phi (x) |m>.
+
+    Each B_m maps C^d into C^d (x) C^tag with tag = probe_dim / len(ops);
+    probe index (t, m) is t * len(ops) + m.  Columns b * probe_dim (system
+    b, probe 0) carry the isometry; deterministic Gram-Schmidt fills the
+    rest in order.
+    """
+    d = ops[0].shape[1]
+    tag = probe_dim // len(ops)
+    v = np.stack([b.reshape(d, tag, d) for b in ops], axis=2).reshape(d * probe_dim, d)
+    full = gram_schmidt_complete(v)
+    first = np.arange(d) * probe_dim
+    u = np.empty_like(full)
+    u[:, first] = full[:, :d]
+    u[:, np.setdiff1d(np.arange(d * probe_dim), first)] = full[:, d:]
     if not is_unitary(u, 1e-8):
         raise NumericError("failed to complete the dilation unitary")
-    return n, u, env_ket
+    return u
 
 
 def dilation_apply(env_dim: int, u: np.ndarray, env_ket: np.ndarray, rho) -> np.ndarray:
@@ -414,16 +429,6 @@ def heisenberg_dual(ch: KrausChannel) -> KrausChannel:
 # Constructors
 # ---------------------------------------------------------------------------
 
-def matrix_units(d: int) -> list[np.ndarray]:
-    out = []
-    for j in range(d):
-        for k in range(d):
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = 1.0
-            out.append(m)
-    return out
-
-
 def transposition_map(d: int) -> LinearMap:
     """Transposition: positive but not completely positive."""
     s = np.zeros((d * d, d * d))
@@ -448,7 +453,7 @@ def make(kind: str, **params):
         if p < 1:
             ops.append(np.sqrt(1 - p) * np.eye(d, dtype=complex))
         if p > 0:
-            ops.extend(np.sqrt(p / d) * m for m in matrix_units(d))
+            ops.extend(np.sqrt(p / d) * b for b in normalized_operator_basis(d))
         return KrausChannel(tuple(ops))
     if kind == "pauli":
         q = np.asarray(params["q"], dtype=float)
@@ -864,8 +869,7 @@ def is_entanglement_breaking(ch: KrausChannel, tol: float = ATOL) -> dict:
     """
     choi = to_choi(ch)
     d_in, d_out = choi.in_dim, choi.out_dim
-    swapped = choi.matrix.reshape(d_out, d_in, d_out, d_in)
-    pt = np.einsum("ijkl->ilkj", swapped).reshape(d_out * d_in, d_out * d_in)
+    pt = partial_transpose(choi.matrix, d_out, d_in)
     min_eig = float(np.linalg.eigvalsh((pt + dag(pt)) / 2).min())
     if min_eig < -tol * max(1.0, np.linalg.norm(choi.matrix, 2)):
         return {"verdict": "no", "pt_min_eig": min_eig, "measure_prepare": None}

@@ -53,6 +53,18 @@ class ValidationError(ValueError):
 # Matrix documents
 # ---------------------------------------------------------------------------
 
+def _dim(value) -> int:
+    d = int(value)
+    if d < 1:
+        raise ValidationError(f"dimensions must be positive integers, got {value!r}")
+    return d
+
+
+def _dims_pair(dims) -> tuple[int, int]:
+    """(out, in) from ``[out, in]`` or a single shared dimension."""
+    return (_dim(dims[0]), _dim(dims[1])) if isinstance(dims, list) else (_dim(dims),) * 2
+
+
 def _entries_to_array(entries, rows: int, cols: int, path: str) -> np.ndarray:
     if len(entries) != rows * cols:
         raise ValidationError(f"{path}: expected {rows * cols} entries, got {len(entries)}")
@@ -61,7 +73,12 @@ def _entries_to_array(entries, rows: int, cols: int, path: str) -> np.ndarray:
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
             raise ValidationError(f"{path}[{i}]: entries must be [re, im] pairs")
         flat.append(complex(pair[0], pair[1]))
-    return np.array(flat, dtype=complex).reshape(rows, cols)
+    arr = np.array(flat, dtype=complex)
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        i = int(bad[0])
+        raise ValidationError(f"{path}[{i}]: entries must be finite, got {entries[i]!r}")
+    return arr.reshape(rows, cols)
 
 
 def _array_to_entries(a: np.ndarray) -> list:
@@ -75,28 +92,28 @@ def load_document(doc: dict, tol: float = ATOL):
     kind = doc["kind"]
     try:
         if kind == "state":
-            d = int(doc["dims"])
+            d = _dim(doc["dims"])
             m = _entries_to_array(doc["entries"], d, d, "entries")
             state = State(m)
             if "bipartite_dims" in doc:
-                da, db = (int(x) for x in doc["bipartite_dims"])
+                da, db = (_dim(x) for x in doc["bipartite_dims"])
                 return BipartiteState(state, da, db)
             return state
         if kind == "ket":
-            d = int(doc["dims"])
+            d = _dim(doc["dims"])
             v = _entries_to_array(doc["entries"], d, 1, "entries")
             n = np.linalg.norm(v)
             if abs(n - 1) > 1e-6:
                 raise ValidationError(f"entries: ket norm is {n}, not 1")
             return v
         if kind == "effect":
-            d = int(doc["dims"])
+            d = _dim(doc["dims"])
             m = _entries_to_array(doc["entries"], d, d, "entries")
             from .observables import Effect
 
             return Effect(m)
         if kind == "povm":
-            d = int(doc["dims"])
+            d = _dim(doc["dims"])
             effs = [
                 _entries_to_array(e, d, d, f"effects[{i}]")
                 for i, e in enumerate(doc["effects"])
@@ -106,16 +123,14 @@ def load_document(doc: dict, tol: float = ATOL):
 
             return Povm(outs, tuple(effs))
         if kind == "kraus":
-            dims = doc["dims"]
-            out_d, in_d = (int(dims[0]), int(dims[1])) if isinstance(dims, list) else (int(dims), int(dims))
+            out_d, in_d = _dims_pair(doc["dims"])
             ops = [
                 _entries_to_array(op, out_d, in_d, f"operators[{i}]")
                 for i, op in enumerate(doc["operators"])
             ]
             return KrausChannel(tuple(ops))
         if kind == "choi":
-            dims = doc["dims"]
-            out_d, in_d = (int(dims[0]), int(dims[1])) if isinstance(dims, list) else (int(dims), int(dims))
+            out_d, in_d = _dims_pair(doc["dims"])
             m = _entries_to_array(doc["entries"], out_d * in_d, out_d * in_d, "entries")
             return ChoiMatrix(m, in_d, out_d)
     except ValidationError:
@@ -419,18 +434,13 @@ def run(argv=None) -> int:
         payload = args.func(args)
         print(emit(payload, args.format))
         return 0
-    except ValidationError as err:
-        print(json.dumps({"error": "validation", "detail": str(err)}), file=sys.stderr)
-        return 2
+    # LinAlgError subclasses ValueError, so the numeric branch comes first.
+    except (NumericError, np.linalg.LinAlgError) as err:
+        print(json.dumps({"error": "numeric", "detail": str(err)}), file=sys.stderr)
+        return 3
     except ValueError as err:
         print(json.dumps({"error": "validation", "detail": str(err)}), file=sys.stderr)
         return 2
-    except NumericError as err:
-        print(json.dumps({"error": "numeric", "detail": str(err)}), file=sys.stderr)
-        return 3
-    except np.linalg.LinAlgError as err:
-        print(json.dumps({"error": "numeric", "detail": str(err)}), file=sys.stderr)
-        return 3
 
 
 def main() -> None:

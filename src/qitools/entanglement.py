@@ -7,9 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ATOL, asarray, dag, eigh, outer, partial_trace, tensor
+from .linalg import ATOL, asarray, dag, eigh, outer, partial_trace, partial_transpose, tensor
 from .rand import haar_unitaries, random_ket, rng_from
-from .states import PAULIS, State, _as_matrix, traceless_hermitian_basis
+from .states import PAULIS, State, traceless_hermitian_basis
 
 
 @dataclass(frozen=True)
@@ -88,19 +88,6 @@ def schmidt(psi, dA: int, dB: int, tol: float = ATOL) -> SchmidtData:
     keep = sing > tol
     # psi = sum_j s_j e_j (x) f_j needs the UNconjugated rows of right_h.
     return SchmidtData(sing[keep], left[:, keep], right_h.T[:, keep])
-
-
-def partial_transpose(rho, dA: int, dB: int, side: str = "B") -> np.ndarray:
-    """Blockwise transpose of one tensor factor in the product basis."""
-    m = _as_matrix(rho)
-    r = m.reshape(dA, dB, dA, dB)
-    if side == "B":
-        out = np.einsum("ijkl->ilkj", r)
-    elif side == "A":
-        out = np.einsum("ijkl->kjil", r)
-    else:
-        raise ValueError("side must be 'A' or 'B'")
-    return out.reshape(dA * dB, dA * dB)
 
 
 def ppt(rho: BipartiteState, side: str = "B", tol: float = ATOL) -> tuple[bool, float]:

@@ -6,33 +6,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import ATOL, asarray, dag, is_unitary, partial_trace, psd_sqrt, tensor
-from .channels import ChoiMatrix, KrausChannel, from_choi
+from .linalg import ATOL, asarray, dag, is_unitary, psd_sqrt, tensor
+from .channels import KrausChannel, LinearMap, _dilation_unitary, from_choi, to_choi
 from .observables import Povm, is_sharp
-from .states import State, _as_matrix
+from .states import State, _as_matrix, traceless_hermitian_basis
 
 # Repeatability hinges on exact unit eigenvalues; detection uses a looser
 # threshold than the global tolerance because roundoff perturbs spectra.
 UNIT_EIGENVALUE_TOL = 1e-7
-
-
-def _hermitian_basis(d: int) -> list[np.ndarray]:
-    """Matrix units symmetrized into d^2 Hermitian spanning operators."""
-    ops = []
-    for j in range(d):
-        m = np.zeros((d, d), dtype=complex)
-        m[j, j] = 1.0
-        ops.append(m)
-    for j in range(d):
-        for k in range(j + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = m[k, j] = 1.0
-            ops.append(m)
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = -1j
-            m[k, j] = 1j
-            ops.append(m)
-    return ops
 
 
 @dataclass(frozen=True)
@@ -136,23 +117,18 @@ def memo_to_instrument(m: MeasurementModel, tol: float = 1e-8) -> DiscreteInstru
     """Instrument induced by a measurement model.
 
     I_x(rho) = tr_probe[V (rho (x) rho_0) V^dag (I (x) F(x))], converted
-    to Kraus form through the Choi matrix of each outcome map.
+    to Kraus form through the superoperator of each outcome map.
     """
     d = m.system_dim
     k = m.probe_dim
+    v = m.coupling.reshape(d, k, d, k)
     ops = []
     for eff in m.pointer.effects:
-        omega = np.zeros((d * d, d * d), dtype=complex)
-        for j in range(d):
-            for kk in range(d):
-                ejk = np.zeros((d, d), dtype=complex)
-                ejk[j, kk] = 1.0
-                big = m.coupling @ tensor(ejk, m.probe_state.matrix) @ dag(m.coupling)
-                out = partial_trace(big @ tensor(np.eye(d), eff.matrix), d, k, side="B")
-                omega += tensor(out, ejk)
-        ops.append(from_choi(ChoiMatrix(omega / d, d, d), tol))
-    ins = DiscreteInstrument(m.pointer.outcomes, tuple(ops))
-    return ins
+        # S[(a, e), (b, c)] = sum V[a,p,b,q] rho_0[q,r] conj(V[e,s,c,r]) F[s,p]
+        s = np.einsum("apbq,qr,escr,sp->aebc", v, m.probe_state.matrix, v.conj(),
+                      eff.matrix, optimize=True)
+        ops.append(from_choi(to_choi(LinearMap(s.reshape(d * d, d * d), d, d)), tol))
+    return DiscreteInstrument(m.pointer.outcomes, tuple(ops))
 
 
 def instrument_to_normal_memo(ins: DiscreteInstrument) -> MeasurementModel:
@@ -170,29 +146,10 @@ def instrument_to_normal_memo(ins: DiscreteInstrument) -> MeasurementModel:
         tag[x_idx, 0] = 1.0
         for a in op.kraus_ops:
             tagged.append(tensor(a, tag))
-    total = KrausChannel(tuple(tagged))  # maps system -> system (x) tag
-    # Stinespring by hand: phi -> sum_m B_m phi (x) |m>, with the tag space
-    # folded into the probe.
-    n_env = len(total.kraus_ops)
+    # Each B_m maps system -> system (x) tag; the probe is tag (x) environment.
+    n_env = len(tagged)
     probe_dim = n_out * n_env
-    v = np.zeros((d * probe_dim, d), dtype=complex)
-    for m_idx, b in enumerate(total.kraus_ops):
-        # b maps C^d -> C^d (x) C^{n_out}; probe index = tag (x) environment
-        for a_idx in range(d):
-            for t_idx in range(n_out):
-                v[a_idx * probe_dim + t_idx * n_env + m_idx, :] = b[
-                    a_idx * n_out + t_idx, :
-                ]
-    from .linalg import gram_schmidt_complete
-
-    full = gram_schmidt_complete(v)
-    u = np.zeros((d * probe_dim, d * probe_dim), dtype=complex)
-    for b_idx in range(d):
-        u[:, b_idx * probe_dim] = full[:, b_idx]
-    extra = iter(range(d, d * probe_dim))
-    for col in range(d * probe_dim):
-        if col % probe_dim != 0:
-            u[:, col] = full[:, next(extra)]
+    u = _dilation_unitary(tagged, probe_dim)
     probe0 = np.zeros((probe_dim, probe_dim), dtype=complex)
     probe0[0, 0] = 1.0
     pointer_effects = []
@@ -202,10 +159,6 @@ def instrument_to_normal_memo(ins: DiscreteInstrument) -> MeasurementModel:
         pointer_effects.append(np.diag(diag).astype(complex))
     pointer = Povm(ins.outcomes, tuple(pointer_effects))
     return MeasurementModel(probe_dim, State(probe0), u, pointer)
-
-
-def outcome_probability(ins: DiscreteInstrument, rho, x) -> float:
-    return float(np.trace(ins.apply(x, rho)).real)
 
 
 def conditional_output(ins: DiscreteInstrument, rho, x, tol: float = ATOL) -> State:
@@ -219,7 +172,8 @@ def conditional_output(ins: DiscreteInstrument, rho, x, tol: float = ATOL) -> St
 
 def is_repeatable(ins: DiscreteInstrument, tol: float = UNIT_EIGENVALUE_TOL) -> bool:
     """tr[I_x(I_x(rho))] = tr[I_x(rho)] checked on a spanning operator basis."""
-    for basis_op in _hermitian_basis(ins.dim):
+    d = ins.dim
+    for basis_op in (np.eye(d, dtype=complex),) + traceless_hermitian_basis(d):
         for x in ins.outcomes:
             once = ins.apply(x, basis_op)
             twice = ins.apply(x, once)
@@ -284,7 +238,7 @@ def no_information_no_disturbance_check(ins: DiscreteInstrument, tol: float = 1e
     the induced observable must be trivial; the report states which side
     holds.
     """
-    basis = _hermitian_basis(ins.dim)
+    basis = (np.eye(ins.dim, dtype=complex),) + traceless_hermitian_basis(ins.dim)
     non_disturbing = True
     for x in ins.outcomes:
         c = np.trace(ins.apply(x, np.eye(ins.dim, dtype=complex) / ins.dim)).real

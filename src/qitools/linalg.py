@@ -134,6 +134,18 @@ def partial_trace(t: np.ndarray, dA: int, dB: int, side: str = "A") -> np.ndarra
     raise ValueError("side must be 'A' or 'B'")
 
 
+def partial_transpose(t: np.ndarray, dA: int, dB: int, side: str = "B") -> np.ndarray:
+    """Blockwise transpose of one tensor factor in the product basis."""
+    r = asarray(t).reshape(dA, dB, dA, dB)
+    if side == "B":
+        out = np.einsum("ijkl->ilkj", r)
+    elif side == "A":
+        out = np.einsum("ijkl->kjil", r)
+    else:
+        raise ValueError("side must be 'A' or 'B'")
+    return out.reshape(dA * dB, dA * dB)
+
+
 def eigh(t: np.ndarray, tol: float = ATOL):
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
@@ -172,16 +184,8 @@ def polar(t: np.ndarray):
     return v, abs_t
 
 
-def operator_norm(t: np.ndarray) -> float:
-    return float(np.linalg.norm(asarray(t), 2))
-
-
 def trace_norm(t: np.ndarray) -> float:
     return float(np.linalg.svd(asarray(t), compute_uv=False).sum())
-
-
-def hs_norm(t: np.ndarray) -> float:
-    return float(np.linalg.norm(asarray(t)))
 
 
 def norms(t: np.ndarray):
@@ -191,19 +195,6 @@ def norms(t: np.ndarray):
         raise ValueError("norms are defined here for square matrices")
     s = np.linalg.svd(t, compute_uv=False)
     return float(s.max(initial=0.0)), float(s.sum()), float(np.sqrt((s**2).sum()))
-
-
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product tr[a^dag b]."""
-    return complex(np.trace(dag(a) @ b))
-
-
-def support_projector(t: np.ndarray, tol: float = ATOL) -> np.ndarray:
-    """Projector onto the support (range) of a Hermitian matrix."""
-    vals, vecs = eigh(t, tol)
-    keep = np.abs(vals) > tol * _scale(t)
-    v = vecs[:, keep]
-    return v @ dag(v)
 
 
 def matrix_rank(a: np.ndarray, tol: float = ATOL) -> int:
@@ -218,21 +209,25 @@ def gram_schmidt_complete(cols: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Complete orthonormal columns to a full unitary, deterministically.
 
     Candidate vectors are the canonical basis kets, taken in order and
-    orthogonalized against everything accepted so far.
+    orthogonalized twice against everything accepted so far: a single
+    pass leaves a candidate whose residual is barely above ``tol`` far
+    from orthogonal after cancellation.
     """
     cols = asarray(cols)
-    dim = cols.shape[0]
-    basis = [cols[:, j] for j in range(cols.shape[1])]
+    dim, k = cols.shape
+    basis = np.zeros((dim, dim), dtype=complex)
+    basis[:, :k] = cols
     for j in range(dim):
+        if k == dim:
+            break
         v = np.zeros(dim, dtype=complex)
         v[j] = 1.0
-        for b in basis:
-            v = v - b * (b.conj() @ v)
+        for _ in range(2):
+            v = v - basis[:, :k] @ (basis[:, :k].conj().T @ v)
         n = np.linalg.norm(v)
         if n > tol:
-            basis.append(v / n)
-        if len(basis) == dim:
-            break
-    if len(basis) != dim:
+            basis[:, k] = v / n
+            k += 1
+    if k != dim:
         raise NumericError("failed to complete an orthonormal basis")
-    return np.stack(basis, axis=1)
+    return basis

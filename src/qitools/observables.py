@@ -8,7 +8,7 @@ from math import comb
 
 import numpy as np
 
-from .linalg import ATOL, asarray, dag, eigh, is_effect, is_hermitian, is_projection, psd_sqrt
+from .linalg import ATOL, asarray, dag, eigh, is_effect, is_hermitian, is_projection
 from .states import _as_matrix
 
 
@@ -236,10 +236,6 @@ def commuting_joint(a, b) -> Povm:
     prods = [am @ bm, (eye - am) @ bm, am @ (eye - bm), (eye - am) @ (eye - bm)]
     effs = tuple((p + dag(p)) / 2 for p in prods)
     return Povm((1, 2, 3, 4), effs)
-
-
-def luders_effect_root(e: np.ndarray) -> np.ndarray:
-    return psd_sqrt(asarray(e))
 
 
 def has_unit_eigenvalue(e: np.ndarray, tol: float = 1e-7) -> bool:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import asarray, dag, inner, outer, partial_trace, tensor
-from .channels import KrausChannel, LinearMap, stinespring
+from .channels import KrausChannel, LinearMap, kraus_to_linear_map, stinespring
 from .discrimination import fidelity, unambiguous_two_pure
 from .observables import Povm, outcome_distribution
 from .rand import random_ket, rng_from
@@ -53,6 +53,8 @@ class ShiftMultiplyBasis:
     def build(cls, d: int) -> "ShiftMultiplyBasis":
         from .entanglement import maximally_entangled_ket
 
+        if d < 1:
+            raise ValueError("dimension must be a positive integer")
         psi_plus = maximally_entangled_ket(d)
         us, kets = {}, {}
         for r in range(d):
@@ -114,27 +116,19 @@ def teleport(rho_in, rng=0) -> ProtocolReport:
 
 
 def teleport_channel(d: int) -> LinearMap:
-    """The composed teleportation map (measure, correct, average): identity."""
+    """The composed teleportation map (measure, correct, average): identity.
+
+    Outcome rs contributes the Kraus operator U_rs (<beta_rs| (x) I)(I (x) |psi+>).
+    """
     from .entanglement import maximally_entangled_ket
 
     basis = ShiftMultiplyBasis.build(d)
-    psi_plus = maximally_entangled_ket(d)
-    p_plus = outer(psi_plus)
-    s = np.zeros((d * d, d * d), dtype=complex)
-    for j in range(d):
-        for k in range(d):
-            ejk = np.zeros((d, d), dtype=complex)
-            ejk[j, k] = 1.0
-            total = tensor(ejk, p_plus)
-            out = np.zeros((d, d), dtype=complex)
-            for (r, ss), ket in basis.bell_kets.items():
-                proj = tensor(outer(ket), np.eye(d))
-                branch = proj @ total @ proj
-                cond = partial_trace(branch, d * d, d, side="A")
-                u = basis.unitaries[(r, ss)]
-                out += u @ cond @ dag(u)
-            s[:, j * d + k] = out.reshape(-1)
-    return LinearMap(s, d, d)
+    share = tensor(np.eye(d), maximally_entangled_ket(d))
+    ops = tuple(
+        u @ tensor(dag(basis.bell_kets[key]), np.eye(d)) @ share
+        for key, u in basis.unitaries.items()
+    )
+    return kraus_to_linear_map(KrausChannel(ops))
 
 
 def superdense(message: int, rng=0) -> ProtocolReport:

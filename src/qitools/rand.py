@@ -55,14 +55,6 @@ def random_hermitian(d: int, rng) -> np.ndarray:
     return (g + dag(g)) / 2
 
 
-def random_effect(d: int, rng) -> np.ndarray:
-    """Random operator with spectrum inside [0, 1]."""
-    rng = rng_from(rng)
-    u = haar_unitary(d, rng)
-    vals = rng.uniform(0.0, 1.0, size=d)
-    return u @ np.diag(vals).astype(complex) @ dag(u)
-
-
 def random_kraus_ops(d: int, rng, count: int | None = None) -> list[np.ndarray]:
     """Kraus operators of a random CPTP channel (Stinespring slicing)."""
     rng = rng_from(rng)

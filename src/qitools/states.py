@@ -47,6 +47,8 @@ class State:
 
     @classmethod
     def maximally_mixed(cls, d: int) -> "State":
+        if d < 1:
+            raise ValueError("dimension must be a positive integer")
         return cls(np.eye(d, dtype=complex) / d)
 
     def is_pure(self, tol: float = ATOL) -> bool:
