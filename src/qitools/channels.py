@@ -24,6 +24,7 @@ import numpy as np
 from .linalg import (
     ATOL,
     NumericError,
+    _within,
     asarray,
     dag,
     eigh,
@@ -99,7 +100,7 @@ class ChoiMatrix:
         return float(np.linalg.eigvalsh(h).min())
 
     def is_cp(self, tol: float = ATOL) -> bool:
-        return self.min_eigenvalue() >= -tol * max(1.0, np.linalg.norm(self.matrix, 2))
+        return _within(-self.min_eigenvalue(), tol, self.matrix)
 
 
 @dataclass(frozen=True)
@@ -220,14 +221,20 @@ def from_choi(choi: ChoiMatrix, tol: float = ATOL) -> KrausChannel:
     return KrausChannel(tuple(ops))
 
 
+def _is_tp(choi: ChoiMatrix, tol: float) -> bool:
+    """max |tr_A Omega - I/d_in| <= tol: the map preserves the trace."""
+    tr_first = partial_trace(choi.matrix, choi.out_dim, choi.in_dim, side="A")
+    return bool(np.max(np.abs(tr_first - np.eye(choi.in_dim) / choi.in_dim)) <= tol)
+
+
 def certify(ch, tol: float = ATOL) -> dict:
     """Report {cp, tp, unital, trace_decreasing, choi_min_eig} for a map."""
     choi = to_choi(ch)
     d_in, d_out = choi.in_dim, choi.out_dim
     min_eig = choi.min_eigenvalue()
-    cp = choi.is_cp(tol)
+    cp = _within(-min_eig, tol, choi.matrix)
+    tp = _is_tp(choi, tol)
     tr_first = partial_trace(choi.matrix, d_out, d_in, side="A")
-    tp = bool(np.max(np.abs(tr_first - np.eye(d_in) / d_in)) <= tol)
     td = bool(np.linalg.eigvalsh(d_in * tr_first).max() <= 1 + tol * d_in)
     tr_second = partial_trace(choi.matrix, d_out, d_in, side="B")
     unital = bool(np.max(np.abs(tr_second - np.eye(d_out) / d_in)) <= tol)
@@ -284,8 +291,7 @@ def to_affine(ch) -> AffineRep:
     With G the stacked Gell-Mann columns, tr[E_j X] = (G^dag vec(X))_j, so
     T = G^dag S G / d and t = G^dag S vec(I) / d.
     """
-    report = certify(ch)
-    if not report["tp"]:
+    if not _is_tp(to_choi(ch), ATOL):
         raise ValueError("affine representation requires a trace-preserving map")
     if ch.in_dim != ch.out_dim:
         raise ValueError("affine representation requires equal dimensions")
@@ -871,7 +877,7 @@ def is_entanglement_breaking(ch: KrausChannel, tol: float = ATOL) -> dict:
     d_in, d_out = choi.in_dim, choi.out_dim
     pt = partial_transpose(choi.matrix, d_out, d_in)
     min_eig = float(np.linalg.eigvalsh((pt + dag(pt)) / 2).min())
-    if min_eig < -tol * max(1.0, np.linalg.norm(choi.matrix, 2)):
+    if not _within(-min_eig, tol, choi.matrix):
         return {"verdict": "no", "pt_min_eig": min_eig, "measure_prepare": None}
     if d_in == 2 and d_out == 2:
         kets = product_decomposition_2x2(choi.matrix)

@@ -10,7 +10,8 @@ import numpy as np
 
 # Global absolute tolerance.  Hermitian/PSD predicates scale it by the
 # operator norm of the argument so that large matrices are not judged
-# more strictly than small ones.
+# more strictly than small ones.  The norm (an SVD) is computed only when
+# the unscaled tolerance does not already settle the check; see _within.
 ATOL = 1e-9
 
 
@@ -21,6 +22,19 @@ class NumericError(RuntimeError):
 def _scale(a: np.ndarray) -> float:
     norm = np.linalg.norm(a, 2) if a.size else 0.0
     return max(1.0, float(norm))
+
+
+def _within(err: float, tol: float, a: np.ndarray, offset: float = 0.0) -> bool:
+    """err <= offset + tol * _scale(a), computing the norm only when needed.
+
+    _scale(a) >= 1 and IEEE rounding is monotone, so for tol >= 0 the
+    unscaled test err <= offset + tol already implies the scaled one.
+    Non-finite ``a`` always takes the scaled path, so its errors (an SVD
+    that does not converge on NaN entries) are raised as before.
+    """
+    if tol >= 0 and err <= offset + tol and np.isfinite(a).all():
+        return True
+    return bool(err <= offset + tol * _scale(a))
 
 
 def asarray(a) -> np.ndarray:
@@ -76,7 +90,7 @@ def is_hermitian(a: np.ndarray, tol: float = ATOL) -> bool:
     a = asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return False
-    return bool(np.max(np.abs(a - dag(a))) <= tol * _scale(a))
+    return _within(np.max(np.abs(a - dag(a))), tol, a)
 
 
 def is_psd(a: np.ndarray, tol: float = ATOL) -> bool:
@@ -84,19 +98,19 @@ def is_psd(a: np.ndarray, tol: float = ATOL) -> bool:
     if not is_hermitian(a, tol):
         return False
     evals = np.linalg.eigvalsh((a + dag(a)) / 2)
-    return bool(evals.min() >= -tol * _scale(a))
+    return _within(-evals.min(), tol, a)
 
 
 def is_unitary(a: np.ndarray, tol: float = ATOL) -> bool:
     a = asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return False
-    return bool(np.max(np.abs(dag(a) @ a - np.eye(a.shape[0]))) <= tol * _scale(a))
+    return _within(np.max(np.abs(dag(a) @ a - np.eye(a.shape[0]))), tol, a)
 
 
 def is_projection(a: np.ndarray, tol: float = ATOL) -> bool:
     a = asarray(a)
-    return is_hermitian(a, tol) and bool(np.max(np.abs(a @ a - a)) <= tol * _scale(a))
+    return is_hermitian(a, tol) and _within(np.max(np.abs(a @ a - a)), tol, a)
 
 
 def is_effect(a: np.ndarray, tol: float = ATOL) -> bool:
@@ -105,8 +119,7 @@ def is_effect(a: np.ndarray, tol: float = ATOL) -> bool:
     if not is_hermitian(a, tol):
         return False
     evals = np.linalg.eigvalsh((a + dag(a)) / 2)
-    s = _scale(a)
-    return bool(evals.min() >= -tol * s and evals.max() <= 1 + tol * s)
+    return _within(-evals.min(), tol, a) and _within(evals.max(), tol, a, offset=1.0)
 
 
 def tensor(*ops) -> np.ndarray:
@@ -163,8 +176,8 @@ def eigh(t: np.ndarray, tol: float = ATOL):
 def psd_sqrt(t: np.ndarray, tol: float = ATOL) -> np.ndarray:
     """Unique PSD square root; eigenvalues in [-tol*||t||, 0) are clamped."""
     vals, vecs = eigh(t, tol)
-    floor = -tol * _scale(t)
-    if vals.min() < floor:
+    if not _within(-vals.min(), tol, t):
+        floor = -tol * _scale(t)
         raise ValueError(f"matrix is not PSD: eigenvalue {vals.min():.3e} below {floor:.3e}")
     vals = np.clip(vals, 0.0, None)
     return (vecs * np.sqrt(vals)) @ dag(vecs)

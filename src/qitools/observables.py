@@ -8,7 +8,7 @@ from math import comb
 
 import numpy as np
 
-from .linalg import ATOL, asarray, dag, eigh, is_effect, is_hermitian, is_projection
+from .linalg import ATOL, _within, asarray, dag, eigh, is_effect, is_hermitian, is_projection
 from .states import _as_matrix
 
 
@@ -230,10 +230,11 @@ def commuting_joint(a, b) -> Povm:
     """
     am = a.matrix if isinstance(a, Effect) else asarray(a)
     bm = b.matrix if isinstance(b, Effect) else asarray(b)
-    if np.max(np.abs(am @ bm - bm @ am)) > ATOL * max(1.0, np.linalg.norm(am @ bm, 2)):
+    ab = am @ bm
+    if not _within(np.max(np.abs(ab - bm @ am)), ATOL, ab):
         raise ValueError("effects do not commute; no joint observable is constructed")
     eye = np.eye(am.shape[0], dtype=complex)
-    prods = [am @ bm, (eye - am) @ bm, am @ (eye - bm), (eye - am) @ (eye - bm)]
+    prods = [ab, (eye - am) @ bm, am @ (eye - bm), (eye - am) @ (eye - bm)]
     effs = tuple((p + dag(p)) / 2 for p in prods)
     return Povm((1, 2, 3, 4), effs)
 

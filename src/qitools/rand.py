@@ -15,6 +15,8 @@ def rng_from(seed) -> np.random.Generator:
 
 
 def random_ket(d: int, rng) -> np.ndarray:
+    if d < 1:
+        raise ValueError("dimension must be a positive integer")
     rng = rng_from(rng)
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return (v / np.linalg.norm(v)).reshape(d, 1)
@@ -26,6 +28,8 @@ def haar_unitaries(d: int, count: int, rng) -> np.ndarray:
     QR of Ginibre matrices with the phases of diag(R) divided out
     (Mezzadri, Notices AMS 54, 2007).
     """
+    if d < 1:
+        raise ValueError("dimension must be a positive integer")
     rng = rng_from(rng)
     shape = (count, d, d)
     z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)

@@ -1,0 +1,62 @@
+"""The private quantum channel encodes and decodes all messages at once."""
+
+import numpy as np
+import pytest
+
+from qitools.discrimination import fidelity
+from qitools.linalg import dag, outer
+from qitools.protocols import ShiftMultiplyBasis, private_quantum_channel
+from qitools.rand import haar_unitaries, haar_unitary, random_ket
+
+
+def pqc_by_message(d, n_messages, seed):
+    """Reference per-message loop: (key, decode fidelity) for each message."""
+    rng = np.random.default_rng(seed)
+    basis = ShiftMultiplyBasis.build(d)
+    keys = sorted(basis.unitaries)
+    out = []
+    for _ in range(n_messages):
+        key = keys[int(rng.integers(len(keys)))]
+        u = basis.unitaries[key]
+        message = random_ket(d, rng)
+        cipher = u @ outer(message) @ dag(u)
+        decoded = dag(u) @ cipher @ u
+        out.append((list(key), fidelity(decoded, outer(message))))
+    return out
+
+
+@pytest.mark.parametrize("n_messages", [0, 1, 50])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_batched_pqc_matches_per_message_loop(d, n_messages):
+    for seed in (0, 17):
+        rep = private_quantum_channel(d, n_messages, rng=seed)
+        expected = pqc_by_message(d, n_messages, seed)
+        assert [r["key"] for r in rep.records] == [k for k, _ in expected]
+        got = np.array([r["decode_fidelity"] for r in rep.records])
+        want = np.array([f for _, f in expected])
+        assert np.abs(got - want).max(initial=0.0) <= 1e-12
+        assert all(isinstance(r["decode_fidelity"], float) for r in rep.records)
+        assert rep.summary["min_decode_fidelity"] == min(got, default=1.0)
+
+
+def test_batched_pqc_accepts_a_generator():
+    rep = private_quantum_channel(3, 20, rng=np.random.default_rng(5))
+    assert [r["key"] for r in rep.records] == [k for k, _ in pqc_by_message(3, 20, 5)]
+    assert rep.seed == "external-generator"
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_keyless_choi_deviation_reports_zero_below_atol(d):
+    rep = private_quantum_channel(d, 3, rng=1)
+    assert rep.summary["keyless_choi_deviation"] == 0.0
+
+
+@pytest.mark.parametrize("draw", [
+    lambda d: random_ket(d, 0),
+    lambda d: haar_unitaries(d, 3, 0),
+    lambda d: haar_unitary(d, 0),
+])
+@pytest.mark.parametrize("d", [0, -2])
+def test_random_draws_reject_nonpositive_dimension(draw, d):
+    with pytest.raises(ValueError, match="^dimension must be a positive integer$"):
+        draw(d)
