@@ -7,9 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ATOL, asarray, dag, eigh, outer, partial_trace, partial_transpose, tensor
-from .rand import haar_unitaries, random_ket, rng_from
-from .states import PAULIS, State, traceless_hermitian_basis
+from .linalg import (ATOL, _seesaw, asarray, dag, eigh, outer, partial_trace,
+                     partial_transpose, swap_operator, tensor)
+from .rand import haar_unitaries, random_kets, rng_from
+from .states import PAULIS, State
 
 
 @dataclass(frozen=True)
@@ -54,11 +55,7 @@ class SchmidtData:
         return self.rank >= 2 and bool(self.squares[1] > tol)
 
     def reconstruct(self) -> np.ndarray:
-        d = self.left.shape[0] * self.right.shape[0]
-        psi = np.zeros((d, 1), dtype=complex)
-        for j, c in enumerate(self.coefficients):
-            psi += c * tensor(self.left[:, [j]], self.right[:, [j]])
-        return psi
+        return ((self.left * self.coefficients) @ self.right.T).reshape(-1, 1)
 
 
 @dataclass(frozen=True)
@@ -164,66 +161,43 @@ def witness_evaluate(w: Witness, rho: BipartiteState, tol: float = ATOL):
     return value, ("entangled" if value < -tol else "inconclusive")
 
 
+def _mef_step(rho: np.ndarray, shifted: np.ndarray, u: np.ndarray):
+    """One see-saw step of f(U) = vec(U)^dag rho vec(U) / d over unitaries.
+
+    U <- polar factor of reshape(shifted vec U) maximizes the bilinear
+    form of the PSD shift rho - lambda_min I at U, so f never decreases;
+    without the shift, states near I/d^2 crawl.  Reports f at the new U.
+    """
+    n, d, _ = u.shape
+    w, _, vh = np.linalg.svd((u.reshape(n, -1) @ shifted.T).reshape(n, d, d))
+    nxt = w @ vh
+    vecs = nxt.reshape(n, -1)
+    return nxt, np.einsum("ni,ij,nj->n", vecs.conj(), rho, vecs).real / d
+
+
 def max_entangled_fraction(rho: BipartiteState, rng=0, restarts: int = 64) -> float:
     """max_U <psi+| (U^dag (x) I) rho (U (x) I) |psi+>, by seeded optimization.
 
     A value above 1/d certifies entanglement; PPT states never exceed
-    1/d.  The unitary is parametrized by d^2 - 1 generator angles and
-    refined coordinate-wise from random restarts.
+    1/d.  As (U (x) I)|psi+> = vec(U)/sqrt(d), a see-saw of at most 1000
+    exact steps from ``restarts`` seeded Haar unitaries maximizes
+    vec(U)^dag rho vec(U) / d; the result is a lower bound on the maximum.
     """
     if rho.dA != rho.dB:
         raise ValueError("maximally entangled fraction needs equal local dimensions")
     d = rho.dA
-    rng = rng_from(rng)
-    psi_plus = maximally_entangled_ket(d)
-    gens = traceless_hermitian_basis(d)
     m = rho.matrix
-
-    def value(angles):
-        h = sum(t * g for t, g in zip(angles, gens))
-        vals, vecs = np.linalg.eigh(h)
-        u = (vecs * np.exp(1j * vals)) @ dag(vecs)
-        ket = tensor(u, np.eye(d)) @ psi_plus
-        return float((dag(ket) @ m @ ket)[0, 0].real)
-
-    n = d * d - 1
-    best = -1.0
-    for _ in range(restarts):
-        angles = rng.uniform(-np.pi, np.pi, size=n)
-        cur = value(angles)
-        step = 0.5
-        while step > 1e-4:
-            improved = False
-            for i in range(n):
-                for sgn in (1.0, -1.0):
-                    cand = angles.copy()
-                    cand[i] += sgn * step
-                    v = value(cand)
-                    if v > cur + 1e-8:
-                        cur, angles, improved = v, cand, True
-            if not improved:
-                step /= 2
-        best = max(best, cur)
-    return best
+    shifted = m - np.linalg.eigvalsh(m)[0] * np.eye(d * d)
+    starts = haar_unitaries(d, restarts, rng)
+    return _seesaw(lambda u: _mef_step(m, shifted, u), starts, 1000, 1e-12)[0]
 
 
 def maximally_entangled_ket(d: int) -> np.ndarray:
-    psi = np.zeros((d * d, 1), dtype=complex)
-    for j in range(d):
-        psi[j * d + j, 0] = 1.0
-    return psi / np.sqrt(d)
+    return np.eye(d, dtype=complex).reshape(-1, 1) / np.sqrt(d)
 
 
 def maximally_entangled_state(d: int) -> BipartiteState:
     return BipartiteState(State.from_ket(maximally_entangled_ket(d)), d, d)
-
-
-def swap_operator(d: int) -> np.ndarray:
-    v = np.zeros((d * d, d * d), dtype=complex)
-    for j in range(d):
-        for k in range(d):
-            v[j * d + k, k * d + j] = 1.0
-    return v
 
 
 def sym_antisym(d: int):
@@ -352,33 +326,28 @@ def upb_state() -> BipartiteState:
     return BipartiteState(State((np.eye(9) - pi) / 4), 3, 3)
 
 
+def _min_product_step(t: np.ndarray, phi: np.ndarray):
+    """One alternating step of min <psi (x) phi| op |psi (x) phi>, t = op as (dA, dB, dA, dB).
+
+    With one factor fixed the objective is a smallest-eigenvector problem
+    for the other.  Returns the next phi and minus the new expectation.
+    """
+    mat_a = np.einsum("nj,ijkl,nl->nik", phi.conj(), t, phi)
+    psi = np.linalg.eigh((mat_a + mat_a.conj().transpose(0, 2, 1)) / 2)[1][:, :, 0]
+    mat_b = np.einsum("ni,ijkl,nk->njl", psi.conj(), t, psi)
+    vals, vecs = np.linalg.eigh((mat_b + mat_b.conj().transpose(0, 2, 1)) / 2)
+    return vecs[:, :, 0], -vals[:, 0]
+
+
 def _min_product_expectation(op: np.ndarray, dA: int, dB: int, rng, restarts: int) -> float:
     """min over product kets of <psi (x) phi| op |psi (x) phi>.
 
-    Alternating minimization: with one factor fixed the objective is a
-    smallest-eigenvector problem for the other factor.
+    Alternating minimization from seeded random product kets, at most 100
+    steps per start; a start stops once a step gains at most 1e-12.
     """
-    op = asarray(op)
-    best = np.inf
-    for _ in range(restarts):
-        psi = random_ket(dA, rng)
-        phi = random_ket(dB, rng)
-        prev = np.inf
-        for _ in range(100):
-            kb = tensor(np.eye(dA), phi)
-            mat_a = dag(kb) @ op @ kb
-            vals, vecs = np.linalg.eigh((mat_a + dag(mat_a)) / 2)
-            psi = vecs[:, [0]]
-            ka = tensor(psi, np.eye(dB))
-            mat_b = dag(ka) @ op @ ka
-            vals, vecs = np.linalg.eigh((mat_b + dag(mat_b)) / 2)
-            phi = vecs[:, [0]]
-            cur = float(vals[0])
-            if prev - cur < 1e-12:
-                break
-            prev = cur
-        best = min(best, cur)
-    return float(best)
+    t = asarray(op).reshape(dA, dB, dA, dB)
+    _, phi = random_kets((dA, dB), restarts, rng)
+    return -_seesaw(lambda p: _min_product_step(t, p), phi, 100, 1e-12)[0]
 
 
 def upb_epsilon(rng=0, restarts: int = 200) -> float:

@@ -159,6 +159,12 @@ def partial_transpose(t: np.ndarray, dA: int, dB: int, side: str = "B") -> np.nd
     return out.reshape(dA * dB, dA * dB)
 
 
+def swap_operator(d: int) -> np.ndarray:
+    """V|j, k> = |k, j>; also the row-major superoperator of transposition."""
+    eye = np.eye(d * d, dtype=complex).reshape(d, d, d, d)
+    return eye.transpose(0, 1, 3, 2).reshape(d * d, d * d)
+
+
 def eigh(t: np.ndarray, tol: float = ATOL):
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
@@ -216,6 +222,37 @@ def matrix_rank(a: np.ndarray, tol: float = ATOL) -> int:
     if s.size == 0 or s[0] == 0:
         return 0
     return int((s > tol * s[0]).sum())
+
+
+def _seesaw(step, x: np.ndarray, max_iter: int, tol: float):
+    """Alternating maximization over a stack of starts (leading axis).
+
+    ``step`` maps a stack of points to the next points and their values.
+    Each step solves one half of a convex problem exactly, so a start's
+    values never decrease.  A start stops once a step raises its value by
+    at most ``tol``; only the running starts are passed to ``step``.
+    Returns ``(best value, argmax, iterations per start, converged per
+    start)``; a start that is still rising at ``max_iter`` has not
+    converged.
+    """
+    if not len(x):
+        raise ValueError("at least one start is required")
+    x = np.array(x)
+    value = np.full(len(x), -np.inf)
+    iterations = np.zeros(len(x), dtype=int)
+    running = np.arange(len(x))
+    for _ in range(max_iter):
+        if not running.size:
+            break
+        nxt, new = step(x[running])
+        x[running] = nxt
+        gain = new - value[running]
+        value[running] = new
+        iterations[running] += 1
+        running = running[gain > tol]
+    converged = ~np.isin(np.arange(len(x)), running)
+    best = int(np.argmax(value))
+    return float(value[best]), x[best], iterations, converged
 
 
 def gram_schmidt_complete(cols: np.ndarray, tol: float = 1e-12) -> np.ndarray:

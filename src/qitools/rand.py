@@ -22,6 +22,21 @@ def random_ket(d: int, rng) -> np.ndarray:
     return (v / np.linalg.norm(v)).reshape(d, 1)
 
 
+def random_kets(dims, count: int, rng) -> list[np.ndarray]:
+    """``count`` random unit kets per factor of ``dims``, each as (count, d) rows.
+
+    One normal block holds the same draws as ``count`` rounds of
+    ``random_ket`` over the factors (real part, then imaginary part).
+    """
+    z = rng_from(rng).standard_normal((count, 2 * sum(dims)))
+    kets, start = [], 0
+    for d in dims:
+        v = z[:, start:start + d] + 1j * z[:, start + d:start + 2 * d]
+        kets.append(v / np.linalg.norm(v, axis=1, keepdims=True))
+        start += 2 * d
+    return kets
+
+
 def haar_unitaries(d: int, count: int, rng) -> np.ndarray:
     """Stack of ``count`` Haar unitaries, shape (count, d, d).
 

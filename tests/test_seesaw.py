@@ -1,0 +1,314 @@
+"""The see-saw kernel and the three optimizers built on it.
+
+Reference copies of the coordinate searches that the see-saw replaced
+(``_refine_ket`` for sup_distance, the generator-angle search for
+max_entangled_fraction) and of the per-restart product-state loop are
+kept here: both old and new values are lower bounds on a maximum, so the
+new one must not fall below the old one.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qitools.channels import KrausChannel, _sup_step, _superop, apply, sup_distance
+from qitools.entanglement import (
+    BipartiteState,
+    _mef_step,
+    _min_product_expectation,
+    _min_product_step,
+    chsh_operator,
+    max_entangled_fraction,
+    upb_projector,
+    werner,
+)
+from qitools.linalg import _seesaw, dag, tensor, trace_norm
+from qitools.rand import (
+    haar_unitaries,
+    haar_unitary,
+    random_density,
+    random_ket,
+    random_kets,
+    random_kraus_ops,
+    rng_from,
+)
+from qitools.states import State, traceless_hermitian_basis
+
+S2 = 1 / np.sqrt(2)
+CHSH_VECTORS = ((1, 0, 0), (0, 1, 0), (S2, S2, 0), (S2, -S2, 0))
+
+
+# ---------------------------------------------------------------------------
+# Reference copies of the replaced searches
+# ---------------------------------------------------------------------------
+
+def refine_ket_reference(objective, ket0, steps=60, step0=0.5, window=1e-8):
+    z = np.concatenate([ket0.real.ravel(), ket0.imag.ravel()])
+    d = ket0.shape[0]
+
+    def to_ket(vec):
+        v = vec[:d] + 1j * vec[d:]
+        n = np.linalg.norm(v)
+        return None if n == 0 else (v / n).reshape(-1, 1)
+
+    best = objective(to_ket(z))
+    step = step0
+    for _ in range(steps):
+        improved = False
+        for i in range(2 * d):
+            for sign in (1.0, -1.0):
+                cand = z.copy()
+                cand[i] += sign * step
+                k = to_ket(cand)
+                if k is None:
+                    continue
+                val = objective(k)
+                if val > best + window:
+                    best, z, improved = val, cand, True
+        if not improved:
+            step /= 2
+            if step < 1e-6:
+                break
+    return best
+
+
+def sup_distance_reference(ch1, ch2, rng, restarts):
+    rng = rng_from(rng)
+
+    def objective(k):
+        rho = k @ dag(k)
+        return trace_norm(apply(ch1, rho) - apply(ch2, rho)) / 2
+
+    return max(refine_ket_reference(objective, random_ket(ch1.in_dim, rng))
+               for _ in range(restarts))
+
+
+def mef_reference(rho, rng, restarts):
+    """Generator-angle coordinate search (stacked generators for speed)."""
+    d = rho.dA
+    rng = rng_from(rng)
+    gens = np.array(traceless_hermitian_basis(d))
+    m = rho.matrix
+
+    def value(angles):
+        vals, vecs = np.linalg.eigh(np.tensordot(angles, gens, 1))
+        v = ((vecs * np.exp(1j * vals)) @ dag(vecs)).reshape(-1)
+        return float((v.conj() @ m @ v).real) / d
+
+    n = d * d - 1
+    best = -1.0
+    for _ in range(restarts):
+        angles = rng.uniform(-np.pi, np.pi, size=n)
+        cur = value(angles)
+        step = 0.5
+        while step > 1e-4:
+            improved = False
+            for i in range(n):
+                for sgn in (1.0, -1.0):
+                    cand = angles.copy()
+                    cand[i] += sgn * step
+                    v = value(cand)
+                    if v > cur + 1e-8:
+                        cur, angles, improved = v, cand, True
+            if not improved:
+                step /= 2
+        best = max(best, cur)
+    return best
+
+
+def min_product_reference(op, dA, dB, rng, restarts):
+    best = np.inf
+    for _ in range(restarts):
+        random_ket(dA, rng)
+        phi = random_ket(dB, rng)
+        prev = np.inf
+        for _ in range(100):
+            kb = tensor(np.eye(dA), phi)
+            mat_a = dag(kb) @ op @ kb
+            _, vecs = np.linalg.eigh((mat_a + dag(mat_a)) / 2)
+            psi = vecs[:, [0]]
+            ka = tensor(psi, np.eye(dB))
+            mat_b = dag(ka) @ op @ ka
+            vals, vecs = np.linalg.eigh((mat_b + dag(mat_b)) / 2)
+            phi = vecs[:, [0]]
+            cur = float(vals[0])
+            if prev - cur < 1e-12:
+                break
+            prev = cur
+        best = min(best, cur)
+    return best
+
+
+def random_channel(d, rng):
+    return KrausChannel(tuple(random_kraus_ops(d, rng)))
+
+
+# ---------------------------------------------------------------------------
+# The kernel
+# ---------------------------------------------------------------------------
+
+def test_seesaw_stops_each_start_and_reports_convergence():
+    # from x, a step reaches x + 1 with value 1 - 2^-(x + 1), a gain of 2^-(x + 1)
+    calls = []
+
+    def step(x):
+        calls.append(len(x))
+        nxt = x + 1
+        return nxt, 1 - 0.5 ** nxt[:, 0]
+
+    x0 = np.array([[0], [10], [30]])
+    value, arg, iterations, converged = _seesaw(step, x0, max_iter=40, tol=1e-6)
+    assert iterations.tolist() == [20, 10, 2]
+    assert converged.all()
+    assert calls[:3] == [3, 3, 2] and calls[-1] == 1
+    assert arg.tolist() == [32] and value == 1 - 0.5 ** 32
+    assert x0.tolist() == [[0], [10], [30]]
+
+    _, _, iterations, converged = _seesaw(step, x0, max_iter=5, tol=1e-6)
+    assert iterations.tolist() == [5, 5, 2]
+    assert converged.tolist() == [False, False, True]
+
+
+# ---------------------------------------------------------------------------
+# Closed forms
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "phases, tol",
+    [((0.0, 0.5, 1.0), 1e-9), ((0.0, 0.3, 2.5), 1e-9), ((0.0, 0.002, 1.159), 1e-5)],
+)
+def test_sup_distance_of_unitary_against_identity(phases, tol):
+    # eigenphases spanning an arc s < pi: Delta_sup(U, id) = sin(s / 2)
+    rng = np.random.default_rng(7)
+    w = haar_unitary(3, rng)
+    u = (w * np.exp(1j * np.array(phases))) @ dag(w)
+    ident = KrausChannel((np.eye(3, dtype=complex),))
+    value, psi = sup_distance(KrausChannel((u,)), ident, rng=11)
+    assert abs(value - np.sin(max(phases) / 2)) < tol
+    rho = psi @ dag(psi)
+    assert abs(trace_norm(u @ rho @ dag(u) - rho) / 2 - value) < 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mef_of_pure_state_is_squared_schmidt_sum(seed):
+    psi = random_ket(9, seed)
+    s = np.linalg.svd(psi.reshape(3, 3), compute_uv=False)
+    value = max_entangled_fraction(BipartiteState(State.from_ket(psi), 3, 3), rng=seed)
+    assert abs(value - s.sum() ** 2 / 3) < 1e-9
+
+
+@pytest.mark.parametrize("mu", [0.6665, 2 / 3, 0.6673, 0.7])
+def test_mef_of_werner_near_the_maximally_mixed_point(mu):
+    exact = max(mu / 6, mu / 18 + 2 * (1 - mu) / 9)
+    assert abs(max_entangled_fraction(werner(3, mu), rng=5) - exact) < 1e-9
+    assert abs(max_entangled_fraction(werner(3, mu), rng=5, restarts=8) - exact) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Seeded streams and agreement with the replaced loops
+# ---------------------------------------------------------------------------
+
+def test_random_kets_reproduce_random_ket_draws():
+    rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
+    psi, phi = random_kets((2, 3), 5, rng_a)
+    for r in range(5):
+        assert np.abs(psi[r] - random_ket(2, rng_b).ravel()).max() < 1e-15
+        assert np.abs(phi[r] - random_ket(3, rng_b).ravel()).max() < 1e-15
+    assert rng_a.standard_normal() == rng_b.standard_normal()
+
+
+@pytest.mark.parametrize(
+    "op, dims, seed, restarts",
+    [
+        (upb_projector(), (3, 3), 109, 200),
+        (upb_projector(), (3, 3), 0, 60),
+        (2 * np.eye(4) + chsh_operator(*CHSH_VECTORS), (2, 2), 0, 100),
+        (2 * np.eye(4) - chsh_operator(*CHSH_VECTORS), (2, 2), 3, 100),
+    ],
+)
+def test_batched_min_product_matches_per_restart_loop(op, dims, seed, restarts):
+    op = np.asarray(op, dtype=complex)
+    batched = _min_product_expectation(op, *dims, rng_from(seed), restarts)
+    assert abs(batched - min_product_reference(op, *dims, rng_from(seed), restarts)) < 1e-12
+
+
+@pytest.mark.parametrize("d, count", [(2, 4), (3, 3), (4, 2)])
+def test_sup_distance_never_below_coordinate_search(d, count):
+    rng = np.random.default_rng(40 + d)
+    for _ in range(count):
+        ch1, ch2 = random_channel(d, rng), random_channel(d, rng)
+        seed = int(rng.integers(2**31))
+        old = sup_distance_reference(ch1, ch2, seed, restarts=4)
+        assert sup_distance(ch1, ch2, rng=seed)[0] >= old - 1e-9
+
+
+@pytest.mark.parametrize("d, count", [(2, 3), (3, 2), (4, 1)])
+def test_mef_never_below_angle_search(d, count):
+    rng = np.random.default_rng(50 + d)
+    for _ in range(count):
+        rho = BipartiteState(State(random_density(d * d, rng)), d, d)
+        seed = int(rng.integers(2**31))
+        assert max_entangled_fraction(rho, rng=seed) >= mef_reference(rho, seed, 4) - 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Monotonicity of every step
+# ---------------------------------------------------------------------------
+
+def assert_nondecreasing(values):
+    values = np.array(values)
+    assert (np.diff(values, axis=0) >= -1e-12).all()
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3, 4]))
+def test_sup_step_never_decreases_the_trace_distance(seed, d):
+    rng = np.random.default_rng(seed)
+    ch1, ch2 = random_channel(d, rng), random_channel(d, rng)
+    s = _superop(ch1) - _superop(ch2)
+    (kets,) = random_kets((d,), 6, rng)
+
+    def objective(k):
+        rho = np.einsum("ni,nj->nij", k, k.conj())
+        out = (rho.reshape(len(k), -1) @ s.T).reshape(-1, d, d)
+        return np.linalg.svd(out, compute_uv=False).sum(axis=1) / 2
+
+    values = [objective(kets)]
+    for _ in range(8):
+        nxt, reported = _sup_step(s, d, kets)
+        assert (reported >= values[-1] - 1e-12).all()
+        kets = nxt
+        values.append(objective(kets))
+        assert (values[-1] >= reported - 1e-12).all()
+    assert_nondecreasing(values)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3, 4]),
+       rank=st.integers(1, 4))
+def test_mef_step_never_decreases_the_fraction(seed, d, rank):
+    rng = np.random.default_rng(seed)
+    m = random_density(d * d, rng, rank=min(rank, d * d))
+    shifted = m - np.linalg.eigvalsh(m)[0] * np.eye(d * d)
+    u = haar_unitaries(d, 6, rng)
+    values = [np.einsum("ni,ij,nj->n", u.reshape(6, -1).conj(), m, u.reshape(6, -1)).real / d]
+    for _ in range(8):
+        u, value = _mef_step(m, shifted, u)
+        values.append(value)
+    assert_nondecreasing(values)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), dims=st.sampled_from([(2, 2), (2, 3), (3, 3)]))
+def test_min_product_step_never_raises_the_expectation(seed, dims):
+    rng = np.random.default_rng(seed)
+    dA, dB = dims
+    g = rng.standard_normal((dA * dB,) * 2) + 1j * rng.standard_normal((dA * dB,) * 2)
+    t = ((g + dag(g)) / 2).reshape(dA, dB, dA, dB)
+    _, phi = random_kets(dims, 6, rng)
+    values = []
+    for _ in range(8):
+        phi, value = _min_product_step(t, phi)
+        values.append(value)
+    assert_nondecreasing(values)
