@@ -13,6 +13,9 @@ acting on row-major vectorized operators, vec(X)[i*d + j] = X[i, j], so
 vec(E(X)) = S vec(X) and a Kraus list gives S = sum_k A_k (x) conj(A_k).
 S and the Choi matrix hold the same numbers in a different index order:
 S[(a, b), (j, k)] = d_in * Omega[(a, j), (b, k)] (the "reshuffle").
+
+Basis coordinates: with G the columns vec(I), vec(E_j) of ``states._operator_basis``,
+chi = G^dag Phi G / d and the affine matrix [[1, 0], [t, T]] = G^dag S G / d.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .linalg import (
     trace_norm,
 )
 from .rand import random_ket, random_kets, rng_from
-from .states import PAULIS, State, _as_matrix, traceless_hermitian_basis
+from .states import PAULIS, State, _as_matrix, _operator_basis
 
 
 # ---------------------------------------------------------------------------
@@ -60,9 +63,15 @@ class KrausChannel:
         shape = ops[0].shape
         if any(a.shape != shape for a in ops):
             raise ValueError("Kraus operators must share a shape")
-        for a in ops:
-            a.flags.writeable = False
-        object.__setattr__(self, "kraus_ops", ops)
+        stack = np.array(ops)  # a copy, so the caller's arrays stay writable
+        if not np.isfinite(stack).all():
+            k, i = divmod(int(np.flatnonzero(~np.isfinite(stack))[0]), ops[0].size)
+            z = stack[k].flat[i]
+            raise ValueError(
+                f"Kraus operator {k}[{i}]: entries must be finite, got [{z.real}, {z.imag}]"
+            )
+        stack.flags.writeable = False
+        object.__setattr__(self, "kraus_ops", tuple(stack))
         object.__setattr__(self, "out_dim", shape[0])
         object.__setattr__(self, "in_dim", shape[1])
 
@@ -91,7 +100,7 @@ class ChoiMatrix:
     out_dim: int
 
     def __post_init__(self):
-        m = asarray(self.matrix)
+        m = np.array(self.matrix, dtype=complex)  # a copy, so the caller's array stays writable
         if m.shape != (self.out_dim * self.in_dim,) * 2:
             raise ValueError("Choi matrix shape does not match the declared dimensions")
         if not np.isfinite(m).all():
@@ -218,12 +227,10 @@ def from_choi(choi: ChoiMatrix, tol: float = ATOL) -> KrausChannel:
         raise ValueError(
             f"not completely positive: Choi eigenvalue {vals.min() / choi.in_dim:.3e}"
         )
-    ops = []
-    for j, v in enumerate(vals):
-        if v > tol * scale:
-            ops.append(np.sqrt(v) * vecs[:, j].reshape(choi.out_dim, choi.in_dim))
-    if not ops:
-        ops = [np.zeros((choi.out_dim, choi.in_dim), dtype=complex)]
+    keep = vals > tol * scale
+    ops = (np.sqrt(vals[keep]) * vecs[:, keep]).T.reshape(-1, choi.out_dim, choi.in_dim)
+    if not keep.any():
+        ops = np.zeros((1, choi.out_dim, choi.in_dim), dtype=complex)
     return KrausChannel(tuple(ops))
 
 
@@ -253,60 +260,56 @@ def certify(ch, tol: float = ATOL) -> dict:
     }
 
 
-def normalized_operator_basis(d: int) -> tuple[np.ndarray, ...]:
-    """Hilbert-Schmidt orthonormal basis {I, E_1, ...} / sqrt(d)."""
-    ops = [np.eye(d, dtype=complex) / np.sqrt(d)]
-    ops.extend(e / np.sqrt(d) for e in traceless_hermitian_basis(d))
-    return tuple(ops)
-
-
 def to_chi(ch, basis=None) -> ChiMatrix:
-    """chi-matrix of a channel over an orthonormal operator basis."""
-    kraus = ch if isinstance(ch, KrausChannel) else from_choi(to_choi(ch))
-    d = kraus.in_dim
-    if kraus.out_dim != d:
+    """chi-matrix B^dag Phi B over an orthonormal operator basis.
+
+    B stacks the vectorized basis operators as columns; the default basis
+    is {I, E_1, ...} / sqrt(d), i.e. B = G / sqrt(d).
+    """
+    d = ch.in_dim
+    if ch.out_dim != d:
         raise ValueError("chi representation requires equal input and output dimensions")
-    basis = normalized_operator_basis(d) if basis is None else tuple(asarray(b) for b in basis)
-    gram = np.array([[np.trace(dag(a) @ b) for b in basis] for a in basis])
-    if np.max(np.abs(gram - np.eye(len(basis)))) > 1e-9:
+    choi = to_choi(ch)
+    if not isinstance(ch, KrausChannel) and not choi.is_cp():
+        raise ValueError(f"not completely positive: Choi eigenvalue {choi.min_eigenvalue():.3e}")
+    if basis is None:
+        ops = _operator_basis(d).T.reshape(-1, d, d) / np.sqrt(d)
+    else:
+        ops = np.array(basis, dtype=complex)  # a copy, frozen below
+    b = ops.reshape(len(ops), -1).T
+    if np.max(np.abs(dag(b) @ b - np.eye(len(ops)))) > 1e-9:
         raise ValueError("operator basis is not Hilbert-Schmidt orthonormal")
-    coeff = np.array([[np.trace(dag(b) @ a) for b in basis] for a in kraus.kraus_ops])
-    chi = np.einsum("nr,ns->rs", coeff, coeff.conj())
-    return ChiMatrix(chi, basis)
+    ops.flags.writeable = False
+    return ChiMatrix(dag(b) @ (d * choi.matrix) @ b, tuple(ops))
 
 
 def chi_to_kraus(chi: ChiMatrix, tol: float = ATOL) -> KrausChannel:
     vals, vecs = eigh(chi.matrix)
-    ops = []
     scale = max(1.0, float(np.abs(vals).max()))
-    for j, v in enumerate(vals):
-        if v > tol * scale:
-            op = sum(vecs[r, j] * chi.basis[r] for r in range(len(chi.basis)))
-            ops.append(np.sqrt(v) * op)
-    return KrausChannel(tuple(ops))
+    keep = vals > tol * scale
+    basis = np.asarray(chi.basis)
+    ops = basis.reshape(len(basis), -1).T @ (np.sqrt(vals[keep]) * vecs[:, keep])
+    return KrausChannel(tuple(ops.T.reshape(-1, *basis.shape[1:])))
 
 
-def _gell_mann_columns(d: int) -> np.ndarray:
-    """Row-major vectorized traceless Hermitian basis, one column per E_j."""
-    return np.stack([e.reshape(-1) for e in traceless_hermitian_basis(d)], axis=1)
+def _affine_matrix(s: np.ndarray, d: int) -> np.ndarray:
+    """Real [[1, 0], [t, T]] = G^dag S G / d of a trace-preserving superoperator S."""
+    g = _operator_basis(d)
+    return (dag(g) @ s @ g).real / d
 
 
 def to_affine(ch) -> AffineRep:
     """Bloch-space affine form of a trace-preserving map.
 
-    With G the stacked Gell-Mann columns, tr[E_j X] = (G^dag vec(X))_j, so
-    T = G^dag S G / d and t = G^dag S vec(I) / d.
+    Since tr[E_j X] = (G^dag vec(X))_j, the block matrix G^dag S G / d holds
+    t_j = tr[E_j E(I)] / d in its first column and T_jk = tr[E_j E(E_k)] / d.
     """
     if not _is_tp(to_choi(ch), ATOL):
         raise ValueError("affine representation requires a trace-preserving map")
     if ch.in_dim != ch.out_dim:
         raise ValueError("affine representation requires equal dimensions")
-    d = ch.in_dim
-    g = _gell_mann_columns(d)
-    gs = dag(g) @ _superop(ch)
-    t = (gs @ np.eye(d).reshape(-1)).real / d
-    big_t = (gs @ g).real / d
-    return AffineRep(big_t, t, d)
+    m = _affine_matrix(_superop(ch), ch.in_dim)
+    return AffineRep(m[1:, 1:], m[1:, 0], ch.in_dim)
 
 
 def affine_apply(aff: AffineRep, r: np.ndarray) -> np.ndarray:
@@ -316,11 +319,11 @@ def affine_apply(aff: AffineRep, r: np.ndarray) -> np.ndarray:
 def affine_to_choi(aff: AffineRep) -> ChoiMatrix:
     """Choi matrix of the map defined by a Bloch affine action."""
     d = aff.dim
-    g = _gell_mann_columns(d)
-    vec_id = np.eye(d).reshape(-1)
+    g = _operator_basis(d)
+    m = np.eye(d * d)  # [[1, 0], [t, T]]
+    m[1:, 0], m[1:, 1:] = aff.t, aff.T
     # E(X) = [tr(X) (I + t.E) + sum_jk T_jk tr(E_k X) E_j] / d
-    s = (np.outer(vec_id + g @ aff.t, vec_id) + g @ aff.T @ dag(g)) / d
-    return to_choi(LinearMap(s, d, d))
+    return to_choi(LinearMap(g @ m @ dag(g) / d, d, d))
 
 
 def kraus_equivalent(k1: KrausChannel, k2: KrausChannel, tol: float = 1e-8,
@@ -396,17 +399,9 @@ def conjugate(ch: KrausChannel) -> KrausChannel:
     if not ch.is_trace_preserving():
         raise ValueError("conjugate channel implemented for trace-preserving channels")
     ops = [a for a in ch.kraus_ops if np.max(np.abs(a)) > ATOL]
-    n = len(ops)
-    d = ch.in_dim
-    # Kraus operators of the conjugate: B_m maps |phi> to the environment
-    # vector with components <m|R_j phi> ... i.e. B_m[j, :] = row m of R_j.
-    bs = []
-    for m in range(d):
-        b = np.zeros((n, d), dtype=complex)
-        for j, r in enumerate(ops):
-            b[j, :] = r[m, :]
-        bs.append(b)
-    return KrausChannel(tuple(bs))
+    # B_m maps |phi> to the environment vector with components <m|R_j phi>,
+    # i.e. B_m[j, :] = row m of R_j.
+    return KrausChannel(tuple(np.stack(ops).transpose(1, 0, 2)))
 
 
 def random_unitary_conjugate(pairs) -> KrausChannel:
@@ -461,7 +456,7 @@ def make(kind: str, **params):
         if p < 1:
             ops.append(np.sqrt(1 - p) * np.eye(d, dtype=complex))
         if p > 0:
-            ops.extend(np.sqrt(p / d) * b for b in normalized_operator_basis(d))
+            ops.extend(np.sqrt(p / d) * (_operator_basis(d).T.reshape(-1, d, d) / np.sqrt(d)))
         return KrausChannel(tuple(ops))
     if kind == "pauli":
         q = np.asarray(params["q"], dtype=float)
@@ -572,11 +567,7 @@ def qubit_cp_check(lmbda, t) -> dict:
 def bloch_rotation(u: np.ndarray) -> np.ndarray:
     """SO(3) action of a qubit unitary on Bloch vectors."""
     u = asarray(u)
-    r = np.zeros((3, 3))
-    for j in range(3):
-        for k in range(3):
-            r[j, k] = 0.5 * np.trace(PAULIS[j + 1] @ u @ PAULIS[k + 1] @ dag(u)).real
-    return r
+    return _affine_matrix(tensor(u, u.conj()), 2)[1:, 1:]
 
 
 def su2_from_rotation(r: np.ndarray) -> np.ndarray:

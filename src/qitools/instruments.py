@@ -7,9 +7,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import ATOL, asarray, dag, is_unitary, psd_sqrt, tensor
-from .channels import KrausChannel, LinearMap, _dilation_unitary, from_choi, to_choi
+from .channels import KrausChannel, LinearMap, _dilation_unitary, _superop, from_choi, to_choi
 from .observables import Povm, is_sharp
-from .states import State, _as_matrix, traceless_hermitian_basis
+from .states import State, _as_matrix, _operator_basis
 
 # Repeatability hinges on exact unit eigenvalues; detection uses a looser
 # threshold than the global tolerance because roundoff perturbs spectra.
@@ -172,14 +172,11 @@ def conditional_output(ins: DiscreteInstrument, rho, x, tol: float = ATOL) -> St
 
 def is_repeatable(ins: DiscreteInstrument, tol: float = UNIT_EIGENVALUE_TOL) -> bool:
     """tr[I_x(I_x(rho))] = tr[I_x(rho)] checked on a spanning operator basis."""
-    d = ins.dim
-    for basis_op in (np.eye(d, dtype=complex),) + traceless_hermitian_basis(d):
-        for x in ins.outcomes:
-            once = ins.apply(x, basis_op)
-            twice = ins.apply(x, once)
-            if abs(np.trace(twice).real - np.trace(once).real) > tol:
-                return False
-    return True
+    s = np.stack([_superop(op) for op in ins.operations])
+    once = s @ _operator_basis(ins.dim)  # column j of once[x] is vec(I_x(basis op j))
+    twice = s @ once
+    vec_id = np.eye(ins.dim).reshape(-1)
+    return bool(np.all(np.abs((vec_id @ twice).real - (vec_id @ once).real) <= tol))
 
 
 def repeatable_instrument(a: Povm) -> DiscreteInstrument:
@@ -238,19 +235,15 @@ def no_information_no_disturbance_check(ins: DiscreteInstrument, tol: float = 1e
     the induced observable must be trivial; the report states which side
     holds.
     """
-    basis = (np.eye(ins.dim, dtype=complex),) + traceless_hermitian_basis(ins.dim)
-    non_disturbing = True
-    for x in ins.outcomes:
-        c = np.trace(ins.apply(x, np.eye(ins.dim, dtype=complex) / ins.dim)).real
-        for op in basis:
-            if np.max(np.abs(ins.apply(x, op) - c * op)) > tol:
-                non_disturbing = False
-                break
-        if not non_disturbing:
-            break
+    d = ins.dim
+    g = _operator_basis(d)
+    images = np.stack([_superop(op) for op in ins.operations]) @ g
+    # c_x = tr[I_x(I / d)]; the first basis column is vec(I).
+    c = (images[:, :, 0] @ g[:, 0]).real / d
+    non_disturbing = bool(np.max(np.abs(images - c[:, None, None] * g)) <= tol)
     obs = induced_observable(ins)
     trivial = all(
-        np.max(np.abs(e.matrix - np.trace(e.matrix) / ins.dim * np.eye(ins.dim))) <= tol
+        np.max(np.abs(e.matrix - np.trace(e.matrix) / d * np.eye(d))) <= tol
         for e in obs.effects
     )
     if non_disturbing and not trivial:

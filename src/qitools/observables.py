@@ -109,18 +109,13 @@ def is_sharp(a: Povm, tol: float = ATOL) -> bool:
     return True
 
 
-def _hermitian_to_real_vector(m: np.ndarray) -> np.ndarray:
-    d = m.shape[0]
-    parts = [np.diag(m).real]
-    iu = np.triu_indices(d, k=1)
-    parts.append(np.sqrt(2) * m[iu].real)
-    parts.append(np.sqrt(2) * m[iu].imag)
-    return np.concatenate(parts)
-
-
 def is_informationally_complete(a: Povm, tol: float = ATOL) -> bool:
-    """True iff the effects span the full d^2-dimensional Hermitian space."""
-    rows = np.stack([_hermitian_to_real_vector(e.matrix) for e in a.effects])
+    """True iff the effects span the full d^2-dimensional Hermitian space.
+
+    The rows are the vectorized effects: vec(E)^dag vec(F) = tr[EF] for
+    Hermitian E, F, so they have the singular values of real coordinates.
+    """
+    rows = np.stack([e.matrix for e in a.effects]).reshape(len(a.effects), -1)
     s = np.linalg.svd(rows, compute_uv=False)
     rank = int((s > tol * s[0]).sum()) if s.size and s[0] > 0 else 0
     return rank == a.dim**2

@@ -83,15 +83,17 @@ def von_neumann_entropy(rho, base: str | int = "e") -> float:
 
 
 @lru_cache(maxsize=None)
-def traceless_hermitian_basis(d: int) -> tuple[np.ndarray, ...]:
-    """Generalized Gell-Mann matrices scaled so tr[E_j E_k] = d delta_jk.
+def _operator_basis(d: int) -> np.ndarray:
+    """Read-only d^2 x d^2 matrix G with columns vec(I), vec(E_1), ..., vec(E_{d^2-1}).
 
-    Ordering: symmetric pair operators, antisymmetric pair operators,
-    then diagonal ones.  For d = 2 this is exactly (sigma_x, sigma_y,
-    sigma_z).
+    The E_j are generalized Gell-Mann matrices scaled so tr[E_j E_k] =
+    d delta_jk, ordered as symmetric pair operators, antisymmetric pair
+    operators, then diagonal ones; for d = 2 they are exactly (sigma_x,
+    sigma_y, sigma_z).  Vectorization is row-major, so G^dag G = d I and
+    (G^dag vec X)_j = tr[E_j X] for Hermitian X.
     """
     scale = np.sqrt(d / 2)
-    ops = []
+    ops = [np.eye(d, dtype=complex)]
     for j in range(d):
         for k in range(j + 1, d):
             m = np.zeros((d, d), dtype=complex)
@@ -109,8 +111,16 @@ def traceless_hermitian_basis(d: int) -> tuple[np.ndarray, ...]:
         diag[l] = -l
         m = np.diag(diag / np.sqrt(l * (l + 1))).astype(complex)
         ops.append(np.sqrt(2) * scale * m)
-    for op in ops:
-        op.flags.writeable = False
+    g = np.ascontiguousarray(np.stack(ops).reshape(d * d, d * d).T)
+    g.flags.writeable = False
+    return g
+
+
+@lru_cache(maxsize=None)
+def traceless_hermitian_basis(d: int) -> tuple[np.ndarray, ...]:
+    """Read-only matrices E_1, ..., E_{d^2-1} of ``_operator_basis(d)``."""
+    ops = _operator_basis(d)[:, 1:].T.reshape(-1, d, d)
+    ops.flags.writeable = False
     return tuple(ops)
 
 
@@ -140,17 +150,14 @@ class BlochVector:
 def to_bloch(rho) -> BlochVector:
     m = _as_matrix(rho)
     d = m.shape[0]
-    comps = [np.trace(m @ e).real for e in traceless_hermitian_basis(d)]
-    return BlochVector(d, np.array(comps))
+    return BlochVector(d, (dag(_operator_basis(d)[:, 1:]) @ m.reshape(-1)).real)
 
 
 def from_bloch(b: BlochVector, tol: float = ATOL) -> State:
     """State from a Bloch vector; rejects vectors outside the state space."""
     d = b.dim
-    m = np.eye(d, dtype=complex)
-    for r, e in zip(b.components, traceless_hermitian_basis(d)):
-        m = m + r * e
-    m /= d
+    g = _operator_basis(d)
+    m = ((g[:, 0] + g[:, 1:] @ b.components) / d).reshape(d, d)
     evals = np.linalg.eigvalsh(m)
     if evals.min() < -tol:
         raise ValueError(

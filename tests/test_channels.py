@@ -3,6 +3,7 @@ import pytest
 
 from qitools.channels import (
     AffineRep,
+    ChoiMatrix,
     KrausChannel,
     affine_apply,
     affine_to_choi,
@@ -495,3 +496,45 @@ def test_bloch_rotation_round_trip():
     r = bloch_rotation(u)
     u2 = su2_from_rotation(r)
     assert np.abs(bloch_rotation(u2) - r).max() < 1e-8
+
+
+def test_bloch_rotation_matches_pauli_traces():
+    rng = np.random.default_rng(30)
+    u = haar_unitary(2, rng)
+    ref = [[0.5 * np.trace(PAULIS[j] @ u @ PAULIS[k] @ dag(u)).real for k in (1, 2, 3)]
+           for j in (1, 2, 3)]
+    assert np.abs(bloch_rotation(u) - ref).max() < 1e-14
+
+
+def test_constructors_leave_the_callers_arrays_writable():
+    a = np.array([[0, 1], [1, 0]], dtype=complex)
+    ch = KrausChannel((a,))
+    a[0, 0] = 5
+    assert ch.kraus_ops[0][0, 0] == 0
+    m = to_choi(IDENT2).matrix.copy()
+    choi = ChoiMatrix(m, 2, 2)
+    m[0, 0] = 1
+    assert choi.matrix[0, 0] == 0.5
+    for frozen in (ch.kraus_ops[0], choi.matrix):
+        with pytest.raises(ValueError, match="read-only"):
+            frozen[0, 0] = 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kraus_channel_rejects_non_finite_entries(bad):
+    a = np.eye(2, dtype=complex)
+    a[1, 1] = bad
+    with pytest.raises(ValueError, match=r"Kraus operator 0\[3\]: entries must be finite"):
+        KrausChannel((a,))
+    with pytest.raises(ValueError, match=r"Kraus operator 1\[3\]: entries must be finite"):
+        KrausChannel((np.eye(2), a))
+
+
+def test_conjugate_of_non_square_channels_is_tp():
+    rng = np.random.default_rng(31)
+    embed = KrausChannel((haar_unitary(3, rng)[:, :2],))  # C^2 -> C^3
+    trace_out = KrausChannel((np.eye(4)[[0, 2]], np.eye(4)[[1, 3]]))  # C^4 -> C^2
+    for ch, n_ops in ((embed, 3), (trace_out, 2)):
+        conj = conjugate(ch)
+        assert len(conj.kraus_ops) == n_ops
+        assert certify(conj)["tp"]
