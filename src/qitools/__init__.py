@@ -1,17 +1,10 @@
-"""Finite-dimensional quantum information toolkit."""
+"""Finite-dimensional quantum information toolkit.
 
-from . import (
-    channels,
-    discrimination,
-    entanglement,
-    instruments,
-    linalg,
-    observables,
-    protocols,
-    rand,
-    states,
-)
-from .linalg import ATOL
+Submodules are imported on first access (PEP 562), so ``import qitools``
+loads none of them and each CLI subcommand loads only what it runs.
+"""
+
+import importlib
 
 __all__ = [
     "ATOL",
@@ -25,3 +18,11 @@ __all__ = [
     "rand",
     "states",
 ]
+
+
+def __getattr__(name: str):
+    if name == "ATOL":
+        return importlib.import_module(".linalg", __name__).ATOL
+    if name in __all__:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

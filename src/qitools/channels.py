@@ -27,6 +27,7 @@ import numpy as np
 from .linalg import (
     ATOL,
     NumericError,
+    _require_finite,
     _seesaw,
     _within,
     asarray,
@@ -64,12 +65,7 @@ class KrausChannel:
         if any(a.shape != shape for a in ops):
             raise ValueError("Kraus operators must share a shape")
         stack = np.array(ops)  # a copy, so the caller's arrays stay writable
-        if not np.isfinite(stack).all():
-            k, i = divmod(int(np.flatnonzero(~np.isfinite(stack))[0]), ops[0].size)
-            z = stack[k].flat[i]
-            raise ValueError(
-                f"Kraus operator {k}[{i}]: entries must be finite, got [{z.real}, {z.imag}]"
-            )
+        _require_finite(stack, "Kraus operator")
         stack.flags.writeable = False
         object.__setattr__(self, "kraus_ops", tuple(stack))
         object.__setattr__(self, "out_dim", shape[0])
@@ -103,10 +99,7 @@ class ChoiMatrix:
         m = np.array(self.matrix, dtype=complex)  # a copy, so the caller's array stays writable
         if m.shape != (self.out_dim * self.in_dim,) * 2:
             raise ValueError("Choi matrix shape does not match the declared dimensions")
-        if not np.isfinite(m).all():
-            i = int(np.flatnonzero(~np.isfinite(m))[0])
-            z = m.flat[i]
-            raise ValueError(f"Choi matrix[{i}]: entries must be finite, got [{z.real}, {z.imag}]")
+        _require_finite(m, "Choi matrix")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -220,18 +213,25 @@ def to_choi(ch) -> ChoiMatrix:
 
 def from_choi(choi: ChoiMatrix, tol: float = ATOL) -> KrausChannel:
     """Kraus operators from a PSD Choi matrix (count = numerical Choi rank)."""
-    phi = choi.in_dim * choi.matrix
-    vals, vecs = eigh(phi)
-    scale = max(1.0, float(np.abs(vals).max()))
-    if vals.min() < -tol * scale:
+    vals, vecs = eigh(choi.in_dim * choi.matrix)
+    if vals.min() < -tol * max(1.0, float(np.abs(vals).max())):
         raise ValueError(
             f"not completely positive: Choi eigenvalue {vals.min() / choi.in_dim:.3e}"
         )
-    keep = vals > tol * scale
-    ops = (np.sqrt(vals[keep]) * vecs[:, keep]).T.reshape(-1, choi.out_dim, choi.in_dim)
-    if not keep.any():
-        ops = np.zeros((1, choi.out_dim, choi.in_dim), dtype=complex)
+    ops = _kraus_columns(vals, vecs, tol).T.reshape(-1, choi.out_dim, choi.in_dim)
     return KrausChannel(tuple(ops))
+
+
+def _kraus_columns(vals: np.ndarray, vecs: np.ndarray, tol: float) -> np.ndarray:
+    """Columns sqrt(lambda) v of the eigenpairs above tol * max(1, max |lambda|).
+
+    With none above it (the zero map) one zero column is returned, so the
+    map keeps a single zero Kraus operator.
+    """
+    keep = vals > tol * max(1.0, float(np.abs(vals).max()))
+    if not keep.any():
+        return np.zeros((len(vals), 1), dtype=complex)
+    return np.sqrt(vals[keep]) * vecs[:, keep]
 
 
 def _is_tp(choi: ChoiMatrix, tol: float) -> bool:
@@ -285,10 +285,8 @@ def to_chi(ch, basis=None) -> ChiMatrix:
 
 def chi_to_kraus(chi: ChiMatrix, tol: float = ATOL) -> KrausChannel:
     vals, vecs = eigh(chi.matrix)
-    scale = max(1.0, float(np.abs(vals).max()))
-    keep = vals > tol * scale
     basis = np.asarray(chi.basis)
-    ops = basis.reshape(len(basis), -1).T @ (np.sqrt(vals[keep]) * vecs[:, keep])
+    ops = basis.reshape(len(basis), -1).T @ _kraus_columns(vals, vecs, tol)
     return KrausChannel(tuple(ops.T.reshape(-1, *basis.shape[1:])))
 
 

@@ -18,29 +18,8 @@ import sys
 
 import numpy as np
 
+# Library modules are imported where used, so a call loads only what it runs.
 from .linalg import ATOL, NumericError
-from . import linalg
-from .channels import ChoiMatrix, KrausChannel, certify, qubit_cp_check
-from .discrimination import helstrom, unambiguous_two_pure
-from .entanglement import (
-    BipartiteState,
-    chsh_value,
-    max_entangled_fraction,
-    ppt,
-    reduction_criterion,
-    werner_report,
-)
-from .protocols import (
-    b92,
-    bb84,
-    mean_king,
-    private_quantum_channel,
-    probabilistic_processor,
-    superdense,
-    teleport,
-)
-from .rand import haar_unitary
-from .states import State
 
 TOL_ENV_VAR = "QITOOLS_TOL"
 
@@ -94,9 +73,11 @@ def load_document(doc: dict, tol: float = ATOL):
         if kind == "state":
             d = _dim(doc["dims"])
             m = _entries_to_array(doc["entries"], d, d, "entries")
+            from .states import State
             state = State(m)
             if "bipartite_dims" in doc:
                 da, db = (_dim(x) for x in doc["bipartite_dims"])
+                from .entanglement import BipartiteState
                 return BipartiteState(state, da, db)
             return state
         if kind == "ket":
@@ -110,7 +91,6 @@ def load_document(doc: dict, tol: float = ATOL):
             d = _dim(doc["dims"])
             m = _entries_to_array(doc["entries"], d, d, "entries")
             from .observables import Effect
-
             return Effect(m)
         if kind == "povm":
             d = _dim(doc["dims"])
@@ -120,7 +100,6 @@ def load_document(doc: dict, tol: float = ATOL):
             ]
             outs = tuple(doc.get("outcomes", range(len(effs))))
             from .observables import Povm
-
             return Povm(outs, tuple(effs))
         if kind == "kraus":
             out_d, in_d = _dims_pair(doc["dims"])
@@ -128,10 +107,12 @@ def load_document(doc: dict, tol: float = ATOL):
                 _entries_to_array(op, out_d, in_d, f"operators[{i}]")
                 for i, op in enumerate(doc["operators"])
             ]
+            from .channels import KrausChannel
             return KrausChannel(tuple(ops))
         if kind == "choi":
             out_d, in_d = _dims_pair(doc["dims"])
             m = _entries_to_array(doc["entries"], out_d * in_d, out_d * in_d, "entries")
+            from .channels import ChoiMatrix
             return ChoiMatrix(m, in_d, out_d)
     except ValidationError:
         raise
@@ -143,7 +124,10 @@ def load_document(doc: dict, tol: float = ATOL):
 
 
 def dump_document(obj) -> dict:
+    from .channels import ChoiMatrix, KrausChannel
+    from .entanglement import BipartiteState
     from .observables import Effect, Povm
+    from .states import State
 
     if isinstance(obj, State):
         return {"kind": "state", "dims": obj.dim, "entries": _array_to_entries(obj.matrix)}
@@ -251,19 +235,22 @@ def _flatten(payload, prefix=""):
 # ---------------------------------------------------------------------------
 
 def _cmd_certify_channel(args) -> dict:
-    doc = _read_json(args.infile)
-    obj = load_document(doc)
+    obj = load_document(_read_json(args.infile))
+    from .channels import ChoiMatrix, KrausChannel, certify
+
     if args.rep == "kraus" and not isinstance(obj, KrausChannel):
         raise ValidationError("document does not hold a Kraus channel")
     if args.rep == "choi" and not isinstance(obj, ChoiMatrix):
         raise ValidationError("document does not hold a Choi matrix")
-    report = certify(obj, tol=args.tol)
-    return report
+    return certify(obj, tol=args.tol)
 
 
 def _cmd_entanglement(args) -> dict:
-    doc = _read_json(args.infile)
-    obj = load_document(doc)
+    obj = load_document(_read_json(args.infile))
+    from .entanglement import (BipartiteState, chsh_value, max_entangled_fraction, ppt,
+                               reduction_criterion)
+    from .states import State
+
     da, db = (int(x) for x in args.dims.split(","))
     if isinstance(obj, State):
         obj = BipartiteState(obj, da, db)
@@ -295,6 +282,9 @@ def _cmd_entanglement(args) -> dict:
 def _cmd_discriminate(args) -> dict:
     obj1 = load_document(_read_json(args.s1))
     obj2 = load_document(_read_json(args.s2))
+    from .discrimination import helstrom, unambiguous_two_pure
+    from .states import State
+
     if args.mode == "minerror":
         rho1 = obj1 if isinstance(obj1, State) else State.from_ket(obj1)
         rho2 = obj2 if isinstance(obj2, State) else State.from_ket(obj2)
@@ -314,6 +304,8 @@ def _cmd_discriminate(args) -> dict:
 
 
 def _cmd_werner(args) -> dict:
+    from .entanglement import werner_report
+
     return werner_report(args.d, args.mu, tol=args.tol)
 
 
@@ -322,17 +314,19 @@ def _cmd_qubit_channel(args) -> dict:
     t = [float(x) for x in args.t.split(",")]
     if len(lmbda) != 3 or len(t) != 3:
         raise ValidationError("--lambda and --t both need three comma-separated reals")
+    from .channels import qubit_cp_check
+
     report = qubit_cp_check(lmbda, t)
-    return {
-        "cp": report["cp"],
-        "choi_min_eig": report["choi_min_eig"],
-        "inequalities": report["inequalities"],
-    }
+    return {key: report[key] for key in ("cp", "choi_min_eig", "inequalities")}
 
 
 def _cmd_demo(args) -> dict:
+    from .protocols import (b92, bb84, mean_king, private_quantum_channel,
+                            probabilistic_processor, superdense, teleport)
+
     name = args.name
     if name == "teleport":
+        from .states import State
         report = teleport(State.maximally_mixed(args.d), rng=args.seed)
     elif name == "superdense":
         report = superdense(args.message, rng=args.seed)
@@ -346,6 +340,7 @@ def _cmd_demo(args) -> dict:
     elif name == "meanking":
         report = mean_king(rng=args.seed)
     elif name == "processor":
+        from .rand import haar_unitary
         target = haar_unitary(args.d, np.random.default_rng(args.seed))
         report = probabilistic_processor(args.d, target, rng=args.seed)
     else:

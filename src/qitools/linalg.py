@@ -37,6 +37,21 @@ def _within(err: float, tol: float, a: np.ndarray, offset: float = 0.0) -> bool:
     return bool(err <= offset + tol * _scale(a))
 
 
+def _require_finite(a: np.ndarray, what: str) -> None:
+    """Raise ValueError naming the first non-finite entry of ``a`` by flat index.
+
+    A stack of matrices (``a.ndim == 3``) names the matrix too: "what k[i]".
+    """
+    if np.isfinite(a).all():
+        return
+    i = int(np.flatnonzero(~np.isfinite(a))[0])
+    z = a.flat[i]
+    if a.ndim == 3:
+        k, i = divmod(i, a[0].size)
+        what = f"{what} {k}"
+    raise ValueError(f"{what}[{i}]: entries must be finite, got [{z.real}, {z.imag}]")
+
+
 def asarray(a) -> np.ndarray:
     return np.asarray(a, dtype=complex)
 

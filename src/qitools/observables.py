@@ -8,7 +8,8 @@ from math import comb
 
 import numpy as np
 
-from .linalg import ATOL, _within, asarray, dag, eigh, is_effect, is_hermitian, is_projection
+from .linalg import (ATOL, _require_finite, _within, asarray, dag, eigh, is_effect, is_hermitian,
+                     is_projection)
 from .states import _as_matrix
 
 
@@ -20,6 +21,7 @@ class Effect:
 
     def __post_init__(self):
         m = asarray(self.matrix)
+        _require_finite(m, "effect")
         if not is_effect(m):
             evals = np.linalg.eigvalsh((m + dag(m)) / 2) if is_hermitian(m) else None
             detail = f" (spectrum {evals})" if evals is not None else " (not Hermitian)"
@@ -41,6 +43,9 @@ class Povm:
     effects: tuple = field(repr=False)
 
     def __post_init__(self):
+        for k, e in enumerate(self.effects):
+            if not isinstance(e, Effect):
+                _require_finite(asarray(e), f"POVM effect {k}")
         effs = tuple(e if isinstance(e, Effect) else Effect(asarray(e)) for e in self.effects)
         outs = tuple(self.outcomes)
         if len(outs) != len(effs):

@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .linalg import ATOL, asarray, dag, inner, outer, partial_trace, tensor
-from .channels import KrausChannel, LinearMap, kraus_to_linear_map, stinespring
-from .discrimination import fidelity, unambiguous_two_pure
 from .observables import Povm, outcome_distribution
 from .rand import random_ket, rng_from
 from .states import PAULIS, State, _as_matrix
+
+if TYPE_CHECKING:  # channels loads only when a function below needs it
+    from .channels import KrausChannel, LinearMap
 
 
 def _seed_repr(rng_arg) -> object:
@@ -82,6 +84,7 @@ def teleport(rho_in, rng=0) -> ProtocolReport:
     1/d^2 and, after the matching correction, reproduces the input with
     fidelity 1.
     """
+    from .discrimination import fidelity
     from .entanglement import maximally_entangled_ket
 
     rho = _as_matrix(rho_in)
@@ -120,6 +123,7 @@ def teleport_channel(d: int) -> LinearMap:
 
     Outcome rs contributes the Kraus operator U_rs (<beta_rs| (x) I)(I (x) |psi+>).
     """
+    from .channels import KrausChannel, kraus_to_linear_map
     from .entanglement import maximally_entangled_ket
 
     basis = ShiftMultiplyBasis.build(d)
@@ -235,6 +239,8 @@ def b92(rounds: int, overlap: float, rng=0) -> ProtocolReport:
     Conclusive rounds are error-free and occur at asymptotic rate
     1 - overlap.
     """
+    from .discrimination import unambiguous_two_pure
+
     if rounds < 1:
         raise ValueError("at least one round is required")
     if not 0 <= overlap < 1:
@@ -282,7 +288,8 @@ def private_quantum_channel(d: int, n_messages: int, rng=0) -> ProtocolReport:
     the two Choi matrices, reported as 0.0 when it is at or below
     ``linalg.ATOL``, where only rounding noise remains.
     """
-    from .channels import make, to_choi as choi_of
+    from .channels import KrausChannel, make, to_choi as choi_of
+
     seed = _seed_repr(rng)
     rng = rng_from(rng)
     basis = ShiftMultiplyBasis.build(d)
@@ -416,26 +423,22 @@ def processor_pair(ch1: KrausChannel, ch2: KrausChannel):
 
     Returns (processor, program_ket_1, program_ket_2).
     """
+    from .channels import stinespring
+
     d = ch1.in_dim
     if ch2.in_dim != d or ch1.out_dim != d or ch2.out_dim != d:
         raise ValueError("both channels must share the system dimension")
     n1, u1, _ = stinespring(ch1)
     n2, u2, _ = stinespring(ch2)
     k = n1 + n2
-    g = np.zeros((d * k, d * k), dtype=complex)
-    for a in range(d):
-        for b in range(d):
-            for e1 in range(n1):
-                for e2 in range(n1):
-                    g[a * k + e1, b * k + e2] = u1[a * n1 + e1, b * n1 + e2]
-            for e1 in range(n2):
-                for e2 in range(n2):
-                    g[a * k + n1 + e1, b * k + n1 + e2] = u2[a * n2 + e1, b * n2 + e2]
+    g = np.zeros((d, k, d, k), dtype=complex)  # G[(a, e), (b, f)], program index e inner
+    g[:, :n1, :, :n1] = u1.reshape(d, n1, d, n1)
+    g[:, n1:, :, n1:] = u2.reshape(d, n2, d, n2)
     xi1 = np.zeros((k, 1), dtype=complex)
     xi1[0, 0] = 1.0
     xi2 = np.zeros((k, 1), dtype=complex)
     xi2[n1, 0] = 1.0
-    return Processor(d, k, g), xi1, xi2
+    return Processor(d, k, g.reshape(d * k, d * k)), xi1, xi2
 
 
 def controlled_unitary_processor(unitaries) -> Processor:
@@ -487,6 +490,8 @@ def probabilistic_processor(d: int, target_u, rng=0, n_inputs: int = 3) -> Proto
     unitary with success probability exactly 1/d^2; conditional outputs
     match U rho U^dag with fidelity 1.
     """
+    from .discrimination import fidelity
+
     target_u = asarray(target_u)
     seed = _seed_repr(rng)
     rng = rng_from(rng)

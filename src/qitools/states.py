@@ -7,7 +7,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import ATOL, asarray, dag, eigh, inner, is_hermitian, psd_sqrt, tensor
+from .linalg import (ATOL, _require_finite, asarray, dag, eigh, inner, is_hermitian, psd_sqrt,
+                     tensor)
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -26,6 +27,7 @@ class State:
         m = asarray(self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("a state must be a square matrix")
+        _require_finite(m, "state")
         if not is_hermitian(m):
             raise ValueError("state matrix is not Hermitian")
         evals = np.linalg.eigvalsh((m + dag(m)) / 2)

@@ -135,6 +135,15 @@ def test_chi_round_trip():
     assert np.abs(apply(ch, x) - apply(back, x)).max() < 1e-8
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_zero_map_inverts_to_one_zero_operator(d):
+    zero = KrausChannel((np.zeros((d, d)),))
+    for back in (chi_to_kraus(to_chi(zero)), from_choi(to_choi(zero))):
+        assert len(back.kraus_ops) == 1
+        assert back.kraus_ops[0].shape == (d, d)
+        assert not back.kraus_ops[0].any()
+
+
 def test_affine_unitary_is_special_orthogonal():
     rng = np.random.default_rng(5)
     u = haar_unitary(2, rng)

@@ -5,7 +5,6 @@ import json
 import numpy as np
 import pytest
 
-from qitools import cli
 from qitools.cli import ValidationError, load_document, run
 from qitools.linalg import NumericError
 
@@ -51,7 +50,8 @@ def test_numeric_failures_exit_3(monkeypatch, capsys, exc):
     def fail(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(cli, "werner_report", fail)
+    # The werner handler imports werner_report when it runs, so patch it at its source.
+    monkeypatch.setattr("qitools.entanglement.werner_report", fail)
     assert run(["werner", "--d", "2", "--mu", "0.4"]) == 3
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": "numeric", "detail": str(exc)}

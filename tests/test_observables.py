@@ -40,6 +40,16 @@ def test_povm_validation():
         Povm((0, 1), (np.diag([0.5, 0.5]), np.diag([0.4, 0.5])))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_effect_and_povm_reject_non_finite_entries(bad):
+    m = np.diag([0.5, 0.5]).astype(complex)
+    m[0, 1] = bad
+    with pytest.raises(ValueError, match=r"effect\[1\]: entries must be finite"):
+        Effect(m)
+    with pytest.raises(ValueError, match=r"POVM effect 1\[1\]: entries must be finite"):
+        Povm((0, 1), (np.diag([0.5, 0.5]), m))
+
+
 def test_stern_gerlach_probabilities():
     rng = np.random.default_rng(0)
     n = rng.standard_normal(3)

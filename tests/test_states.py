@@ -31,6 +31,14 @@ def test_state_validation():
         State(np.array([[0.5, 1.0], [0.0, 0.5]]))  # not Hermitian
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_state_rejects_non_finite_entries(bad):
+    m = np.diag([0.5, 0.5]).astype(complex)
+    m[1, 0] = bad
+    with pytest.raises(ValueError, match=r"state\[2\]: entries must be finite"):
+        State(m)
+
+
 def test_purity_range_and_pure():
     rng = np.random.default_rng(0)
     psi = random_ket(4, rng)
