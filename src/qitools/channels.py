@@ -27,6 +27,7 @@ import numpy as np
 from .linalg import (
     ATOL,
     NumericError,
+    _eig_tol,
     _require_finite,
     _seesaw,
     _within,
@@ -75,16 +76,10 @@ class KrausChannel:
         return sum(dag(a) @ a for a in self.kraus_ops)
 
     def is_trace_preserving(self, tol: float = ATOL) -> bool:
-        n = self.normalization()
-        return bool(np.max(np.abs(n - np.eye(self.in_dim))) <= tol * self.in_dim)
-
-    def is_trace_decreasing(self, tol: float = ATOL) -> bool:
-        evals = np.linalg.eigvalsh(self.normalization())
-        return bool(evals.max() <= 1 + tol * self.in_dim)
+        return _is_identity(self, "A", tol)
 
     def is_unital(self, tol: float = ATOL) -> bool:
-        m = sum(a @ dag(a) for a in self.kraus_ops)
-        return bool(np.max(np.abs(m - np.eye(self.out_dim))) <= tol * self.out_dim)
+        return _is_identity(self, "B", tol)
 
 
 @dataclass(frozen=True)
@@ -108,7 +103,7 @@ class ChoiMatrix:
         return float(np.linalg.eigvalsh(h).min())
 
     def is_cp(self, tol: float = ATOL) -> bool:
-        return _within(-self.min_eigenvalue(), tol, self.matrix)
+        return _is_cp(self, self.min_eigenvalue(), tol)
 
 
 @dataclass(frozen=True)
@@ -214,7 +209,7 @@ def to_choi(ch) -> ChoiMatrix:
 def from_choi(choi: ChoiMatrix, tol: float = ATOL) -> KrausChannel:
     """Kraus operators from a PSD Choi matrix (count = numerical Choi rank)."""
     vals, vecs = eigh(choi.in_dim * choi.matrix)
-    if vals.min() < -tol * max(1.0, float(np.abs(vals).max())):
+    if not _is_cp(choi, vals.min() / choi.in_dim, tol):
         raise ValueError(
             f"not completely positive: Choi eigenvalue {vals.min() / choi.in_dim:.3e}"
         )
@@ -223,39 +218,56 @@ def from_choi(choi: ChoiMatrix, tol: float = ATOL) -> KrausChannel:
 
 
 def _kraus_columns(vals: np.ndarray, vecs: np.ndarray, tol: float) -> np.ndarray:
-    """Columns sqrt(lambda) v of the eigenpairs above tol * max(1, max |lambda|).
+    """Columns sqrt(lambda) v of the eigenpairs above linalg._eig_tol(vals, tol).
 
     With none above it (the zero map) one zero column is returned, so the
     map keeps a single zero Kraus operator.
     """
-    keep = vals > tol * max(1.0, float(np.abs(vals).max()))
+    keep = vals > _eig_tol(vals, tol)
     if not keep.any():
         return np.zeros((len(vals), 1), dtype=complex)
     return np.sqrt(vals[keep]) * vecs[:, keep]
 
 
-def _is_tp(choi: ChoiMatrix, tol: float) -> bool:
-    """max |tr_A Omega - I/d_in| <= tol: the map preserves the trace."""
-    tr_first = partial_trace(choi.matrix, choi.out_dim, choi.in_dim, side="A")
-    return bool(np.max(np.abs(tr_first - np.eye(choi.in_dim) / choi.in_dim)) <= tol)
+# Channel properties, each decided once here on the marginals of the
+# trace-one Choi matrix: tr_A Omega = N^T / d_in with N = sum_k A_k^dag A_k,
+# and tr_B Omega = E(I) / d_in.  Every check is invariant under transposition.
+
+def _is_cp(choi: ChoiMatrix, min_eig: float, tol: float) -> bool:
+    """Omega >= 0, given its smallest eigenvalue ``min_eig``."""
+    return _within(-min_eig, tol, choi.matrix)
+
+
+def _marginal(ch, side: str) -> np.ndarray:
+    """tr_side Omega, from the Kraus operators when there are any."""
+    if isinstance(ch, KrausChannel):
+        return sum(dag(a) @ a if side == "A" else a @ dag(a) for a in ch.kraus_ops) / ch.in_dim
+    return partial_trace(to_choi(ch).matrix, ch.out_dim, ch.in_dim, side=side)
+
+
+def _is_identity(ch, side: str, tol: float) -> bool:
+    """N = I (side "A", trace-preserving) or E(I) = I (side "B", unital)."""
+    x = _marginal(ch, side)
+    return _within(np.max(np.abs(x - np.eye(len(x)) / ch.in_dim)), tol, x)
+
+
+def _is_trace_decreasing(ch, tol: float) -> bool:
+    """N <= I."""
+    x = _marginal(ch, "A")
+    return _within(np.linalg.eigvalsh(x).max(), tol, x, offset=1 / ch.in_dim)
 
 
 def certify(ch, tol: float = ATOL) -> dict:
     """Report {cp, tp, unital, trace_decreasing, choi_min_eig} for a map."""
     choi = to_choi(ch)
-    d_in, d_out = choi.in_dim, choi.out_dim
     min_eig = choi.min_eigenvalue()
-    cp = _within(-min_eig, tol, choi.matrix)
-    tp = _is_tp(choi, tol)
-    tr_first = partial_trace(choi.matrix, d_out, d_in, side="A")
-    td = bool(np.linalg.eigvalsh(d_in * tr_first).max() <= 1 + tol * d_in)
-    tr_second = partial_trace(choi.matrix, d_out, d_in, side="B")
-    unital = bool(np.max(np.abs(tr_second - np.eye(d_out) / d_in)) <= tol)
+    if not isinstance(ch, KrausChannel):
+        ch = choi  # read the marginals off the Choi matrix built above
     return {
-        "cp": cp,
-        "tp": tp,
-        "unital": unital,
-        "trace_decreasing": td,
+        "cp": _is_cp(choi, min_eig, tol),
+        "tp": _is_identity(ch, "A", tol),
+        "unital": _is_identity(ch, "B", tol),
+        "trace_decreasing": _is_trace_decreasing(ch, tol),
         "choi_min_eig": min_eig,
     }
 
@@ -302,7 +314,7 @@ def to_affine(ch) -> AffineRep:
     Since tr[E_j X] = (G^dag vec(X))_j, the block matrix G^dag S G / d holds
     t_j = tr[E_j E(I)] / d in its first column and T_jk = tr[E_j E(E_k)] / d.
     """
-    if not _is_tp(to_choi(ch), ATOL):
+    if not _is_identity(ch, "A", ATOL):
         raise ValueError("affine representation requires a trace-preserving map")
     if ch.in_dim != ch.out_dim:
         raise ValueError("affine representation requires equal dimensions")
@@ -471,16 +483,11 @@ def make(kind: str, **params):
     if kind == "contraction":
         xi = _as_matrix(params["xi"])
         d = xi.shape[0]
-        vals, vecs = eigh(xi)
-        ops = []
-        for j, lam in enumerate(vals):
-            if lam <= ATOL:
-                continue
-            for k in range(d):
-                op = np.zeros((d, d), dtype=complex)
-                op[:, k] = np.sqrt(lam) * vecs[:, j]
-                ops.append(op)
-        return KrausChannel(tuple(ops))
+        cols = _kraus_columns(*eigh(xi), ATOL)
+        ops = np.zeros((cols.shape[1], d, d, d), dtype=complex)  # A_jk = sqrt(lambda_j) v_j e_k^T
+        for k in range(d):
+            ops[:, k, :, k] = cols.T
+        return KrausChannel(tuple(ops.reshape(-1, d, d)))
     if kind == "transposition":
         return transposition_map(params["d"])
     if kind == "phase_damping":
@@ -539,7 +546,7 @@ def qubit_cp_check(lmbda, t) -> dict:
     l1, l2, l3 = (float(x) for x in lmbda)
     t1, t2, t3 = (float(x) for x in t)
     phi = qubit_diagonal_choi(lmbda, t)
-    min_eig = float(np.linalg.eigvalsh(phi).min())
+    min_eig = float(np.linalg.eigvalsh(phi).min())  # of Phi = 2 Omega
     lam2 = l1 * l1 + l2 * l2 + l3 * l3
     tnorm2 = t1 * t1 + t2 * t2 + t3 * t3
     ineqs = {
@@ -555,7 +562,7 @@ def qubit_cp_check(lmbda, t) -> dict:
         ),
     }
     return {
-        "cp": min_eig >= -ATOL,
+        "cp": _is_cp(ChoiMatrix(phi / 2, 2, 2), min_eig / 2, ATOL),
         "choi_min_eig": min_eig,
         "choi": phi,
         "inequalities": ineqs,
@@ -720,17 +727,17 @@ def _takagi(a: np.ndarray, tol: float = 1e-10):
     """Autonne-Takagi decomposition a = U diag(s) U^T of a symmetric matrix."""
     a = asarray(a)
     n = a.shape[0]
-    scale = max(1.0, float(np.linalg.norm(a, 2)))
     b = np.block([[a.real, a.imag], [a.imag, -a.real]])
     vals, vecs = np.linalg.eigh((b + b.T) / 2)
-    pos = [(vals[i], vecs[:, i]) for i in range(2 * n) if vals[i] > tol * scale]
+    cut = _eig_tol(vals, tol)  # the spectrum of b is +-(singular values of a)
+    pos = [(vals[i], vecs[:, i]) for i in range(2 * n) if vals[i] > cut]
     pos.sort(key=lambda p: -p[0])
     cols, sings = [], []
     for s, v in pos:
         u = v[:n] + 1j * v[n:]
         cols.append(u / np.linalg.norm(u))
         sings.append(s)
-    zero_vecs = [vecs[:, i] for i in range(2 * n) if abs(vals[i]) <= tol * scale]
+    zero_vecs = [vecs[:, i] for i in range(2 * n) if abs(vals[i]) <= cut]
     for v in zero_vecs:
         u = v[:n] + 1j * v[n:]
         for c in cols:
@@ -745,7 +752,7 @@ def _takagi(a: np.ndarray, tol: float = 1e-10):
         raise NumericError("Takagi factorization failed to produce a full basis")
     u = np.stack(cols, axis=1)
     s = np.array(sings)
-    if np.max(np.abs(u @ np.diag(s) @ u.T - a)) > 1e-7 * scale:
+    if not _within(np.max(np.abs(u @ np.diag(s) @ u.T - a)), 1e-7, a):
         raise NumericError("Takagi factorization residual too large")
     return u, s
 
@@ -781,7 +788,7 @@ def _close_polygon(lengths: np.ndarray) -> np.ndarray:
         w4 = rest / abs(rest) if abs(rest) > 1e-14 else 1.0 + 0j
     w = np.array([1.0, w2, w3, w4], dtype=complex)
     residual = l1 * w[0] - (l2 * w[1] + l3 * w[2] + l4 * w[3])
-    if abs(residual) > 1e-7 * max(1.0, l1):
+    if not _within(abs(residual), 1e-7, lengths[:1]):  # scaled by l1 = max length
         raise NumericError("polygon closure failed; state may be entangled")
     return w
 
@@ -797,10 +804,8 @@ def product_decomposition_2x2(omega: np.ndarray, tol: float = 1e-9):
     omega = asarray(omega)
     yy = tensor(PAULIS[2], PAULIS[2])
     vals, vecs = eigh(omega)
-    subnorm = []
-    for j, v in enumerate(vals):
-        if v > tol:
-            subnorm.append(np.sqrt(v) * vecs[:, j])
+    keep = vals > _eig_tol(vals, tol)
+    subnorm = list((np.sqrt(vals[keep]) * vecs[:, keep]).T)
     r = len(subnorm)
     if r == 0:
         return []

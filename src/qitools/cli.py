@@ -5,6 +5,10 @@ povm, kraus, choi, ket), dimensions, and row-major entries as [re, im]
 pairs.  Output is canonical JSON (or CSV for flat tables) printed with
 12 significant digits; identical seeds and flags give byte-identical
 output.  Exit codes: 0 success, 2 validation failure, 3 numeric failure.
+
+``--tol`` (fallback ``QITOOLS_TOL``) is the verdict tolerance of
+certify-channel, entanglement and werner; documents are validated at
+``linalg.ATOL``.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import sys
 import numpy as np
 
 # Library modules are imported where used, so a call loads only what it runs.
-from .linalg import ATOL, NumericError
+from .linalg import ATOL, NumericError, _require_finite
 
 TOL_ENV_VAR = "QITOOLS_TOL"
 
@@ -33,15 +37,18 @@ class ValidationError(ValueError):
 # ---------------------------------------------------------------------------
 
 def _dim(value) -> int:
-    d = int(value)
-    if d < 1:
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and 1 <= value < np.inf and value == int(value)):
         raise ValidationError(f"dimensions must be positive integers, got {value!r}")
-    return d
+    return int(value)
 
 
 def _dims_pair(dims) -> tuple[int, int]:
     """(out, in) from ``[out, in]`` or a single shared dimension."""
-    return (_dim(dims[0]), _dim(dims[1])) if isinstance(dims, list) else (_dim(dims),) * 2
+    pair = dims if isinstance(dims, list) else [dims, dims]
+    if len(pair) != 2:
+        raise ValidationError(f"dims must be one dimension or [out, in], got {dims!r}")
+    return _dim(pair[0]), _dim(pair[1])
 
 
 def _entries_to_array(entries, rows: int, cols: int, path: str) -> np.ndarray:
@@ -53,10 +60,7 @@ def _entries_to_array(entries, rows: int, cols: int, path: str) -> np.ndarray:
             raise ValidationError(f"{path}[{i}]: entries must be [re, im] pairs")
         flat.append(complex(pair[0], pair[1]))
     arr = np.array(flat, dtype=complex)
-    bad = np.flatnonzero(~np.isfinite(arr))
-    if bad.size:
-        i = int(bad[0])
-        raise ValidationError(f"{path}[{i}]: entries must be finite, got {entries[i]!r}")
+    _require_finite(arr, path)
     return arr.reshape(rows, cols)
 
 
@@ -64,7 +68,7 @@ def _array_to_entries(a: np.ndarray) -> list:
     return [[float(z.real), float(z.imag)] for z in np.asarray(a, dtype=complex).reshape(-1)]
 
 
-def load_document(doc: dict, tol: float = ATOL):
+def load_document(doc: dict):
     """Parse a matrix document into a toolkit object, or raise ValidationError."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ValidationError("document must be an object with a 'kind' field")
@@ -116,7 +120,7 @@ def load_document(doc: dict, tol: float = ATOL):
             return ChoiMatrix(m, in_d, out_d)
     except ValidationError:
         raise
-    except (KeyError, TypeError) as err:
+    except (KeyError, TypeError, OverflowError) as err:
         raise ValidationError(f"missing or malformed field: {err}") from err
     except ValueError as err:
         raise ValidationError(f"{kind}: {err}") from err
@@ -350,7 +354,8 @@ def _cmd_demo(args) -> dict:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qitools", description=__doc__)
-    parser.add_argument("--tol", type=float, default=None, help="numerical tolerance")
+    parser.add_argument("--tol", type=float, default=None,
+                        help="verdict tolerance of certify-channel, entanglement and werner")
     parser.add_argument("--seed", type=int, default=0, help="random seed")
     parser.add_argument("--format", choices=["json", "csv"], default="json")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ATOL, asarray, dag, eigh, inner, matrix_rank, outer, psd_sqrt, trace_norm
+from .linalg import (ATOL, _eig_tol, asarray, dag, eigh, inner, matrix_rank, outer, psd_sqrt,
+                     trace_norm)
 from .observables import Povm
 from .states import _as_matrix
 
@@ -71,13 +72,13 @@ def helstrom(rho1, rho2, eta: float = 0.5) -> DiscriminationResult:
     gap = eta * m1 - (1 - eta) * m2
     vals, vecs = eigh(gap)
     d = m1.shape[0]
-    scale = max(1.0, float(np.abs(vals).max()))
+    cut = _eig_tol(vals, ATOL)
     c1 = np.zeros((d, d), dtype=complex)
     for j, v in enumerate(vals):
         p = outer(vecs[:, j].reshape(-1, 1))
-        if v > ATOL * scale:
+        if v > cut:
             c1 += p
-        elif abs(v) <= ATOL * scale:
+        elif abs(v) <= cut:
             c1 += p / 2
     c2 = np.eye(d) - c1
     p_err = float(eta * np.trace(m1 @ c2).real + (1 - eta) * np.trace(m2 @ c1).real)
@@ -166,8 +167,7 @@ def unambiguous_feasible(rho1, rho2, tol: float = ATOL) -> tuple[bool, bool]:
 
     def support_cols(m):
         vals, vecs = eigh(m)
-        keep = vals > tol * max(1.0, float(vals.max()))
-        return vecs[:, keep]
+        return vecs[:, vals > _eig_tol(vals, tol)]
 
     s1, s2 = support_cols(m1), support_cols(m2)
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (ATOL, _seesaw, asarray, dag, eigh, outer, partial_trace,
+from .linalg import (ATOL, _seesaw, _within, asarray, dag, eigh, outer, partial_trace,
                      partial_transpose, swap_operator, tensor)
 from .rand import haar_unitaries, random_kets, rng_from
 from .states import PAULIS, State
@@ -69,7 +69,7 @@ class Witness:
     def __post_init__(self):
         if self.certified_min_product_value < -1e-7:
             raise ValueError("operator is negative on a product state; not a witness")
-        if self.min_eigenvalue >= -ATOL:
+        if _within(-self.min_eigenvalue, ATOL, self.matrix):
             raise ValueError("operator is PSD and can never detect entanglement")
 
 

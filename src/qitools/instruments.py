@@ -9,7 +9,7 @@ import numpy as np
 from .linalg import ATOL, asarray, dag, is_unitary, psd_sqrt, tensor
 from .channels import KrausChannel, LinearMap, _dilation_unitary, _superop, from_choi, to_choi
 from .observables import Povm, is_sharp
-from .states import State, _as_matrix, _operator_basis
+from .states import State, _as_matrix, _operator_basis, canonical_decomposition
 
 # Repeatability hinges on exact unit eigenvalues; detection uses a looser
 # threshold than the global tolerance because roundoff perturbs spectra.
@@ -31,12 +31,10 @@ class DiscreteInstrument:
         )
         if len(outs) != len(ops):
             raise ValueError("need one operation per outcome")
-        d = ops[0].in_dim
-        total = sum(op.normalization() for op in ops)
-        if np.max(np.abs(total - np.eye(d))) > 1e-8 * d:
-            raise ValueError("total operation is not trace-preserving")
         object.__setattr__(self, "outcomes", outs)
         object.__setattr__(self, "operations", ops)
+        if not self.total_channel().is_trace_preserving():
+            raise ValueError("total operation is not trace-preserving")
 
     @property
     def dim(self) -> int:
@@ -50,10 +48,7 @@ class DiscreteInstrument:
         return sum(a @ m @ dag(a) for a in self.operation(outcome).kraus_ops)
 
     def total_channel(self) -> KrausChannel:
-        ops = []
-        for op in self.operations:
-            ops.extend(op.kraus_ops)
-        return KrausChannel(tuple(ops))
+        return KrausChannel(tuple(a for op in self.operations for a in op.kraus_ops))
 
 
 @dataclass(frozen=True)
@@ -96,7 +91,7 @@ def luders(a: Povm) -> DiscreteInstrument:
 def trivial_instrument(a: Povm, xi: State) -> DiscreteInstrument:
     """I_x(rho) = tr[rho A(x)] xi."""
     terms = []
-    xi_terms = [(lam, phi) for lam, phi in _state_decomposition(xi)]
+    xi_terms = canonical_decomposition(xi)
     for e in a.effects:
         root = psd_sqrt(e.matrix)
         kraus = []
@@ -105,12 +100,6 @@ def trivial_instrument(a: Povm, xi: State) -> DiscreteInstrument:
                 kraus.append(np.sqrt(lam) * phi @ root[[j], :])
         terms.append(KrausChannel(tuple(kraus)))
     return DiscreteInstrument(a.outcomes, tuple(terms))
-
-
-def _state_decomposition(xi: State):
-    from .states import canonical_decomposition
-
-    return canonical_decomposition(xi)
 
 
 def memo_to_instrument(m: MeasurementModel, tol: float = 1e-8) -> DiscreteInstrument:

@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import numpy as np
 
-# Global absolute tolerance.  Hermitian/PSD predicates scale it by the
-# operator norm of the argument so that large matrices are not judged
-# more strictly than small ones.  The norm (an SVD) is computed only when
-# the unscaled tolerance does not already settle the check; see _within.
+# Global absolute tolerance, at which constructors validate.  Every check on
+# an operator a accepts an error up to tol * max(1, ||a||_2) (_within; rank
+# cuts on a spectrum: _eig_tol), so large matrices are not judged more
+# strictly than small ones.  The SVD for ||a||_2 runs only when needed.
 ATOL = 1e-9
 
 
@@ -22,6 +22,11 @@ class NumericError(RuntimeError):
 def _scale(a: np.ndarray) -> float:
     norm = np.linalg.norm(a, 2) if a.size else 0.0
     return max(1.0, float(norm))
+
+
+def _eig_tol(vals: np.ndarray, tol: float) -> float:
+    """tol * _scale(h) from the eigenvalues of a Hermitian h: ||h||_2 = max |lambda|."""
+    return tol * max(1.0, float(np.abs(vals).max(initial=0.0)))
 
 
 def _within(err: float, tol: float, a: np.ndarray, offset: float = 0.0) -> bool:

@@ -9,7 +9,7 @@ from math import comb
 import numpy as np
 
 from .linalg import (ATOL, _require_finite, _within, asarray, dag, eigh, is_effect, is_hermitian,
-                     is_projection)
+                     is_projection, matrix_rank)
 from .states import _as_matrix
 
 
@@ -52,13 +52,12 @@ class Povm:
             raise ValueError("outcomes and effects must have the same length")
         if len(set(outs)) != len(outs):
             raise ValueError("outcome labels must be distinct")
+        if not effs:
+            raise ValueError("a POVM needs at least one effect")
         total = sum(e.matrix for e in effs)
-        d = effs[0].dim
-        if np.max(np.abs(total - np.eye(d))) > ATOL * d:
-            raise ValueError(
-                f"effects do not sum to the identity (max deviation "
-                f"{np.max(np.abs(total - np.eye(d))):.3e})"
-            )
+        err = np.max(np.abs(total - np.eye(effs[0].dim)))
+        if not _within(err, ATOL, total):
+            raise ValueError(f"effects do not sum to the identity (max deviation {err:.3e})")
         object.__setattr__(self, "outcomes", outs)
         object.__setattr__(self, "effects", effs)
 
@@ -98,7 +97,7 @@ def outcome_distribution(a: Povm, rho) -> np.ndarray:
     if m.shape[0] != a.dim:
         raise ValueError("state and POVM dimensions do not match")
     p = np.array([np.trace(m @ e.matrix).real for e in a.effects])
-    if p.min() < -ATOL * a.dim or abs(p.sum() - 1) > ATOL * a.dim:
+    if not _within(max(-p.min(), abs(p.sum() - 1)), ATOL, m):
         raise ValueError("outcome probabilities are inconsistent")
     return np.clip(p, 0.0, 1.0)
 
@@ -121,9 +120,7 @@ def is_informationally_complete(a: Povm, tol: float = ATOL) -> bool:
     Hermitian E, F, so they have the singular values of real coordinates.
     """
     rows = np.stack([e.matrix for e in a.effects]).reshape(len(a.effects), -1)
-    s = np.linalg.svd(rows, compute_uv=False)
-    rank = int((s > tol * s[0]).sum()) if s.size and s[0] > 0 else 0
-    return rank == a.dim**2
+    return matrix_rank(rows, tol) == a.dim**2
 
 
 def minimal_ic_povm(d: int) -> Povm:

@@ -7,8 +7,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import (ATOL, _require_finite, asarray, dag, eigh, inner, is_hermitian, psd_sqrt,
-                     tensor)
+from .linalg import (ATOL, _eig_tol, _require_finite, _within, asarray, dag, eigh, inner,
+                     is_hermitian, psd_sqrt, tensor)
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -31,10 +31,10 @@ class State:
         if not is_hermitian(m):
             raise ValueError("state matrix is not Hermitian")
         evals = np.linalg.eigvalsh((m + dag(m)) / 2)
-        if evals.min() < -ATOL * max(1.0, evals.max()):
+        if not _within(-evals.min(), ATOL, m):
             raise ValueError(f"state matrix is not PSD: eigenvalue {evals.min():.3e}")
         tr = np.trace(m).real
-        if abs(tr - 1) > ATOL * m.shape[0]:
+        if not _within(abs(tr - 1), ATOL, m):
             raise ValueError(f"state trace is {tr}, not 1")
         m = (m + dag(m)) / 2
         m.flags.writeable = False
@@ -54,7 +54,7 @@ class State:
         return cls(np.eye(d, dtype=complex) / d)
 
     def is_pure(self, tol: float = ATOL) -> bool:
-        return abs(purity(self) - 1) <= tol * self.dim
+        return _within(abs(purity(self) - 1), tol, self.matrix)
 
     def is_boundary(self, tol: float = ATOL) -> bool:
         """True when the state has a zero eigenvalue within tol."""
@@ -175,13 +175,9 @@ def qubit_state(r) -> State:
 
 def canonical_decomposition(rho, tol: float = ATOL) -> list[tuple[float, np.ndarray]]:
     """Spectral decomposition as (weight, unit ket) pairs, weights descending."""
-    m = _as_matrix(rho)
-    vals, vecs = eigh(m)
-    out = []
-    for j in range(len(vals)):
-        if vals[j] > tol:
-            out.append((float(vals[j]), vecs[:, j].reshape(-1, 1)))
-    return out
+    vals, vecs = eigh(_as_matrix(rho))
+    cut = _eig_tol(vals, tol)
+    return [(float(v), vecs[:, [j]]) for j, v in enumerate(vals) if v > cut]
 
 
 def convex_decomposition(rho, basis, tol: float = ATOL) -> list[tuple[float, np.ndarray]]:

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qitools.cli import ValidationError, load_document, run
 from qitools.linalg import NumericError
@@ -61,3 +63,67 @@ def test_numeric_failures_exit_3(monkeypatch, capsys, exc):
 def test_demo_rejects_zero_dimension(capsys, demo):
     assert run(["demo", demo, "--d", "0"]) == 2
     assert error_detail(capsys) == "dimension must be a positive integer"
+
+
+POSITIVE = "dimensions must be positive integers"
+PAIR = "dims must be one dimension or [out, in]"
+
+
+@pytest.mark.parametrize(
+    "text, detail",
+    [
+        ('{"kind": "povm", "dims": 2, "effects": []}', "a POVM needs at least one effect"),
+        ('{"kind": "state", "dims": 1e400, "entries": []}', POSITIVE),
+        ('{"kind": "state", "dims": 1.5, "entries": [[1, 0]]}', POSITIVE),
+        ('{"kind": "state", "dims": true, "entries": [[1, 0]]}', POSITIVE),
+        ('{"kind": "kraus", "dims": [2], "operators": []}', PAIR),
+        ('{"kind": "choi", "dims": [2], "entries": []}', PAIR),
+    ],
+)
+def test_malformed_documents_exit_2(tmp_path, capsys, text, detail):
+    with pytest.raises(ValidationError) as err:
+        load_document(json.loads(text))
+    assert detail in str(err.value)
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    argv = ["discriminate", "--s1", str(path), "--s2", str(path), "--mode", "minerror"]
+    assert run(argv) == 2
+    assert detail in error_detail(capsys)
+
+
+_json_leaf = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=3)
+)
+_json = st.recursive(
+    _json_leaf,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+_number = st.integers() | st.floats(allow_nan=True, allow_infinity=True)
+_dims = st.integers(-1, 3) | _number | st.lists(st.integers(-1, 3) | _number, max_size=3) | _json
+_entries = st.lists(st.lists(_number, min_size=2, max_size=2) | _json, max_size=10) | _json
+_documents = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["state", "ket", "effect", "povm", "kraus", "choi", "x"]) | _json},
+    optional={
+        "dims": _dims,
+        "entries": _entries,
+        "effects": st.lists(_entries, max_size=3) | _json,
+        "operators": st.lists(_entries, max_size=3) | _json,
+        "outcomes": _json,
+        "bipartite_dims": _dims,
+    },
+) | _json
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(doc=_documents)
+def test_load_document_raises_only_validation_errors(doc):
+    try:
+        load_document(doc)
+    except ValidationError:
+        pass
