@@ -4,7 +4,8 @@ Matrix documents are JSON objects with a ``kind`` tag (state, effect,
 povm, kraus, choi, ket), dimensions, and row-major entries as [re, im]
 pairs.  Output is canonical JSON (or CSV for flat tables) printed with
 12 significant digits; identical seeds and flags give byte-identical
-output.  Exit codes: 0 success, 2 validation failure, 3 numeric failure.
+output.  Exit codes: 0 success, 1 stdout closed before the output was
+written, 2 validation failure, 3 numeric failure.
 
 ``--tol`` (fallback ``QITOOLS_TOL``) is the verdict tolerance of
 certify-channel, entanglement and werner; documents are validated at
@@ -102,9 +103,11 @@ def load_document(doc: dict):
                 _entries_to_array(e, d, d, f"effects[{i}]")
                 for i, e in enumerate(doc["effects"])
             ]
-            outs = tuple(doc.get("outcomes", range(len(effs))))
+            outs = doc.get("outcomes", list(range(len(effs))))
+            if not isinstance(outs, list):
+                raise ValidationError(f"outcomes must be a list of labels, got {outs!r}")
             from .observables import Povm
-            return Povm(outs, tuple(effs))
+            return Povm(tuple(outs), tuple(effs))
         if kind == "kraus":
             out_d, in_d = _dims_pair(doc["dims"])
             ops = [
@@ -444,7 +447,15 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()  # a closed pipe fails here, inside the try
+    except BrokenPipeError:
+        # The reader went away (e.g. ``qitools ... | head``).  Point stdout
+        # at devnull so the flush at interpreter exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

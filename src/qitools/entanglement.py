@@ -256,8 +256,9 @@ def twirl(x: np.ndarray, d: int | None = None) -> np.ndarray:
     )
 
 
-# Haar samples drawn per stacked QR in twirl_monte_carlo; larger chunks
-# raise peak memory without running faster.
+# Haar samples drawn per stacked QR in twirl_monte_carlo.  The chunk size
+# fixes the seeded draw stream: each chunk takes one normal block, real
+# parts then imaginary parts, so another size gives other unitaries.
 _TWIRL_BATCH = 256
 
 
@@ -272,8 +273,11 @@ def twirl_monte_carlo(x: np.ndarray, d: int, samples: int, rng=0) -> np.ndarray:
     acc = np.zeros_like(x)
     for start in range(0, samples, _TWIRL_BATCH):
         u = haar_unitaries(d, min(_TWIRL_BATCH, samples - start), rng)
-        uu = np.einsum("nij,nkl->nikjl", u, u).reshape(-1, d * d, d * d)
-        acc += (uu @ x @ uu.conj().transpose(0, 2, 1)).sum(axis=0)
+        # W = [uu_1 ... uu_n] side by side, shape (d², n·d²).  Its rows read
+        # as (d²·n, d²) are the rows of every uu_m, so W x takes one GEMM
+        # and sum_m uu_m x uu_m^dag = [uu_1 x ... uu_n x] W^dag the second.
+        w = np.einsum("mij,mkl->ikmjl", u, u).reshape(d * d, -1)
+        acc += (w.reshape(-1, d * d) @ x).reshape(d * d, -1) @ w.conj().T
     return acc / samples
 
 

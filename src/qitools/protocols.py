@@ -9,7 +9,7 @@ import numpy as np
 
 from .linalg import ATOL, asarray, dag, inner, outer, partial_trace, tensor
 from .observables import Povm, outcome_distribution
-from .rand import random_ket, rng_from
+from .rand import random_ket, random_kets, rng_from
 from .states import PAULIS, State, _as_matrix
 
 if TYPE_CHECKING:  # channels loads only when a function below needs it
@@ -290,16 +290,16 @@ def private_quantum_channel(d: int, n_messages: int, rng=0) -> ProtocolReport:
     """
     from .channels import KrausChannel, make, to_choi as choi_of
 
+    if n_messages < 0:
+        raise ValueError("n_messages must be non-negative")
     seed = _seed_repr(rng)
     rng = rng_from(rng)
     basis = ShiftMultiplyBasis.build(d)
     keys = sorted(basis.unitaries)
-    # Draws stay per message (key, then message) to keep the seeded stream.
-    picks = np.zeros(n_messages, dtype=int)
-    messages = np.zeros((n_messages, d, 1), dtype=complex)
-    for m in range(n_messages):
-        picks[m] = rng.integers(len(keys))
-        messages[m] = random_ket(d, rng)
+    # The draw order, all keys and then all messages, fixes the seeded stream.
+    picks = rng.integers(len(keys), size=n_messages)
+    (kets,) = random_kets([d], n_messages, rng)
+    messages = kets[:, :, None]
     u = np.stack([basis.unitaries[k] for k in keys])[picks]
     u_dag = u.conj().transpose(0, 2, 1)
     bras = messages.conj().transpose(0, 2, 1)

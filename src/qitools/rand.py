@@ -28,6 +28,8 @@ def random_kets(dims, count: int, rng) -> list[np.ndarray]:
     One normal block holds the same draws as ``count`` rounds of
     ``random_ket`` over the factors (real part, then imaginary part).
     """
+    if any(d < 1 for d in dims):
+        raise ValueError("dimension must be a positive integer")
     z = rng_from(rng).standard_normal((count, 2 * sum(dims)))
     kets, start = [], 0
     for d in dims:

@@ -6,17 +6,21 @@ import pytest
 from qitools.discrimination import fidelity
 from qitools.linalg import dag, outer
 from qitools.protocols import ShiftMultiplyBasis, private_quantum_channel
-from qitools.rand import haar_unitaries, haar_unitary, random_ket
+from qitools.rand import haar_unitaries, haar_unitary, random_ket, random_kets
 
 
 def pqc_by_message(d, n_messages, seed):
-    """Reference per-message loop: (key, decode fidelity) for each message."""
+    """Reference per-message loop: (key, decode fidelity) for each message.
+
+    The keys are drawn first, as one block; then one ket per message.
+    """
     rng = np.random.default_rng(seed)
     basis = ShiftMultiplyBasis.build(d)
     keys = sorted(basis.unitaries)
+    picks = rng.integers(len(keys), size=n_messages)
     out = []
-    for _ in range(n_messages):
-        key = keys[int(rng.integers(len(keys)))]
+    for pick in picks:
+        key = keys[int(pick)]
         u = basis.unitaries[key]
         message = random_ket(d, rng)
         cipher = u @ outer(message) @ dag(u)
@@ -55,8 +59,16 @@ def test_keyless_choi_deviation_reports_zero_below_atol(d):
     lambda d: random_ket(d, 0),
     lambda d: haar_unitaries(d, 3, 0),
     lambda d: haar_unitary(d, 0),
+    lambda d: random_kets([d], 3, 0),
+    lambda d: random_kets([2, d], 3, 0),
 ])
 @pytest.mark.parametrize("d", [0, -2])
 def test_random_draws_reject_nonpositive_dimension(draw, d):
     with pytest.raises(ValueError, match="^dimension must be a positive integer$"):
         draw(d)
+
+
+def test_pqc_rejects_negative_message_count():
+    with pytest.raises(ValueError, match="^n_messages must be non-negative$"):
+        private_quantum_channel(2, -1, rng=0)
+    assert private_quantum_channel(2, 0, rng=0).records == ()

@@ -1,5 +1,8 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +115,30 @@ def test_demo_deterministic_output(capsys):
     assert run(["--seed", "3", "demo", "teleport"]) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+# teleport is pinned by test_demo_deterministic_output above.
+@pytest.mark.parametrize("name", ["superdense", "bb84", "b92", "pqc", "meanking", "processor"])
+def test_every_seeded_demo_prints_identical_output(capsys, name):
+    argv = ["--seed", "11", "demo", name, "--rounds", "300"]
+    assert run(argv) == 0
+    first = capsys.readouterr().out
+    assert run(argv) == 0
+    assert capsys.readouterr().out == first
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    # More output than a pipe buffer holds, so the write must meet the closed end.
+    argv = [sys.executable, "-m", "qitools.cli", "--seed", "7", "demo", "pqc", "--rounds", "5000"]
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "Error" not in err, err
 
 
 def test_exit_codes(tmp_path, capsys):

@@ -67,6 +67,7 @@ def test_demo_rejects_zero_dimension(capsys, demo):
 
 POSITIVE = "dimensions must be positive integers"
 PAIR = "dims must be one dimension or [out, in]"
+OUTCOMES = "outcomes must be a list of labels"
 
 
 @pytest.mark.parametrize(
@@ -78,6 +79,9 @@ PAIR = "dims must be one dimension or [out, in]"
         ('{"kind": "state", "dims": true, "entries": [[1, 0]]}', POSITIVE),
         ('{"kind": "kraus", "dims": [2], "operators": []}', PAIR),
         ('{"kind": "choi", "dims": [2], "entries": []}', PAIR),
+        ('{"kind": "povm", "dims": 1, "effects": [[[1, 0]]], "outcomes": "a"}', OUTCOMES),
+        ('{"kind": "povm", "dims": 1, "effects": [[[1, 0]]], "outcomes": {"x": 1}}', OUTCOMES),
+        ('{"kind": "povm", "dims": 1, "effects": [[[1, 0]]], "outcomes": null}', OUTCOMES),
     ],
 )
 def test_malformed_documents_exit_2(tmp_path, capsys, text, detail):

@@ -49,6 +49,17 @@ def test_twirl_monte_carlo_matches_per_sample_loop():
     assert np.abs(twirl_monte_carlo(x, d, samples, rng=4) - expected).max() < 1e-12
 
 
+@pytest.mark.parametrize("d", [3, 4])
+def test_twirl_monte_carlo_matches_per_sample_loop_in_higher_dimension(d):
+    samples = 300
+    x = random_density(d * d, np.random.default_rng(9))
+    rng = np.random.default_rng(10)
+    sizes = [min(_TWIRL_BATCH, samples - s) for s in range(0, samples, _TWIRL_BATCH)]
+    us = np.concatenate([haar_unitaries(d, n, rng) for n in sizes])
+    expected = sum(tensor(u, u) @ x @ dag(tensor(u, u)) for u in us) / samples
+    assert np.abs(twirl_monte_carlo(x, d, samples, rng=10) - expected).max() < 1e-12
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_twirl_monte_carlo_partial_chunk_agrees_with_twirl(d):
     samples = 300  # not a multiple of the chunk size
