@@ -256,7 +256,7 @@ def twirl(x: np.ndarray, d: int | None = None) -> np.ndarray:
     )
 
 
-# Haar samples drawn per stacked QR in twirl_monte_carlo.  The chunk size
+# Haar samples per haar_unitaries call in twirl_monte_carlo.  The chunk size
 # fixes the seeded draw stream: each chunk takes one normal block, real
 # parts then imaginary parts, so another size gives other unitaries.
 _TWIRL_BATCH = 256

@@ -6,7 +6,14 @@ import pytest
 from qitools.discrimination import fidelity
 from qitools.linalg import dag, outer
 from qitools.protocols import ShiftMultiplyBasis, private_quantum_channel
-from qitools.rand import haar_unitaries, haar_unitary, random_ket, random_kets
+from qitools.rand import (
+    haar_unitaries,
+    haar_unitary,
+    random_density,
+    random_hermitian,
+    random_ket,
+    random_kets,
+)
 
 
 def pqc_by_message(d, n_messages, seed):
@@ -61,11 +68,29 @@ def test_keyless_choi_deviation_reports_zero_below_atol(d):
     lambda d: haar_unitary(d, 0),
     lambda d: random_kets([d], 3, 0),
     lambda d: random_kets([2, d], 3, 0),
+    lambda d: random_density(d, 0),
+    lambda d: random_hermitian(d, 0),
 ])
 @pytest.mark.parametrize("d", [0, -2])
 def test_random_draws_reject_nonpositive_dimension(draw, d):
     with pytest.raises(ValueError, match="^dimension must be a positive integer$"):
         draw(d)
+
+
+@pytest.mark.parametrize("rank", [0, -1])
+def test_random_density_rejects_nonpositive_rank(rank):
+    with pytest.raises(ValueError, match="^rank must be a positive integer$"):
+        random_density(2, 0, rank=rank)
+
+
+@pytest.mark.parametrize("draw", [
+    lambda n: haar_unitaries(2, n, 0),
+    lambda n: random_kets([2], n, 0),
+], ids=["haar_unitaries", "random_kets"])
+def test_random_stacks_reject_negative_count(draw):
+    with pytest.raises(ValueError, match="^count must be a non-negative integer$"):
+        draw(-1)
+    assert np.size(draw(0)) == 0
 
 
 def test_pqc_rejects_negative_message_count():

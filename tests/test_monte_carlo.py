@@ -4,26 +4,50 @@ estimate, and the table-driven BB84/B92 rounds."""
 import numpy as np
 import pytest
 
+from qitools.channels import KrausChannel
 from qitools.entanglement import _TWIRL_BATCH, twirl, twirl_monte_carlo
-from qitools.linalg import dag, is_unitary, tensor
+from qitools.linalg import ATOL, dag, is_unitary, tensor
 from qitools.protocols import b92, bb84
-from qitools.rand import haar_unitaries, haar_unitary, random_density
+from qitools.rand import haar_unitaries, haar_unitary, random_density, random_kraus_ops
 
 
 def _haar_reference(d, seed):
-    """Single-matrix QR construction that haar_unitary reproduces bit for bit."""
+    """Single-matrix LAPACK QR with the phases of diag(R) divided out, from
+    the same normal draws; haar_unitary agrees with it to rounding."""
     rng = np.random.default_rng(seed)
     z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
     q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r))).conj()
+    return q * (np.diag(r) / np.abs(np.diag(r))).conj(), z
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 8])
+@pytest.mark.parametrize("d", range(1, 9))
 def test_haar_unitary_is_first_stacked_sample(d):
     for seed in range(5):
         u = haar_unitary(d, seed)
         assert np.array_equal(u, haar_unitaries(d, 1, seed)[0])
-        assert np.array_equal(u, _haar_reference(d, seed))
+        expected, z = _haar_reference(d, seed)
+        assert np.abs(u - expected).max() < 1e-12
+        # Defining property: Z = U R with R upper triangular, diag(R) > 0.
+        r = dag(u) @ z
+        assert np.abs(np.tril(r, -1)).max(initial=0.0) < 1e-12
+        assert np.abs(np.diag(r).imag).max() < 1e-12
+        assert np.diag(r).real.min() > 0
+
+
+@pytest.mark.parametrize("d", [*range(1, 9), 16])
+def test_haar_unitaries_unitarity_residual(d):
+    us = haar_unitaries(d, 64, d)
+    residual = np.abs(np.swapaxes(us.conj(), 1, 2) @ us - np.eye(d)).max()
+    # Two passes keep this at rounding; one pass already reaches ~5e-14 at d=8.
+    assert residual <= 1e-14
+
+
+@pytest.mark.parametrize("d, n", [(4, 4), (5, 5)])
+def test_random_kraus_ops_trace_preserving_at_large_dilation(d, n):
+    # d*n = 16 and 25: one Gram-Schmidt pass loses orthogonality here.
+    ops = random_kraus_ops(d, np.random.default_rng(d), count=n)
+    assert len(ops) == n
+    assert KrausChannel(ops).is_trace_preserving(ATOL)
 
 
 def test_haar_unitaries_are_unitary():
