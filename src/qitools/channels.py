@@ -28,10 +28,14 @@ from .linalg import (
     ATOL,
     NumericError,
     _eig_tol,
+    _kraus_columns,
+    _prepare_kraus,
+    _probe_kraus,
     _require_finite,
     _seesaw,
     _within,
     asarray,
+    basis_ket,
     dag,
     eigh,
     gram_schmidt_complete,
@@ -42,7 +46,7 @@ from .linalg import (
     tensor,
     trace_norm,
 )
-from .rand import random_ket, random_kets, rng_from
+from .rand import random_kets
 from .states import PAULIS, State, _as_matrix, _operator_basis
 
 
@@ -217,18 +221,6 @@ def from_choi(choi: ChoiMatrix, tol: float = ATOL) -> KrausChannel:
     return KrausChannel(tuple(ops))
 
 
-def _kraus_columns(vals: np.ndarray, vecs: np.ndarray, tol: float) -> np.ndarray:
-    """Columns sqrt(lambda) v of the eigenpairs above linalg._eig_tol(vals, tol).
-
-    With none above it (the zero map) one zero column is returned, so the
-    map keeps a single zero Kraus operator.
-    """
-    keep = vals > _eig_tol(vals, tol)
-    if not keep.any():
-        return np.zeros((len(vals), 1), dtype=complex)
-    return np.sqrt(vals[keep]) * vecs[:, keep]
-
-
 # Channel properties, each decided once here on the marginals of the
 # trace-one Choi matrix: tr_A Omega = N^T / d_in with N = sum_k A_k^dag A_k,
 # and tr_B Omega = E(I) / d_in.  Every check is invariant under transposition.
@@ -367,10 +359,7 @@ def stinespring(ch: KrausChannel, tol: float = ATOL):
     ops = [a for a in ch.kraus_ops if np.max(np.abs(a)) > tol]
     if not ops:
         raise ValueError("channel has no nonzero Kraus operators")
-    n = len(ops)
-    env_ket = np.zeros((n, 1), dtype=complex)
-    env_ket[0, 0] = 1.0
-    return n, _dilation_unitary(ops, n), env_ket
+    return len(ops), _dilation_unitary(ops, len(ops)), basis_ket(len(ops), 0)
 
 
 def _dilation_unitary(ops, probe_dim: int) -> np.ndarray:
@@ -395,10 +384,10 @@ def _dilation_unitary(ops, probe_dim: int) -> np.ndarray:
 
 
 def dilation_apply(env_dim: int, u: np.ndarray, env_ket: np.ndarray, rho) -> np.ndarray:
-    """Replay a Stinespring dilation on a state."""
+    """tr_E[U (rho (x) |e><e|) U^dag], as the action of the read-out Kraus operators."""
     m = _as_matrix(rho)
-    big = u @ tensor(m, env_ket @ dag(env_ket)) @ dag(u)
-    return partial_trace(big, m.shape[0], env_dim, side="B")
+    ops = _probe_kraus(u, m.shape[0], env_ket.reshape(env_dim))
+    return (ops @ m @ ops.conj().transpose(0, 2, 1)).sum(axis=0)
 
 
 def conjugate(ch: KrausChannel) -> KrausChannel:
@@ -421,20 +410,19 @@ def random_unitary_conjugate(pairs) -> KrausChannel:
     the system-to-environment map is the contraction onto diag(p): the
     environment learns nothing about the input.
     """
-    probs = [p for p, _ in pairs]
-    if any(p < 0 for p in probs) or abs(sum(probs) - 1) > 1e-12:
-        raise ValueError("weights must form a probability vector")
+    probs = _probability_vector([p for p, _ in pairs], "weights must form a probability vector")
     d = asarray(pairs[0][1]).shape[0]
-    n = len(pairs)
-    ops = []
-    for j, p in enumerate(probs):
-        if p == 0:
-            continue
-        for k in range(d):
-            op = np.zeros((n, d), dtype=complex)
-            op[j, k] = np.sqrt(p)
-            ops.append(op)
-    return KrausChannel(tuple(ops))
+    keep = probs > 0
+    cols = np.eye(len(probs))[:, keep] * np.sqrt(probs[keep])  # sqrt(p_j) |j>
+    return KrausChannel(tuple(_prepare_kraus(cols, np.eye(d))))
+
+
+def _probability_vector(weights, message: str) -> np.ndarray:
+    """Float weights, or ValueError(message) unless >= 0 with sum 1 (NaN fails)."""
+    p = np.asarray(weights, dtype=float)
+    if p.ndim != 1 or not (p >= 0).all() or not abs(p.sum() - 1) <= 1e-12:
+        raise ValueError(message)
+    return p
 
 
 def heisenberg_dual(ch: KrausChannel) -> KrausChannel:
@@ -469,25 +457,20 @@ def make(kind: str, **params):
             ops.extend(np.sqrt(p / d) * (_operator_basis(d).T.reshape(-1, d, d) / np.sqrt(d)))
         return KrausChannel(tuple(ops))
     if kind == "pauli":
-        q = np.asarray(params["q"], dtype=float)
-        if q.shape != (4,) or q.min() < 0 or abs(q.sum() - 1) > 1e-12:
-            raise ValueError("pauli channel needs a probability 4-vector")
+        message = "pauli channel needs a probability 4-vector"
+        q = _probability_vector(params["q"], message)
+        if len(q) != 4:
+            raise ValueError(message)
         ops = tuple(np.sqrt(qj) * s for qj, s in zip(q, PAULIS) if qj > 0)
         return KrausChannel(ops)
     if kind == "random_unitary":
         pairs = params["pairs"]
-        total = sum(p for p, _ in pairs)
-        if any(p < 0 for p, _ in pairs) or abs(total - 1) > 1e-12:
-            raise ValueError("weights must form a probability vector")
+        _probability_vector([p for p, _ in pairs], "weights must form a probability vector")
         return KrausChannel(tuple(np.sqrt(p) * asarray(u) for p, u in pairs if p > 0))
     if kind == "contraction":
         xi = _as_matrix(params["xi"])
-        d = xi.shape[0]
-        cols = _kraus_columns(*eigh(xi), ATOL)
-        ops = np.zeros((cols.shape[1], d, d, d), dtype=complex)  # A_jk = sqrt(lambda_j) v_j e_k^T
-        for k in range(d):
-            ops[:, k, :, k] = cols.T
-        return KrausChannel(tuple(ops.reshape(-1, d, d)))
+        ops = _prepare_kraus(_kraus_columns(*eigh(xi), ATOL), np.eye(len(xi)))
+        return KrausChannel(tuple(ops))  # A_jk = sqrt(lambda_j) v_j e_k^T
     if kind == "transposition":
         return transposition_map(params["d"])
     if kind == "phase_damping":
@@ -632,6 +615,17 @@ def qubit_normal_form(ch):
 # Distances, fixed points, structure checks
 # ---------------------------------------------------------------------------
 
+def _dual_of_sign(s: np.ndarray, d_out: int, x: np.ndarray):
+    """Ascending eigendecomposition of Phi^*(sign Phi(X)) over a stack of Hermitian X.
+
+    Q = sign(Phi(X)) attains ||Phi(X)||_1 = tr[Q Phi(X)] = tr[Phi^*(Q) X], S(Phi) = s.
+    """
+    n, d_in = x.shape[:2]
+    vals, vecs = np.linalg.eigh((x.reshape(n, -1) @ s.T).reshape(n, d_out, d_out))
+    q = (vecs * np.sign(vals)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+    return np.linalg.eigh((q.reshape(n, -1) @ s.conj()).reshape(n, d_in, d_in))
+
+
 def _sup_step(s: np.ndarray, d_out: int, kets: np.ndarray):
     """One see-saw step of max_psi ||Delta(psi psi^dag)||_1 / 2, S(Delta) = s.
 
@@ -640,12 +634,20 @@ def _sup_step(s: np.ndarray, d_out: int, kets: np.ndarray):
     eigenvalue / 2 is reported: a lower bound at the new ket and at least
     the value at the old one.
     """
-    n, d_in = kets.shape
-    rho = kets[:, :, None] * kets[:, None, :].conj()
-    vals, vecs = np.linalg.eigh((rho.reshape(n, -1) @ s.T).reshape(n, d_out, d_out))
-    q = (vecs * np.sign(vals)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
-    vals, vecs = np.linalg.eigh((q.reshape(n, -1) @ s.conj()).reshape(n, d_in, d_in))
+    vals, vecs = _dual_of_sign(s, d_out, kets[:, :, None] * kets[:, None, :].conj())
     return vecs[:, :, -1], vals[:, -1] / 2
+
+
+def _contraction_step(s: np.ndarray, d_out: int, pairs: np.ndarray):
+    """One see-saw step of max ||Phi(psi psi^dag - phi phi^dag)||_1 / 2, pairs (n, 2, d).
+
+    The best orthogonal pair for Q is the top and bottom eigenvector of
+    Phi^*(Q); half their eigenvalue gap is reported, as in _sup_step.
+    """
+    psi, phi = pairs[:, 0], pairs[:, 1]
+    x = psi[:, :, None] * psi[:, None, :].conj() - phi[:, :, None] * phi[:, None, :].conj()
+    vals, vecs = _dual_of_sign(s, d_out, x)
+    return np.stack([vecs[:, :, -1], vecs[:, :, 0]], axis=1), (vals[:, -1] - vals[:, 0]) / 2
 
 
 def sup_distance(ch1, ch2, rng=0, restarts: int = 64):
@@ -688,20 +690,19 @@ def fixed_point(ch: KrausChannel, rho0, max_iter: int = 20000, tol: float = ATOL
 
 
 def contraction_factor(ch: KrausChannel, sample_pairs: int = 50, rng=0) -> float:
-    """Sampled lower bound on the contraction constant of a TP channel."""
-    from .discrimination import trace_distance
+    """Trace-norm contraction coefficient of a TP channel, as a lower bound.
 
-    rng = rng_from(rng)
+    For a trace-preserving map the coefficient sup ||Phi(rho - sigma)||_1 /
+    ||rho - sigma||_1 is attained on orthogonal pure states: it equals
+    max_{psi perp phi} ||Phi(psi psi^dag - phi phi^dag)||_1 / 2 (M. B. Ruskai,
+    Rev. Math. Phys. 6, 1147 (1994)).  A see-saw of at most 1000 exact
+    steps runs from ``sample_pairs`` seeded random ket pairs, so the value
+    never decreases and is a lower bound on the coefficient.
+    """
     d = ch.in_dim
-    best = 0.0
-    for _ in range(sample_pairs):
-        k1, k2 = random_ket(d, rng), random_ket(d, rng)
-        r1, r2 = k1 @ dag(k1), k2 @ dag(k2)
-        denom = trace_distance(r1, r2)
-        if denom < 1e-12:
-            continue
-        best = max(best, trace_distance(apply(ch, r1), apply(ch, r2)) / denom)
-    return best
+    s = _superop(ch)
+    pairs = np.stack(random_kets((d, d), sample_pairs, rng), axis=1)
+    return _seesaw(lambda x: _contraction_step(s, ch.out_dim, x), pairs, 1000, 1e-12)[0]
 
 
 def is_pure_decoherence(ch: KrausChannel, basis, tol: float = 1e-8) -> bool:

@@ -370,7 +370,4 @@ def upb_witness(rng=0, restarts: int = 200) -> Witness:
     eps = upb_epsilon(rng=rng, restarts=restarts)
     vals, vecs = eigh(np.eye(9) - pi)
     phi = vecs[:, [0]]  # deterministic: first basis vector of the complement
-    w = pi - eps * (phi @ dag(phi))
-    certified = _min_product_expectation(w, 3, 3, rng_from(rng), restarts)
-    min_eig = float(np.linalg.eigvalsh((w + dag(w)) / 2).min())
-    return Witness(w, certified, min_eig)
+    return certify_witness(pi - eps * (phi @ dag(phi)), 3, 3, rng, restarts)

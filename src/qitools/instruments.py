@@ -6,10 +6,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import ATOL, asarray, dag, is_unitary, psd_sqrt, tensor
-from .channels import KrausChannel, LinearMap, _dilation_unitary, _superop, from_choi, to_choi
+from .linalg import (ATOL, _kraus_columns, _prepare_kraus, asarray, basis_ket, eigh, is_unitary,
+                     outer, psd_sqrt, tensor)
+from .channels import (KrausChannel, LinearMap, _dilation_unitary, _superop, apply, from_choi,
+                       to_choi)
 from .observables import Povm, is_sharp
-from .states import State, _as_matrix, _operator_basis, canonical_decomposition
+from .states import State, _as_matrix, _operator_basis
 
 # Repeatability hinges on exact unit eigenvalues; detection uses a looser
 # threshold than the global tolerance because roundoff perturbs spectra.
@@ -44,8 +46,7 @@ class DiscreteInstrument:
         return self.operations[self.outcomes.index(outcome)]
 
     def apply(self, outcome, rho) -> np.ndarray:
-        m = _as_matrix(rho)
-        return sum(a @ m @ dag(a) for a in self.operation(outcome).kraus_ops)
+        return apply(self.operation(outcome), rho)
 
     def total_channel(self) -> KrausChannel:
         return KrausChannel(tuple(a for op in self.operations for a in op.kraus_ops))
@@ -89,17 +90,10 @@ def luders(a: Povm) -> DiscreteInstrument:
 
 
 def trivial_instrument(a: Povm, xi: State) -> DiscreteInstrument:
-    """I_x(rho) = tr[rho A(x)] xi."""
-    terms = []
-    xi_terms = canonical_decomposition(xi)
-    for e in a.effects:
-        root = psd_sqrt(e.matrix)
-        kraus = []
-        for lam, phi in xi_terms:
-            for j in range(a.dim):
-                kraus.append(np.sqrt(lam) * phi @ root[[j], :])
-        terms.append(KrausChannel(tuple(kraus)))
-    return DiscreteInstrument(a.outcomes, tuple(terms))
+    """I_x(rho) = tr[rho A(x)] xi, with xi = sum_j c_j c_j^dag spectrally."""
+    cols = _kraus_columns(*eigh(_as_matrix(xi)), ATOL)
+    terms = tuple(KrausChannel(tuple(_prepare_kraus(cols, psd_sqrt(e.matrix)))) for e in a.effects)
+    return DiscreteInstrument(a.outcomes, terms)
 
 
 def memo_to_instrument(m: MeasurementModel, tol: float = 1e-8) -> DiscreteInstrument:
@@ -127,26 +121,15 @@ def instrument_to_normal_memo(ins: DiscreteInstrument) -> MeasurementModel:
     dilated; the probe is pointer (x) environment with a sharp pointer
     reading out the outcome tag.
     """
-    d = ins.dim
     n_out = len(ins.outcomes)
-    tagged = []
-    for x_idx, op in enumerate(ins.operations):
-        tag = np.zeros((n_out, 1), dtype=complex)
-        tag[x_idx, 0] = 1.0
-        for a in op.kraus_ops:
-            tagged.append(tensor(a, tag))
+    tags = np.eye(n_out, dtype=complex)
+    tagged = [tensor(a, tags[:, [x]]) for x, op in enumerate(ins.operations) for a in op.kraus_ops]
     # Each B_m maps system -> system (x) tag; the probe is tag (x) environment.
     n_env = len(tagged)
     probe_dim = n_out * n_env
     u = _dilation_unitary(tagged, probe_dim)
-    probe0 = np.zeros((probe_dim, probe_dim), dtype=complex)
-    probe0[0, 0] = 1.0
-    pointer_effects = []
-    for t_idx in range(n_out):
-        diag = np.zeros(probe_dim)
-        diag[t_idx * n_env:(t_idx + 1) * n_env] = 1.0
-        pointer_effects.append(np.diag(diag).astype(complex))
-    pointer = Povm(ins.outcomes, tuple(pointer_effects))
+    probe0 = outer(basis_ket(probe_dim, 0))
+    pointer = Povm(ins.outcomes, tuple(np.diag(np.repeat(t, n_env)) for t in tags))
     return MeasurementModel(probe_dim, State(probe0), u, pointer)
 
 
@@ -186,10 +169,7 @@ def repeatable_instrument(a: Povm) -> DiscreteInstrument:
                 "impossible: repeatable instruments need every nonzero effect to "
                 f"have eigenvalue 1 (max eigenvalue {vals[-1]:.6f})"
             )
-        psi = vecs[:, [-1]]
-        root = psd_sqrt(mat)
-        kraus = tuple(psi @ root[[j], :] for j in range(a.dim))
-        ops.append(KrausChannel(kraus))
+        ops.append(KrausChannel(tuple(_prepare_kraus(vecs[:, [-1]], psd_sqrt(mat)))))
     return DiscreteInstrument(a.outcomes, tuple(ops))
 
 

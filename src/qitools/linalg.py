@@ -244,6 +244,35 @@ def matrix_rank(a: np.ndarray, tol: float = ATOL) -> int:
     return int((s > tol * s[0]).sum())
 
 
+def _kraus_columns(vals: np.ndarray, vecs: np.ndarray, tol: float) -> np.ndarray:
+    """Columns sqrt(lambda) v of the eigenpairs above _eig_tol(vals, tol).
+
+    With none above it (the zero map) one zero column is returned, so the
+    map keeps a single zero Kraus operator.
+    """
+    keep = vals > _eig_tol(vals, tol)
+    if not keep.any():
+        return np.zeros((len(vals), 1), dtype=complex)
+    return np.sqrt(vals[keep]) * vecs[:, keep]
+
+
+# Operators on system (x) probe put the system outer and the probe inner:
+# U[(a, j), (b, m)] = u.reshape(d, k, d, k)[a, j, b, m].
+
+def _probe_kraus(u: np.ndarray, d: int, probe_ket: np.ndarray) -> np.ndarray:
+    """Read-out stack A_j = (I (x) <j|) U (I (x) |xi>), shape (k, d, d), of a
+    coupling U with the probe prepared in |xi> and read in its basis."""
+    k = u.shape[0] // d
+    return np.einsum("ajbm,m->jab", u.reshape(d, k, d, k), probe_ket.reshape(-1))
+
+
+def _prepare_kraus(cols: np.ndarray, root: np.ndarray) -> np.ndarray:
+    """Measure-and-prepare stack K_jk = |c_j><k| root over the columns c_j of
+    ``cols``, j-major: sum_k K_jk rho K_jk^dag = tr[root rho root^dag] c_j c_j^dag."""
+    n, d = cols.shape[0], root.shape[1]
+    return np.einsum("aj,kb->jkab", cols, root).reshape(-1, n, d)
+
+
 def _seesaw(step, x: np.ndarray, max_iter: int, tol: float):
     """Alternating maximization over a stack of starts (leading axis).
 

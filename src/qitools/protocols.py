@@ -7,7 +7,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .linalg import ATOL, asarray, dag, inner, outer, partial_trace, tensor
+from .linalg import (ATOL, _probe_kraus, asarray, basis_ket, dag, inner, outer, partial_trace,
+                     tensor)
 from .observables import Povm, outcome_distribution
 from .rand import random_ket, random_kets, rng_from
 from .states import PAULIS, State, _as_matrix
@@ -85,28 +86,15 @@ def teleport(rho_in, rng=0) -> ProtocolReport:
     fidelity 1.
     """
     from .discrimination import fidelity
-    from .entanglement import maximally_entangled_ket
 
     rho = _as_matrix(rho_in)
-    d = rho.shape[0]
-    basis = ShiftMultiplyBasis.build(d)
-    psi_plus = maximally_entangled_ket(d)
-    total = tensor(rho, outer(psi_plus))
+    basis = ShiftMultiplyBasis.build(rho.shape[0])
     records = []
-    for (r, s), ket in sorted(basis.bell_kets.items()):
-        proj = tensor(outer(ket), np.eye(d))
-        branch = proj @ total @ proj
+    for key, k in zip(sorted(basis.unitaries), _teleport_kraus(basis)):
+        branch = k @ rho @ dag(k)  # Bob's corrected, unnormalized state
         prob = float(np.trace(branch).real)
-        cond_b = partial_trace(branch, d * d, d, side="A") / prob
-        u = basis.unitaries[(r, s)]
-        corrected = u @ cond_b @ dag(u)
-        records.append(
-            {
-                "outcome": [r, s],
-                "probability": prob,
-                "fidelity": fidelity(corrected, rho),
-            }
-        )
+        records.append({"outcome": list(key), "probability": prob,
+                        "fidelity": fidelity(branch / prob, rho)})
     seed = _seed_repr(rng)
     rng = rng_from(rng)
     sampled = rng.choice(len(records), p=[rec["probability"] for rec in records])
@@ -124,15 +112,25 @@ def teleport_channel(d: int) -> LinearMap:
     Outcome rs contributes the Kraus operator U_rs (<beta_rs| (x) I)(I (x) |psi+>).
     """
     from .channels import KrausChannel, kraus_to_linear_map
+
+    return kraus_to_linear_map(KrausChannel(tuple(_teleport_kraus(ShiftMultiplyBasis.build(d)))))
+
+
+def _teleport_kraus(basis: ShiftMultiplyBasis) -> np.ndarray:
+    """Stack of U_rs (<beta_rs| (x) I)(I (x) |psi+>) over the outcomes rs, keys sorted.
+
+    Alice's input and half of psi+ are measured in the Bell basis, and Bob
+    corrects his half with U_rs: the map from Alice's input to Bob's output.
+    """
     from .entanglement import maximally_entangled_ket
 
-    basis = ShiftMultiplyBasis.build(d)
-    share = tensor(np.eye(d), maximally_entangled_ket(d))
-    ops = tuple(
-        u @ tensor(dag(basis.bell_kets[key]), np.eye(d)) @ share
-        for key, u in basis.unitaries.items()
-    )
-    return kraus_to_linear_map(KrausChannel(ops))
+    d = basis.d
+    keys = sorted(basis.unitaries)
+    bell = np.array([basis.bell_kets[key].reshape(d, d) for key in keys])  # beta[r, (a, a')]
+    share = maximally_entangled_ket(d).reshape(d, d)  # psi+[(a', b)]
+    # (<beta| (x) I)(I (x) |psi+>)[b, a] = sum_a' conj(beta[a, a']) psi+[a', b]
+    measured = np.einsum("rxy,yb->rbx", bell.conj(), share)
+    return np.array([basis.unitaries[key] for key in keys]) @ measured
 
 
 def superdense(message: int, rng=0) -> ProtocolReport:
@@ -405,17 +403,13 @@ class Processor:
     unitary: np.ndarray = field(repr=False)
 
     def apply(self, rho, program_ket: np.ndarray) -> np.ndarray:
-        m = _as_matrix(rho)
-        xi = asarray(program_ket).reshape(-1, 1)
-        big = self.unitary @ tensor(m, outer(xi)) @ dag(self.unitary)
-        return partial_trace(big, self.system_dim, self.program_dim, side="B")
+        from .channels import dilation_apply
+
+        return dilation_apply(self.program_dim, self.unitary, asarray(program_ket), rho)
 
     def kraus_for_program(self, program_ket: np.ndarray) -> list[np.ndarray]:
-        """Kraus operators A_j = sum_k E_jk <k|Xi> of the programmed channel."""
-        xi = asarray(program_ket).reshape(-1)
-        d, k = self.system_dim, self.program_dim
-        g = self.unitary.reshape(d, k, d, k)
-        return [np.einsum("abm,m->ab", g[:, j, :, :], xi) for j in range(k)]
+        """Kraus operators A_j = (I (x) <j|) G (I (x) |Xi>) of the programmed channel."""
+        return list(_probe_kraus(self.unitary, self.system_dim, asarray(program_ket)))
 
 
 def processor_pair(ch1: KrausChannel, ch2: KrausChannel):
@@ -434,24 +428,14 @@ def processor_pair(ch1: KrausChannel, ch2: KrausChannel):
     g = np.zeros((d, k, d, k), dtype=complex)  # G[(a, e), (b, f)], program index e inner
     g[:, :n1, :, :n1] = u1.reshape(d, n1, d, n1)
     g[:, n1:, :, n1:] = u2.reshape(d, n2, d, n2)
-    xi1 = np.zeros((k, 1), dtype=complex)
-    xi1[0, 0] = 1.0
-    xi2 = np.zeros((k, 1), dtype=complex)
-    xi2[n1, 0] = 1.0
-    return Processor(d, k, g.reshape(d * k, d * k)), xi1, xi2
+    return Processor(d, k, g.reshape(d * k, d * k)), basis_ket(k, 0), basis_ket(k, n1)
 
 
 def controlled_unitary_processor(unitaries) -> Processor:
     """G = sum_j U_j (x) |j><j| over a program basis."""
-    us = [asarray(u) for u in unitaries]
-    d = us[0].shape[0]
-    k = len(us)
-    g = np.zeros((d * k, d * k), dtype=complex)
-    for j, u in enumerate(us):
-        proj = np.zeros((k, k), dtype=complex)
-        proj[j, j] = 1.0
-        g += tensor(u, proj)
-    return Processor(d, k, g)
+    us = np.array([asarray(u) for u in unitaries])
+    k, d = us.shape[:2]
+    return Processor(d, k, np.einsum("jab,jm->ajbm", us, np.eye(k)).reshape(d * k, d * k))
 
 
 def processor_identity_check(kraus1, kraus2):
@@ -478,9 +462,7 @@ def phase_damping_processor(axis="z") -> tuple[Processor, np.ndarray, np.ndarray
 
     u = make("phase_damping", eta=0.0, axis=axis).kraus_ops[0]
     proc = controlled_unitary_processor([np.eye(2, dtype=complex), u])
-    xi_ident = np.array([[1.0], [0.0]], dtype=complex)
-    xi_u = np.array([[0.0], [1.0]], dtype=complex)
-    return proc, xi_ident, xi_u
+    return proc, basis_ket(2, 0), basis_ket(2, 1)
 
 
 def probabilistic_processor(d: int, target_u, rng=0, n_inputs: int = 3) -> ProtocolReport:
@@ -498,20 +480,17 @@ def probabilistic_processor(d: int, target_u, rng=0, n_inputs: int = 3) -> Proto
     basis = ShiftMultiplyBasis.build(d)
     keys = sorted(basis.unitaries)
     proc = controlled_unitary_processor([basis.unitaries[key] for key in keys])
-    k = d * d
-    phi = np.full((k, 1), 1.0 / d, dtype=complex)
+    phi = np.full(d * d, 1.0 / d, dtype=complex)
     amps = np.array([np.trace(dag(basis.unitaries[key]) @ target_u) / d for key in keys])
-    xi = amps.reshape(-1, 1)
-    f_success = outer(phi)
+    # Reading the program register out as phi leaves sum_j conj(phi_j) A_j.
+    post = np.einsum("j,jab->ab", phi.conj(), _probe_kraus(proc.unitary, d, amps))
     records = []
     for _ in range(n_inputs):
         ket = random_ket(d, rng)
         rho = outer(ket)
-        big = proc.unitary @ tensor(rho, outer(xi)) @ dag(proc.unitary)
-        selected = tensor(np.eye(d), f_success)
-        branch = selected @ big @ selected
+        branch = post @ rho @ dag(post)
         p = float(np.trace(branch).real)
-        cond = partial_trace(branch, d, k, side="B") / p
+        cond = branch / p
         target = target_u @ rho @ dag(target_u)
         records.append({"p_success": p, "fidelity": fidelity(cond, target)})
     summary = {

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import dag
+from .linalg import _probe_kraus, basis_ket, dag
 
 
 def rng_from(seed) -> np.random.Generator:
@@ -98,11 +98,10 @@ def random_hermitian(d: int, rng) -> np.ndarray:
 
 
 def random_kraus_ops(d: int, rng, count: int | None = None) -> list[np.ndarray]:
-    """Kraus operators of a random CPTP channel (Stinespring slicing)."""
-    rng = rng_from(rng)
+    """Kraus operators (I (x) <k|) U (I (x) |0>) of a Haar unitary U on C^d (x) C^count."""
+    if d < 1:
+        raise ValueError("dimension must be a positive integer")
+    if count is not None and count < 1:
+        raise ValueError("count must be a positive integer")
     n = count if count is not None else d
-    big = haar_unitary(d * n, rng)
-    # Isometry columns: input ket |b> goes to U |b, 0>; slice out the
-    # environment index to read off the Kraus operators.
-    v = big[:, [b * n for b in range(d)]]
-    return [v.reshape(d, n, d)[:, k, :] for k in range(n)]
+    return list(_probe_kraus(haar_unitary(d * n, rng), d, basis_ket(n, 0)))

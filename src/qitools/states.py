@@ -7,8 +7,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import (ATOL, _eig_tol, _require_finite, _within, asarray, dag, eigh, inner,
-                     is_hermitian, psd_sqrt, tensor)
+from .linalg import (ATOL, _eig_tol, _kraus_columns, _require_finite, _within, asarray, dag, eigh,
+                     inner, is_hermitian, psd_sqrt)
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -203,19 +203,13 @@ def convex_decomposition(rho, basis, tol: float = ATOL) -> list[tuple[float, np.
 
 
 def purify(rho, tol: float = ATOL) -> np.ndarray:
-    """Minimal purification ket on a dim * rank(rho) space.
+    """Minimal purification ket on a dim * rank(rho) space, ancilla inner.
 
     Ancilla basis is computational and all phases are +1, so the result
     is sum_j sqrt(lambda_j) phi_j (x) e_j.
     """
-    terms = canonical_decomposition(rho, tol)
-    d = _as_matrix(rho).shape[0]
-    r = len(terms)
-    psi = np.zeros((d * r, 1), dtype=complex)
-    for j, (lam, phi) in enumerate(terms):
-        anc = np.zeros((r, 1), dtype=complex)
-        anc[j, 0] = 1.0
-        psi += np.sqrt(lam) * tensor(phi, anc)
+    # The (d, r) columns sqrt(lambda_j) phi_j flattened row-major: system outer.
+    psi = _kraus_columns(*eigh(_as_matrix(rho)), tol).reshape(-1, 1)
     return psi / np.linalg.norm(psi)
 
 

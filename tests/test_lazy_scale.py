@@ -216,6 +216,12 @@ def test_nan_input_raises_as_before(lazy, eager):
         lazy(NAN, linalg.ATOL)
 
 
+# Inputs of the norm_calls tests, built before any counter is installed:
+# the Haar draw behind them is not part of what those tests count.
+PSD_INPUT = hermitian_with_spectrum([4.0, 2.0, 1.0, 0.0], 8)
+NON_PSD_INPUT = hermitian_with_spectrum([4.0, 2.0, 1.0, -1e-3], 9)
+
+
 @pytest.fixture
 def norm_calls(monkeypatch):
     calls = []
@@ -230,7 +236,7 @@ def norm_calls(monkeypatch):
 
 
 def test_exact_hermitian_psd_input_computes_no_norm(norm_calls):
-    a = hermitian_with_spectrum([4.0, 2.0, 1.0, 0.0], 8)
+    a = PSD_INPUT
     linalg.eigh(a)
     linalg.psd_sqrt(a)
     assert linalg.is_psd(a)
@@ -238,7 +244,7 @@ def test_exact_hermitian_psd_input_computes_no_norm(norm_calls):
 
 
 def test_failing_check_still_computes_the_scale(norm_calls):
-    a = hermitian_with_spectrum([4.0, 2.0, 1.0, -1e-3], 9)
+    a = NON_PSD_INPUT
     assert not linalg.is_psd(a)
     assert len(norm_calls) == 1
 

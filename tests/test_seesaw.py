@@ -12,7 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qitools.channels import KrausChannel, _sup_step, _superop, apply, sup_distance
+from qitools.channels import (
+    KrausChannel,
+    _contraction_step,
+    _sup_step,
+    _superop,
+    apply,
+    contraction_factor,
+    sup_distance,
+    to_affine,
+)
 from qitools.entanglement import (
     BipartiteState,
     _mef_step,
@@ -190,6 +199,17 @@ def test_sup_distance_of_unitary_against_identity(phases, tol):
     assert abs(trace_norm(u @ rho @ dag(u) - rho) / 2 - value) < 1e-12
 
 
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_qubit_contraction_factor_is_largest_singular_value_of_t(rank):
+    # trace distance of qubit states is half the Euclidean Bloch distance,
+    # so a TP qubit map contracts by the operator norm of its affine block T
+    rng = np.random.default_rng(60 + rank)
+    for _ in range(8):
+        ch = KrausChannel(tuple(random_kraus_ops(2, rng, count=rank)))
+        exact = np.linalg.svd(to_affine(ch).T, compute_uv=False)[0]
+        assert abs(contraction_factor(ch, 8, rng=int(rng.integers(2**31))) - exact) < 1e-9
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_mef_of_pure_state_is_squared_schmidt_sum(seed):
     psi = random_ket(9, seed)
@@ -280,6 +300,32 @@ def test_sup_step_never_decreases_the_trace_distance(seed, d):
         assert (reported >= values[-1] - 1e-12).all()
         kets = nxt
         values.append(objective(kets))
+        assert (values[-1] >= reported - 1e-12).all()
+    assert_nondecreasing(values)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3, 4]),
+       rank=st.integers(1, 4))
+def test_contraction_step_never_decreases_the_output_distance(seed, d, rank):
+    rng = np.random.default_rng(seed)
+    s = _superop(KrausChannel(tuple(random_kraus_ops(d, rng, count=rank))))
+    pairs = np.stack(random_kets((d, d), 6, rng), axis=1)
+
+    def objective(p):
+        x = np.einsum("ni,nj->nij", p[:, 0], p[:, 0].conj())
+        x -= np.einsum("ni,nj->nij", p[:, 1], p[:, 1].conj())
+        out = (x.reshape(len(p), -1) @ s.T).reshape(-1, d, d)
+        return np.linalg.svd(out, compute_uv=False).sum(axis=1) / 2
+
+    values = [objective(pairs)]
+    for _ in range(8):
+        nxt, reported = _contraction_step(s, d, pairs)
+        assert (reported >= values[-1] - 1e-12).all()
+        pairs = nxt
+        overlap = np.abs(np.einsum("ni,ni->n", pairs[:, 0].conj(), pairs[:, 1]))
+        assert (overlap < 1e-12).all()  # the new pair is orthogonal
+        values.append(objective(pairs))
         assert (values[-1] >= reported - 1e-12).all()
     assert_nondecreasing(values)
 
