@@ -33,6 +33,7 @@ from .linalg import (
     _probe_kraus,
     _require_finite,
     _seesaw,
+    _unit_rows,
     _within,
     asarray,
     basis_ket,
@@ -655,7 +656,8 @@ def sup_distance(ch1, ch2, rng=0, restarts: int = 64):
 
     The objective is convex on the state space, so the supremum is
     attained on pure states.  A see-saw of at most 1000 exact steps runs
-    from ``restarts`` seeded random kets, so the value never decreases and
+    from ``restarts`` seeded random kets, a slow start also trying an
+    extrapolated jump (``linalg._seesaw``), so the value never decreases and
     is a lower bound on the supremum.  Assumes Hermiticity-preserving maps.
     Returns (value, argmax ket).
     """
@@ -664,7 +666,8 @@ def sup_distance(ch1, ch2, rng=0, restarts: int = 64):
     d = ch1.in_dim
     s = _superop(ch1) - _superop(ch2)
     (kets,) = random_kets((d,), restarts, rng)
-    psi = _seesaw(lambda k: _sup_step(s, ch1.out_dim, k), kets, 1000, 1e-12)[1].reshape(-1, 1)
+    psi = _seesaw(lambda k: _sup_step(s, ch1.out_dim, k), kets, 1000, 1e-12, _unit_rows)[1]
+    psi = psi.reshape(-1, 1)
     rho = psi @ dag(psi)
     return trace_norm(apply(ch1, rho) - apply(ch2, rho)) / 2, psi
 
@@ -696,13 +699,15 @@ def contraction_factor(ch: KrausChannel, sample_pairs: int = 50, rng=0) -> float
     ||rho - sigma||_1 is attained on orthogonal pure states: it equals
     max_{psi perp phi} ||Phi(psi psi^dag - phi phi^dag)||_1 / 2 (M. B. Ruskai,
     Rev. Math. Phys. 6, 1147 (1994)).  A see-saw of at most 1000 exact
-    steps runs from ``sample_pairs`` seeded random ket pairs, so the value
-    never decreases and is a lower bound on the coefficient.
+    steps runs from ``sample_pairs`` seeded random ket pairs, with jumps
+    as in sup_distance, so the value never decreases and is a lower bound
+    on the coefficient.
     """
     d = ch.in_dim
     s = _superop(ch)
     pairs = np.stack(random_kets((d, d), sample_pairs, rng), axis=1)
-    return _seesaw(lambda x: _contraction_step(s, ch.out_dim, x), pairs, 1000, 1e-12)[0]
+    return _seesaw(lambda x: _contraction_step(s, ch.out_dim, x), pairs, 1000, 1e-12,
+                   _unit_rows)[0]
 
 
 def is_pure_decoherence(ch: KrausChannel, basis, tol: float = 1e-8) -> bool:

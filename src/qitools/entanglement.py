@@ -336,9 +336,12 @@ def _min_product_step(t: np.ndarray, phi: np.ndarray):
     With one factor fixed the objective is a smallest-eigenvector problem
     for the other.  Returns the next phi and minus the new expectation.
     """
-    mat_a = np.einsum("nj,ijkl,nl->nik", phi.conj(), t, phi)
+    n, dA, dB = len(phi), t.shape[0], t.shape[1]
+    t_b = t.transpose(1, 3, 0, 2).reshape(dB * dB, dA * dA)
+    mat_a = ((phi.conj()[:, :, None] * phi[:, None, :]).reshape(n, -1) @ t_b).reshape(n, dA, dA)
     psi = np.linalg.eigh((mat_a + mat_a.conj().transpose(0, 2, 1)) / 2)[1][:, :, 0]
-    mat_b = np.einsum("ni,ijkl,nk->njl", psi.conj(), t, psi)
+    t_a = t.transpose(0, 2, 1, 3).reshape(dA * dA, dB * dB)
+    mat_b = ((psi.conj()[:, :, None] * psi[:, None, :]).reshape(n, -1) @ t_a).reshape(n, dB, dB)
     vals, vecs = np.linalg.eigh((mat_b + mat_b.conj().transpose(0, 2, 1)) / 2)
     return vecs[:, :, 0], -vals[:, 0]
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import _probe_kraus, basis_ket, dag
+from .linalg import _probe_kraus, _unit_rows, basis_ket, dag
 
 
 def rng_from(seed) -> np.random.Generator:
@@ -36,7 +36,7 @@ def random_kets(dims, count: int, rng) -> list[np.ndarray]:
     kets, start = [], 0
     for d in dims:
         v = z[:, start:start + d] + 1j * z[:, start + d:start + 2 * d]
-        kets.append(v / np.linalg.norm(v, axis=1, keepdims=True))
+        kets.append(_unit_rows(v))
         start += 2 * d
     return kets
 

@@ -32,7 +32,7 @@ from qitools.entanglement import (
     upb_projector,
     werner,
 )
-from qitools.linalg import _seesaw, dag, tensor, trace_norm
+from qitools.linalg import _seesaw, _unit_rows, dag, tensor, trace_norm
 from qitools.rand import (
     haar_unitaries,
     haar_unitary,
@@ -179,13 +179,55 @@ def test_seesaw_stops_each_start_and_reports_convergence():
     assert converged.tolist() == [False, False, True]
 
 
+def test_seesaw_extrapolates_a_slow_start():
+    # a ket at angle t from |0> steps to angle 0.8 t (value cos 0.8 t) with a
+    # fresh phase each time, as an eigh ket would carry
+    values = []
+
+    def step(x):
+        t = np.arctan2((x[:, 0].conj() * x[:, 1]).real, np.abs(x[:, 0]) ** 2)
+        phase = np.exp(1j * (len(values) + 1))
+        values.append(np.cos(0.8 * t).max())
+        return phase * np.stack([np.cos(0.8 * t), np.sin(0.8 * t)], axis=1), np.cos(0.8 * t)
+
+    x0 = np.array([[np.cos(1.2), np.sin(1.2)]], dtype=complex)
+    plain = _seesaw(step, x0, 1000, 1e-12)
+    values.clear()
+    value, _, iterations, converged = _seesaw(step, x0, 1000, 1e-12, _unit_rows)
+    assert_nondecreasing(values)
+    assert converged.all() and plain[3].all()
+    assert iterations[0] < plain[2][0] / 2
+    assert value > 1 - 1e-9
+
+
+def test_sup_distance_reaches_a_slowly_converging_maximum():
+    # eigenphases 0 and 0.001 nearly coincide, so the plain see-saw crawls
+    # and stops about 9e-6 short of sin(1) after 1000 steps
+    w = haar_unitary(3, np.random.default_rng(7))
+    u = (w * np.exp(1j * np.array([0.0, 0.001, 2.0]))) @ dag(w)
+    ident = KrausChannel((np.eye(3, dtype=complex),))
+    value, _ = sup_distance(KrausChannel((u,)), ident, rng=0, restarts=8)
+    assert abs(value - np.sin(1.0)) < 1e-9
+
+
+@pytest.mark.parametrize("phases", [(0.0, 0.5, 1.0), (0.0, 0.3, 2.5), (0.0, 0.002, 1.159)])
+def test_extrapolation_never_raises_the_largest_step_count(phases):
+    w = haar_unitary(3, np.random.default_rng(7))
+    u = (w * np.exp(1j * np.array(phases))) @ dag(w)
+    s = _superop(KrausChannel((u,))) - _superop(KrausChannel((np.eye(3, dtype=complex),)))
+    (kets,) = random_kets((3,), 64, 11)
+    counts = [_seesaw(lambda k: _sup_step(s, 3, k), kets, 1000, 1e-12, retract)[2].max()
+              for retract in (None, _unit_rows)]
+    assert counts[1] <= counts[0]
+
+
 # ---------------------------------------------------------------------------
 # Closed forms
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize(
     "phases, tol",
-    [((0.0, 0.5, 1.0), 1e-9), ((0.0, 0.3, 2.5), 1e-9), ((0.0, 0.002, 1.159), 1e-5)],
+    [((0.0, 0.5, 1.0), 1e-9), ((0.0, 0.3, 2.5), 1e-9), ((0.0, 0.002, 1.159), 1e-9)],
 )
 def test_sup_distance_of_unitary_against_identity(phases, tol):
     # eigenphases spanning an arc s < pi: Delta_sup(U, id) = sin(s / 2)
