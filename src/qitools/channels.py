@@ -57,28 +57,31 @@ from .states import PAULIS, State, _as_matrix, _operator_basis
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """Completely positive map written as T -> sum_k A_k T A_k^dag."""
+    """CP map T -> sum_k A_k T A_k^dag; ``kraus_ops`` is one read-only (n, d_out, d_in) stack."""
 
-    kraus_ops: tuple
+    kraus_ops: np.ndarray
     in_dim: int = field(init=False)
     out_dim: int = field(init=False)
 
     def __post_init__(self):
-        ops = tuple(asarray(a) for a in self.kraus_ops)
-        if not ops:
-            raise ValueError("at least one Kraus operator is required")
-        shape = ops[0].shape
-        if any(a.shape != shape for a in ops):
+        ops = self.kraus_ops
+        if isinstance(ops, (tuple, list)) and len({np.shape(a) for a in ops}) > 1:
             raise ValueError("Kraus operators must share a shape")
-        stack = np.array(ops)  # a copy, so the caller's arrays stay writable
+        stack = np.array(ops, dtype=complex)  # a copy, so the caller's arrays stay writable
+        if stack.shape[:1] == (0,):
+            raise ValueError("at least one Kraus operator is required")
+        if stack.ndim != 3:
+            raise ValueError("Kraus list must be an (n, d_out, d_in) stack, "
+                             f"got shape {stack.shape}")
         _require_finite(stack, "Kraus operator")
         stack.flags.writeable = False
-        object.__setattr__(self, "kraus_ops", tuple(stack))
-        object.__setattr__(self, "out_dim", shape[0])
-        object.__setattr__(self, "in_dim", shape[1])
+        object.__setattr__(self, "kraus_ops", stack)
+        object.__setattr__(self, "out_dim", stack.shape[1])
+        object.__setattr__(self, "in_dim", stack.shape[2])
 
     def normalization(self) -> np.ndarray:
-        return sum(dag(a) @ a for a in self.kraus_ops)
+        rows = self.kraus_ops.reshape(-1, self.in_dim)  # A_1, A_2, ... stacked vertically
+        return dag(rows) @ rows
 
     def is_trace_preserving(self, tol: float = ATOL) -> bool:
         return _is_identity(self, "A", tol)
@@ -154,16 +157,28 @@ def _reshuffle(m: np.ndarray, a: int, b: int, c: int, e: int) -> np.ndarray:
     return m.reshape(a, b, c, e).transpose(0, 2, 1, 3).reshape(a * c, b * e)
 
 
+def _kraus_gram(ch: KrausChannel) -> np.ndarray:
+    """d_in * Omega = sum_k vec(A_k) vec(A_k)^dag, one product of the flattened stack."""
+    v = ch.kraus_ops.reshape(len(ch.kraus_ops), -1)
+    return v.T @ v.conj()
+
+
 def _superop(ch) -> np.ndarray:
     """Row-major superoperator matrix S of a map in any representation."""
     if isinstance(ch, LinearMap):
         return ch.superop
     if isinstance(ch, KrausChannel):
-        return sum(tensor(a, a.conj()) for a in ch.kraus_ops)
-    if isinstance(ch, ChoiMatrix):
-        d_in, d_out = ch.in_dim, ch.out_dim
-        return d_in * _reshuffle(ch.matrix, d_out, d_in, d_out, d_in)
-    raise TypeError(f"cannot apply object of type {type(ch).__name__}")
+        m = _kraus_gram(ch)
+    elif isinstance(ch, ChoiMatrix):
+        m = ch.in_dim * ch.matrix
+    else:
+        raise TypeError(f"cannot apply object of type {type(ch).__name__}")
+    return _reshuffle(m, ch.out_dim, ch.in_dim, ch.out_dim, ch.in_dim)
+
+
+def _kraus_action(ops: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sum_k A_k t A_k^dag over a stack of Kraus operators."""
+    return (ops @ t @ ops.conj().transpose(0, 2, 1)).sum(axis=0)
 
 
 def apply(ch, t) -> np.ndarray:
@@ -172,7 +187,7 @@ def apply(ch, t) -> np.ndarray:
     if isinstance(ch, KrausChannel):
         if t.shape != (ch.in_dim, ch.in_dim):
             raise ValueError("operator dimension does not match the channel input")
-        return sum(a @ t @ dag(a) for a in ch.kraus_ops)
+        return _kraus_action(ch.kraus_ops, t)
     s = _superop(ch)
     if t.shape != (ch.in_dim, ch.in_dim):
         raise ValueError("operator dimension does not match the map input")
@@ -185,16 +200,19 @@ def kraus_to_linear_map(ch: KrausChannel) -> LinearMap:
 
 def compose(outer_map, inner_map) -> LinearMap | KrausChannel:
     """Map applying ``inner_map`` first, then ``outer_map``."""
+    if outer_map.in_dim != inner_map.out_dim:
+        raise ValueError(f"cannot compose a map on dimension {outer_map.in_dim} "
+                         f"after one into dimension {inner_map.out_dim}")
     if isinstance(outer_map, KrausChannel) and isinstance(inner_map, KrausChannel):
-        ops = tuple(a @ b for a in outer_map.kraus_ops for b in inner_map.kraus_ops)
-        return KrausChannel(ops)
+        ops = outer_map.kraus_ops[:, None] @ inner_map.kraus_ops[None]  # outer-major pairs
+        return KrausChannel(ops.reshape(-1, outer_map.out_dim, inner_map.in_dim))
     s = _superop(outer_map) @ _superop(inner_map)
     return LinearMap(s, inner_map.in_dim, outer_map.out_dim)
 
 
 def tensor_channels(ch1: KrausChannel, ch2: KrausChannel) -> KrausChannel:
-    ops = tuple(tensor(a, b) for a in ch1.kraus_ops for b in ch2.kraus_ops)
-    return KrausChannel(ops)
+    ops = np.einsum("jab,kce->jkacbe", ch1.kraus_ops, ch2.kraus_ops)
+    return KrausChannel(ops.reshape(-1, ch1.out_dim * ch2.out_dim, ch1.in_dim * ch2.in_dim))
 
 
 def to_choi(ch) -> ChoiMatrix:
@@ -203,9 +221,7 @@ def to_choi(ch) -> ChoiMatrix:
         return ch
     d_in, d_out = ch.in_dim, ch.out_dim
     if isinstance(ch, KrausChannel):
-        # Omega = sum_k vec(A_k) vec(A_k)^dag / d_in
-        vecs = np.stack([a.reshape(-1) for a in ch.kraus_ops])
-        omega = vecs.T @ vecs.conj()
+        omega = _kraus_gram(ch)
     else:
         omega = _reshuffle(_superop(ch), d_out, d_out, d_in, d_in)
     return ChoiMatrix(omega / d_in, d_in, d_out)
@@ -219,7 +235,7 @@ def from_choi(choi: ChoiMatrix, tol: float = ATOL) -> KrausChannel:
             f"not completely positive: Choi eigenvalue {vals.min() / choi.in_dim:.3e}"
         )
     ops = _kraus_columns(vals, vecs, tol).T.reshape(-1, choi.out_dim, choi.in_dim)
-    return KrausChannel(tuple(ops))
+    return KrausChannel(ops)
 
 
 # Channel properties, each decided once here on the marginals of the
@@ -234,7 +250,9 @@ def _is_cp(choi: ChoiMatrix, min_eig: float, tol: float) -> bool:
 def _marginal(ch, side: str) -> np.ndarray:
     """tr_side Omega, from the Kraus operators when there are any."""
     if isinstance(ch, KrausChannel):
-        return sum(dag(a) @ a if side == "A" else a @ dag(a) for a in ch.kraus_ops) / ch.in_dim
+        a = ch.kraus_ops if side == "A" else ch.kraus_ops.conj().transpose(0, 2, 1)
+        rows = a.reshape(-1, a.shape[2])  # sum_k a_k^dag a_k = rows^dag rows
+        return dag(rows) @ rows / ch.in_dim
     return partial_trace(to_choi(ch).matrix, ch.out_dim, ch.in_dim, side=side)
 
 
@@ -292,7 +310,7 @@ def chi_to_kraus(chi: ChiMatrix, tol: float = ATOL) -> KrausChannel:
     vals, vecs = eigh(chi.matrix)
     basis = np.asarray(chi.basis)
     ops = basis.reshape(len(basis), -1).T @ _kraus_columns(vals, vecs, tol)
-    return KrausChannel(tuple(ops.T.reshape(-1, *basis.shape[1:])))
+    return KrausChannel(ops.T.reshape(-1, *basis.shape[1:]))
 
 
 def _affine_matrix(s: np.ndarray, d: int) -> np.ndarray:
@@ -343,10 +361,8 @@ def kraus_equivalent(k1: KrausChannel, k2: KrausChannel, tol: float = 1e-8,
         return same
     if not same:
         return False, None
-    a = np.stack([op.reshape(-1) for op in k1.kraus_ops])
-    b = np.stack([op.reshape(-1) for op in k2.kraus_ops])
-    u = a @ np.linalg.pinv(b)
-    return True, u
+    a, b = (k.kraus_ops.reshape(len(k.kraus_ops), -1) for k in (k1, k2))
+    return True, a @ np.linalg.pinv(b)
 
 
 def stinespring(ch: KrausChannel, tol: float = ATOL):
@@ -357,13 +373,13 @@ def stinespring(ch: KrausChannel, tol: float = ATOL):
     """
     if not ch.is_trace_preserving(tol):
         raise ValueError("Stinespring dilation implemented for trace-preserving channels")
-    ops = [a for a in ch.kraus_ops if np.max(np.abs(a)) > tol]
-    if not ops:
+    ops = ch.kraus_ops[np.abs(ch.kraus_ops).max(axis=(1, 2)) > tol]
+    if not len(ops):
         raise ValueError("channel has no nonzero Kraus operators")
     return len(ops), _dilation_unitary(ops, len(ops)), basis_ket(len(ops), 0)
 
 
-def _dilation_unitary(ops, probe_dim: int) -> np.ndarray:
+def _dilation_unitary(ops: np.ndarray, probe_dim: int) -> np.ndarray:
     """Unitary U on system (x) probe with U (phi (x) |0>) = sum_m B_m phi (x) |m>.
 
     Each B_m maps C^d into C^d (x) C^tag with tag = probe_dim / len(ops);
@@ -371,9 +387,8 @@ def _dilation_unitary(ops, probe_dim: int) -> np.ndarray:
     b, probe 0) carry the isometry; deterministic Gram-Schmidt fills the
     rest in order.
     """
-    d = ops[0].shape[1]
-    tag = probe_dim // len(ops)
-    v = np.stack([b.reshape(d, tag, d) for b in ops], axis=2).reshape(d * probe_dim, d)
+    n, d = len(ops), ops.shape[2]
+    v = ops.reshape(n, d, probe_dim // n, d).transpose(1, 2, 0, 3).reshape(d * probe_dim, d)
     full = gram_schmidt_complete(v)
     first = np.arange(d) * probe_dim
     u = np.empty_like(full)
@@ -387,8 +402,7 @@ def _dilation_unitary(ops, probe_dim: int) -> np.ndarray:
 def dilation_apply(env_dim: int, u: np.ndarray, env_ket: np.ndarray, rho) -> np.ndarray:
     """tr_E[U (rho (x) |e><e|) U^dag], as the action of the read-out Kraus operators."""
     m = _as_matrix(rho)
-    ops = _probe_kraus(u, m.shape[0], env_ket.reshape(env_dim))
-    return (ops @ m @ ops.conj().transpose(0, 2, 1)).sum(axis=0)
+    return _kraus_action(_probe_kraus(u, m.shape[0], env_ket.reshape(env_dim)), m)
 
 
 def conjugate(ch: KrausChannel) -> KrausChannel:
@@ -398,10 +412,10 @@ def conjugate(ch: KrausChannel) -> KrausChannel:
     """
     if not ch.is_trace_preserving():
         raise ValueError("conjugate channel implemented for trace-preserving channels")
-    ops = [a for a in ch.kraus_ops if np.max(np.abs(a)) > ATOL]
+    ops = ch.kraus_ops[np.abs(ch.kraus_ops).max(axis=(1, 2)) > ATOL]
     # B_m maps |phi> to the environment vector with components <m|R_j phi>,
     # i.e. B_m[j, :] = row m of R_j.
-    return KrausChannel(tuple(np.stack(ops).transpose(1, 0, 2)))
+    return KrausChannel(ops.transpose(1, 0, 2))
 
 
 def random_unitary_conjugate(pairs) -> KrausChannel:
@@ -415,7 +429,7 @@ def random_unitary_conjugate(pairs) -> KrausChannel:
     d = asarray(pairs[0][1]).shape[0]
     keep = probs > 0
     cols = np.eye(len(probs))[:, keep] * np.sqrt(probs[keep])  # sqrt(p_j) |j>
-    return KrausChannel(tuple(_prepare_kraus(cols, np.eye(d))))
+    return KrausChannel(_prepare_kraus(cols, np.eye(d)))
 
 
 def _probability_vector(weights, message: str) -> np.ndarray:
@@ -428,7 +442,7 @@ def _probability_vector(weights, message: str) -> np.ndarray:
 
 def heisenberg_dual(ch: KrausChannel) -> KrausChannel:
     """Dual map E_*(T) = sum_k A_k^dag T A_k in the same Kraus carrier."""
-    return KrausChannel(tuple(dag(a) for a in ch.kraus_ops))
+    return KrausChannel(ch.kraus_ops.conj().transpose(0, 2, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -451,27 +465,24 @@ def make(kind: str, **params):
         d, p = params["d"], params["p"]
         if not 0 <= p <= 1:
             raise ValueError("depolarizing strength must lie in [0, 1]")
-        ops = []
-        if p < 1:
-            ops.append(np.sqrt(1 - p) * np.eye(d, dtype=complex))
-        if p > 0:
-            ops.extend(np.sqrt(p / d) * (_operator_basis(d).T.reshape(-1, d, d) / np.sqrt(d)))
-        return KrausChannel(tuple(ops))
+        basis = _operator_basis(d).T.reshape(-1, d, d) / np.sqrt(d)
+        ops = np.concatenate([np.eye(d)[None], basis])
+        weights = np.r_[1 - p, np.full(d * d, p / d)]  # the terms of weight 0 are dropped
+        return KrausChannel((np.sqrt(weights)[:, None, None] * ops)[weights > 0])
     if kind == "pauli":
         message = "pauli channel needs a probability 4-vector"
         q = _probability_vector(params["q"], message)
         if len(q) != 4:
             raise ValueError(message)
-        ops = tuple(np.sqrt(qj) * s for qj, s in zip(q, PAULIS) if qj > 0)
-        return KrausChannel(ops)
+        return KrausChannel((np.sqrt(q)[:, None, None] * np.array(PAULIS))[q > 0])
     if kind == "random_unitary":
         pairs = params["pairs"]
         _probability_vector([p for p, _ in pairs], "weights must form a probability vector")
-        return KrausChannel(tuple(np.sqrt(p) * asarray(u) for p, u in pairs if p > 0))
+        return KrausChannel([np.sqrt(p) * asarray(u) for p, u in pairs if p > 0])
     if kind == "contraction":
         xi = _as_matrix(params["xi"])
         ops = _prepare_kraus(_kraus_columns(*eigh(xi), ATOL), np.eye(len(xi)))
-        return KrausChannel(tuple(ops))  # A_jk = sqrt(lambda_j) v_j e_k^T
+        return KrausChannel(ops)  # A_jk = sqrt(lambda_j) v_j e_k^T
     if kind == "transposition":
         return transposition_map(params["d"])
     if kind == "phase_damping":
@@ -485,12 +496,8 @@ def make(kind: str, **params):
             n = np.asarray(axis, dtype=float)
             n = n / np.linalg.norm(n)
         u = n[0] * PAULIS[1] + n[1] * PAULIS[2] + n[2] * PAULIS[3]
-        ops = []
-        if eta > 0:
-            ops.append(np.sqrt(eta) * np.eye(2, dtype=complex))
-        if eta < 1:
-            ops.append(np.sqrt(1 - eta) * u)
-        return KrausChannel(tuple(ops))
+        ops = np.array([np.sqrt(eta) * PAULIS[0], np.sqrt(1 - eta) * u])
+        return KrausChannel(ops[[eta > 0, eta < 1]])
     raise ValueError(f"unknown channel kind {kind!r}")
 
 
@@ -712,16 +719,13 @@ def contraction_factor(ch: KrausChannel, sample_pairs: int = 50, rng=0) -> float
 
 def is_pure_decoherence(ch: KrausChannel, basis, tol: float = 1e-8) -> bool:
     """True iff every Kraus operator commutes with every basis projector."""
-    kets = [asarray(v).reshape(-1, 1) for v in basis]
-    projs = [v @ dag(v) for v in kets]
-    for a in ch.kraus_ops:
-        for p in projs:
-            if np.max(np.abs(a @ p - p @ a)) > tol:
-                return False
-    for i, a in enumerate(ch.kraus_ops):
-        for b in ch.kraus_ops[i + 1:]:
-            if np.max(np.abs(a @ b - b @ a)) > tol:
-                raise AssertionError("pure decoherence Kraus operators must commute")
+    kets = asarray(basis).reshape(len(basis), -1)
+    projs = kets[:, :, None] * kets[:, None, :].conj()
+    a = ch.kraus_ops[:, None]  # every Kraus operator against every projector / operator
+    if np.max(np.abs(a @ projs - projs @ a)) > tol:
+        return False
+    if np.max(np.abs(a @ ch.kraus_ops - ch.kraus_ops @ a)) > tol:
+        raise AssertionError("pure decoherence Kraus operators must commute")
     return True
 
 

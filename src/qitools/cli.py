@@ -115,7 +115,7 @@ def load_document(doc: dict):
                 for i, op in enumerate(doc["operators"])
             ]
             from .channels import KrausChannel
-            return KrausChannel(tuple(ops))
+            return KrausChannel(ops)
         if kind == "choi":
             out_d, in_d = _dims_pair(doc["dims"])
             m = _entries_to_array(doc["entries"], out_d * in_d, out_d * in_d, "entries")

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (ATOL, _eig_tol, asarray, dag, eigh, inner, matrix_rank, outer, psd_sqrt,
-                     trace_norm)
+from .linalg import (ATOL, _eig_tol, dag, eigh, inner, matrix_rank, outer, psd_sqrt, trace_norm,
+                     unit_ket)
 from .observables import Povm
 from .states import _as_matrix
 
@@ -102,10 +102,9 @@ def unambiguous_two_pure(psi1, psi2, eta: float = 0.5) -> DiscriminationResult:
     error-free and, for eta = 1/2, the success probability is
     1 - |<psi1|psi2>|.
     """
-    v1 = asarray(psi1).reshape(-1, 1)
-    v2 = asarray(psi2).reshape(-1, 1)
-    v1 = v1 / np.linalg.norm(v1)
-    v2 = v2 / np.linalg.norm(v2)
+    if not 0 < eta < 1:
+        raise ValueError("prior must satisfy 0 < eta < 1")
+    v1, v2 = unit_ket(psi1), unit_ket(psi2)
     overlap = abs(inner(v1, v2))
     if overlap > 1 - 1e-12:
         raise ValueError("states identical - nothing to discriminate")
@@ -130,10 +129,9 @@ def unambiguous_mixture_povm(psi1, psi2, q: float, eta: float = 0.5) -> Discrimi
     """
     if not 0 < q < 1:
         raise ValueError("mixing weight must satisfy 0 < q < 1")
-    v1 = asarray(psi1).reshape(-1, 1)
-    v2 = asarray(psi2).reshape(-1, 1)
-    v1 = v1 / np.linalg.norm(v1)
-    v2 = v2 / np.linalg.norm(v2)
+    if not 0 < eta < 1:
+        raise ValueError("prior must satisfy 0 < eta < 1")
+    v1, v2 = unit_ket(psi1), unit_ket(psi2)
     rho1, rho2 = outer(v1), outer(v2)
     eye = np.eye(v1.shape[0])
     c1 = q * (eye - rho2)

@@ -22,6 +22,8 @@ class BipartiteState:
     dB: int
 
     def __post_init__(self):
+        if self.dA < 1 or self.dB < 1:
+            raise ValueError("dimension must be a positive integer")
         if self.dA * self.dB != self.state.dim:
             raise ValueError("factor dimensions do not multiply to the state dimension")
 

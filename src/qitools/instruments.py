@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (ATOL, _kraus_columns, _prepare_kraus, asarray, basis_ket, eigh, is_unitary,
-                     outer, psd_sqrt, tensor)
+                     outer, psd_sqrt)
 from .channels import (KrausChannel, LinearMap, _dilation_unitary, _superop, apply, from_choi,
                        to_choi)
 from .observables import Povm, is_sharp
@@ -27,10 +27,8 @@ class DiscreteInstrument:
 
     def __post_init__(self):
         outs = tuple(self.outcomes)
-        ops = tuple(
-            op if isinstance(op, KrausChannel) else KrausChannel(tuple(op))
-            for op in self.operations
-        )
+        ops = tuple(op if isinstance(op, KrausChannel) else KrausChannel(op)
+                    for op in self.operations)
         if len(outs) != len(ops):
             raise ValueError("need one operation per outcome")
         object.__setattr__(self, "outcomes", outs)
@@ -49,7 +47,7 @@ class DiscreteInstrument:
         return apply(self.operation(outcome), rho)
 
     def total_channel(self) -> KrausChannel:
-        return KrausChannel(tuple(a for op in self.operations for a in op.kraus_ops))
+        return KrausChannel(np.concatenate([op.kraus_ops for op in self.operations]))
 
 
 @dataclass(frozen=True)
@@ -92,7 +90,7 @@ def luders(a: Povm) -> DiscreteInstrument:
 def trivial_instrument(a: Povm, xi: State) -> DiscreteInstrument:
     """I_x(rho) = tr[rho A(x)] xi, with xi = sum_j c_j c_j^dag spectrally."""
     cols = _kraus_columns(*eigh(_as_matrix(xi)), ATOL)
-    terms = tuple(KrausChannel(tuple(_prepare_kraus(cols, psd_sqrt(e.matrix)))) for e in a.effects)
+    terms = tuple(KrausChannel(_prepare_kraus(cols, psd_sqrt(e.matrix))) for e in a.effects)
     return DiscreteInstrument(a.outcomes, terms)
 
 
@@ -123,13 +121,14 @@ def instrument_to_normal_memo(ins: DiscreteInstrument) -> MeasurementModel:
     """
     n_out = len(ins.outcomes)
     tags = np.eye(n_out, dtype=complex)
-    tagged = [tensor(a, tags[:, [x]]) for x, op in enumerate(ins.operations) for a in op.kraus_ops]
-    # Each B_m maps system -> system (x) tag; the probe is tag (x) environment.
-    n_env = len(tagged)
-    probe_dim = n_out * n_env
+    ops = ins.total_channel().kraus_ops
+    tag = np.repeat(tags, [len(op.kraus_ops) for op in ins.operations], axis=0)  # x of each A_m
+    # Each B_m = A_m (x) |x_m> maps system -> system (x) tag; the probe is tag (x) environment.
+    tagged = np.einsum("mab,mt->matb", ops, tag).reshape(len(ops), -1, ins.dim)
+    probe_dim = n_out * len(ops)
     u = _dilation_unitary(tagged, probe_dim)
     probe0 = outer(basis_ket(probe_dim, 0))
-    pointer = Povm(ins.outcomes, tuple(np.diag(np.repeat(t, n_env)) for t in tags))
+    pointer = Povm(ins.outcomes, tuple(np.diag(np.repeat(t, len(ops))) for t in tags))
     return MeasurementModel(probe_dim, State(probe0), u, pointer)
 
 
@@ -169,7 +168,7 @@ def repeatable_instrument(a: Povm) -> DiscreteInstrument:
                 "impossible: repeatable instruments need every nonzero effect to "
                 f"have eigenvalue 1 (max eigenvalue {vals[-1]:.6f})"
             )
-        ops.append(KrausChannel(tuple(_prepare_kraus(vecs[:, [-1]], psd_sqrt(mat)))))
+        ops.append(KrausChannel(_prepare_kraus(vecs[:, [-1]], psd_sqrt(mat))))
     return DiscreteInstrument(a.outcomes, tuple(ops))
 
 

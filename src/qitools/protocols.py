@@ -113,7 +113,7 @@ def teleport_channel(d: int) -> LinearMap:
     """
     from .channels import KrausChannel, kraus_to_linear_map
 
-    return kraus_to_linear_map(KrausChannel(tuple(_teleport_kraus(ShiftMultiplyBasis.build(d)))))
+    return kraus_to_linear_map(KrausChannel(_teleport_kraus(ShiftMultiplyBasis.build(d))))
 
 
 def _teleport_kraus(basis: ShiftMultiplyBasis) -> np.ndarray:
@@ -298,7 +298,8 @@ def private_quantum_channel(d: int, n_messages: int, rng=0) -> ProtocolReport:
     picks = rng.integers(len(keys), size=n_messages)
     (kets,) = random_kets([d], n_messages, rng)
     messages = kets[:, :, None]
-    u = np.stack([basis.unitaries[k] for k in keys])[picks]
+    unitaries = np.stack([basis.unitaries[k] for k in keys])
+    u = unitaries[picks]
     u_dag = u.conj().transpose(0, 2, 1)
     bras = messages.conj().transpose(0, 2, 1)
     cipher = u @ (messages @ bras) @ u_dag
@@ -309,7 +310,7 @@ def private_quantum_channel(d: int, n_messages: int, rng=0) -> ProtocolReport:
         {"key": list(keys[j]), "decode_fidelity": float(f)}
         for j, f in zip(picks, fidelities)
     ]
-    average = KrausChannel(tuple(basis.unitaries[k] / d for k in keys))
+    average = KrausChannel(unitaries / d)
     contraction = make("contraction", xi=State.maximally_mixed(d))
     omega_avg = choi_of(average).matrix
     omega_con = choi_of(contraction).matrix
@@ -442,18 +443,13 @@ def processor_identity_check(kraus1, kraus2):
     """(sum_j A_j^dag B_j, extracted scalar) for aligned Kraus lists.
 
     For channels realized on one processor with pure programs the sum
-    equals <Xi_1|Xi_2> I.
+    equals <Xi_1|Xi_2> I.  Unpaired operators of the longer list pair with
+    zero and add nothing.
     """
-    a = list(kraus1)
-    b = list(kraus2)
-    d = a[0].shape[1] if a else b[0].shape[1]
-    while len(a) < len(b):
-        a.append(np.zeros_like(b[0]))
-    while len(b) < len(a):
-        b.append(np.zeros_like(a[0]))
-    total = sum(dag(x) @ y for x, y in zip(a, b))
-    scalar = complex(np.trace(total) / d)
-    return total, scalar
+    n = min(len(kraus1), len(kraus2))
+    a, b = asarray(kraus1)[:n], asarray(kraus2)[:n]
+    total = (a.conj().transpose(0, 2, 1) @ b).sum(axis=0)
+    return total, complex(np.trace(total) / len(total))
 
 
 def phase_damping_processor(axis="z") -> tuple[Processor, np.ndarray, np.ndarray]:

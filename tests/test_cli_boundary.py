@@ -8,7 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qitools.cli import ValidationError, load_document, run
+from qitools.discrimination import unambiguous_mixture_povm, unambiguous_two_pure
+from qitools.entanglement import BipartiteState
 from qitools.linalg import NumericError
+from qitools.states import State
 
 
 def write_json(tmp_path, payload):
@@ -131,3 +134,49 @@ def test_load_document_raises_only_validation_errors(doc):
         load_document(doc)
     except ValidationError:
         pass
+
+
+PRIOR = "prior must satisfy 0 < eta < 1"
+BAD_PRIORS = [float("nan"), 0.0, 1.0, -0.5, 5.0]
+
+
+@pytest.mark.parametrize("eta", BAD_PRIORS)
+def test_unambiguous_schemes_reject_a_prior_outside_the_open_interval(eta):
+    psi1, psi2 = np.array([1, 0]), np.array([0.6, 0.8])
+    with pytest.raises(ValueError, match=PRIOR):
+        unambiguous_two_pure(psi1, psi2, eta=eta)
+    with pytest.raises(ValueError, match=PRIOR):
+        unambiguous_mixture_povm(psi1, psi2, 0.5, eta=eta)
+
+
+@pytest.mark.parametrize("eta", ["nan", "5", "0"])
+def test_unambiguous_cli_rejects_a_bad_prior(tmp_path, capsys, eta):
+    paths = []
+    for name, entries in (("k1", [[1, 0], [0, 0]]), ("k2", [[0.6, 0], [0.8, 0]])):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"kind": "ket", "dims": 2, "entries": entries}))
+        paths.append(str(path))
+    argv = ["discriminate", "--s1", paths[0], "--s2", paths[1], "--mode", "unambiguous",
+            "--eta", eta]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["detail"] == PRIOR
+
+
+def test_bipartite_state_rejects_non_positive_factor_dimensions(tmp_path, capsys):
+    rho = State(np.eye(9) / 9)
+    for da, db in ((-3, -3), (0, 9), (9, 0), (-1, -9)):
+        with pytest.raises(ValueError, match="dimension must be a positive integer"):
+            BipartiteState(rho, da, db)
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"kind": "state", "dims": 9,
+                                "entries": [[1 / 9 if i % 10 == 0 else 0, 0] for i in range(81)]}))
+    assert run(["entanglement", "--in", str(path), "--dims=-3,-3"]) == 2
+    assert error_detail(capsys) == "dimension must be a positive integer"
+
+
+def test_unambiguous_schemes_reject_a_zero_ket():
+    for scheme in (unambiguous_two_pure, lambda a, b: unambiguous_mixture_povm(a, b, 0.5)):
+        with pytest.raises(ValueError, match="cannot normalize the zero vector"):
+            scheme(np.zeros(2), np.array([1, 0]))

@@ -27,12 +27,14 @@ from qitools.protocols import (
     ShiftMultiplyBasis,
     controlled_unitary_processor,
     probabilistic_processor,
+    processor_identity_check,
     processor_pair,
     teleport,
     teleport_channel,
 )
 from qitools.rand import haar_unitary, random_density, random_ket, random_kraus_ops, rng_from
-from qitools.states import PAULIS, State, canonical_decomposition, purify
+from qitools.states import (PAULIS, State, canonical_decomposition, purify,
+                            traceless_hermitian_basis)
 
 DIMS = (1, 2, 3, 4)
 SEEDS = range(5)
@@ -217,6 +219,50 @@ def test_repeatable_instrument_kraus_identical(d, seed):
     ins = repeatable_instrument(a)
     for op, old in zip(ins.operations, repeatable_instrument_reference(a)):
         assert_same_list(op.kraus_ops, old)
+
+
+def depolarizing_reference(d, p):
+    ops = []
+    if p < 1:
+        ops.append(np.sqrt(1 - p) * np.eye(d, dtype=complex))
+    if p > 0:
+        basis = [np.eye(d, dtype=complex)] + list(traceless_hermitian_basis(d))
+        ops.extend(np.sqrt(p / d) * (b / np.sqrt(d)) for b in basis)
+    return ops
+
+
+@pytest.mark.parametrize("d", DIMS)
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+def test_mixture_kraus_identical(d, p):
+    assert_same_list(make("depolarizing", d=d, p=p).kraus_ops, depolarizing_reference(d, p))
+    q = (1 - p, p / 2, 0.0, p / 2)
+    assert_same_list(make("pauli", q=q).kraus_ops,
+                     [np.sqrt(qj) * s for qj, s in zip(q, PAULIS) if qj > 0])
+    damped = [np.sqrt(p) * PAULIS[0], np.sqrt(1 - p) * PAULIS[3]]
+    assert_same_list(make("phase_damping", eta=p).kraus_ops,
+                     [a for a, keep in zip(damped, (p > 0, p < 1)) if keep])
+
+
+def processor_identity_reference(kraus1, kraus2):
+    a, b = list(kraus1), list(kraus2)
+    d = a[0].shape[1] if a else b[0].shape[1]
+    while len(a) < len(b):
+        a.append(np.zeros_like(b[0]))
+    while len(b) < len(a):
+        b.append(np.zeros_like(a[0]))
+    total = sum(dag(x) @ y for x, y in zip(a, b))
+    return total, complex(np.trace(total) / d)
+
+
+@pytest.mark.parametrize("d, seed", CASES)
+def test_processor_identity_check_identical(d, seed):
+    k1 = random_kraus_ops(d, seed, count=1 + seed % 3)
+    k2 = random_kraus_ops(d, seed + 1, count=2)
+    for pair in ((k1, k2), (k2, k1), (k1, k1)):
+        total, scalar = processor_identity_check(*pair)
+        ref_total, ref_scalar = processor_identity_reference(*pair)
+        # Same products in the same order; only the matmul kernel may differ.
+        assert np.abs(total - ref_total).max() < 1e-14 and abs(scalar - ref_scalar) < 1e-14
 
 
 @pytest.mark.parametrize("d, seed", CASES)

@@ -7,10 +7,15 @@ from qitools.channels import (
     ChoiMatrix,
     KrausChannel,
     LinearMap,
+    _marginal,
+    _superop,
     affine_to_choi,
     apply,
     compose,
+    conjugate,
+    heisenberg_dual,
     kraus_to_linear_map,
+    tensor_channels,
     to_affine,
     to_choi,
     transposition_map,
@@ -88,3 +93,96 @@ def test_gram_schmidt_reorthogonalizes_near_parallel_candidates():
     full = gram_schmidt_complete(col)
     assert np.abs(full.conj().T @ full - np.eye(4)).max() < 1e-14
     assert np.array_equal(full[:, :1], col.astype(complex))
+
+
+# The stacked Kraus paths against their per-operator definitions.
+
+RANKED = [(d, rank) for d in (2, 3, 4, 8) for rank in range(1, d + 1)]
+
+
+def ops_of(d, rank, seed):
+    return random_kraus_ops(d, np.random.default_rng(seed), count=rank)
+
+
+def close(x, y, tol=1e-13):
+    return np.abs(np.asarray(x) - np.asarray(y)).max() <= tol
+
+
+@pytest.mark.parametrize("d, rank", RANKED)
+def test_stacked_kraus_reads_match_the_operator_loops(d, rank):
+    ops = ops_of(d, rank, 400 + 10 * d + rank)
+    ch = KrausChannel(ops)
+    rho = random_density(d, np.random.default_rng(d + rank))
+    assert close(_superop(ch), sum(np.kron(a, a.conj()) for a in ops))
+    assert close(apply(ch, rho), sum(a @ rho @ a.conj().T for a in ops))
+    assert close(ch.normalization(), sum(a.conj().T @ a for a in ops))
+    assert close(_marginal(ch, "A"), sum(a.conj().T @ a for a in ops) / d)
+    assert close(_marginal(ch, "B"), sum(a @ a.conj().T for a in ops) / d)
+    assert close(heisenberg_dual(ch).kraus_ops, [a.conj().T for a in ops])
+    # B_m[j, :] is row m of A_j.
+    assert close(conjugate(ch).kraus_ops, [[a[m] for a in ops] for m in range(d)])
+
+
+@pytest.mark.parametrize("d, rank", RANKED)
+def test_stacked_compose_and_tensor_match_the_pair_loops(d, rank):
+    outer, inner = ops_of(d, rank, 500 + d), ops_of(d, d + 1 - rank, 600 + rank)
+    composed = compose(KrausChannel(outer), KrausChannel(inner))
+    assert isinstance(composed, KrausChannel)
+    assert close(composed.kraus_ops, [a @ b for a in outer for b in inner])
+    small = ops_of(2, 2, 700 + d)
+    joint = tensor_channels(KrausChannel(outer), KrausChannel(small))
+    assert close(joint.kraus_ops, [np.kron(a, b) for a in outer for b in small])
+
+
+def test_stacked_compose_and_tensor_keep_rectangular_shapes():
+    rng = np.random.default_rng(800)
+    outer = rng.normal(size=(2, 3, 2)) + 1j * rng.normal(size=(2, 3, 2))
+    inner = rng.normal(size=(3, 2, 4)) + 1j * rng.normal(size=(3, 2, 4))
+    composed = compose(KrausChannel(outer), KrausChannel(inner))
+    assert (composed.out_dim, composed.in_dim) == (3, 4)
+    assert close(composed.kraus_ops, [a @ b for a in outer for b in inner])
+    joint = tensor_channels(KrausChannel(outer), KrausChannel(inner))
+    assert joint.kraus_ops.shape == (6, 6, 8)
+    assert close(joint.kraus_ops, [np.kron(a, b) for a in outer for b in inner])
+
+
+@pytest.mark.parametrize("form", [tuple, list, np.array])
+def test_kraus_ops_is_one_read_only_stack(form):
+    ops = ops_of(3, 2, 900)
+    given = form(ops)
+    ch = KrausChannel(given)
+    assert isinstance(ch.kraus_ops, np.ndarray)
+    assert ch.kraus_ops.shape == (2, 3, 3) and ch.kraus_ops.dtype == complex
+    assert not ch.kraus_ops.flags.writeable
+    assert np.array_equal(ch.kraus_ops, np.array(ops))
+    with pytest.raises(ValueError):
+        ch.kraus_ops[0, 0, 0] = 1
+    assert ops[0].flags.writeable  # the caller's arrays are copied, not frozen
+    if isinstance(given, np.ndarray):
+        assert given.flags.writeable
+
+
+def test_kraus_constructor_rejects_malformed_lists():
+    with pytest.raises(ValueError, match="an \\(n, d_out, d_in\\) stack, got shape \\(2, 2\\)"):
+        KrausChannel(np.eye(2))
+    with pytest.raises(ValueError, match="at least one Kraus operator is required"):
+        KrausChannel(())
+    with pytest.raises(ValueError, match="at least one Kraus operator is required"):
+        KrausChannel(np.zeros((0, 2, 2)))
+    with pytest.raises(ValueError, match="Kraus operators must share a shape"):
+        KrausChannel([np.eye(2), np.eye(3)])
+    with pytest.raises(ValueError, match="Kraus operator 1\\[3\\]: entries must be finite"):
+        KrausChannel([np.eye(2), np.diag([1, np.inf])])
+
+
+def test_compose_rejects_dimensions_that_do_not_chain():
+    qubit = KrausChannel([np.eye(2)])
+    qutrit = KrausChannel([np.eye(3)])
+    for outer, inner in ((qubit, qutrit), (kraus_to_linear_map(qubit), to_choi(qutrit)),
+                         (to_choi(qutrit), kraus_to_linear_map(qubit))):
+        with pytest.raises(ValueError, match="cannot compose a map on dimension"):
+            compose(outer, inner)
+    rect = KrausChannel(np.ones((1, 3, 2)))  # C^2 -> C^3
+    assert compose(qutrit, rect).kraus_ops.shape == (1, 3, 2)
+    with pytest.raises(ValueError, match="cannot compose"):
+        compose(rect, qutrit)
