@@ -4,12 +4,13 @@ witnesses, the Werner family, twirling, majorization, entangled fraction."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
-from .linalg import (ATOL, _seesaw, _within, asarray, dag, eigh, outer, partial_trace,
-                     partial_transpose, swap_operator, tensor)
-from .rand import haar_unitaries, random_kets, rng_from
+from .linalg import (ATOL, _require_finite, _seesaw, _within, asarray, dag, eigh, outer,
+                     partial_trace, partial_transpose, swap_operator, tensor)
+from .rand import _haar_columns, haar_unitaries, random_kets, rng_from
 from .states import PAULIS, State
 
 
@@ -249,6 +250,7 @@ def twirl(x: np.ndarray, d: int | None = None) -> np.ndarray:
         d = int(round(np.sqrt(x.shape[0])))
     if x.shape != (d * d, d * d):
         raise ValueError("operator must act on a d*d space")
+    _require_finite(x, "operator")
     p_plus, p_minus, _ = sym_antisym(d)
     d_plus = d * (d + 1) // 2
     d_minus = d * (d - 1) // 2
@@ -258,9 +260,10 @@ def twirl(x: np.ndarray, d: int | None = None) -> np.ndarray:
     )
 
 
-# Haar samples per haar_unitaries call in twirl_monte_carlo.  The chunk size
+# Haar samples per _haar_columns call in twirl_monte_carlo.  The chunk size
 # fixes the seeded draw stream: each chunk takes one normal block, real
-# parts then imaginary parts, so another size gives other unitaries.
+# parts then imaginary parts, so another size gives other unitaries.  The
+# kernel keeps the sample index last; that layout does not touch the stream.
 _TWIRL_BATCH = 256
 
 
@@ -269,17 +272,23 @@ def twirl_monte_carlo(x: np.ndarray, d: int, samples: int, rng=0) -> np.ndarray:
     x = asarray(x)
     if x.shape != (d * d, d * d):
         raise ValueError("operator must act on a d*d space")
+    _require_finite(x, "operator")
+    if not isinstance(samples, Integral):
+        raise ValueError(f"samples must be an integer, got {samples!r}")
     if samples < 1:
         raise ValueError("at least one sample is required")
     rng = rng_from(rng)
     acc = np.zeros_like(x)
     for start in range(0, samples, _TWIRL_BATCH):
-        u = haar_unitaries(d, min(_TWIRL_BATCH, samples - start), rng)
-        # W = [uu_1 ... uu_n] side by side, shape (d², n·d²).  Its rows read
-        # as (d²·n, d²) are the rows of every uu_m, so W x takes one GEMM
-        # and sum_m uu_m x uu_m^dag = [uu_1 x ... uu_n x] W^dag the second.
-        w = np.einsum("mij,mkl->ikmjl", u, u).reshape(d * d, -1)
-        acc += (w.reshape(-1, d * d) @ x).reshape(d * d, -1) @ w.conj().T
+        q = _haar_columns(d, min(_TWIRL_BATCH, samples - start), rng)  # q[j, i, m] = U_m[i, j]
+        # uu[(j, l), (i, k), m] = (U_m (x) U_m)[(i, k), (j, l)], samples last, from
+        # one broadcast product.  The rows (i, k, m) of uu.T are the rows of
+        # every U_m (x) U_m, so one GEMM gives y[(i, k), (m, c)] =
+        # ((U_m (x) U_m) x)[(i, k), c], and a second with the stacked
+        # (U_m (x) U_m)^dag sums over m.
+        uu = (q[:, None, :, None, :] * q[None, :, None, :, :]).reshape(d * d, d * d, -1)
+        y = (uu.reshape(d * d, -1).T @ x).reshape(d * d, -1)
+        acc += y @ uu.transpose(2, 0, 1).conj().reshape(-1, d * d)
     return acc / samples
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -58,16 +59,15 @@ class ShiftMultiplyBasis:
 
         if d < 1:
             raise ValueError("dimension must be a positive integer")
-        psi_plus = maximally_entangled_ket(d)
-        us, kets = {}, {}
-        for r in range(d):
-            for s in range(d):
-                u = np.zeros((d, d), dtype=complex)
-                for l in range(d):
-                    u[(l - r) % d, l] = np.exp(-2j * np.pi * s * l / d)
-                us[(r, s)] = u
-                kets[(r, s)] = tensor(u, np.eye(d)) @ psi_plus
-        return cls(d, us, kets)
+        r, s, l = np.ogrid[:d, :d, :d]
+        us = np.zeros((d, d, d, d), dtype=complex)  # us[r, s] = U_rs
+        # The phase is divided by d as a real number: numpy divides a complex
+        # array through the reciprocal, which rounds differently from d = 6 on.
+        us[r, s, (l - r) % d, l] = np.exp(1j * (-2 * np.pi * s * l / d))
+        # (U (x) I) psi+ = vec(U) / sqrt(d), with vec stacking the rows of U.
+        kets = us.reshape(d * d, d * d, 1) * maximally_entangled_ket(d)[0]
+        keys = [divmod(k, d) for k in range(d * d)]
+        return cls(d, dict(zip(keys, us.reshape(-1, d, d))), dict(zip(keys, kets)))
 
     def bell_povm(self) -> Povm:
         effs = tuple(outer(self.bell_kets[k]) for k in sorted(self.bell_kets))
@@ -159,12 +159,28 @@ def superdense(message: int, rng=0) -> ProtocolReport:
 # Key distribution
 # ---------------------------------------------------------------------------
 
-def _bb84_kets():
+@lru_cache(maxsize=None)
+def _bb84_p_one() -> np.ndarray:
+    """Read-only p_one[bit, prepared basis, measured basis]: probability of reading 1.
+
+    Built once per process from the two measurement bases as ``Povm``s and
+    the four prepared kets as ``State``s.
+    """
     e0 = np.array([[1.0], [0.0]], dtype=complex)
     e1 = np.array([[0.0], [1.0]], dtype=complex)
     plus = (e0 + e1) / np.sqrt(2)
     minus = (e0 - e1) / np.sqrt(2)
-    return {(0, 0): e0, (1, 0): e1, (0, 1): plus, (1, 1): minus}
+    kets = {(0, 0): e0, (1, 0): e1, (0, 1): plus, (1, 1): minus}
+    bases = [Povm.from_basis([kets[(0, b)], kets[(1, b)]]) for b in (0, 1)]
+    p_one = np.array(
+        [
+            [[outcome_distribution(bases[m], State.from_ket(kets[(x, b)]))[1] for m in (0, 1)]
+             for b in (0, 1)]
+            for x in (0, 1)
+        ]
+    )
+    p_one.flags.writeable = False
+    return p_one
 
 
 def bb84(rounds: int, eve: str = "none", rng=0, sample_fraction: float = 0.25) -> ProtocolReport:
@@ -182,16 +198,7 @@ def bb84(rounds: int, eve: str = "none", rng=0, sample_fraction: float = 0.25) -
         raise ValueError("sample_fraction must lie in [0, 1]")
     seed = _seed_repr(rng)
     rng = rng_from(rng)
-    kets = _bb84_kets()
-    bases = [Povm.from_basis([kets[(0, b)], kets[(1, b)]]) for b in (0, 1)]
-    # p_one[bit, prepared basis, measured basis]: probability of reading 1.
-    p_one = np.array(
-        [
-            [[outcome_distribution(bases[m], State.from_ket(kets[(x, b)]))[1] for m in (0, 1)]
-             for b in (0, 1)]
-            for x in (0, 1)
-        ]
-    )
+    p_one = _bb84_p_one()
     a_basis, b_basis, x = rng.integers(2, size=(3, rounds))
     sent_bit, sent_basis, eve_col = x, a_basis, [None] * rounds
     if eve == "intercept_resend":

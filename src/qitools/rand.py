@@ -41,33 +41,52 @@ def random_kets(dims, count: int, rng) -> list[np.ndarray]:
     return kets
 
 
-def haar_unitaries(d: int, count: int, rng) -> np.ndarray:
-    """Stack of ``count`` Haar unitaries, shape (count, d, d).
+def _haar_columns(d: int, count: int, rng) -> np.ndarray:
+    """``count`` Haar unitaries with the sample index last: q[j, i, m] = U_m[i, j].
 
     Classical Gram-Schmidt on the columns of Ginibre matrices, two passes
-    per column, batched over the stack: this is the QR factor whose R has
-    a positive real diagonal, i.e. QR with the phases of diag(R) divided
-    out (Mezzadri, Notices AMS 54, 2007). One pass leaves an orthogonality
-    error that grows with the conditioning of the Ginibre matrix (about
-    5e-14 at d = 8; ``random_kraus_ops`` draws d·n ≥ 16); the second pass
-    ("twice is enough") brings it back to rounding.
+    per column: this is the QR factor whose R has a positive real
+    diagonal, i.e. QR with the phases of diag(R) divided out (Mezzadri,
+    Notices AMS 54, 2007). One pass leaves an orthogonality error that
+    grows with the conditioning of the Ginibre matrix (about 5e-14 at
+    d = 8; ``random_kraus_ops`` draws d·n ≥ 16); the second pass ("twice
+    is enough") brings it back to rounding. With the samples last, every
+    step is one elementwise product or sum over all samples at once.
+    The draw is one normal block of shape (2, count, d, d): the real parts
+    of all ``count`` Ginibre matrices, then all their imaginary parts.
+    That order fixes the seeded stream; the layout of the arithmetic does
+    not touch it. The Ginibre scale drops out in the normalization, so
+    none is applied.
     """
     if d < 1:
         raise ValueError("dimension must be a positive integer")
     if count < 0:
         raise ValueError("count must be a non-negative integer")
-    rng = rng_from(rng)
-    shape = (count, d, d)
-    z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
-    q = np.empty_like(z)
+    z = rng_from(rng).standard_normal((2, count, d, d))
+    q = np.empty((d, d, count), dtype=complex)
+    q.real = z[0].T
+    q.imag = z[1].T
     for j in range(d):
-        v = z[:, :, j:j + 1]
+        v = q[j]
         if j:
-            basis = q[:, :, :j]
+            basis = q[:j]
+            bra = basis.conj()
             for _ in range(2):
-                v = v - basis @ (basis.conj().swapaxes(1, 2) @ v)
-        q[:, :, j:j + 1] = v / np.sqrt((v.conj() * v).real.sum(axis=1, keepdims=True))
+                v = v - (basis * (bra * v).sum(axis=1)[:, None]).sum(axis=0)
+        q[j] = v / np.sqrt((v.conj() * v).real.sum(axis=0))
     return q
+
+
+def haar_unitaries(d: int, count: int, rng) -> np.ndarray:
+    """Stack of ``count`` Haar unitaries, shape (count, d, d).
+
+    A (count, d, d) view of ``_haar_columns``, which keeps the sample
+    index last and draws the normal block of a stack drawn sample first.
+    One large draw (count = 1, d in the tens) runs its Gram-Schmidt
+    elementwise, without BLAS, and takes about 1.2-1.5x as long as batched
+    matrix products would.
+    """
+    return _haar_columns(d, count, rng).transpose(2, 1, 0)
 
 
 def haar_unitary(d: int, rng) -> np.ndarray:

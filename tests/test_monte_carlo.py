@@ -7,7 +7,7 @@ import pytest
 from qitools.channels import KrausChannel
 from qitools.entanglement import _TWIRL_BATCH, twirl, twirl_monte_carlo
 from qitools.linalg import ATOL, dag, is_unitary, tensor
-from qitools.protocols import b92, bb84
+from qitools.protocols import _bb84_p_one, b92, bb84
 from qitools.rand import haar_unitaries, haar_unitary, random_density, random_kraus_ops
 
 
@@ -32,6 +32,22 @@ def test_haar_unitary_is_first_stacked_sample(d):
         assert np.abs(np.tril(r, -1)).max(initial=0.0) < 1e-12
         assert np.abs(np.diag(r).imag).max() < 1e-12
         assert np.diag(r).real.min() > 0
+
+
+@pytest.mark.parametrize("d", range(1, 5))
+def test_haar_stack_matches_per_sample_reference(d):
+    # Sample m is built from its own slice of the one (2, count, d, d)
+    # normal block, so a mix-up of the sample order fails here.
+    count = 5
+    for seed in range(3):
+        z = np.random.default_rng(seed).standard_normal((2, count, d, d))
+        g = (z[0] + 1j * z[1]) / np.sqrt(2)
+        us = haar_unitaries(d, count, seed)
+        assert us.shape == (count, d, d)
+        for m in range(count):
+            q, r = np.linalg.qr(g[m])
+            expected = q * (np.diag(r) / np.abs(np.diag(r))).conj()
+            assert np.abs(us[m] - expected).max() < 1e-12
 
 
 @pytest.mark.parametrize("d", [*range(1, 9), 16])
@@ -102,6 +118,45 @@ def test_twirl_monte_carlo_rejects_bad_input():
         twirl_monte_carlo(x, 2, 0)
     with pytest.raises(ValueError, match=r"operator must act on a d\*d space"):
         twirl_monte_carlo(x, 3, 10)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_twirls_reject_non_finite_operator(bad):
+    x = random_density(4, np.random.default_rng(8))
+    x[1, 2] = bad
+    with pytest.raises(ValueError, match=r"operator\[6\]: entries must be finite"):
+        twirl(x)
+    with pytest.raises(ValueError, match=r"operator\[6\]: entries must be finite"):
+        twirl_monte_carlo(x, 2, 10)
+
+
+@pytest.mark.parametrize("samples", [2.5, 3.0, "3", None])
+def test_twirl_monte_carlo_rejects_non_integer_samples(samples):
+    x = random_density(4, np.random.default_rng(8))
+    with pytest.raises(ValueError, match="samples must be an integer"):
+        twirl_monte_carlo(x, 2, samples)
+
+
+def test_twirl_monte_carlo_accepts_numpy_integer_samples():
+    x = random_density(4, np.random.default_rng(8))
+    assert np.array_equal(twirl_monte_carlo(x, 2, np.int64(7), rng=1),
+                          twirl_monte_carlo(x, 2, 7, rng=1))
+
+
+def test_bb84_table_is_built_once_and_read_only():
+    _bb84_p_one.cache_clear()
+    cold = [bb84(500, eve=eve, rng=3).to_dict() for eve in ("none", "intercept_resend")]
+    table = _bb84_p_one()
+    warm = [bb84(500, eve=eve, rng=3).to_dict() for eve in ("none", "intercept_resend")]
+    assert cold == warm
+    assert _bb84_p_one() is table
+    assert _bb84_p_one.cache_info().misses == 1
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0, 0] = 1.0
+    # p_one[bit, prepared basis, measured basis]: exact where the bases agree.
+    assert np.array_equal(table[:, [0, 1], [0, 1]], [[0.0, 0.0], [1.0, 1.0]])
+    assert np.abs(table[:, [0, 1], [1, 0]] - 0.5).max() < 1e-15
 
 
 @pytest.mark.parametrize("fraction", [1.5, -0.5, float("nan")])

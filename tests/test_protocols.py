@@ -10,6 +10,7 @@ from qitools.channels import (
     unitary_channel,
 )
 from qitools.discrimination import fidelity
+from qitools.entanglement import maximally_entangled_ket
 from qitools.linalg import dag, outer, tensor, trace_norm
 from qitools.protocols import (
     Processor,
@@ -46,6 +47,33 @@ def test_shift_multiply_basis_orthogonality():
               for k2 in keys] for k1 in keys]
         )
         assert np.abs(gram - np.eye(d * d)).max() < 1e-10
+
+
+def shift_multiply_reference(d):
+    """The per-entry loop and kron product that ShiftMultiplyBasis.build replaced."""
+    psi_plus = maximally_entangled_ket(d)
+    us, kets = {}, {}
+    for r in range(d):
+        for s in range(d):
+            u = np.zeros((d, d), dtype=complex)
+            for l in range(d):
+                u[(l - r) % d, l] = np.exp(-2j * np.pi * s * l / d)
+            us[(r, s)] = u
+            kets[(r, s)] = tensor(u, np.eye(d)) @ psi_plus
+    return us, kets
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_shift_multiply_basis_is_bitwise_the_kron_reference(d):
+    # d = 6 is the first size where a complex phase -2j*pi*s*l/d, divided
+    # as an array, rounds differently from the scalar loop.
+    basis = ShiftMultiplyBasis.build(d)
+    us, kets = shift_multiply_reference(d)
+    for got, want in ((basis.unitaries, us), (basis.bell_kets, kets)):
+        assert list(got) == list(want)
+        for key in want:
+            assert got[key].shape == want[key].shape
+            assert got[key].tobytes() == want[key].tobytes()
 
 
 def test_teleport_exact():
