@@ -33,7 +33,6 @@ from .linalg import (
     _probe_kraus,
     _require_finite,
     _seesaw,
-    _unit_rows,
     _within,
     asarray,
     basis_ket,
@@ -55,7 +54,21 @@ from .states import PAULIS, State, _as_matrix, _operator_basis
 # Representations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+def _frozen_copy(a, shape: tuple, what: str) -> np.ndarray:
+    """Read-only complex copy of ``a`` (the caller's array stays writable),
+    checked to have ``shape`` and finite entries."""
+    m = np.array(a, dtype=complex)
+    if m.shape != shape:
+        raise ValueError(f"{what} shape does not match the declared dimensions")
+    _require_finite(m, what)
+    m.flags.writeable = False
+    return m
+
+
+# The five carriers compare by identity (eq=False): their array fields have
+# no single truth value, and two maps can only agree within a tolerance.
+
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """CP map T -> sum_k A_k T A_k^dag; ``kraus_ops`` is one read-only (n, d_out, d_in) stack."""
 
@@ -90,7 +103,7 @@ class KrausChannel:
         return _is_identity(self, "B", tol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChoiMatrix:
     """Omega = (E (x) I)[P+]; PSD iff the map is completely positive."""
 
@@ -99,11 +112,7 @@ class ChoiMatrix:
     out_dim: int
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)  # a copy, so the caller's array stays writable
-        if m.shape != (self.out_dim * self.in_dim,) * 2:
-            raise ValueError("Choi matrix shape does not match the declared dimensions")
-        _require_finite(m, "Choi matrix")
-        m.flags.writeable = False
+        m = _frozen_copy(self.matrix, (self.out_dim * self.in_dim,) * 2, "Choi matrix")
         object.__setattr__(self, "matrix", m)
 
     def min_eigenvalue(self) -> float:
@@ -114,7 +123,7 @@ class ChoiMatrix:
         return _is_cp(self, self.min_eigenvalue(), tol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChiMatrix:
     """Channel coefficients in an orthonormal operator basis; PSD, trace d."""
 
@@ -122,7 +131,7 @@ class ChiMatrix:
     basis: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AffineRep:
     """Bloch-space action r -> T r + t of a trace-preserving map."""
 
@@ -131,7 +140,7 @@ class AffineRep:
     dim: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearMap:
     """General linear map on operators via its superoperator matrix.
 
@@ -142,6 +151,10 @@ class LinearMap:
     superop: np.ndarray
     in_dim: int
     out_dim: int
+
+    def __post_init__(self):
+        s = _frozen_copy(self.superop, (self.out_dim**2, self.in_dim**2), "superoperator")
+        object.__setattr__(self, "superop", s)
 
 
 # ---------------------------------------------------------------------------
@@ -664,16 +677,16 @@ def sup_distance(ch1, ch2, rng=0, restarts: int = 64):
     The objective is convex on the state space, so the supremum is
     attained on pure states.  A see-saw of at most 1000 exact steps runs
     from ``restarts`` seeded random kets, a slow start also trying an
-    extrapolated jump (``linalg._seesaw``), so the value never decreases and
-    is a lower bound on the supremum.  Assumes Hermiticity-preserving maps.
-    Returns (value, argmax ket).
+    extrapolated jump (``linalg._seesaw``, as in every search on it), so
+    the value never decreases and is a lower bound on the supremum.
+    Assumes Hermiticity-preserving maps.  Returns (value, argmax ket).
     """
     if (ch1.in_dim, ch1.out_dim) != (ch2.in_dim, ch2.out_dim):
         raise ValueError("channels must share dimensions")
     d = ch1.in_dim
     s = _superop(ch1) - _superop(ch2)
     (kets,) = random_kets((d,), restarts, rng)
-    psi = _seesaw(lambda k: _sup_step(s, ch1.out_dim, k), kets, 1000, 1e-12, _unit_rows)[1]
+    psi = _seesaw(lambda k: _sup_step(s, ch1.out_dim, k), kets, 1000, 1e-12)[1]
     psi = psi.reshape(-1, 1)
     rho = psi @ dag(psi)
     return trace_norm(apply(ch1, rho) - apply(ch2, rho)) / 2, psi
@@ -706,15 +719,14 @@ def contraction_factor(ch: KrausChannel, sample_pairs: int = 50, rng=0) -> float
     ||rho - sigma||_1 is attained on orthogonal pure states: it equals
     max_{psi perp phi} ||Phi(psi psi^dag - phi phi^dag)||_1 / 2 (M. B. Ruskai,
     Rev. Math. Phys. 6, 1147 (1994)).  A see-saw of at most 1000 exact
-    steps runs from ``sample_pairs`` seeded random ket pairs, with jumps
-    as in sup_distance, so the value never decreases and is a lower bound
-    on the coefficient.
+    steps runs from ``sample_pairs`` seeded random ket pairs, a slow start
+    also trying an extrapolated jump (``linalg._seesaw``), so the value
+    never decreases and is a lower bound on the coefficient.
     """
     d = ch.in_dim
     s = _superop(ch)
     pairs = np.stack(random_kets((d, d), sample_pairs, rng), axis=1)
-    return _seesaw(lambda x: _contraction_step(s, ch.out_dim, x), pairs, 1000, 1e-12,
-                   _unit_rows)[0]
+    return _seesaw(lambda x: _contraction_step(s, ch.out_dim, x), pairs, 1000, 1e-12)[0]
 
 
 def is_pure_decoherence(ch: KrausChannel, basis, tol: float = 1e-8) -> bool:

@@ -4,6 +4,7 @@ witnesses, the Werner family, twirling, majorization, entangled fraction."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from numbers import Integral
 
 import numpy as np
@@ -170,12 +171,14 @@ def _mef_step(rho: np.ndarray, shifted: np.ndarray, u: np.ndarray):
     U <- polar factor of reshape(shifted vec U) maximizes the bilinear
     form of the PSD shift rho - lambda_min I at U, so f never decreases;
     without the shift, states near I/d^2 crawl.  Reports f at the new U.
+    The next unitaries keep the layout of ``u`` (d x d matrices or rows
+    vec(U)), and a positive scale of ``u`` does not change them.
     """
-    n, d, _ = u.shape
+    n, d = len(u), isqrt(len(rho))
     w, _, vh = np.linalg.svd((u.reshape(n, -1) @ shifted.T).reshape(n, d, d))
     nxt = w @ vh
     vecs = nxt.reshape(n, -1)
-    return nxt, np.einsum("ni,ij,nj->n", vecs.conj(), rho, vecs).real / d
+    return nxt.reshape(u.shape), np.einsum("ni,ij,nj->n", vecs.conj(), rho, vecs).real / d
 
 
 def max_entangled_fraction(rho: BipartiteState, rng=0, restarts: int = 64) -> float:
@@ -185,13 +188,15 @@ def max_entangled_fraction(rho: BipartiteState, rng=0, restarts: int = 64) -> fl
     1/d.  As (U (x) I)|psi+> = vec(U)/sqrt(d), a see-saw of at most 1000
     exact steps from ``restarts`` seeded Haar unitaries maximizes
     vec(U)^dag rho vec(U) / d; the result is a lower bound on the maximum.
+    The points are the rows vec(U), so a slow start's extrapolated jump
+    (``linalg._seesaw``) aligns the global phase of U.
     """
     if rho.dA != rho.dB:
         raise ValueError("maximally entangled fraction needs equal local dimensions")
     d = rho.dA
     m = rho.matrix
     shifted = m - np.linalg.eigvalsh(m)[0] * np.eye(d * d)
-    starts = haar_unitaries(d, restarts, rng)
+    starts = haar_unitaries(d, restarts, rng).reshape(restarts, d * d)
     return _seesaw(lambda u: _mef_step(m, shifted, u), starts, 1000, 1e-12)[0]
 
 
@@ -361,7 +366,8 @@ def _min_product_expectation(op: np.ndarray, dA: int, dB: int, rng, restarts: in
     """min over product kets of <psi (x) phi| op |psi (x) phi>.
 
     Alternating minimization from seeded random product kets, at most 100
-    steps per start; a start stops once a step gains at most 1e-12.
+    steps per start, a slow start also trying an extrapolated jump
+    (``linalg._seesaw``); a start stops once a step gains at most 1e-12.
     """
     t = asarray(op).reshape(dA, dB, dA, dB)
     _, phi = random_kets((dA, dB), restarts, rng)

@@ -278,30 +278,30 @@ def _unit_rows(x: np.ndarray) -> np.ndarray:
     return x / np.linalg.norm(x, axis=-1, keepdims=True)
 
 
-def _seesaw(step, x: np.ndarray, max_iter: int, tol: float, retract=None):
+def _seesaw(step, x: np.ndarray, max_iter: int, tol: float):
     """Alternating maximization over a stack of starts (leading axis).
 
     ``step`` maps a stack of points to the next points and their values;
     a reported value is a lower bound on the objective at the next point,
-    and at least the value at the point stepped from.  A start stops once a
-    step raises its value by at most ``tol``; only the running starts are
-    passed to ``step``.
+    and at least the value at the point stepped from; neither may depend
+    on the positive scale of the input.  A start stops once a step raises
+    its value by at most ``tol``; only the running starts are passed to
+    ``step``.
 
-    With ``retract`` (points are kets along the last axis, defined up to a
-    phase) a start that converges slowly also tries a jump.  Its last two
-    gains g1, g2 estimate the linear rate of the point as r = sqrt(g1/g2),
-    as the value near a smooth maximum closes quadratically in the point's
+    Points are vectors along the last axis, defined up to a phase, and a
+    start that converges slowly also tries a jump.  Its last two gains g1,
+    g2 estimate the linear rate of the point as r = sqrt(g1/g2), as the
+    value near a smooth maximum closes quadratically in the point's
     distance; when g1/g2 lies in (1/4, 1) the jump is
-    y = retract(x_k + r/(1 - r) (x_k - c x_{k-1})), the extrapolated limit,
-    with the phase c aligning x_{k-1} with x_k.  y is stepped in the same
-    ``step`` call as x_k and the step with the higher value is kept, so
+    y = _unit_rows(x_k + r/(1 - r) (x_k - c x_{k-1})), the extrapolated
+    limit, with the phase c aligning x_{k-1} with x_k.  y is stepped in the
+    same ``step`` call as x_k and the step with the higher value is kept, so
     values never decrease and a gain is at least that of the plain step.
     A kept jump restarts the rate estimate.
 
     Returns ``(best value, argmax, iterations per start, converged per
-    start)``.  ``converged`` means a step gained at most ``tol``, the plain
-    kernel's certificate; a start still rising at ``max_iter`` has not
-    converged.
+    start)``.  ``converged`` means a step gained at most ``tol``; a start
+    still rising at ``max_iter`` has not converged.
     """
     if not len(x):
         raise ValueError("at least one start is required")
@@ -317,23 +317,21 @@ def _seesaw(step, x: np.ndarray, max_iter: int, tol: float, retract=None):
             break
         cur = x[running]
         ratio = g1[running] / g2[running]
-        jump = np.flatnonzero((ratio > 0.25) & (ratio < 1)) if retract is not None else running[:0]
+        jump = np.flatnonzero((ratio > 0.25) & (ratio < 1))
+        points = cur
         if jump.size:
             r = np.sqrt(ratio[jump]).reshape((-1,) + (1,) * (x.ndim - 1))
             xk, xp = cur[jump], prev[running[jump]]
             phase = np.exp(1j * np.angle(np.sum(xp.conj() * xk, axis=-1, keepdims=True)))
-            nxt, new = step(np.concatenate([cur, retract(xk + r / (1 - r) * (xk - phase * xp))]))
-            better = new[len(cur):] > new[jump]
-            kept = jump[better]
-            nxt[kept], new[kept] = nxt[len(cur):][better], new[len(cur):][better]
-            nxt, new = nxt[:len(cur)], new[:len(cur)]
-        else:
-            nxt, new = step(cur)
-            kept = jump
+            points = np.concatenate([cur, _unit_rows(xk + r / (1 - r) * (xk - phase * xp))])
+        nxt, new = step(points)
+        better = new[len(cur):] > new[jump]
+        kept = jump[better]
+        nxt[kept], new[kept] = nxt[len(cur):][better], new[len(cur):][better]
         prev[running] = cur
-        x[running] = nxt
-        gain = new - value[running]
-        value[running] = new
+        x[running] = nxt[:len(cur)]
+        gain = new[:len(cur)] - value[running]
+        value[running] = new[:len(cur)]
         g2[running], g1[running] = g1[running], gain
         g1[running[kept]] = g2[running[kept]] = np.nan
         iterations[running] += 1

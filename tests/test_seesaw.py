@@ -1,10 +1,15 @@
-"""The see-saw kernel and the three optimizers built on it.
+"""The see-saw kernel and the four searches built on it.
+
+Every search (sup_distance, contraction_factor, max_entangled_fraction
+and the product-state minimum) runs the one kernel path, which also
+steps an extrapolated jump for a slowly converging start.
 
 Reference copies of the coordinate searches that the see-saw replaced
 (``_refine_ket`` for sup_distance, the generator-angle search for
-max_entangled_fraction) and of the per-restart product-state loop are
-kept here: both old and new values are lower bounds on a maximum, so the
-new one must not fall below the old one.
+max_entangled_fraction), of the per-restart product-state loop and of the
+plain see-saw without the jump are kept here: both old and new values are
+lower bounds on a maximum, so the new one must not fall below the old one,
+and the jump must not make a search take more steps.
 """
 
 import numpy as np
@@ -32,7 +37,7 @@ from qitools.entanglement import (
     upb_projector,
     werner,
 )
-from qitools.linalg import _seesaw, _unit_rows, dag, tensor, trace_norm
+from qitools.linalg import _seesaw, dag, tensor, trace_norm
 from qitools.rand import (
     haar_unitaries,
     haar_unitary,
@@ -149,6 +154,25 @@ def min_product_reference(op, dA, dB, rng, restarts):
     return best
 
 
+def plain_seesaw_reference(step, x, max_iter, tol):
+    """The see-saw kernel without the extrapolated jump."""
+    x = np.array(x)
+    value = np.full(len(x), -np.inf)
+    iterations = np.zeros(len(x), dtype=int)
+    running = np.arange(len(x))
+    for _ in range(max_iter):
+        if not running.size:
+            break
+        x[running], new = step(x[running])
+        gain = new - value[running]
+        value[running] = new
+        iterations[running] += 1
+        running = running[gain > tol]
+    converged = ~np.isin(np.arange(len(x)), running)
+    best = int(np.argmax(value))
+    return float(value[best]), x[best], iterations, converged
+
+
 def random_channel(d, rng):
     return KrausChannel(tuple(random_kraus_ops(d, rng)))
 
@@ -158,24 +182,25 @@ def random_channel(d, rng):
 # ---------------------------------------------------------------------------
 
 def test_seesaw_stops_each_start_and_reports_convergence():
-    # from x, a step reaches x + 1 with value 1 - 2^-(x + 1), a gain of 2^-(x + 1)
+    # from x, a step reaches x + 1 with value 1 - 8^-(x + 1): the gains
+    # shrink by 1/8 < 1/4 a step, so no extrapolated jump fires
     calls = []
 
     def step(x):
         calls.append(len(x))
         nxt = x + 1
-        return nxt, 1 - 0.5 ** nxt[:, 0]
+        return nxt, 1 - 8.0 ** -nxt[:, 0]
 
-    x0 = np.array([[0], [10], [30]])
+    x0 = np.array([[0.0], [3.0], [10.0]])
     value, arg, iterations, converged = _seesaw(step, x0, max_iter=40, tol=1e-6)
-    assert iterations.tolist() == [20, 10, 2]
+    assert iterations.tolist() == [8, 5, 2]
     assert converged.all()
-    assert calls[:3] == [3, 3, 2] and calls[-1] == 1
-    assert arg.tolist() == [32] and value == 1 - 0.5 ** 32
-    assert x0.tolist() == [[0], [10], [30]]
+    assert calls == [3, 3, 2, 2, 2, 1, 1, 1]
+    assert arg.tolist() == [12] and value == 1 - 8.0 ** -12
+    assert x0.tolist() == [[0], [3], [10]]
 
-    _, _, iterations, converged = _seesaw(step, x0, max_iter=5, tol=1e-6)
-    assert iterations.tolist() == [5, 5, 2]
+    _, _, iterations, converged = _seesaw(step, x0, max_iter=4, tol=1e-6)
+    assert iterations.tolist() == [4, 4, 2]
     assert converged.tolist() == [False, False, True]
 
 
@@ -191,9 +216,9 @@ def test_seesaw_extrapolates_a_slow_start():
         return phase * np.stack([np.cos(0.8 * t), np.sin(0.8 * t)], axis=1), np.cos(0.8 * t)
 
     x0 = np.array([[np.cos(1.2), np.sin(1.2)]], dtype=complex)
-    plain = _seesaw(step, x0, 1000, 1e-12)
+    plain = plain_seesaw_reference(step, x0, 1000, 1e-12)
     values.clear()
-    value, _, iterations, converged = _seesaw(step, x0, 1000, 1e-12, _unit_rows)
+    value, _, iterations, converged = _seesaw(step, x0, 1000, 1e-12)
     assert_nondecreasing(values)
     assert converged.all() and plain[3].all()
     assert iterations[0] < plain[2][0] / 2
@@ -210,15 +235,34 @@ def test_sup_distance_reaches_a_slowly_converging_maximum():
     assert abs(value - np.sin(1.0)) < 1e-9
 
 
+def assert_no_more_steps_than_plain(step, starts, max_iter):
+    plain = plain_seesaw_reference(step, starts, max_iter, 1e-12)[2].max()
+    assert _seesaw(step, starts, max_iter, 1e-12)[2].max() <= plain
+
+
 @pytest.mark.parametrize("phases", [(0.0, 0.5, 1.0), (0.0, 0.3, 2.5), (0.0, 0.002, 1.159)])
 def test_extrapolation_never_raises_the_largest_step_count(phases):
     w = haar_unitary(3, np.random.default_rng(7))
     u = (w * np.exp(1j * np.array(phases))) @ dag(w)
     s = _superop(KrausChannel((u,))) - _superop(KrausChannel((np.eye(3, dtype=complex),)))
     (kets,) = random_kets((3,), 64, 11)
-    counts = [_seesaw(lambda k: _sup_step(s, 3, k), kets, 1000, 1e-12, retract)[2].max()
-              for retract in (None, _unit_rows)]
-    assert counts[1] <= counts[0]
+    assert_no_more_steps_than_plain(lambda k: _sup_step(s, 3, k), kets, 1000)
+
+
+@pytest.mark.parametrize("seed, restarts", [(109, 200), (0, 60)])
+def test_extrapolation_never_raises_the_product_search_step_count(seed, restarts):
+    t = upb_projector().reshape(3, 3, 3, 3)
+    _, phi = random_kets((3, 3), restarts, rng_from(seed))
+    assert_no_more_steps_than_plain(lambda p: _min_product_step(t, p), phi, 100)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_extrapolation_never_raises_the_mef_step_count(seed):
+    # the points are rows vec(U), so the jump's phase aligns the global phase of U
+    m = random_density(9, seed)
+    shifted = m - np.linalg.eigvalsh(m)[0] * np.eye(9)
+    starts = haar_unitaries(3, 64, seed).reshape(64, 9)
+    assert_no_more_steps_than_plain(lambda u: _mef_step(m, shifted, u), starts, 1000)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,10 @@ from qitools.channels import (
     conjugate,
     heisenberg_dual,
     kraus_to_linear_map,
+    make,
     tensor_channels,
     to_affine,
+    to_chi,
     to_choi,
     transposition_map,
 )
@@ -186,3 +188,30 @@ def test_compose_rejects_dimensions_that_do_not_chain():
     assert compose(qutrit, rect).kraus_ops.shape == (1, 3, 2)
     with pytest.raises(ValueError, match="cannot compose"):
         compose(rect, qutrit)
+
+
+def test_linear_map_copies_and_freezes_its_superop():
+    s = np.eye(4, dtype=complex)
+    m = LinearMap(s, 2, 2)
+    s[0, 0] = np.nan  # the caller's array is copied, not frozen
+    assert np.array_equal(apply(m, np.eye(2)), np.eye(2))
+    assert not m.superop.flags.writeable
+    with pytest.raises(ValueError):
+        m.superop[0, 0] = 1
+
+
+def test_linear_map_rejects_a_malformed_superop():
+    with pytest.raises(ValueError, match="superoperator shape does not match the declared"):
+        LinearMap(np.eye(3), 2, 2)
+    s = np.eye(4)
+    s[1, 2] = np.nan
+    with pytest.raises(ValueError, match="superoperator\\[6\\]: entries must be finite"):
+        LinearMap(s, 2, 2)
+
+
+def test_map_carriers_compare_by_identity():
+    ch = make("depolarizing", d=2, p=0.3)
+    assert (make("depolarizing", d=2, p=0.3) == make("depolarizing", d=2, p=0.3)) is False
+    for rep in (ch, to_choi(ch), to_chi(ch), to_affine(ch), kraus_to_linear_map(ch)):
+        assert rep == rep
+        assert {rep: 1}[rep] == 1 and hash(rep) == hash(rep)
