@@ -28,10 +28,11 @@ from .linalg import (
     ATOL,
     NumericError,
     _eig_tol,
+    _frozen_copy,
+    _frozen_stack,
     _kraus_columns,
     _prepare_kraus,
     _probe_kraus,
-    _require_finite,
     _seesaw,
     _within,
     asarray,
@@ -54,19 +55,8 @@ from .states import PAULIS, State, _as_matrix, _operator_basis
 # Representations
 # ---------------------------------------------------------------------------
 
-def _frozen_copy(a, shape: tuple, what: str) -> np.ndarray:
-    """Read-only complex copy of ``a`` (the caller's array stays writable),
-    checked to have ``shape`` and finite entries."""
-    m = np.array(a, dtype=complex)
-    if m.shape != shape:
-        raise ValueError(f"{what} shape does not match the declared dimensions")
-    _require_finite(m, what)
-    m.flags.writeable = False
-    return m
-
-
-# The five carriers compare by identity (eq=False): their array fields have
-# no single truth value, and two maps can only agree within a tolerance.
+# Each carrier holds read-only copies of its arrays and compares by identity
+# (the rule beside ``linalg._frozen_copy``).
 
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
@@ -77,17 +67,8 @@ class KrausChannel:
     out_dim: int = field(init=False)
 
     def __post_init__(self):
-        ops = self.kraus_ops
-        if isinstance(ops, (tuple, list)) and len({np.shape(a) for a in ops}) > 1:
-            raise ValueError("Kraus operators must share a shape")
-        stack = np.array(ops, dtype=complex)  # a copy, so the caller's arrays stay writable
-        if stack.shape[:1] == (0,):
-            raise ValueError("at least one Kraus operator is required")
-        if stack.ndim != 3:
-            raise ValueError("Kraus list must be an (n, d_out, d_in) stack, "
-                             f"got shape {stack.shape}")
-        _require_finite(stack, "Kraus operator")
-        stack.flags.writeable = False
+        stack = _frozen_stack(self.kraus_ops, "Kraus operator",
+                              "at least one Kraus operator is required", "(n, d_out, d_in)")
         object.__setattr__(self, "kraus_ops", stack)
         object.__setattr__(self, "out_dim", stack.shape[1])
         object.__setattr__(self, "in_dim", stack.shape[2])
@@ -112,7 +93,7 @@ class ChoiMatrix:
     out_dim: int
 
     def __post_init__(self):
-        m = _frozen_copy(self.matrix, (self.out_dim * self.in_dim,) * 2, "Choi matrix")
+        m = _frozen_copy(self.matrix, "Choi matrix", (self.out_dim * self.in_dim,) * 2)
         object.__setattr__(self, "matrix", m)
 
     def min_eigenvalue(self) -> float:
@@ -125,19 +106,33 @@ class ChoiMatrix:
 
 @dataclass(frozen=True, eq=False)
 class ChiMatrix:
-    """Channel coefficients in an orthonormal operator basis; PSD, trace d."""
+    """Channel coefficients in an orthonormal operator basis; PSD, trace d.
+
+    ``basis`` holds read-only views of one (n, d, d) stack, ``matrix`` is n x n.
+    """
 
     matrix: np.ndarray
     basis: tuple
 
+    def __post_init__(self):
+        ops = _frozen_stack(self.basis, "chi basis operator", "a chi matrix needs a basis",
+                            "(n, d, d)")
+        object.__setattr__(self, "matrix", _frozen_copy(self.matrix, "chi matrix", (len(ops),) * 2))
+        object.__setattr__(self, "basis", tuple(ops))
+
 
 @dataclass(frozen=True, eq=False)
 class AffineRep:
-    """Bloch-space action r -> T r + t of a trace-preserving map."""
+    """Bloch-space action r -> T r + t of a trace-preserving map; T and t are real."""
 
     T: np.ndarray
     t: np.ndarray
     dim: int
+
+    def __post_init__(self):
+        n = self.dim**2 - 1
+        object.__setattr__(self, "T", _frozen_copy(self.T, "T", (n, n), float))
+        object.__setattr__(self, "t", _frozen_copy(self.t, "t", (n,), float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,7 +148,7 @@ class LinearMap:
     out_dim: int
 
     def __post_init__(self):
-        s = _frozen_copy(self.superop, (self.out_dim**2, self.in_dim**2), "superoperator")
+        s = _frozen_copy(self.superop, "superoperator", (self.out_dim**2, self.in_dim**2))
         object.__setattr__(self, "superop", s)
 
 
@@ -309,14 +304,12 @@ def to_chi(ch, basis=None) -> ChiMatrix:
     if not isinstance(ch, KrausChannel) and not choi.is_cp():
         raise ValueError(f"not completely positive: Choi eigenvalue {choi.min_eigenvalue():.3e}")
     if basis is None:
-        ops = _operator_basis(d).T.reshape(-1, d, d) / np.sqrt(d)
-    else:
-        ops = np.array(basis, dtype=complex)  # a copy, frozen below
+        basis = _operator_basis(d).T.reshape(-1, d, d) / np.sqrt(d)
+    ops = asarray(basis)
     b = ops.reshape(len(ops), -1).T
     if np.max(np.abs(dag(b) @ b - np.eye(len(ops)))) > 1e-9:
         raise ValueError("operator basis is not Hilbert-Schmidt orthonormal")
-    ops.flags.writeable = False
-    return ChiMatrix(dag(b) @ (d * choi.matrix) @ b, tuple(ops))
+    return ChiMatrix(dag(b) @ (d * choi.matrix) @ b, ops)
 
 
 def chi_to_kraus(chi: ChiMatrix, tol: float = ATOL) -> KrausChannel:

@@ -145,7 +145,7 @@ def dump_document(obj) -> dict:
             "kind": "povm",
             "dims": obj.dim,
             "outcomes": [str(x) for x in obj.outcomes],
-            "effects": [_array_to_entries(e.matrix) for e in obj.effects],
+            "effects": [_array_to_entries(e) for e in obj.effects],
         }
     if isinstance(obj, BipartiteState):
         doc = dump_document(obj.state)
@@ -306,7 +306,7 @@ def _cmd_discriminate(args) -> dict:
         "p_success": result.p_success,
         "p_error": result.p_error,
         "outcomes": [str(x) for x in result.povm.outcomes],
-        "effects": [_array_to_entries(e.matrix) for e in result.povm.effects],
+        "effects": [_array_to_entries(e) for e in result.povm.effects],
     }
 
 

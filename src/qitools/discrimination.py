@@ -12,7 +12,7 @@ from .observables import Povm
 from .states import _as_matrix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscriminationResult:
     """Measurement plus bookkeeping for a two-state discrimination scheme.
 

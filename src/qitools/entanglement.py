@@ -9,13 +9,13 @@ from numbers import Integral
 
 import numpy as np
 
-from .linalg import (ATOL, _require_finite, _seesaw, _within, asarray, dag, eigh, outer,
-                     partial_trace, partial_transpose, swap_operator, tensor)
+from .linalg import (ATOL, _frozen_copy, _require_finite, _seesaw, _within, asarray, dag, eigh,
+                     outer, partial_trace, partial_transpose, swap_operator, tensor)
 from .rand import _haar_columns, haar_unitaries, random_kets, rng_from
 from .states import PAULIS, State
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BipartiteState:
     """State together with its tensor factor dimensions."""
 
@@ -39,7 +39,7 @@ class BipartiteState:
         return State(partial_trace(self.matrix, self.dA, self.dB, side=keep))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchmidtData:
     """Schmidt coefficients (descending, squares sum to one) and local bases."""
 
@@ -62,7 +62,7 @@ class SchmidtData:
         return ((self.left * self.coefficients) @ self.right.T).reshape(-1, 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Witness:
     """Hermitian operator, not PSD, with nonnegative product-state expectation."""
 
@@ -71,6 +71,7 @@ class Witness:
     min_eigenvalue: float
 
     def __post_init__(self):
+        object.__setattr__(self, "matrix", _frozen_copy(self.matrix, "witness"))
         if self.certified_min_product_value < -1e-7:
             raise ValueError("operator is negative on a product state; not a witness")
         if _within(-self.min_eigenvalue, ATOL, self.matrix):

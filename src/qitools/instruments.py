@@ -6,8 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (ATOL, _kraus_columns, _prepare_kraus, asarray, basis_ket, eigh, is_unitary,
-                     outer, psd_sqrt)
+from .linalg import (ATOL, _frozen_copy, _kraus_columns, _prepare_kraus, basis_ket, eigh,
+                     is_unitary, outer, psd_sqrt)
 from .channels import (KrausChannel, LinearMap, _dilation_unitary, _superop, apply, from_choi,
                        to_choi)
 from .observables import Povm, is_sharp
@@ -18,7 +18,7 @@ from .states import State, _as_matrix, _operator_basis
 UNIT_EIGENVALUE_TOL = 1e-7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteInstrument:
     """Outcome-labeled trace-decreasing operations with trace-preserving total."""
 
@@ -50,7 +50,7 @@ class DiscreteInstrument:
         return KrausChannel(np.concatenate([op.kraus_ops for op in self.operations]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementModel:
     """Probe space, probe state, unitary coupling, pointer observable."""
 
@@ -60,14 +60,13 @@ class MeasurementModel:
     pointer: Povm
 
     def __post_init__(self):
-        u = asarray(self.coupling)
+        u = _frozen_copy(self.coupling, "coupling")
         if not is_unitary(u, 1e-8):
             raise ValueError("coupling must be unitary")
         if self.probe_state.dim != self.probe_dim or self.pointer.dim != self.probe_dim:
             raise ValueError("probe state and pointer must live on the probe space")
         if u.shape[0] % self.probe_dim != 0:
             raise ValueError("coupling dimension must be system*probe")
-        u.flags.writeable = False
         object.__setattr__(self, "coupling", u)
 
     @property
@@ -83,14 +82,14 @@ def induced_observable(ins: DiscreteInstrument) -> Povm:
 
 def luders(a: Povm) -> DiscreteInstrument:
     """Lüders instrument: I_x(rho) = A(x)^(1/2) rho A(x)^(1/2)."""
-    ops = tuple(KrausChannel((psd_sqrt(e.matrix),)) for e in a.effects)
+    ops = tuple(KrausChannel((psd_sqrt(e),)) for e in a.effects)
     return DiscreteInstrument(a.outcomes, ops)
 
 
 def trivial_instrument(a: Povm, xi: State) -> DiscreteInstrument:
     """I_x(rho) = tr[rho A(x)] xi, with xi = sum_j c_j c_j^dag spectrally."""
     cols = _kraus_columns(*eigh(_as_matrix(xi)), ATOL)
-    terms = tuple(KrausChannel(_prepare_kraus(cols, psd_sqrt(e.matrix))) for e in a.effects)
+    terms = tuple(KrausChannel(_prepare_kraus(cols, psd_sqrt(e))) for e in a.effects)
     return DiscreteInstrument(a.outcomes, terms)
 
 
@@ -107,7 +106,7 @@ def memo_to_instrument(m: MeasurementModel, tol: float = 1e-8) -> DiscreteInstru
     for eff in m.pointer.effects:
         # S[(a, e), (b, c)] = sum V[a,p,b,q] rho_0[q,r] conj(V[e,s,c,r]) F[s,p]
         s = np.einsum("apbq,qr,escr,sp->aebc", v, m.probe_state.matrix, v.conj(),
-                      eff.matrix, optimize=True)
+                      eff, optimize=True)
         ops.append(from_choi(to_choi(LinearMap(s.reshape(d * d, d * d), d, d)), tol))
     return DiscreteInstrument(m.pointer.outcomes, tuple(ops))
 
@@ -157,8 +156,7 @@ def repeatable_instrument(a: Povm) -> DiscreteInstrument:
     with the offending maximal eigenvalue.
     """
     ops = []
-    for e in a.effects:
-        mat = e.matrix
+    for mat in a.effects:
         if np.max(np.abs(mat)) <= ATOL:
             ops.append(KrausChannel((np.zeros_like(mat),)))
             continue
@@ -180,17 +178,11 @@ def luders_disturbs(a: Povm, b: Povm, tol: float = 1e-8) -> bool:
     """
     if not is_sharp(a):
         raise ValueError("the measured observable must be sharp")
-    disturbed = False
-    for eb in b.effects:
-        total = sum(ea.matrix @ eb.matrix @ ea.matrix for ea in a.effects)
-        if np.max(np.abs(total - eb.matrix)) > tol:
-            disturbed = True
-            break
-    noncommuting = any(
-        np.max(np.abs(ea.matrix @ eb.matrix - eb.matrix @ ea.matrix)) > tol
-        for ea in a.effects
-        for eb in b.effects
-    )
+    disturbed = noncommuting = False
+    for eb in b.effects:  # against every A(x) at once
+        ab = a.effects @ eb
+        disturbed |= bool(np.abs((ab @ a.effects).sum(axis=0) - eb).max() > tol)
+        noncommuting |= bool(np.abs(ab - eb @ a.effects).max() > tol)
     if disturbed != noncommuting:
         raise AssertionError("disturbance and commutation checks disagree")
     return disturbed
@@ -210,10 +202,8 @@ def no_information_no_disturbance_check(ins: DiscreteInstrument, tol: float = 1e
     c = (images[:, :, 0] @ g[:, 0]).real / d
     non_disturbing = bool(np.max(np.abs(images - c[:, None, None] * g)) <= tol)
     obs = induced_observable(ins)
-    trivial = all(
-        np.max(np.abs(e.matrix - np.trace(e.matrix) / d * np.eye(d))) <= tol
-        for e in obs.effects
-    )
+    scale = np.trace(obs.effects, axis1=1, axis2=2) / d
+    trivial = bool(np.abs(obs.effects - scale[:, None, None] * np.eye(d)).max() <= tol)
     if non_disturbing and not trivial:
         raise AssertionError("non-disturbing instrument induced a nontrivial observable")
     return {"non_disturbing": non_disturbing, "observable_trivial": trivial}

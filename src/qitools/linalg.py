@@ -57,6 +57,41 @@ def _require_finite(a: np.ndarray, what: str) -> None:
     raise ValueError(f"{what}[{i}]: entries must be finite, got [{z.real}, {z.imag}]")
 
 
+# How a carrier holds its arrays is decided here alone: a read-only array is a
+# checked copy made by _frozen_copy or _frozen_stack, so the caller's arrays
+# stay writable and the carrier's cannot change.  Every dataclass that holds an
+# array, directly or through another carrier, is declared eq=False: equality is
+# identity (x == x holds, an equal rebuild compares unequal) and every carrier
+# is hashable, since an array has no single truth value and two operators can
+# only agree within a tolerance.
+
+def _frozen_copy(a, what: str, shape: tuple | None = None, dtype=complex) -> np.ndarray:
+    """Read-only copy of ``a``, checked to have ``shape`` (when given) and finite entries."""
+    m = np.array(a, dtype=dtype)
+    if shape is not None and m.shape != shape:
+        raise ValueError(f"{what} shape does not match the declared dimensions")
+    _require_finite(m, what)
+    m.flags.writeable = False
+    return m
+
+
+def _frozen_stack(ops, what: str, empty: str, layout: str) -> np.ndarray:
+    """Read-only complex copy of a tuple, list or stack of matrices, checked to be
+    a non-empty ``layout`` stack ("(n, d_out, d_in)") with finite entries.
+
+    Errors name the matrices ``what`` ("Kraus operator" k[i]); ``empty`` is the
+    message when there are none.
+    """
+    if isinstance(ops, (tuple, list)) and len({np.shape(a) for a in ops}) > 1:
+        raise ValueError(f"{what}s must share a shape")
+    stack = _frozen_copy(ops, what)
+    if stack.shape[:1] == (0,):
+        raise ValueError(empty)
+    if stack.ndim != 3:
+        raise ValueError(f"{what}s must form an {layout} stack, got shape {stack.shape}")
+    return stack
+
+
 def asarray(a) -> np.ndarray:
     return np.asarray(a, dtype=complex)
 

@@ -8,12 +8,19 @@ from math import comb
 
 import numpy as np
 
-from .linalg import (ATOL, _require_finite, _within, asarray, dag, eigh, is_effect, is_hermitian,
-                     is_projection, matrix_rank)
+from .linalg import (ATOL, _frozen_copy, _frozen_stack, _require_finite, _within, asarray, dag,
+                     eigh, is_effect, is_hermitian, is_projection, matrix_rank)
 from .states import _as_matrix
 
 
-@dataclass(frozen=True)
+def _require_effect(m: np.ndarray) -> None:
+    if not is_effect(m):
+        evals = np.linalg.eigvalsh((m + dag(m)) / 2) if is_hermitian(m) else None
+        detail = f" (spectrum {evals})" if evals is not None else " (not Hermitian)"
+        raise ValueError("matrix is not an effect: O <= E <= I fails" + detail)
+
+
+@dataclass(frozen=True, eq=False)
 class Effect:
     """Operator E with O <= E <= I."""
 
@@ -22,58 +29,53 @@ class Effect:
     def __post_init__(self):
         m = asarray(self.matrix)
         _require_finite(m, "effect")
-        if not is_effect(m):
-            evals = np.linalg.eigvalsh((m + dag(m)) / 2) if is_hermitian(m) else None
-            detail = f" (spectrum {evals})" if evals is not None else " (not Hermitian)"
-            raise ValueError("matrix is not an effect: O <= E <= I fails" + detail)
-        m = (m + dag(m)) / 2
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        _require_effect(m)
+        object.__setattr__(self, "matrix", _frozen_copy((m + dag(m)) / 2, "effect"))
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Povm:
-    """Finite labeled family of effects summing to the identity."""
+    """Finite labeled family of effects summing to the identity.
+
+    ``effects`` is one read-only (n, d, d) stack, effect k for outcome k; a
+    tuple or list of arrays or ``Effect``s, or a stack, is accepted.
+    """
 
     outcomes: tuple
-    effects: tuple = field(repr=False)
+    effects: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for k, e in enumerate(self.effects):
-            if not isinstance(e, Effect):
-                _require_finite(asarray(e), f"POVM effect {k}")
-        effs = tuple(e if isinstance(e, Effect) else Effect(asarray(e)) for e in self.effects)
+        effs = [e.matrix if isinstance(e, Effect) else e for e in self.effects]
+        stack = _frozen_stack(effs, "POVM effect", "a POVM needs at least one effect", "(n, d, d)")
+        for m in stack:
+            _require_effect(m)
         outs = tuple(self.outcomes)
-        if len(outs) != len(effs):
+        if len(outs) != len(stack):
             raise ValueError("outcomes and effects must have the same length")
         if len(set(outs)) != len(outs):
             raise ValueError("outcome labels must be distinct")
-        if not effs:
-            raise ValueError("a POVM needs at least one effect")
-        total = sum(e.matrix for e in effs)
-        err = np.max(np.abs(total - np.eye(effs[0].dim)))
+        stack = (stack + stack.conj().transpose(0, 2, 1)) / 2
+        total = stack.sum(axis=0)
+        err = np.max(np.abs(total - np.eye(len(total))))
         if not _within(err, ATOL, total):
             raise ValueError(f"effects do not sum to the identity (max deviation {err:.3e})")
         object.__setattr__(self, "outcomes", outs)
-        object.__setattr__(self, "effects", effs)
+        object.__setattr__(self, "effects", _frozen_copy(stack, "POVM effect"))
 
     @property
     def dim(self) -> int:
-        return self.effects[0].dim
+        return self.effects.shape[1]
 
     def effect(self, outcome) -> np.ndarray:
-        return self.effects[self.outcomes.index(outcome)].matrix
+        return self.effects[self.outcomes.index(outcome)]
 
     def subset_effect(self, outcomes) -> np.ndarray:
         """Effect of a subset of outcomes (discrete sigma-algebra)."""
-        m = np.zeros((self.dim, self.dim), dtype=complex)
-        for x in outcomes:
-            m = m + self.effect(x)
-        return m
+        return self.effects[[self.outcomes.index(x) for x in outcomes]].sum(axis=0)
 
     @classmethod
     def from_basis(cls, kets, outcomes=None) -> "Povm":
@@ -96,7 +98,7 @@ def outcome_distribution(a: Povm, rho) -> np.ndarray:
     m = _as_matrix(rho)
     if m.shape[0] != a.dim:
         raise ValueError("state and POVM dimensions do not match")
-    p = np.array([np.trace(m @ e.matrix).real for e in a.effects])
+    p = np.trace(m @ a.effects, axis1=1, axis2=2).real
     if not _within(max(-p.min(), abs(p.sum() - 1)), ATOL, m):
         raise ValueError("outcome probabilities are inconsistent")
     return np.clip(p, 0.0, 1.0)
@@ -104,11 +106,11 @@ def outcome_distribution(a: Povm, rho) -> np.ndarray:
 
 def is_sharp(a: Povm, tol: float = ATOL) -> bool:
     """True iff every effect is a projection; orthogonality is then verified."""
-    if not all(is_projection(e.matrix, tol) for e in a.effects):
+    if not all(is_projection(e, tol) for e in a.effects):
         return False
     for i, e in enumerate(a.effects):
         for f in a.effects[i + 1:]:
-            if np.max(np.abs(e.matrix @ f.matrix)) > 1e-7:
+            if np.max(np.abs(e @ f)) > 1e-7:
                 raise AssertionError("projective effects found non-orthogonal")
     return True
 
@@ -119,8 +121,7 @@ def is_informationally_complete(a: Povm, tol: float = ATOL) -> bool:
     The rows are the vectorized effects: vec(E)^dag vec(F) = tr[EF] for
     Hermitian E, F, so they have the singular values of real coordinates.
     """
-    rows = np.stack([e.matrix for e in a.effects]).reshape(len(a.effects), -1)
-    return matrix_rank(rows, tol) == a.dim**2
+    return matrix_rank(a.effects.reshape(len(a.effects), -1), tol) == a.dim**2
 
 
 def minimal_ic_povm(d: int) -> Povm:
@@ -160,11 +161,7 @@ def coarse_grain(a: Povm, nu: np.ndarray, outcomes=None) -> Povm:
         raise ValueError("matrix is not stochastic (rows must be probability vectors)")
     m = nu.shape[1]
     outs = tuple(range(m)) if outcomes is None else tuple(outcomes)
-    effs = []
-    for j in range(m):
-        e = sum(nu[i, j] * a.effects[i].matrix for i in range(nu.shape[0]))
-        effs.append(e)
-    return Povm(outs, tuple(effs))
+    return Povm(outs, np.einsum("ij,iab->jab", nu, a.effects))
 
 
 def photon_counting(eps: float, cutoff: int) -> Povm:
@@ -176,13 +173,11 @@ def photon_counting(eps: float, cutoff: int) -> Povm:
     if not 0 <= eps <= 1:
         raise ValueError("efficiency must lie in [0, 1]")
     dim = cutoff + 1
-    effs = []
+    effs = np.zeros((dim, dim, dim))
     for n in range(dim):
-        diag = np.zeros(dim)
         for k in range(n, dim):
-            diag[k] = comb(k, n) * eps**n * (1 - eps) ** (k - n)
-        effs.append(np.diag(diag).astype(complex))
-    return Povm(tuple(range(dim)), tuple(effs))
+            effs[n, k, k] = comb(k, n) * eps**n * (1 - eps) ** (k - n)
+    return Povm(tuple(range(dim)), effs)
 
 
 def efficiency_coarse_matrix(eps1: float, eps2: float, cutoff: int) -> np.ndarray:
@@ -216,7 +211,7 @@ def mean_variance(a: Povm, rho) -> tuple[float, float]:
 def sharp_operator(a: Povm) -> np.ndarray:
     """Selfadjoint operator sum_j x_j A(x_j) of a real observable."""
     xs = [float(x) for x in a.outcomes]
-    return sum(x * e.matrix for x, e in zip(xs, a.effects))
+    return (np.array(xs)[:, None, None] * a.effects).sum(axis=0)
 
 
 def commuting_joint(a, b) -> Povm:

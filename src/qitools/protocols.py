@@ -8,8 +8,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .linalg import (ATOL, _probe_kraus, asarray, basis_ket, dag, inner, outer, partial_trace,
-                     tensor)
+from .linalg import (ATOL, _frozen_copy, _probe_kraus, asarray, basis_ket, dag, inner, outer,
+                     partial_trace, tensor)
 from .observables import Povm, outcome_distribution
 from .rand import random_ket, random_kets, rng_from
 from .states import PAULIS, State, _as_matrix
@@ -45,13 +45,18 @@ class ProtocolReport:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShiftMultiplyBasis:
-    """Shift-multiply unitaries U_rs and the Bell kets (U_rs (x) I) psi+."""
+    """Shift-multiply unitaries U_rs and the Bell kets (U_rs (x) I) psi+.
+
+    ``unitaries`` (d^2, d, d) and ``bell_kets`` (d^2, d^2, 1) are read-only
+    stacks in the order of ``keys``: (r, s) row-major, entry r d + s.
+    """
 
     d: int
-    unitaries: dict = field(repr=False)
-    bell_kets: dict = field(repr=False)
+    keys: tuple = field(repr=False)
+    unitaries: np.ndarray = field(repr=False)
+    bell_kets: np.ndarray = field(repr=False)
 
     @classmethod
     def build(cls, d: int) -> "ShiftMultiplyBasis":
@@ -66,12 +71,12 @@ class ShiftMultiplyBasis:
         us[r, s, (l - r) % d, l] = np.exp(1j * (-2 * np.pi * s * l / d))
         # (U (x) I) psi+ = vec(U) / sqrt(d), with vec stacking the rows of U.
         kets = us.reshape(d * d, d * d, 1) * maximally_entangled_ket(d)[0]
-        keys = [divmod(k, d) for k in range(d * d)]
-        return cls(d, dict(zip(keys, us.reshape(-1, d, d))), dict(zip(keys, kets)))
+        keys = tuple(divmod(k, d) for k in range(d * d))
+        return cls(d, keys, _frozen_copy(us.reshape(-1, d, d), "shift-multiply unitary"),
+                   _frozen_copy(kets, "Bell ket"))
 
     def bell_povm(self) -> Povm:
-        effs = tuple(outer(self.bell_kets[k]) for k in sorted(self.bell_kets))
-        return Povm(tuple(sorted(self.bell_kets)), effs)
+        return Povm(self.keys, self.bell_kets @ self.bell_kets.conj().transpose(0, 2, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +95,7 @@ def teleport(rho_in, rng=0) -> ProtocolReport:
     rho = _as_matrix(rho_in)
     basis = ShiftMultiplyBasis.build(rho.shape[0])
     records = []
-    for key, k in zip(sorted(basis.unitaries), _teleport_kraus(basis)):
+    for key, k in zip(basis.keys, _teleport_kraus(basis)):
         branch = k @ rho @ dag(k)  # Bob's corrected, unnormalized state
         prob = float(np.trace(branch).real)
         records.append({"outcome": list(key), "probability": prob,
@@ -117,7 +122,7 @@ def teleport_channel(d: int) -> LinearMap:
 
 
 def _teleport_kraus(basis: ShiftMultiplyBasis) -> np.ndarray:
-    """Stack of U_rs (<beta_rs| (x) I)(I (x) |psi+>) over the outcomes rs, keys sorted.
+    """Stack of U_rs (<beta_rs| (x) I)(I (x) |psi+>) over the outcomes rs, in ``basis.keys`` order.
 
     Alice's input and half of psi+ are measured in the Bell basis, and Bob
     corrects his half with U_rs: the map from Alice's input to Bob's output.
@@ -125,12 +130,11 @@ def _teleport_kraus(basis: ShiftMultiplyBasis) -> np.ndarray:
     from .entanglement import maximally_entangled_ket
 
     d = basis.d
-    keys = sorted(basis.unitaries)
-    bell = np.array([basis.bell_kets[key].reshape(d, d) for key in keys])  # beta[r, (a, a')]
+    bell = basis.bell_kets.reshape(-1, d, d)  # beta[r, (a, a')]
     share = maximally_entangled_ket(d).reshape(d, d)  # psi+[(a', b)]
     # (<beta| (x) I)(I (x) |psi+>)[b, a] = sum_a' conj(beta[a, a']) psi+[a', b]
     measured = np.einsum("rxy,yb->rbx", bell.conj(), share)
-    return np.array([basis.unitaries[key] for key in keys]) @ measured
+    return basis.unitaries @ measured
 
 
 def superdense(message: int, rng=0) -> ProtocolReport:
@@ -179,8 +183,7 @@ def _bb84_p_one() -> np.ndarray:
             for x in (0, 1)
         ]
     )
-    p_one.flags.writeable = False
-    return p_one
+    return _frozen_copy(p_one, "BB84 table", dtype=float)
 
 
 def bb84(rounds: int, eve: str = "none", rng=0, sample_fraction: float = 0.25) -> ProtocolReport:
@@ -238,30 +241,36 @@ def bb84(rounds: int, eve: str = "none", rng=0, sample_fraction: float = 0.25) -
     return ProtocolReport("bb84", rounds, records, summary, seed)
 
 
+@lru_cache(maxsize=64)
+def _b92_table(overlap: float) -> tuple[tuple, np.ndarray]:
+    """(outcomes, read-only cdf) of the unambiguous B92 measurement at ``overlap``.
+
+    cdf[bit] is the cumulative outcome distribution of the state Alice sends.
+    """
+    from .discrimination import unambiguous_two_pure
+
+    theta = np.arccos(overlap)
+    psi0 = np.array([[np.cos(theta / 2)], [np.sin(theta / 2)]], dtype=complex)
+    psi1 = np.array([[np.cos(theta / 2)], [-np.sin(theta / 2)]], dtype=complex)
+    povm = unambiguous_two_pure(psi0, psi1).povm
+    cdf = np.cumsum([outcome_distribution(povm, State.from_ket(k)) for k in (psi0, psi1)], axis=1)
+    cdf /= cdf[:, -1:]  # close the last bin at 1, so every u in [0, 1) lands in range
+    return povm.outcomes, _frozen_copy(cdf, "B92 table", dtype=float)
+
+
 def b92(rounds: int, overlap: float, rng=0) -> ProtocolReport:
     """B92 key distribution via optimal unambiguous discrimination.
 
     Conclusive rounds are error-free and occur at asymptotic rate
     1 - overlap.
     """
-    from .discrimination import unambiguous_two_pure
-
     if rounds < 1:
         raise ValueError("at least one round is required")
     if not 0 <= overlap < 1:
         raise ValueError("overlap must lie in [0, 1)")
     seed = _seed_repr(rng)
     rng = rng_from(rng)
-    theta = np.arccos(overlap)
-    psi0 = np.array([[np.cos(theta / 2)], [np.sin(theta / 2)]], dtype=complex)
-    psi1 = np.array([[np.cos(theta / 2)], [-np.sin(theta / 2)]], dtype=complex)
-    scheme = unambiguous_two_pure(psi0, psi1)
-    outcomes = scheme.povm.outcomes
-    # cdf[bit]: cumulative outcome distribution of the state Alice sends.
-    cdf = np.cumsum(
-        [outcome_distribution(scheme.povm, State.from_ket(k)) for k in (psi0, psi1)], axis=1
-    )
-    cdf /= cdf[:, -1:]  # close the last bin at 1, so every u in [0, 1) lands in range
+    outcomes, cdf = _b92_table(float(overlap))
     x = rng.integers(2, size=rounds)
     idx = (rng.random(rounds)[:, None] >= cdf[x]).sum(axis=1)
     bob_of = [None if o == "?" else int(o) - 1 for o in outcomes]
@@ -300,13 +309,11 @@ def private_quantum_channel(d: int, n_messages: int, rng=0) -> ProtocolReport:
     seed = _seed_repr(rng)
     rng = rng_from(rng)
     basis = ShiftMultiplyBasis.build(d)
-    keys = sorted(basis.unitaries)
     # The draw order, all keys and then all messages, fixes the seeded stream.
-    picks = rng.integers(len(keys), size=n_messages)
+    picks = rng.integers(len(basis.keys), size=n_messages)
     (kets,) = random_kets([d], n_messages, rng)
     messages = kets[:, :, None]
-    unitaries = np.stack([basis.unitaries[k] for k in keys])
-    u = unitaries[picks]
+    u = basis.unitaries[picks]
     u_dag = u.conj().transpose(0, 2, 1)
     bras = messages.conj().transpose(0, 2, 1)
     cipher = u @ (messages @ bras) @ u_dag
@@ -314,10 +321,10 @@ def private_quantum_channel(d: int, n_messages: int, rng=0) -> ProtocolReport:
     # F(sigma, psi psi^dag) = sqrt(<psi|sigma|psi>), exact for a pure argument.
     fidelities = np.sqrt((bras @ decoded @ messages)[:, 0, 0].real)
     records = [
-        {"key": list(keys[j]), "decode_fidelity": float(f)}
+        {"key": list(basis.keys[j]), "decode_fidelity": float(f)}
         for j, f in zip(picks, fidelities)
     ]
-    average = KrausChannel(unitaries / d)
+    average = KrausChannel(basis.unitaries / d)
     contraction = make("contraction", xi=State.maximally_mixed(d))
     omega_avg = choi_of(average).matrix
     omega_con = choi_of(contraction).matrix
@@ -402,7 +409,7 @@ def mean_king(rng=None) -> ProtocolReport:
 # Programmable processors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Processor:
     """Fixed unitary coupling with a program register: <K, G>."""
 
@@ -481,10 +488,9 @@ def probabilistic_processor(d: int, target_u, rng=0, n_inputs: int = 3) -> Proto
     seed = _seed_repr(rng)
     rng = rng_from(rng)
     basis = ShiftMultiplyBasis.build(d)
-    keys = sorted(basis.unitaries)
-    proc = controlled_unitary_processor([basis.unitaries[key] for key in keys])
+    proc = controlled_unitary_processor(basis.unitaries)
     phi = np.full(d * d, 1.0 / d, dtype=complex)
-    amps = np.array([np.trace(dag(basis.unitaries[key]) @ target_u) / d for key in keys])
+    amps = np.array([np.trace(dag(u) @ target_u) / d for u in basis.unitaries])
     # Reading the program register out as phi leaves sum_j conj(phi_j) A_j.
     post = np.einsum("j,jab->ab", phi.conj(), _probe_kraus(proc.unitary, d, amps))
     records = []

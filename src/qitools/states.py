@@ -7,8 +7,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import (ATOL, _eig_tol, _kraus_columns, _require_finite, _within, asarray, dag, eigh,
-                     inner, is_hermitian, psd_sqrt)
+from .linalg import (ATOL, _eig_tol, _frozen_copy, _kraus_columns, _require_finite, _within,
+                     asarray, dag, eigh, inner, is_hermitian, psd_sqrt)
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -16,7 +16,7 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (np.eye(2, dtype=complex), PAULI_X, PAULI_Y, PAULI_Z)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class State:
     """Trace-one positive matrix, optionally with bipartite dimensions."""
 
@@ -36,9 +36,7 @@ class State:
         tr = np.trace(m).real
         if not _within(abs(tr - 1), ATOL, m):
             raise ValueError(f"state trace is {tr}, not 1")
-        m = (m + dag(m)) / 2
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _frozen_copy((m + dag(m)) / 2, "state"))
         object.__setattr__(self, "dim", m.shape[0])
 
     @classmethod
@@ -113,20 +111,16 @@ def _operator_basis(d: int) -> np.ndarray:
         diag[l] = -l
         m = np.diag(diag / np.sqrt(l * (l + 1))).astype(complex)
         ops.append(np.sqrt(2) * scale * m)
-    g = np.ascontiguousarray(np.stack(ops).reshape(d * d, d * d).T)
-    g.flags.writeable = False
-    return g
+    return _frozen_copy(np.stack([op.reshape(-1) for op in ops], axis=1), "operator basis")
 
 
 @lru_cache(maxsize=None)
 def traceless_hermitian_basis(d: int) -> tuple[np.ndarray, ...]:
     """Read-only matrices E_1, ..., E_{d^2-1} of ``_operator_basis(d)``."""
-    ops = _operator_basis(d)[:, 1:].T.reshape(-1, d, d)
-    ops.flags.writeable = False
-    return tuple(ops)
+    return tuple(_frozen_copy(_operator_basis(d)[:, 1:].T.reshape(-1, d, d), "operator basis"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlochVector:
     """Real coordinates of a state in a traceless Hermitian operator basis."""
 
@@ -134,10 +128,9 @@ class BlochVector:
     components: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.components, dtype=float)
+        c = _frozen_copy(self.components, "Bloch component", dtype=float)
         if c.shape != (self.dim**2 - 1,):
             raise ValueError(f"expected {self.dim ** 2 - 1} components, got {c.shape}")
-        c.flags.writeable = False
         object.__setattr__(self, "components", c)
 
     @property

@@ -290,8 +290,8 @@ def test_criterion_11_photon_counting():
         n_high = photon_counting(0.6, cutoff)
         mu = efficiency_coarse_matrix(0.3, 0.6, cutoff)
         for n in range(cutoff + 1):
-            rebuilt = sum(mu[k, n] * n_high.effects[k].matrix for k in range(cutoff + 1))
-            assert np.abs(rebuilt - n_low.effects[n].matrix).max() < 1e-9
+            rebuilt = sum(mu[k, n] * n_high.effects[k] for k in range(cutoff + 1))
+            assert np.abs(rebuilt - n_low.effects[n]).max() < 1e-9
         # ideal counting separates the one- and two-photon states strictly
         # better than the 50% counter
         zeta1 = State(np.diag([0.0, 1.0, 0.0, 0.0]))

@@ -23,12 +23,12 @@ def pqc_by_message(d, n_messages, seed):
     """
     rng = np.random.default_rng(seed)
     basis = ShiftMultiplyBasis.build(d)
-    keys = sorted(basis.unitaries)
+    keys = basis.keys
     picks = rng.integers(len(keys), size=n_messages)
     out = []
     for pick in picks:
         key = keys[int(pick)]
-        u = basis.unitaries[key]
+        u = basis.unitaries[int(pick)]
         message = random_ket(d, rng)
         cipher = u @ outer(message) @ dag(u)
         decoded = dag(u) @ cipher @ u

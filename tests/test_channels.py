@@ -316,7 +316,7 @@ def test_orthogonal_unitary_average_is_total_contraction():
 
     for d in (2, 3):
         basis = ShiftMultiplyBasis.build(d)
-        pairs = [(1 / d**2, u) for u in basis.unitaries.values()]
+        pairs = [(1 / d**2, u) for u in basis.unitaries]
         avg = make("random_unitary", pairs=pairs)
         con = make("contraction", xi=State.maximally_mixed(d))
         assert trace_norm(to_choi(avg).matrix - to_choi(con).matrix) < 1e-9

@@ -148,7 +148,7 @@ def test_unambiguous_mixture_q_limits_and_validity():
     psi1, psi2 = pure_pair_with_overlap(0.3)
     for q in np.arange(0.1, 0.95, 0.1):
         res = unambiguous_mixture_povm(psi1, psi2, q=q)
-        total = sum(e.matrix for e in res.povm.effects)
+        total = sum(e for e in res.povm.effects)
         assert np.abs(total - np.eye(2)).max() < 1e-12
     res = unambiguous_mixture_povm(psi1, psi2, q=1 - 1e-12)
     assert np.abs(res.povm.effect("2")).max() < 1e-9

@@ -40,7 +40,7 @@ def test_induced_observable_of_luders():
         ins = luders(a)
         b = induced_observable(ins)
         for ea, eb in zip(a.effects, b.effects):
-            assert np.abs(ea.matrix - eb.matrix).max() < 1e-10
+            assert np.abs(ea - eb).max() < 1e-10
 
 
 def test_induced_observable_of_trivial_instrument():
@@ -49,7 +49,7 @@ def test_induced_observable_of_trivial_instrument():
     ins = trivial_instrument(a, xi)
     b = induced_observable(ins)
     for ea, eb in zip(a.effects, b.effects):
-        assert np.abs(ea.matrix - eb.matrix).max() < 1e-10
+        assert np.abs(ea - eb).max() < 1e-10
 
 
 def test_instrument_probabilities_match_povm():
@@ -174,7 +174,7 @@ def test_repeatable_instrument_construction():
     assert is_repeatable(ins)
     b = induced_observable(ins)
     for ea, eb in zip(a.effects, b.effects):
-        assert np.abs(ea.matrix - eb.matrix).max() < 1e-9
+        assert np.abs(ea - eb).max() < 1e-9
 
 
 def test_repeatable_instrument_impossible():
@@ -219,7 +219,7 @@ def test_sigma_z_sum_is_half_identity():
     # the disturbed x-effect averages to I/2 under the z Lüders update
     a = z_basis_povm()
     b = x_basis_povm()
-    total = sum(ea.matrix @ b.effect(0) @ ea.matrix for ea in a.effects)
+    total = sum(ea @ b.effect(0) @ ea for ea in a.effects)
     assert np.abs(total - np.eye(2) / 2).max() < 1e-12
 
 

@@ -74,7 +74,7 @@ def trivial_instrument_reference(a, xi):
     terms = []
     xi_terms = canonical_decomposition(xi)
     for e in a.effects:
-        root = psd_sqrt(e.matrix)
+        root = psd_sqrt(e)
         kraus = []
         for lam, phi in xi_terms:
             for j in range(a.dim):
@@ -86,9 +86,9 @@ def trivial_instrument_reference(a, xi):
 def repeatable_instrument_reference(a):
     ops = []
     for e in a.effects:
-        vals, vecs = np.linalg.eigh(e.matrix)
+        vals, vecs = np.linalg.eigh(e)
         psi = vecs[:, [-1]]
-        root = psd_sqrt(e.matrix)
+        root = psd_sqrt(e)
         ops.append([psi @ root[[j], :] for j in range(a.dim)])
     return ops
 
@@ -128,11 +128,10 @@ def teleport_reference(rho):
     basis = ShiftMultiplyBasis.build(d)
     total = tensor(rho, outer(maximally_entangled_ket(d)))
     out = []
-    for key, ket in sorted(basis.bell_kets.items()):
+    for ket, u in zip(basis.bell_kets, basis.unitaries):
         proj = tensor(outer(ket), np.eye(d))
         branch = proj @ total @ proj
         prob = float(np.trace(branch).real)
-        u = basis.unitaries[key]
         out.append((prob, u @ (partial_trace(branch, d * d, d, side="A") / prob) @ dag(u)))
     return out
 
@@ -140,17 +139,16 @@ def teleport_reference(rho):
 def teleport_kraus_reference(d):
     basis = ShiftMultiplyBasis.build(d)
     share = tensor(np.eye(d), maximally_entangled_ket(d))
-    return [u @ tensor(dag(basis.bell_kets[key]), np.eye(d)) @ share
-            for key, u in basis.unitaries.items()]
+    return [u @ tensor(dag(ket), np.eye(d)) @ share
+            for ket, u in zip(basis.bell_kets, basis.unitaries)]
 
 
 def probabilistic_branches_reference(d, target_u, rng, n_inputs):
     basis = ShiftMultiplyBasis.build(d)
-    keys = sorted(basis.unitaries)
-    proc = controlled_unitary_processor([basis.unitaries[key] for key in keys])
+    proc = controlled_unitary_processor(list(basis.unitaries))
     k = d * d
     f_success = outer(np.full((k, 1), 1.0 / d, dtype=complex))
-    amps = np.array([np.trace(dag(basis.unitaries[key]) @ target_u) / d for key in keys])
+    amps = np.array([np.trace(dag(u) @ target_u) / d for u in basis.unitaries])
     rng = rng_from(rng)
     out = []
     for _ in range(n_inputs):
@@ -319,7 +317,7 @@ def test_teleport_matches_joint_state(d, seed):
 
     old = teleport_reference(rho)
     assert [rec["outcome"] for rec in report.records] == [
-        list(key) for key in sorted(ShiftMultiplyBasis.build(d).unitaries)]
+        list(key) for key in ShiftMultiplyBasis.build(d).keys]
     for rec, (prob, corrected) in zip(report.records, old):
         assert abs(rec["probability"] - prob) <= 1e-12
         assert abs(rec["fidelity"] - fidelity(corrected, rho)) <= 1e-12

@@ -95,8 +95,8 @@ def test_minimal_ic_construction():
         a = minimal_ic_povm(d)
         assert len(a.outcomes) == d * d
         for e in a.effects:
-            assert np.linalg.matrix_rank(e.matrix, tol=1e-9) == 1
-        total = sum(e.matrix for e in a.effects)
+            assert np.linalg.matrix_rank(e, tol=1e-9) == 1
+        total = sum(e for e in a.effects)
         assert np.abs(total - np.eye(d)).max() < 1e-9
 
 
@@ -121,7 +121,7 @@ def test_ic_povm_has_no_zero_one_effect():
     # surrogate for the necessary condition on informational completeness
     a = minimal_ic_povm(3)
     for e in a.effects:
-        evals = np.linalg.eigvalsh(e.matrix)
+        evals = np.linalg.eigvalsh(e)
         assert not (evals.min() < 1e-7 and evals.max() > 1 - 1e-7)
 
 
@@ -129,7 +129,7 @@ def test_coarse_grain_identity():
     a = basis_povm(2)
     b = coarse_grain(a, np.eye(2))
     for ea, eb in zip(a.effects, b.effects):
-        assert np.allclose(ea.matrix, eb.matrix)
+        assert np.allclose(ea, eb)
 
 
 def test_coarse_grain_qubit_formula():
@@ -140,13 +140,13 @@ def test_coarse_grain_qubit_formula():
     beta = nu[0, 0] + nu[1, 0]
     bvec = (nu[0, 0] - nu[1, 0]) * direction
     sigma = bvec[0] * PAULIS[1] + bvec[1] * PAULIS[2] + bvec[2] * PAULIS[3]
-    assert np.abs(b.effects[0].matrix - (beta * np.eye(2) + sigma) / 2).max() < 1e-12
+    assert np.abs(b.effects[0] - (beta * np.eye(2) + sigma) / 2).max() < 1e-12
 
 
 def test_coarse_grain_merge_all():
     a = basis_povm(3)
     b = coarse_grain(a, np.ones((3, 1)))
-    assert np.allclose(b.effects[0].matrix, np.eye(3))
+    assert np.allclose(b.effects[0], np.eye(3))
 
 
 def test_coarse_grain_rejects_non_stochastic():
@@ -159,14 +159,14 @@ def test_photon_counting_extremes():
     for n, e in zip(ideal.outcomes, ideal.effects):
         target = np.zeros(5)
         target[n] = 1
-        assert np.allclose(np.diag(e.matrix).real, target)
+        assert np.allclose(np.diag(e).real, target)
     trivial = photon_counting(0.0, 4)
-    assert np.allclose(trivial.effects[0].matrix, np.eye(5))
+    assert np.allclose(trivial.effects[0], np.eye(5))
 
 
 def test_photon_counting_binomial_entry():
     obs = photon_counting(0.5, 4)
-    assert abs(obs.effects[1].matrix[2, 2].real - 0.5) < 1e-12
+    assert abs(obs.effects[1][2, 2].real - 0.5) < 1e-12
 
 
 def test_efficiency_coarse_matrix():
@@ -176,8 +176,8 @@ def test_efficiency_coarse_matrix():
     n1 = photon_counting(0.3, 20)
     n2 = photon_counting(0.6, 20)
     for n in range(21):
-        rebuilt = sum(mu[k, n] * n2.effects[k].matrix for k in range(21))
-        assert np.abs(rebuilt - n1.effects[n].matrix).max() < 1e-9
+        rebuilt = sum(mu[k, n] * n2.effects[k] for k in range(21))
+        assert np.abs(rebuilt - n1.effects[n]).max() < 1e-9
     assert np.allclose(efficiency_coarse_matrix(0.4, 0.4, 5), np.eye(6))
 
 
@@ -226,7 +226,7 @@ def test_commuting_joint_identity_halves():
     half = np.eye(2, dtype=complex) / 2
     joint = commuting_joint(half, half)
     for e in joint.effects:
-        assert np.allclose(e.matrix, np.eye(2) / 4)
+        assert np.allclose(e, np.eye(2) / 4)
 
 
 def test_commuting_joint_projections_sharp():
@@ -271,9 +271,9 @@ def test_probability_one_iff_invariant():
 def test_sharp_povm_at_most_d_nonzero_effects():
     d = 3
     a = Povm.from_basis(np.eye(d, dtype=complex).T.reshape(d, d, 1))
-    nonzero = [e for e in a.effects if np.abs(e.matrix).max() > 1e-12]
+    nonzero = [e for e in a.effects if np.abs(e).max() > 1e-12]
     assert len(nonzero) <= d
-    assert all(is_projection(e.matrix) for e in nonzero)
+    assert all(is_projection(e) for e in nonzero)
 
 
 def test_has_unit_eigenvalue():

@@ -54,7 +54,7 @@ def _hermitian_to_real_vector(m):
 
 def ic_by_real_coordinates(povm, tol=1e-9):
     """Reference rank test on real coordinates with v(A).v(B) = tr[AB]."""
-    rows = np.stack([_hermitian_to_real_vector(e.matrix) for e in povm.effects])
+    rows = np.stack([_hermitian_to_real_vector(e) for e in povm.effects])
     s = np.linalg.svd(rows, compute_uv=False)
     rank = int((s > tol * s[0]).sum()) if s.size and s[0] > 0 else 0
     return rank == povm.dim**2, s
@@ -128,7 +128,7 @@ def test_informational_completeness_matches_real_coordinates(d):
     for povm in povms:
         ref, s_ref = ic_by_real_coordinates(povm)
         assert is_informationally_complete(povm) == ref
-        rows = np.stack([e.matrix.reshape(-1) for e in povm.effects])
+        rows = np.stack([e.reshape(-1) for e in povm.effects])
         assert np.abs(np.linalg.svd(rows, compute_uv=False) - s_ref).max() < 1e-12
     assert [is_informationally_complete(p) for p in povms] == [True, False, False, True, True]
 

@@ -249,7 +249,7 @@ def test_maximally_mixed_fixed_by_orthogonal_unitary_average():
     rng = np.random.default_rng(14)
     d = 3
     basis = ShiftMultiplyBasis.build(d)
-    us = [basis.unitaries[k] for k in sorted(basis.unitaries)]
+    us = list(basis.unitaries)
     rho = random_density(d, rng)
     averaged = conjugation_average(rho, us)
     assert np.abs(averaged - np.eye(d) / d).max() < 1e-9
