@@ -47,14 +47,16 @@ def trace_distance(rho1, rho2) -> float:
     return float(np.abs(evals).sum() / 2)
 
 
-def fidelity(rho1, rho2) -> float:
+def fidelity(rho1, rho2) -> float | np.ndarray:
     """tr sqrt(sqrt(rho1) rho2 sqrt(rho1)) = tr|sqrt(rho1) sqrt(rho2)|, in [0, 1].
 
     Computed as the trace norm of the product of square roots, which is
-    numerically stable for rank-deficient states.
+    numerically stable for rank-deficient states.  Either argument may be a
+    stack ``(n, d, d)``; the result is then one fidelity per member (pairing
+    members when both are stacks), from one stacked square root per stack.
     """
     m1, m2 = _as_matrix(rho1), _as_matrix(rho2)
-    if m1.shape != m2.shape:
+    if m1.shape[-2:] != m2.shape[-2:]:
         raise ValueError("states must share a dimension")
     return trace_norm(psd_sqrt(m1) @ psd_sqrt(m2))
 
@@ -151,7 +153,7 @@ def idp_bound(rho1, rho2, eta: float = 0.5) -> float:
     """
     if not 0 < eta < 1:
         raise ValueError("prior must satisfy 0 < eta < 1")
-    cross = trace_norm(psd_sqrt(_as_matrix(rho1)) @ psd_sqrt(_as_matrix(rho2)))
+    cross = fidelity(rho1, rho2)
     return float(1 - 2 * np.sqrt(eta * (1 - eta)) * cross)
 
 

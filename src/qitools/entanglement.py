@@ -11,7 +11,7 @@ import numpy as np
 
 from .linalg import (ATOL, _frozen_copy, _require_finite, _seesaw, _within, asarray, dag, eigh,
                      outer, partial_trace, partial_transpose, swap_operator, tensor)
-from .rand import _haar_columns, haar_unitaries, random_kets, rng_from
+from .rand import _gram_schmidt, _haar_normals, haar_unitaries, random_kets, rng_from
 from .states import PAULIS, State
 
 
@@ -46,6 +46,12 @@ class SchmidtData:
     coefficients: np.ndarray
     left: np.ndarray
     right: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "coefficients",
+                           _frozen_copy(self.coefficients, "Schmidt coefficients", dtype=float))
+        object.__setattr__(self, "left", _frozen_copy(self.left, "Schmidt basis"))
+        object.__setattr__(self, "right", _frozen_copy(self.right, "Schmidt basis"))
 
     @property
     def rank(self) -> int:
@@ -266,11 +272,16 @@ def twirl(x: np.ndarray, d: int | None = None) -> np.ndarray:
     )
 
 
-# Haar samples per _haar_columns call in twirl_monte_carlo.  The chunk size
-# fixes the seeded draw stream: each chunk takes one normal block, real
-# parts then imaginary parts, so another size gives other unitaries.  The
-# kernel keeps the sample index last; that layout does not touch the stream.
+# Haar samples per chunk in twirl_monte_carlo, and full chunks per block.
+# The chunk size fixes the seeded draw stream: each chunk takes one normal
+# block, real parts then imaginary parts, so another size gives other
+# unitaries.  Up to _TWIRL_BLOCK full chunks are drawn with one
+# (k, 2, _TWIRL_BATCH, d, d) call, which holds the same numbers as k
+# chunk-sized draws, and run through the Gram-Schmidt kernel together; a
+# last partial chunk is drawn on its own.  U (x) U is formed one chunk at a
+# time, so its memory does not grow with the block.
 _TWIRL_BATCH = 256
+_TWIRL_BLOCK = 8
 
 
 def twirl_monte_carlo(x: np.ndarray, d: int, samples: int, rng=0) -> np.ndarray:
@@ -284,17 +295,22 @@ def twirl_monte_carlo(x: np.ndarray, d: int, samples: int, rng=0) -> np.ndarray:
     if samples < 1:
         raise ValueError("at least one sample is required")
     rng = rng_from(rng)
+    full, rest = divmod(samples, _TWIRL_BATCH)
+    blocks = [(min(_TWIRL_BLOCK, full - c), _TWIRL_BATCH) for c in range(0, full, _TWIRL_BLOCK)]
+    blocks += [(1, rest)] if rest else []
     acc = np.zeros_like(x)
-    for start in range(0, samples, _TWIRL_BATCH):
-        q = _haar_columns(d, min(_TWIRL_BATCH, samples - start), rng)  # q[j, i, m] = U_m[i, j]
-        # uu[(j, l), (i, k), m] = (U_m (x) U_m)[(i, k), (j, l)], samples last, from
-        # one broadcast product.  The rows (i, k, m) of uu.T are the rows of
-        # every U_m (x) U_m, so one GEMM gives y[(i, k), (m, c)] =
-        # ((U_m (x) U_m) x)[(i, k), c], and a second with the stacked
-        # (U_m (x) U_m)^dag sums over m.
-        uu = (q[:, None, :, None, :] * q[None, :, None, :, :]).reshape(d * d, d * d, -1)
-        y = (uu.reshape(d * d, -1).T @ x).reshape(d * d, -1)
-        acc += y @ uu.transpose(2, 0, 1).conj().reshape(-1, d * d)
+    for chunks, n in blocks:
+        q = _gram_schmidt(_haar_normals(d, n, rng, chunks))  # q[j, i, m] = U_m[i, j]
+        for start in range(0, chunks * n, n):
+            qc = q[:, :, start:start + n]
+            # uu[(j, l), (i, k), m] = (U_m (x) U_m)[(i, k), (j, l)], samples last,
+            # from one broadcast product.  The rows (i, k, m) of uu.T are the rows
+            # of every U_m (x) U_m, so one GEMM gives y[(i, k), (m, c)] =
+            # ((U_m (x) U_m) x)[(i, k), c], and a second with the stacked
+            # (U_m (x) U_m)^dag sums over m.
+            uu = (qc[:, None, :, None, :] * qc[None, :, None, :, :]).reshape(d * d, d * d, -1)
+            y = (uu.reshape(d * d, -1).T @ x).reshape(d * d, -1)
+            acc += y @ uu.transpose(2, 0, 1).conj().reshape(-1, d * d)
     return acc / samples
 
 

@@ -42,6 +42,15 @@ def _within(err: float, tol: float, a: np.ndarray, offset: float = 0.0) -> bool:
     return bool(err <= offset + tol * _scale(a))
 
 
+def _within_each(errs: np.ndarray, tol: float, stack: np.ndarray) -> np.ndarray:
+    """_within(errs[k], tol, stack[k]) for each member of a stack, the fast
+    path taken for all members at once."""
+    ok = (errs <= tol) & np.isfinite(stack).all(axis=(1, 2)) & (tol >= 0)
+    for k in np.flatnonzero(~ok):
+        ok[k] = _within(errs[k], tol, stack[k])
+    return ok
+
+
 def _require_finite(a: np.ndarray, what: str) -> None:
     """Raise ValueError naming the first non-finite entry of ``a`` by flat index.
 
@@ -235,13 +244,42 @@ def eigh(t: np.ndarray, tol: float = ATOL):
 
 
 def psd_sqrt(t: np.ndarray, tol: float = ATOL) -> np.ndarray:
-    """Unique PSD square root; eigenvalues in [-tol*||t||, 0) are clamped."""
+    """Unique PSD square root; eigenvalues in [-tol*||t||, 0) are clamped.
+
+    A stack ``(n, d, d)`` gives the stack of roots from one stacked
+    eigendecomposition; each member is checked as a single matrix is, and
+    the first that fails raises the single-matrix message.
+    """
+    if np.ndim(t) == 3:
+        return _psd_sqrt_stack(asarray(t), tol)
     vals, vecs = eigh(t, tol)
     if not _within(-vals.min(), tol, t):
         floor = -tol * _scale(t)
         raise ValueError(f"matrix is not PSD: eigenvalue {vals.min():.3e} below {floor:.3e}")
     vals = np.clip(vals, 0.0, None)
     return (vecs * np.sqrt(vals)) @ dag(vecs)
+
+
+def _psd_sqrt_stack(t: np.ndarray, tol: float) -> np.ndarray:
+    """psd_sqrt of each member of a stack, with the checks and the descending
+    eigenvalue order of ``eigh`` and ``psd_sqrt`` on one matrix."""
+    if t.shape[1] != t.shape[2]:
+        raise ValueError("matrix is not Hermitian within tolerance")
+    t_dag = t.conj().transpose(0, 2, 1)
+    if not _within_each(np.abs(t - t_dag).max(axis=(1, 2), initial=0.0), tol, t).all():
+        raise ValueError("matrix is not Hermitian within tolerance")
+    vals, vecs = np.linalg.eigh((t + t_dag) / 2)
+    order = np.argsort(vals, axis=-1)[:, ::-1]
+    vals = np.take_along_axis(vals, order, axis=-1)
+    vecs = np.take_along_axis(vecs, order[:, None, :], axis=-1)
+    low = vals.min(axis=-1, initial=np.inf)
+    bad = np.flatnonzero(~_within_each(-low, tol, t))
+    if bad.size:
+        k = bad[0]
+        floor = -tol * _scale(t[k])
+        raise ValueError(f"matrix is not PSD: eigenvalue {low[k]:.3e} below {floor:.3e}")
+    vals = np.clip(vals, 0.0, None)
+    return (vecs * np.sqrt(vals)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
 
 
 def polar(t: np.ndarray):
@@ -258,8 +296,12 @@ def polar(t: np.ndarray):
     return v, abs_t
 
 
-def trace_norm(t: np.ndarray) -> float:
-    return float(np.linalg.svd(asarray(t), compute_uv=False).sum())
+def trace_norm(t: np.ndarray) -> float | np.ndarray:
+    """Sum of the singular values; a stack ``(n, d, d)`` gives one per member."""
+    s = np.linalg.svd(asarray(t), compute_uv=False)
+    if s.ndim == 2:
+        return s.sum(axis=1)
+    return float(s.sum())
 
 
 def norms(t: np.ndarray):

@@ -79,6 +79,16 @@ class ShiftMultiplyBasis:
         return Povm(self.keys, self.bell_kets @ self.bell_kets.conj().transpose(0, 2, 1))
 
 
+# The per-d tables below are built once per process; their arrays are
+# read-only, so every caller can share them.  A basis holds 2 d^4 complex
+# entries, hence the bounded caches.
+
+@lru_cache(maxsize=16)
+def _shift_multiply(d: int) -> ShiftMultiplyBasis:
+    """The shared ``ShiftMultiplyBasis.build(d)``."""
+    return ShiftMultiplyBasis.build(d)
+
+
 # ---------------------------------------------------------------------------
 # Teleportation and superdense coding
 # ---------------------------------------------------------------------------
@@ -93,22 +103,25 @@ def teleport(rho_in, rng=0) -> ProtocolReport:
     from .discrimination import fidelity
 
     rho = _as_matrix(rho_in)
-    basis = ShiftMultiplyBasis.build(rho.shape[0])
-    records = []
-    for key, k in zip(basis.keys, _teleport_kraus(basis)):
-        branch = k @ rho @ dag(k)  # Bob's corrected, unnormalized state
-        prob = float(np.trace(branch).real)
-        records.append({"outcome": list(key), "probability": prob,
-                        "fidelity": fidelity(branch / prob, rho)})
+    d = rho.shape[0]
+    ks = _teleport_kraus(d)
+    branches = ks @ rho @ ks.conj().transpose(0, 2, 1)  # Bob's corrected, unnormalized states
+    probs = np.trace(branches, axis1=1, axis2=2).real
+    fids = fidelity(branches / probs[:, None, None], rho).tolist()
+    probs = probs.tolist()
+    records = tuple(
+        {"outcome": list(key), "probability": p, "fidelity": f}
+        for key, p, f in zip(_shift_multiply(d).keys, probs, fids)
+    )
     seed = _seed_repr(rng)
     rng = rng_from(rng)
-    sampled = rng.choice(len(records), p=[rec["probability"] for rec in records])
+    sampled = rng.choice(len(records), p=probs)
     summary = {
-        "probabilities": [rec["probability"] for rec in records],
-        "min_fidelity": min(rec["fidelity"] for rec in records),
+        "probabilities": probs,
+        "min_fidelity": min(fids),
         "sampled_outcome": records[sampled]["outcome"],
     }
-    return ProtocolReport("teleport", len(records), tuple(records), summary, seed)
+    return ProtocolReport("teleport", len(records), records, summary, seed)
 
 
 def teleport_channel(d: int) -> LinearMap:
@@ -118,23 +131,25 @@ def teleport_channel(d: int) -> LinearMap:
     """
     from .channels import KrausChannel, kraus_to_linear_map
 
-    return kraus_to_linear_map(KrausChannel(_teleport_kraus(ShiftMultiplyBasis.build(d))))
+    return kraus_to_linear_map(KrausChannel(_teleport_kraus(d)))
 
 
-def _teleport_kraus(basis: ShiftMultiplyBasis) -> np.ndarray:
-    """Stack of U_rs (<beta_rs| (x) I)(I (x) |psi+>) over the outcomes rs, in ``basis.keys`` order.
+@lru_cache(maxsize=16)
+def _teleport_kraus(d: int) -> np.ndarray:
+    """Read-only stack of U_rs (<beta_rs| (x) I)(I (x) |psi+>) over the outcomes
+    rs, in the order of the shift-multiply ``keys``.
 
     Alice's input and half of psi+ are measured in the Bell basis, and Bob
     corrects his half with U_rs: the map from Alice's input to Bob's output.
     """
     from .entanglement import maximally_entangled_ket
 
-    d = basis.d
+    basis = _shift_multiply(d)
     bell = basis.bell_kets.reshape(-1, d, d)  # beta[r, (a, a')]
     share = maximally_entangled_ket(d).reshape(d, d)  # psi+[(a', b)]
     # (<beta| (x) I)(I (x) |psi+>)[b, a] = sum_a' conj(beta[a, a']) psi+[a', b]
     measured = np.einsum("rxy,yb->rbx", bell.conj(), share)
-    return basis.unitaries @ measured
+    return _frozen_copy(basis.unitaries @ measured, "teleport Kraus operator")
 
 
 def superdense(message: int, rng=0) -> ProtocolReport:
@@ -302,13 +317,11 @@ def private_quantum_channel(d: int, n_messages: int, rng=0) -> ProtocolReport:
     the two Choi matrices, reported as 0.0 when it is at or below
     ``linalg.ATOL``, where only rounding noise remains.
     """
-    from .channels import KrausChannel, make, to_choi as choi_of
-
     if n_messages < 0:
         raise ValueError("n_messages must be non-negative")
     seed = _seed_repr(rng)
     rng = rng_from(rng)
-    basis = ShiftMultiplyBasis.build(d)
+    basis = _shift_multiply(d)
     # The draw order, all keys and then all messages, fixes the seeded stream.
     picks = rng.integers(len(basis.keys), size=n_messages)
     (kets,) = random_kets([d], n_messages, rng)
@@ -324,17 +337,25 @@ def private_quantum_channel(d: int, n_messages: int, rng=0) -> ProtocolReport:
         {"key": list(basis.keys[j]), "decode_fidelity": float(f)}
         for j, f in zip(picks, fidelities)
     ]
-    average = KrausChannel(basis.unitaries / d)
-    contraction = make("contraction", xi=State.maximally_mixed(d))
-    omega_avg = choi_of(average).matrix
-    omega_con = choi_of(contraction).matrix
-    choi_gap = float(np.abs(omega_avg - omega_con).max())
     summary = {
-        "keyless_choi_deviation": choi_gap if choi_gap > ATOL else 0.0,
+        "keyless_choi_deviation": _pqc_keyless_gap(d),
         "min_decode_fidelity": min(r["decode_fidelity"] for r in records) if records else 1.0,
         "key_bits_total": 2 * n_messages * np.log2(d),
     }
     return ProtocolReport("private_quantum_channel", n_messages, tuple(records), summary, seed)
+
+
+@lru_cache(maxsize=16)
+def _pqc_keyless_gap(d: int) -> float:
+    """``keyless_choi_deviation`` of the private quantum channel, which depends on d alone:
+    the largest entry of the difference between the Choi matrices of the
+    key-averaged channel and the contraction to I/d, or 0.0 at or below ATOL."""
+    from .channels import KrausChannel, make, to_choi
+
+    average = KrausChannel(_shift_multiply(d).unitaries / d)
+    contraction = make("contraction", xi=State.maximally_mixed(d))
+    gap = float(np.abs(to_choi(average).matrix - to_choi(contraction).matrix).max())
+    return gap if gap > ATOL else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +438,11 @@ class Processor:
     program_dim: int
     unitary: np.ndarray = field(repr=False)
 
+    def __post_init__(self):
+        n = self.system_dim * self.program_dim
+        object.__setattr__(self, "unitary",
+                           _frozen_copy(self.unitary, "processor unitary", shape=(n, n)))
+
     def apply(self, rho, program_ket: np.ndarray) -> np.ndarray:
         from .channels import dilation_apply
 
@@ -487,21 +513,18 @@ def probabilistic_processor(d: int, target_u, rng=0, n_inputs: int = 3) -> Proto
     target_u = asarray(target_u)
     seed = _seed_repr(rng)
     rng = rng_from(rng)
-    basis = ShiftMultiplyBasis.build(d)
-    proc = controlled_unitary_processor(basis.unitaries)
+    us = _shift_multiply(d).unitaries
+    proc = controlled_unitary_processor(us)
     phi = np.full(d * d, 1.0 / d, dtype=complex)
-    amps = np.array([np.trace(dag(u) @ target_u) / d for u in basis.unitaries])
+    amps = np.trace(us.conj().transpose(0, 2, 1) @ target_u, axis1=1, axis2=2) / d
     # Reading the program register out as phi leaves sum_j conj(phi_j) A_j.
     post = np.einsum("j,jab->ab", phi.conj(), _probe_kraus(proc.unitary, d, amps))
-    records = []
-    for _ in range(n_inputs):
-        ket = random_ket(d, rng)
-        rho = outer(ket)
-        branch = post @ rho @ dag(post)
-        p = float(np.trace(branch).real)
-        cond = branch / p
-        target = target_u @ rho @ dag(target_u)
-        records.append({"p_success": p, "fidelity": fidelity(cond, target)})
+    kets = np.array([random_ket(d, rng) for _ in range(n_inputs)], dtype=complex).reshape(-1, d, 1)
+    rhos = kets @ kets.conj().transpose(0, 2, 1)
+    branches = post @ rhos @ dag(post)
+    probs = np.trace(branches, axis1=1, axis2=2).real
+    fids = fidelity(branches / probs[:, None, None], target_u @ rhos @ dag(target_u))
+    records = [{"p_success": p, "fidelity": f} for p, f in zip(probs.tolist(), fids.tolist())]
     summary = {
         "p_success": records[0]["p_success"] if records else 1 / d**2,
         "amplitude_norm": float(np.linalg.norm(amps) ** 2),

@@ -41,8 +41,25 @@ def random_kets(dims, count: int, rng) -> list[np.ndarray]:
     return kets
 
 
-def _haar_columns(d: int, count: int, rng) -> np.ndarray:
-    """``count`` Haar unitaries with the sample index last: q[j, i, m] = U_m[i, j].
+def _haar_normals(d: int, count: int, rng, blocks: int = 1) -> np.ndarray:
+    """The normal draws behind ``blocks`` stacks of ``count`` Haar unitaries.
+
+    One block of shape (2, count, d, d) per stack: the real parts of all
+    ``count`` Ginibre matrices, then all their imaginary parts.  That order
+    fixes the seeded stream; ``blocks`` stacks drawn at once, as one array
+    of shape (blocks, 2, count, d, d), hold the same numbers as ``blocks``
+    separate draws.
+    """
+    if d < 1:
+        raise ValueError("dimension must be a positive integer")
+    if count < 0:
+        raise ValueError("count must be a non-negative integer")
+    return rng_from(rng).standard_normal((blocks, 2, count, d, d))
+
+
+def _gram_schmidt(z: np.ndarray) -> np.ndarray:
+    """Haar unitaries from normal blocks z[b, part, m] of ``_haar_normals``, with
+    the sample index last: q[j, i, b count + m] = U_bm[i, j].
 
     Classical Gram-Schmidt on the columns of Ginibre matrices, two passes
     per column: this is the QR factor whose R has a positive real
@@ -51,21 +68,16 @@ def _haar_columns(d: int, count: int, rng) -> np.ndarray:
     grows with the conditioning of the Ginibre matrix (about 5e-14 at
     d = 8; ``random_kraus_ops`` draws d·n ≥ 16); the second pass ("twice
     is enough") brings it back to rounding. With the samples last, every
-    step is one elementwise product or sum over all samples at once.
-    The draw is one normal block of shape (2, count, d, d): the real parts
-    of all ``count`` Ginibre matrices, then all their imaginary parts.
-    That order fixes the seeded stream; the layout of the arithmetic does
-    not touch it. The Ginibre scale drops out in the normalization, so
-    none is applied.
+    step is one elementwise product or sum over all samples at once, and
+    each sample's unitary does not depend on how many are run together.
+    The layout of the arithmetic does not touch the seeded stream. The
+    Ginibre scale drops out in the normalization, so none is applied.
     """
-    if d < 1:
-        raise ValueError("dimension must be a positive integer")
-    if count < 0:
-        raise ValueError("count must be a non-negative integer")
-    z = rng_from(rng).standard_normal((2, count, d, d))
-    q = np.empty((d, d, count), dtype=complex)
-    q.real = z[0].T
-    q.imag = z[1].T
+    blocks, _, count, d, _ = z.shape
+    q = np.empty((d, d, blocks, count), dtype=complex)
+    q.real = z[:, 0].transpose(3, 2, 0, 1)
+    q.imag = z[:, 1].transpose(3, 2, 0, 1)
+    q = q.reshape(d, d, blocks * count)
     for j in range(d):
         v = q[j]
         if j:
@@ -75,6 +87,11 @@ def _haar_columns(d: int, count: int, rng) -> np.ndarray:
                 v = v - (basis * (bra * v).sum(axis=1)[:, None]).sum(axis=0)
         q[j] = v / np.sqrt((v.conj() * v).real.sum(axis=0))
     return q
+
+
+def _haar_columns(d: int, count: int, rng) -> np.ndarray:
+    """``count`` Haar unitaries with the sample index last: q[j, i, m] = U_m[i, j]."""
+    return _gram_schmidt(_haar_normals(d, count, rng))
 
 
 def haar_unitaries(d: int, count: int, rng) -> np.ndarray:

@@ -12,7 +12,7 @@ from qitools.entanglement import (BipartiteState, certify_witness, chsh_operator
                                   witness_evaluate)
 from qitools.instruments import MeasurementModel, instrument_to_normal_memo, luders
 from qitools.observables import Effect, Povm, stern_gerlach
-from qitools.protocols import (ShiftMultiplyBasis, _b92_table, b92,
+from qitools.protocols import (Processor, ShiftMultiplyBasis, _b92_table, b92,
                                controlled_unitary_processor)
 from qitools.states import PAULI_X, BlochVector, State
 
@@ -103,6 +103,29 @@ def test_shift_multiply_basis_holds_read_only_stacks_in_key_order():
     assert basis.keys == tuple((r, s) for r in range(3) for s in range(3))
     assert basis.unitaries.shape == (9, 3, 3) and basis.bell_kets.shape == (9, 9, 1)
     assert not basis.unitaries.flags.writeable and not basis.bell_kets.flags.writeable
+
+
+def test_processor_holds_a_frozen_checked_copy_of_its_unitary():
+    u = np.eye(4)
+    proc = Processor(2, 2, u)
+    rho, program = np.diag([0.75, 0.25]), np.array([[1.0], [0.0]])
+    before = proc.apply(rho, program)
+    u[:] = 0  # the caller's array stays writable and is not the processor's
+    assert np.array_equal(proc.apply(rho, program), before)
+    assert np.abs(before - rho).max() < 1e-15
+    assert not proc.unitary.flags.writeable
+    with pytest.raises(ValueError, match="processor unitary shape"):
+        Processor(2, 3, np.eye(4))
+    with pytest.raises(ValueError, match=r"processor unitary\[0\]: entries must be finite"):
+        Processor(1, 1, [[np.nan]])
+
+
+def test_schmidt_data_holds_frozen_copies():
+    data = schmidt(np.array([1, 0, 0, 1]) * S2, 2, 2)
+    for a in (data.coefficients, data.left, data.right):
+        assert not a.flags.writeable
+    assert data.coefficients.dtype == float
+    assert np.abs(data.reconstruct().ravel() - np.array([1, 0, 0, 1]) * S2).max() < 1e-15
 
 
 def test_b92_reads_one_read_only_table_per_overlap():

@@ -52,6 +52,32 @@ def test_fidelity_basic():
     assert fidelity(State.from_ket(psi1), State.from_ket(psi2)) < 1e-9
 
 
+def test_fidelity_of_a_stack_equals_the_matrix_calls():
+    rng = np.random.default_rng(4)
+    stack = np.array([random_density(3, rng) for _ in range(5)])
+    other = random_density(3, rng)
+    first = fidelity(stack, other)
+    assert first.shape == (5,)
+    assert [first[k] for k in range(5)] == [fidelity(m, other) for m in stack]
+    second = fidelity(other, stack)
+    assert [second[k] for k in range(5)] == [fidelity(other, m) for m in stack]
+    paired = fidelity(stack, stack[::-1])
+    assert [paired[k] for k in range(5)] == [fidelity(a, b) for a, b in zip(stack, stack[::-1])]
+    assert isinstance(fidelity(stack[0], other), float)
+    with pytest.raises(ValueError, match="states must share a dimension"):
+        fidelity(stack, np.eye(2) / 2)
+
+
+def test_fidelity_of_a_stack_rejects_a_bad_member_with_the_matrix_message():
+    good = np.eye(2) / 2
+    for bad in (np.array([[0.5, 0.5], [0, 0.5]]), np.diag([1.5, -0.5])):
+        with pytest.raises(ValueError) as single:
+            fidelity(bad, good)
+        with pytest.raises(ValueError) as stacked:
+            fidelity(np.array([good, bad]), good)
+        assert str(stacked.value) == str(single.value)
+
+
 def test_fidelity_pure_vs_mixed():
     rng = np.random.default_rng(2)
     psi = random_ket(3, rng)

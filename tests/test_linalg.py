@@ -115,6 +115,48 @@ def test_psd_sqrt_rejects_negative():
         psd_sqrt(np.diag([1.0, -0.5]))
 
 
+def _stack_inputs(d):
+    """Members the single-matrix psd_sqrt accepts, including ones that need
+    the tolerance: a rounding-level negative eigenvalue, and an error in
+    Hermiticity that passes only through the norm scale."""
+    rng = np.random.default_rng(d)
+    skew = random_hermitian(d, rng) * 1j
+    members = [random_density(d, rng), random_density(d, rng, rank=1) * 3,
+               np.diag(np.r_[1.0, np.full(d - 1, -5e-10)]).astype(complex),
+               1000 * random_density(d, rng) + 5e-8 * skew / np.abs(skew).max()]
+    return np.array(members[: 3 if d == 1 else 4])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 6, 8])
+def test_stacked_psd_sqrt_and_trace_norm_equal_the_matrix_calls(d):
+    stack = _stack_inputs(d)
+    if d > 1:  # the last member is accepted only through the norm scale
+        assert np.abs(stack[-1] - dag(stack[-1])).max() > 1e-9
+    roots = psd_sqrt(stack)
+    assert roots.shape == stack.shape
+    for k, t in enumerate(stack):
+        assert np.array_equal(roots[k], psd_sqrt(t))
+    norms_ = trace_norm(stack)
+    assert norms_.shape == (len(stack),)
+    assert all(norms_[k] == trace_norm(t) for k, t in enumerate(stack))
+    assert isinstance(trace_norm(stack[0]), float)
+    assert psd_sqrt(stack[:0]).shape == (0, d, d)
+
+
+@pytest.mark.parametrize("bad", [np.array([[0, 1], [0, 0]], dtype=complex),
+                                 np.diag([1.0, -0.5]).astype(complex),
+                                 np.diag([1e6, -2e-3]).astype(complex)])
+def test_stacked_psd_sqrt_rejects_a_member_with_the_matrix_message(bad):
+    with pytest.raises(ValueError) as single:
+        psd_sqrt(bad)
+    stack = np.array([np.eye(2) / 2, bad, np.eye(2)])
+    with pytest.raises(ValueError) as stacked:
+        psd_sqrt(stack)
+    assert str(stacked.value) == str(single.value)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        psd_sqrt(np.zeros((2, 2, 3)))
+
+
 def test_polar_unitary():
     u = haar_unitary(3, np.random.default_rng(6))
     v, abs_t = polar(u)

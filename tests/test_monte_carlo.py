@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from qitools.channels import KrausChannel
-from qitools.entanglement import _TWIRL_BATCH, twirl, twirl_monte_carlo
+from qitools.entanglement import _TWIRL_BATCH, _TWIRL_BLOCK, twirl, twirl_monte_carlo
 from qitools.linalg import ATOL, dag, is_unitary, tensor
 from qitools.protocols import _bb84_p_one, b92, bb84
-from qitools.rand import haar_unitaries, haar_unitary, random_density, random_kraus_ops
+from qitools.rand import (_gram_schmidt, _haar_columns, _haar_normals, haar_unitaries,
+                          haar_unitary, random_density, random_kraus_ops)
 
 
 def _haar_reference(d, seed):
@@ -79,14 +80,50 @@ def test_twirl_monte_carlo_single_sample(d):
     assert np.abs(twirl_monte_carlo(x, d, 1, rng=5) - uu @ x @ dag(uu)).max() < 1e-12
 
 
+def twirl_per_chunk(x, d, samples, seed):
+    """The twirl with one _haar_columns draw per _TWIRL_BATCH samples, the
+    arithmetic of each chunk unchanged: the draw order without blocks."""
+    rng = np.random.default_rng(seed)
+    acc = np.zeros_like(x)
+    for start in range(0, samples, _TWIRL_BATCH):
+        q = _haar_columns(d, min(_TWIRL_BATCH, samples - start), rng)
+        uu = (q[:, None, :, None, :] * q[None, :, None, :, :]).reshape(d * d, d * d, -1)
+        y = (uu.reshape(d * d, -1).T @ x).reshape(d * d, -1)
+        acc += y @ uu.transpose(2, 0, 1).conj().reshape(-1, d * d)
+    return acc / samples
+
+
+# Sample counts on both sides of the chunk and block edges.
+EDGE_SAMPLES = [1, 255, 256, 257, 300, 2047, 2048, 2049, 5000]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("samples", EDGE_SAMPLES)
+def test_twirl_monte_carlo_is_bitwise_the_per_chunk_draws(d, samples):
+    x = random_density(d * d, np.random.default_rng(d))
+    expected = twirl_per_chunk(x, d, samples, 11)
+    assert np.array_equal(twirl_monte_carlo(x, d, samples, rng=11), expected)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_block_drawn_gram_schmidt_is_bitwise_the_chunk_draws(d):
+    k, n = _TWIRL_BLOCK, 37
+    block = _gram_schmidt(_haar_normals(d, n, np.random.default_rng(d), k))
+    rng = np.random.default_rng(d)
+    chunks = np.concatenate([_haar_columns(d, n, rng) for _ in range(k)], axis=-1)
+    assert block.shape == (d, d, k * n)
+    assert np.array_equal(block, chunks)
+
+
 def test_twirl_monte_carlo_matches_per_sample_loop():
-    d, samples = 2, 300
+    d = 2
     x = random_density(4, np.random.default_rng(3))
-    rng = np.random.default_rng(4)
-    sizes = [min(_TWIRL_BATCH, samples - s) for s in range(0, samples, _TWIRL_BATCH)]
-    us = np.concatenate([haar_unitaries(d, n, rng) for n in sizes])
-    expected = sum(tensor(u, u) @ x @ dag(tensor(u, u)) for u in us) / samples
-    assert np.abs(twirl_monte_carlo(x, d, samples, rng=4) - expected).max() < 1e-12
+    for samples in EDGE_SAMPLES:
+        rng = np.random.default_rng(4)
+        sizes = [min(_TWIRL_BATCH, samples - s) for s in range(0, samples, _TWIRL_BATCH)]
+        us = np.concatenate([haar_unitaries(d, n, rng) for n in sizes])
+        expected = sum(tensor(u, u) @ x @ dag(tensor(u, u)) for u in us) / samples
+        assert np.abs(twirl_monte_carlo(x, d, samples, rng=4) - expected).max() < 1e-12, samples
 
 
 @pytest.mark.parametrize("d", [3, 4])

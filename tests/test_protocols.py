@@ -16,6 +16,9 @@ from qitools.protocols import (
     Processor,
     ProtocolReport,
     ShiftMultiplyBasis,
+    _pqc_keyless_gap,
+    _shift_multiply,
+    _teleport_kraus,
     b92,
     bb84,
     controlled_unitary_processor,
@@ -85,6 +88,56 @@ def test_teleport_exact():
         for rec in rep.records:
             assert abs(rec["probability"] - 1 / d**2) < 1e-9
             assert abs(rec["fidelity"] - 1) < 1e-9
+
+
+def teleport_reference(rho, seed):
+    """The per-outcome loop that teleport replaced: one branch and one fidelity
+    per Bell outcome, from a freshly built basis."""
+    d = rho.shape[0]
+    basis = ShiftMultiplyBasis.build(d)
+    bell = basis.bell_kets.reshape(-1, d, d)
+    share = maximally_entangled_ket(d).reshape(d, d)
+    kraus = basis.unitaries @ np.einsum("rxy,yb->rbx", bell.conj(), share)
+    probs, fids = [], []
+    for k in kraus:
+        branch = k @ rho @ dag(k)
+        probs.append(float(np.trace(branch).real))
+        fids.append(fidelity(branch / probs[-1], rho))
+    sampled = np.random.default_rng(seed).choice(d * d, p=probs)
+    return probs, fids, list(basis.keys[sampled])
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_teleport_matches_per_outcome_loop(d):
+    for seed in range(10):
+        rho = random_density(d, seed)
+        probs, fids, sampled = teleport_reference(rho, seed)
+        rep = teleport(rho, rng=seed)
+        assert [r["probability"] for r in rep.records] == probs
+        assert rep.summary["probabilities"] == probs
+        assert np.abs(np.array([r["fidelity"] for r in rep.records]) - fids).max() < 1e-14
+        assert rep.summary["sampled_outcome"] == sampled
+
+
+def test_per_dimension_tables_are_built_once_and_read_only():
+    for cache in (_shift_multiply, _teleport_kraus, _pqc_keyless_gap):
+        cache.cache_clear()
+    for d in (2, 3, 2, 3):
+        teleport(random_density(d, d), rng=0)
+        private_quantum_channel(d, 5, rng=0)
+        probabilistic_processor(d, np.eye(d), rng=0)
+    for cache in (_shift_multiply, _teleport_kraus, _pqc_keyless_gap):
+        assert cache.cache_info().misses == 2
+        assert cache.cache_info().maxsize is not None
+    basis = _shift_multiply(3)
+    assert _shift_multiply(3) is basis
+    assert not basis.unitaries.flags.writeable and not _teleport_kraus(3).flags.writeable
+    with pytest.raises(ValueError):
+        _teleport_kraus(3)[0, 0, 0] = 1.0
+    assert _pqc_keyless_gap(3) == 0.0
+    # The public builder still returns a fresh object each time.
+    assert ShiftMultiplyBasis.build(3) is not ShiftMultiplyBasis.build(3)
+    assert ShiftMultiplyBasis.build(3) is not basis
 
 
 def test_teleport_pure_input():
@@ -244,6 +297,27 @@ def test_probabilistic_processor():
         assert abs(rep.summary["p_success"] - 1 / d**2) < 1e-9
         assert abs(rep.summary["amplitude_norm"] - 1) < 1e-9
         assert rep.summary["min_fidelity"] > 1 - 1e-9
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_probabilistic_processor_matches_per_input_loop(d):
+    u = haar_unitary(d, d)
+    basis = ShiftMultiplyBasis.build(d)
+    amps = np.array([np.trace(dag(v) @ u) / d for v in basis.unitaries])
+    proc = controlled_unitary_processor(basis.unitaries)
+    # Reading the program register out as phi = (1/d, ..., 1/d) sums the Kraus list.
+    post = sum(proc.kraus_for_program(amps)) / d
+    rng = np.random.default_rng(7)
+    expected = []
+    for _ in range(4):
+        rho = outer(random_ket(d, rng))
+        branch = post @ rho @ dag(post)
+        p = float(np.trace(branch).real)
+        expected.append((p, fidelity(branch / p, u @ rho @ dag(u))))
+    rep = probabilistic_processor(d, u, rng=7, n_inputs=4)
+    got = [(r["p_success"], r["fidelity"]) for r in rep.records]
+    assert np.abs(np.array(got) - np.array(expected)).max() < 1e-14
+    assert abs(rep.summary["amplitude_norm"] - np.linalg.norm(amps) ** 2) < 1e-14
 
 
 def test_approximate_processor_bound():
