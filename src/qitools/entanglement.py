@@ -4,6 +4,7 @@ witnesses, the Werner family, twirling, majorization, entangled fraction."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isqrt
 from numbers import Integral
 
@@ -354,12 +355,18 @@ def tiles_upb() -> list[np.ndarray]:
 
 
 def upb_projector() -> np.ndarray:
-    return sum(outer(k) for k in tiles_upb())
+    return _upb_projector().copy()
+
+
+@lru_cache(maxsize=None)
+def _upb_projector() -> np.ndarray:
+    """Read-only projector onto the tiles span, built once per process."""
+    return _frozen_copy(sum(outer(k) for k in tiles_upb()), "tiles projector")
 
 
 def upb_state() -> BipartiteState:
     """Normalized complement of the tiles span: a PPT entangled state."""
-    pi = upb_projector()
+    pi = _upb_projector()
     return BipartiteState(State((np.eye(9) - pi) / 4), 3, 3)
 
 
@@ -393,7 +400,7 @@ def _min_product_expectation(op: np.ndarray, dA: int, dB: int, rng, restarts: in
 
 def upb_epsilon(rng=0, restarts: int = 200) -> float:
     """Minimal product-ket overlap with the tiles projector (positive)."""
-    return _min_product_expectation(upb_projector(), 3, 3, rng_from(rng), restarts)
+    return _min_product_expectation(_upb_projector(), 3, 3, rng_from(rng), restarts)
 
 
 def upb_witness(rng=0, restarts: int = 200) -> Witness:
@@ -403,7 +410,7 @@ def upb_witness(rng=0, restarts: int = 200) -> Witness:
     eps the seeded alternating-minimization estimate; then
     tr[rho_upb W] = -eps/4 < 0 while product expectations stay >= 0.
     """
-    pi = upb_projector()
+    pi = _upb_projector()
     eps = upb_epsilon(rng=rng, restarts=restarts)
     vals, vecs = eigh(np.eye(9) - pi)
     phi = vecs[:, [0]]  # deterministic: first basis vector of the complement

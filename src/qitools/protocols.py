@@ -4,15 +4,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import product
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .linalg import (ATOL, _frozen_copy, _probe_kraus, asarray, basis_ket, dag, inner, outer,
-                     partial_trace, tensor)
+from .linalg import (ATOL, _frozen_copy, _probe_kraus, asarray, basis_ket, dag, inner,
+                     is_unitary, outer, partial_trace, tensor)
 from .observables import Povm, outcome_distribution
 from .rand import random_ket, random_kets, rng_from
-from .states import PAULIS, State, _as_matrix
+from .states import PAULIS, State
 
 if TYPE_CHECKING:  # channels loads only when a function below needs it
     from .channels import KrausChannel, LinearMap
@@ -98,11 +99,12 @@ def teleport(rho_in, rng=0) -> ProtocolReport:
 
     All d^2 Bell outcomes are enumerated: each occurs with probability
     1/d^2 and, after the matching correction, reproduces the input with
-    fidelity 1.
+    fidelity 1.  A ``rho_in`` that is not a ``State`` is checked, and
+    Hermitian-symmetrized, as one.
     """
     from .discrimination import fidelity
 
-    rho = _as_matrix(rho_in)
+    rho = (rho_in if isinstance(rho_in, State) else State(rho_in)).matrix
     d = rho.shape[0]
     ks = _teleport_kraus(d)
     branches = ks @ rho @ ks.conj().transpose(0, 2, 1)  # Bob's corrected, unnormalized states
@@ -178,6 +180,34 @@ def superdense(message: int, rng=0) -> ProtocolReport:
 # Key distribution
 # ---------------------------------------------------------------------------
 
+# A protocol's per-round records are copies of a few template dicts, built
+# once per process.  The templates never leave this module; every record of
+# a report is a fresh dict.
+
+def _round_records(templates: tuple, codes: np.ndarray) -> tuple:
+    """A fresh copy of ``templates[c]`` for each code ``c`` of ``codes``."""
+    return tuple(map(dict.copy, map(templates.__getitem__, codes.tolist())))
+
+
+@lru_cache(maxsize=None)
+def _bb84_records() -> tuple:
+    """The 96 BB84 record templates, indexed by the mixed-radix code of
+    (alice basis, bob basis, alice bit, bob bit, eve bit 0, 1 or None, released)."""
+    return tuple(
+        {
+            "alice_basis": ab,
+            "bob_basis": bb,
+            "alice_bit": xa,
+            "bob_bit": yb,
+            "eve_bit": eb,
+            "sifted": ab == bb,
+            "released": rl,
+        }
+        for ab, bb, xa, yb, eb, rl in product((0, 1), (0, 1), (0, 1), (0, 1), (0, 1, None),
+                                              (False, True))
+    )
+
+
 @lru_cache(maxsize=None)
 def _bb84_p_one() -> np.ndarray:
     """Read-only p_one[bit, prepared basis, measured basis]: probability of reading 1.
@@ -218,29 +248,17 @@ def bb84(rounds: int, eve: str = "none", rng=0, sample_fraction: float = 0.25) -
     rng = rng_from(rng)
     p_one = _bb84_p_one()
     a_basis, b_basis, x = rng.integers(2, size=(3, rounds))
-    sent_bit, sent_basis, eve_col = x, a_basis, [None] * rounds
+    sent_bit, sent_basis, eve_code = x, a_basis, 2
     if eve == "intercept_resend":
         e_basis = rng.integers(2, size=rounds)
         eve_bit = (rng.random(rounds) < p_one[x, a_basis, e_basis]).astype(int)
-        sent_bit, sent_basis, eve_col = eve_bit, e_basis, eve_bit.tolist()
+        sent_bit, sent_basis, eve_code = eve_bit, e_basis, eve_bit
     y = (rng.random(rounds) < p_one[sent_bit, sent_basis, b_basis]).astype(int)
     sifted = a_basis == b_basis
     released = sifted & (rng.random(rounds) < sample_fraction)
-    records = tuple(
-        {
-            "alice_basis": ab,
-            "bob_basis": bb,
-            "alice_bit": xa,
-            "bob_bit": yb,
-            "eve_bit": eb,
-            "sifted": sf,
-            "released": rl,
-        }
-        for ab, bb, xa, yb, eb, sf, rl in zip(
-            a_basis.tolist(), b_basis.tolist(), x.tolist(), y.tolist(),
-            eve_col, sifted.tolist(), released.tolist(),
-        )
-    )
+    # The index of each round's template in _bb84_records; eve_code 2 stands for None.
+    codes = ((((a_basis * 2 + b_basis) * 2 + x) * 2 + y) * 3 + eve_code) * 2 + released
+    records = _round_records(_bb84_records(), codes)
     qber = float(np.mean(x[released] != y[released])) if released.any() else 0.0
     eve_fraction = (
         float(np.mean(eve_bit[sifted] == x[sifted]))
@@ -273,6 +291,18 @@ def _b92_table(overlap: float) -> tuple[tuple, np.ndarray]:
     return povm.outcomes, _frozen_copy(cdf, "B92 table", dtype=float)
 
 
+@lru_cache(maxsize=64)
+def _b92_records(overlap: float) -> tuple:
+    """The B92 record templates at ``overlap``: entry x * len(outcomes) + k
+    for Alice's bit x and the k-th outcome of ``_b92_table(overlap)``."""
+    outcomes = _b92_table(overlap)[0]
+    return tuple(
+        {"alice_bit": xa, "outcome": o, "bob_bit": None if o == "?" else int(o) - 1}
+        for xa in (0, 1)
+        for o in outcomes
+    )
+
+
 def b92(rounds: int, overlap: float, rng=0) -> ProtocolReport:
     """B92 key distribution via optimal unambiguous discrimination.
 
@@ -286,15 +316,13 @@ def b92(rounds: int, overlap: float, rng=0) -> ProtocolReport:
     seed = _seed_repr(rng)
     rng = rng_from(rng)
     outcomes, cdf = _b92_table(float(overlap))
+    templates = _b92_records(float(overlap))
     x = rng.integers(2, size=rounds)
     idx = (rng.random(rounds)[:, None] >= cdf[x]).sum(axis=1)
-    bob_of = [None if o == "?" else int(o) - 1 for o in outcomes]
-    bob = np.array([-1 if b is None else b for b in bob_of])[idx]
+    codes = x * len(outcomes) + idx
+    bob = np.array([-1 if r["bob_bit"] is None else r["bob_bit"] for r in templates])[codes]
     conclusive = bob >= 0
-    records = tuple(
-        {"alice_bit": xa, "outcome": outcomes[k], "bob_bit": bob_of[k]}
-        for xa, k in zip(x.tolist(), idx.tolist())
-    )
+    records = _round_records(templates, codes)
     summary = {
         "conclusive_rate": int(conclusive.sum()) / rounds,
         "conclusive_errors": int((conclusive & (bob != x)).sum()),
@@ -334,8 +362,8 @@ def private_quantum_channel(d: int, n_messages: int, rng=0) -> ProtocolReport:
     # F(sigma, psi psi^dag) = sqrt(<psi|sigma|psi>), exact for a pure argument.
     fidelities = np.sqrt((bras @ decoded @ messages)[:, 0, 0].real)
     records = [
-        {"key": list(basis.keys[j]), "decode_fidelity": float(f)}
-        for j, f in zip(picks, fidelities)
+        {"key": list(basis.keys[j]), "decode_fidelity": f}
+        for j, f in zip(picks.tolist(), fidelities.tolist())
     ]
     summary = {
         "keyless_choi_deviation": _pqc_keyless_gap(d),
@@ -511,6 +539,10 @@ def probabilistic_processor(d: int, target_u, rng=0, n_inputs: int = 3) -> Proto
     from .discrimination import fidelity
 
     target_u = asarray(target_u)
+    if target_u.shape != (d, d) or not is_unitary(target_u):
+        raise ValueError("processor target must be a d x d unitary")
+    if n_inputs < 0:
+        raise ValueError("n_inputs must be non-negative")
     seed = _seed_repr(rng)
     rng = rng_from(rng)
     us = _shift_multiply(d).unitaries

@@ -6,6 +6,7 @@ from qitools.discrimination import trace_distance
 from qitools.entanglement import (
     BipartiteState,
     Witness,
+    _upb_projector,
     certify_witness,
     chsh_value,
     chsh_witness,
@@ -269,6 +270,20 @@ def test_tiles_upb_gram():
     kets = tiles_upb()
     gram = np.array([[inner(a, b) for b in kets] for a in kets])
     assert np.abs(gram - np.eye(5)).max() < 1e-12
+
+
+def test_tiles_projector_is_built_once_and_handed_out_as_a_fresh_copy():
+    _upb_projector.cache_clear()
+    first = upb_projector()
+    assert upb_epsilon(rng=109) == 0.028416213335730276
+    upb_witness(rng=0, restarts=20)
+    assert _upb_projector.cache_info().misses == 1
+    held = _upb_projector()
+    assert not held.flags.writeable
+    assert first.flags.writeable and first is not held and upb_projector() is not first
+    first[:] = 0  # a caller's copy is its own
+    assert np.array_equal(upb_projector(), held)
+    assert np.abs(held @ held - held).max() < 1e-15 and abs(np.trace(held).real - 5) < 1e-14
 
 
 def test_upb_state_is_ppt_entangled():

@@ -1,5 +1,6 @@
 """The batched Monte-Carlo paths: stacked Haar draws, the chunked twirl
-estimate, and the table-driven BB84/B92 rounds."""
+estimate, and the table-driven BB84/B92 rounds and their template-copied
+records."""
 
 import numpy as np
 import pytest
@@ -7,9 +8,10 @@ import pytest
 from qitools.channels import KrausChannel
 from qitools.entanglement import _TWIRL_BATCH, _TWIRL_BLOCK, twirl, twirl_monte_carlo
 from qitools.linalg import ATOL, dag, is_unitary, tensor
-from qitools.protocols import _bb84_p_one, b92, bb84
+from qitools.protocols import (_b92_records, _b92_table, _bb84_p_one, _bb84_records,
+                               _shift_multiply, b92, bb84, private_quantum_channel)
 from qitools.rand import (_gram_schmidt, _haar_columns, _haar_normals, haar_unitaries,
-                          haar_unitary, random_density, random_kraus_ops)
+                          haar_unitary, random_density, random_kets, random_kraus_ops)
 
 
 def _haar_reference(d, seed):
@@ -238,3 +240,124 @@ def test_b92_records_agree_with_summary():
     assert all(r["bob_bit"] is None for r in rep.records if r["outcome"] == "?")
     errors = sum(r["bob_bit"] != r["alice_bit"] for r in conclusive)
     assert rep.summary["conclusive_errors"] == errors == 0
+
+
+# Reference record builders: one dict literal per round from the same draws,
+# as the protocols built their records before the templates.
+
+def bb84_reference(rounds, eve, seed, sample_fraction):
+    rng = np.random.default_rng(seed)
+    p_one = _bb84_p_one()
+    a_basis, b_basis, x = rng.integers(2, size=(3, rounds))
+    sent_bit, sent_basis, eve_col = x, a_basis, [None] * rounds
+    if eve == "intercept_resend":
+        e_basis = rng.integers(2, size=rounds)
+        eve_bit = (rng.random(rounds) < p_one[x, a_basis, e_basis]).astype(int)
+        sent_bit, sent_basis, eve_col = eve_bit, e_basis, eve_bit.tolist()
+    y = (rng.random(rounds) < p_one[sent_bit, sent_basis, b_basis]).astype(int)
+    sifted = a_basis == b_basis
+    released = sifted & (rng.random(rounds) < sample_fraction)
+    return [
+        {
+            "alice_basis": ab,
+            "bob_basis": bb,
+            "alice_bit": xa,
+            "bob_bit": yb,
+            "eve_bit": eb,
+            "sifted": sf,
+            "released": rl,
+        }
+        for ab, bb, xa, yb, eb, sf, rl in zip(
+            a_basis.tolist(), b_basis.tolist(), x.tolist(), y.tolist(),
+            eve_col, sifted.tolist(), released.tolist(),
+        )
+    ]
+
+
+def b92_reference(rounds, overlap, seed):
+    rng = np.random.default_rng(seed)
+    outcomes, cdf = _b92_table(float(overlap))
+    x = rng.integers(2, size=rounds)
+    idx = (rng.random(rounds)[:, None] >= cdf[x]).sum(axis=1)
+    bob_of = [None if o == "?" else int(o) - 1 for o in outcomes]
+    return [
+        {"alice_bit": xa, "outcome": outcomes[k], "bob_bit": bob_of[k]}
+        for xa, k in zip(x.tolist(), idx.tolist())
+    ]
+
+
+def pqc_reference(d, n_messages, seed):
+    rng = np.random.default_rng(seed)
+    basis = _shift_multiply(d)
+    picks = rng.integers(len(basis.keys), size=n_messages)
+    (kets,) = random_kets([d], n_messages, rng)
+    messages = kets[:, :, None]
+    u = basis.unitaries[picks]
+    u_dag = u.conj().transpose(0, 2, 1)
+    bras = messages.conj().transpose(0, 2, 1)
+    decoded = u_dag @ (u @ (messages @ bras) @ u_dag) @ u
+    fidelities = np.sqrt((bras @ decoded @ messages)[:, 0, 0].real)
+    return [
+        {"key": list(basis.keys[j]), "decode_fidelity": float(f)}
+        for j, f in zip(picks, fidelities)
+    ]
+
+
+def assert_same_records(got, expected):
+    """Equal records with equal key order and the same type for every value."""
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        assert g == e
+        assert list(g) == list(e)
+        assert [type(v) for v in g.values()] == [type(v) for v in e.values()]
+
+
+@pytest.mark.parametrize("eve", ["none", "intercept_resend"])
+@pytest.mark.parametrize("fraction", [0.0, 0.25, 1.0])
+def test_bb84_records_match_the_dict_literal_reference(eve, fraction):
+    for seed in range(10):
+        rep = bb84(400, eve=eve, rng=seed, sample_fraction=fraction)
+        assert_same_records(rep.records, bb84_reference(400, eve, seed, fraction))
+
+
+@pytest.mark.parametrize("overlap", [0.0, 0.3, 0.5, 0.9])
+def test_b92_records_match_the_dict_literal_reference(overlap):
+    for seed in range(10):
+        assert_same_records(b92(400, overlap, rng=seed).records, b92_reference(400, overlap, seed))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_pqc_records_match_the_numpy_scalar_reference(d):
+    for seed in range(10):
+        rep = private_quantum_channel(d, 40, rng=seed)
+        assert_same_records(rep.records, pqc_reference(d, 40, seed))
+        assert len({id(r["key"]) for r in rep.records}) == len(rep.records)
+
+
+@pytest.mark.parametrize("protocol, reference", [
+    (lambda: bb84(300, eve="intercept_resend", rng=4),
+     lambda: bb84_reference(300, "intercept_resend", 4, 0.25)),
+    (lambda: bb84(300, rng=4), lambda: bb84_reference(300, "none", 4, 0.25)),
+    (lambda: b92(300, 0.3, rng=4), lambda: b92_reference(300, 0.3, 4)),
+])
+def test_template_records_are_fresh_dicts(protocol, reference):
+    rep = protocol()
+    before = [dict(r) for r in rep.records]
+    rep.records[0]["alice_bit"] = 99
+    assert [dict(r) for r in rep.records[1:]] == before[1:]
+    assert_same_records(protocol().records, reference())
+
+
+def test_record_templates_are_built_once_per_process():
+    _bb84_records.cache_clear()
+    _b92_records.cache_clear()
+    for seed in range(3):
+        for eve in ("none", "intercept_resend"):
+            bb84(200, eve=eve, rng=seed)
+        for overlap in (0.3, 0.5):
+            b92(200, overlap, rng=seed)
+    assert _bb84_records.cache_info().misses == 1
+    assert len(_bb84_records()) == 96
+    assert _b92_records.cache_info().misses == 2
+    assert _b92_records.cache_info().maxsize is not None
+    assert len(_b92_records(0.5)) == 2 * len(_b92_table(0.5)[0])

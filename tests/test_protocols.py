@@ -140,6 +140,17 @@ def test_per_dimension_tables_are_built_once_and_read_only():
     assert ShiftMultiplyBasis.build(3) is not basis
 
 
+@pytest.mark.parametrize("rho, message", [
+    (0.5001 * np.eye(2), "state trace is"),
+    (np.array([[0.5, 0.1], [0.0, 0.5]]), "state matrix is not Hermitian"),
+    (np.diag([1.5, -0.5]), "state matrix is not PSD"),
+    (np.ones((2, 3)) / 2, "a state must be a square matrix"),
+])
+def test_teleport_rejects_an_input_that_is_not_a_state(rho, message):
+    with pytest.raises(ValueError, match=message):
+        teleport(rho)
+
+
 def test_teleport_pure_input():
     rep = teleport(State.from_ket(random_ket(2, np.random.default_rng(2))), rng=0)
     assert rep.summary["min_fidelity"] > 1 - 1e-9
@@ -318,6 +329,18 @@ def test_probabilistic_processor_matches_per_input_loop(d):
     got = [(r["p_success"], r["fidelity"]) for r in rep.records]
     assert np.abs(np.array(got) - np.array(expected)).max() < 1e-14
     assert abs(rep.summary["amplitude_norm"] - np.linalg.norm(amps) ** 2) < 1e-14
+
+
+@pytest.mark.parametrize("target", [2 * np.eye(2), np.eye(3), np.eye(4)[:2], np.ones((2, 2))])
+def test_probabilistic_processor_rejects_a_target_that_is_not_a_d_by_d_unitary(target):
+    with pytest.raises(ValueError, match="processor target must be a d x d unitary"):
+        probabilistic_processor(2, target)
+
+
+def test_probabilistic_processor_rejects_negative_n_inputs():
+    with pytest.raises(ValueError, match="n_inputs must be non-negative"):
+        probabilistic_processor(2, np.eye(2), n_inputs=-2)
+    assert probabilistic_processor(2, np.eye(2), n_inputs=0).rounds == 0
 
 
 def test_approximate_processor_bound():
