@@ -30,6 +30,7 @@ from .linalg import (
     _eig_tol,
     _frozen_copy,
     _frozen_stack,
+    _herm,
     _kraus_columns,
     _prepare_kraus,
     _probe_kraus,
@@ -97,8 +98,7 @@ class ChoiMatrix:
         object.__setattr__(self, "matrix", m)
 
     def min_eigenvalue(self) -> float:
-        h = (self.matrix + dag(self.matrix)) / 2
-        return float(np.linalg.eigvalsh(h).min())
+        return float(np.linalg.eigvalsh(_herm(self.matrix)).min())
 
     def is_cp(self, tol: float = ATOL) -> bool:
         return _is_cp(self, self.min_eigenvalue(), tol)
@@ -699,7 +699,7 @@ def fixed_point(ch: KrausChannel, rho0, max_iter: int = 20000, tol: float = ATOL
     for _ in range(max_iter):
         nxt = apply(ch, rho)
         if trace_norm(nxt - rho) < tol:
-            return State((nxt + dag(nxt)) / 2)
+            return State(_herm(nxt))
         rho = nxt
     raise NumericError(f"no fixed point found within {max_iter} iterations "
                        "(the channel may not be strictly contractive)")
@@ -743,7 +743,7 @@ def _takagi(a: np.ndarray, tol: float = 1e-10):
     a = asarray(a)
     n = a.shape[0]
     b = np.block([[a.real, a.imag], [a.imag, -a.real]])
-    vals, vecs = np.linalg.eigh((b + b.T) / 2)
+    vals, vecs = np.linalg.eigh(_herm(b))
     cut = _eig_tol(vals, tol)  # the spectrum of b is +-(singular values of a)
     pos = [(vals[i], vecs[:, i]) for i in range(2 * n) if vals[i] > cut]
     pos.sort(key=lambda p: -p[0])
@@ -863,7 +863,7 @@ def is_entanglement_breaking(ch: KrausChannel, tol: float = ATOL) -> dict:
     choi = to_choi(ch)
     d_in, d_out = choi.in_dim, choi.out_dim
     pt = partial_transpose(choi.matrix, d_out, d_in)
-    min_eig = float(np.linalg.eigvalsh((pt + dag(pt)) / 2).min())
+    min_eig = float(np.linalg.eigvalsh(_herm(pt)).min())
     if not _within(-min_eig, tol, choi.matrix):
         return {"verdict": "no", "pt_min_eig": min_eig, "measure_prepare": None}
     if d_in == 2 and d_out == 2:

@@ -10,8 +10,9 @@ from numbers import Integral
 
 import numpy as np
 
-from .linalg import (ATOL, _frozen_copy, _require_finite, _seesaw, _within, asarray, dag, eigh,
-                     outer, partial_trace, partial_transpose, swap_operator, tensor)
+from .linalg import (ATOL, _frozen_copy, _herm, _hermitian, _require_finite, _seesaw, _within,
+                     asarray, dag, eigh, outer, partial_trace, partial_transpose, swap_operator,
+                     tensor)
 from .rand import _gram_schmidt, _haar_normals, haar_unitaries, random_kets, rng_from
 from .states import PAULIS, State
 
@@ -102,7 +103,7 @@ def schmidt(psi, dA: int, dB: int, tol: float = ATOL) -> SchmidtData:
 def ppt(rho: BipartiteState, side: str = "B", tol: float = ATOL) -> tuple[bool, float]:
     """(is PPT, minimal eigenvalue of the partial transpose)."""
     pt = partial_transpose(rho.matrix, rho.dA, rho.dB, side=side)
-    min_eig = float(np.linalg.eigvalsh((pt + dag(pt)) / 2).min())
+    min_eig = float(np.linalg.eigvalsh(_herm(pt)).min())
     return min_eig >= -tol, min_eig
 
 
@@ -121,8 +122,8 @@ def reduction_criterion(rho: BipartiteState, tol: float = ATOL):
     ra = rho.reduced("A").matrix
     op1 = tensor(np.eye(rho.dA), rb) - m
     op2 = tensor(ra, np.eye(rho.dB)) - m
-    e1 = float(np.linalg.eigvalsh((op1 + dag(op1)) / 2).min())
-    e2 = float(np.linalg.eigvalsh((op2 + dag(op2)) / 2).min())
+    e1 = float(np.linalg.eigvalsh(_herm(op1)).min())
+    e2 = float(np.linalg.eigvalsh(_herm(op2)).min())
     return (e1 < -tol or e2 < -tol), e1, e2
 
 
@@ -158,11 +159,13 @@ def chsh_witness(a, a_prime, b, b_prime, sign: int = 1, rng=0) -> Witness:
 
 
 def certify_witness(w: np.ndarray, dA: int, dB: int, rng=0, restarts: int = 100) -> Witness:
-    """Certify a candidate witness by minimizing over product kets."""
-    w = asarray(w)
+    """Certify a finite Hermitian candidate witness on C^dA (x) C^dB over product kets."""
+    w = _frozen_copy(w, "witness", (dA * dB, dA * dB))
+    h = _hermitian(w, ATOL)
+    if h is None:
+        raise ValueError("witness is not Hermitian")
     value = _min_product_expectation(w, dA, dB, rng_from(rng), restarts)
-    min_eig = float(np.linalg.eigvalsh((w + dag(w)) / 2).min())
-    return Witness(w, value, min_eig)
+    return Witness(w, value, float(np.linalg.eigvalsh(h).min()))
 
 
 def witness_evaluate(w: Witness, rho: BipartiteState, tol: float = ATOL):
@@ -344,14 +347,13 @@ def tiles_upb() -> list[np.ndarray]:
     s2 = 1 / np.sqrt(2)
     s3 = 1 / np.sqrt(3)
     e = np.eye(3)
-    kets = [
+    return [
         _tile(e[0], s2 * (e[0] - e[1])),
         _tile(e[2], s2 * (e[1] - e[2])),
         _tile(s2 * (e[0] - e[1]), e[2]),
         _tile(s2 * (e[1] - e[2]), e[0]),
         _tile(s3 * (e[0] + e[1] + e[2]), s3 * (e[0] + e[1] + e[2])),
     ]
-    return kets
 
 
 def upb_projector() -> np.ndarray:
@@ -379,10 +381,10 @@ def _min_product_step(t: np.ndarray, phi: np.ndarray):
     n, dA, dB = len(phi), t.shape[0], t.shape[1]
     t_b = t.transpose(1, 3, 0, 2).reshape(dB * dB, dA * dA)
     mat_a = ((phi.conj()[:, :, None] * phi[:, None, :]).reshape(n, -1) @ t_b).reshape(n, dA, dA)
-    psi = np.linalg.eigh((mat_a + mat_a.conj().transpose(0, 2, 1)) / 2)[1][:, :, 0]
+    psi = np.linalg.eigh(_herm(mat_a))[1][:, :, 0]
     t_a = t.transpose(0, 2, 1, 3).reshape(dA * dA, dB * dB)
     mat_b = ((psi.conj()[:, :, None] * psi[:, None, :]).reshape(n, -1) @ t_a).reshape(n, dB, dB)
-    vals, vecs = np.linalg.eigh((mat_b + mat_b.conj().transpose(0, 2, 1)) / 2)
+    vals, vecs = np.linalg.eigh(_herm(mat_b))
     return vecs[:, :, 0], -vals[:, 0]
 
 

@@ -112,8 +112,7 @@ def dag(a: np.ndarray) -> np.ndarray:
 
 def ket(entries) -> np.ndarray:
     """Column vector from a 1-d sequence of amplitudes (not normalized)."""
-    v = asarray(entries).reshape(-1, 1)
-    return v
+    return asarray(entries).reshape(-1, 1)
 
 
 def unit_ket(entries) -> np.ndarray:
@@ -137,13 +136,6 @@ def outer(phi: np.ndarray, psi: np.ndarray | None = None) -> np.ndarray:
     return np.asarray(phi) @ dag(psi)
 
 
-def projector(phi: np.ndarray) -> np.ndarray:
-    """Projector onto the ray of a (normalized first) vector."""
-    v = np.asarray(phi, dtype=complex).reshape(-1, 1)
-    v = v / np.linalg.norm(v)
-    return v @ dag(v)
-
-
 def basis_ket(d: int, j: int) -> np.ndarray:
     v = np.zeros((d, 1), dtype=complex)
     v[j, 0] = 1.0
@@ -157,12 +149,24 @@ def is_hermitian(a: np.ndarray, tol: float = ATOL) -> bool:
     return _within(np.max(np.abs(a - dag(a))), tol, a)
 
 
+def _herm(a: np.ndarray) -> np.ndarray:
+    """The one Hermitian part (a + a^dag) / 2 of a matrix or stack; exact on a Hermitian a."""
+    return (a + a.conj().swapaxes(-1, -2)) / 2
+
+
+def _hermitian(a: np.ndarray, tol: float) -> np.ndarray | None:
+    """_herm(a) if ``a`` (each member of an (n, d, d) stack) is Hermitian within tol, else None."""
+    if a.ndim == 3 and a.shape[1] == a.shape[2]:
+        errs = np.abs(a - a.conj().swapaxes(1, 2)).max(axis=(1, 2), initial=0.0)
+        ok = _within_each(errs, tol, a).all()
+    else:
+        ok = is_hermitian(a, tol)  # False for anything but a square matrix
+    return _herm(a) if ok else None
+
+
 def is_psd(a: np.ndarray, tol: float = ATOL) -> bool:
     a = asarray(a)
-    if not is_hermitian(a, tol):
-        return False
-    evals = np.linalg.eigvalsh((a + dag(a)) / 2)
-    return _within(-evals.min(), tol, a)
+    return is_hermitian(a, tol) and _within(-np.linalg.eigvalsh(_herm(a)).min(), tol, a)
 
 
 def is_unitary(a: np.ndarray, tol: float = ATOL) -> bool:
@@ -179,11 +183,17 @@ def is_projection(a: np.ndarray, tol: float = ATOL) -> bool:
 
 def is_effect(a: np.ndarray, tol: float = ATOL) -> bool:
     """O <= a <= I within tol."""
-    a = asarray(a)
-    if not is_hermitian(a, tol):
-        return False
-    evals = np.linalg.eigvalsh((a + dag(a)) / 2)
-    return _within(-evals.min(), tol, a) and _within(evals.max(), tol, a, offset=1.0)
+    return _effect(asarray(a), tol) is not None
+
+
+def _effect(a: np.ndarray, tol: float) -> np.ndarray | None:
+    """_herm(a) when the matrix ``a`` is an effect, O <= a <= I within tol, else None."""
+    h = _hermitian(a, tol) if a.ndim == 2 else None
+    if h is None:
+        return None
+    evals = np.linalg.eigvalsh(h)
+    ok = _within(-evals.min(), tol, a) and _within(evals.max(), tol, a, offset=1.0)
+    return h if ok else None
 
 
 def tensor(*ops) -> np.ndarray:
@@ -238,7 +248,7 @@ def eigh(t: np.ndarray, tol: float = ATOL):
     t = asarray(t)
     if not is_hermitian(t, tol):
         raise ValueError("matrix is not Hermitian within tolerance")
-    vals, vecs = np.linalg.eigh((t + dag(t)) / 2)
+    vals, vecs = np.linalg.eigh(_herm(t))  # the part is freed before the column copy below
     order = np.argsort(vals)[::-1]
     return vals[order], vecs[:, order]
 
@@ -263,12 +273,10 @@ def psd_sqrt(t: np.ndarray, tol: float = ATOL) -> np.ndarray:
 def _psd_sqrt_stack(t: np.ndarray, tol: float) -> np.ndarray:
     """psd_sqrt of each member of a stack, with the checks and the descending
     eigenvalue order of ``eigh`` and ``psd_sqrt`` on one matrix."""
-    if t.shape[1] != t.shape[2]:
+    h = _hermitian(t, tol)
+    if h is None:
         raise ValueError("matrix is not Hermitian within tolerance")
-    t_dag = t.conj().transpose(0, 2, 1)
-    if not _within_each(np.abs(t - t_dag).max(axis=(1, 2), initial=0.0), tol, t).all():
-        raise ValueError("matrix is not Hermitian within tolerance")
-    vals, vecs = np.linalg.eigh((t + t_dag) / 2)
+    vals, vecs = np.linalg.eigh(h)
     order = np.argsort(vals, axis=-1)[:, ::-1]
     vals = np.take_along_axis(vals, order, axis=-1)
     vecs = np.take_along_axis(vecs, order[:, None, :], axis=-1)
@@ -291,9 +299,7 @@ def polar(t: np.ndarray):
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise ValueError("polar decomposition requires a square matrix")
     u, s, wh = np.linalg.svd(t)
-    abs_t = (dag(wh) * s) @ wh
-    v = u @ wh
-    return v, abs_t
+    return u @ wh, (dag(wh) * s) @ wh
 
 
 def trace_norm(t: np.ndarray) -> float | np.ndarray:

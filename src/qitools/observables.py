@@ -8,16 +8,19 @@ from math import comb
 
 import numpy as np
 
-from .linalg import (ATOL, _frozen_copy, _frozen_stack, _require_finite, _within, asarray, dag,
-                     eigh, is_effect, is_hermitian, is_projection, matrix_rank)
+from .linalg import (ATOL, _effect, _frozen_copy, _frozen_stack, _herm, _require_finite, _within,
+                     asarray, dag, eigh, is_hermitian, is_projection, matrix_rank)
 from .states import _as_matrix
 
 
-def _require_effect(m: np.ndarray) -> None:
-    if not is_effect(m):
-        evals = np.linalg.eigvalsh((m + dag(m)) / 2) if is_hermitian(m) else None
+def _require_effect(m: np.ndarray) -> np.ndarray:
+    """The Hermitian part of ``m``, which must be an effect (O <= E <= I)."""
+    h = _effect(m, ATOL)
+    if h is None:
+        evals = np.linalg.eigvalsh(_herm(m)) if is_hermitian(m) else None
         detail = f" (spectrum {evals})" if evals is not None else " (not Hermitian)"
         raise ValueError("matrix is not an effect: O <= E <= I fails" + detail)
+    return h
 
 
 @dataclass(frozen=True, eq=False)
@@ -29,8 +32,7 @@ class Effect:
     def __post_init__(self):
         m = asarray(self.matrix)
         _require_finite(m, "effect")
-        _require_effect(m)
-        object.__setattr__(self, "matrix", _frozen_copy((m + dag(m)) / 2, "effect"))
+        object.__setattr__(self, "matrix", _frozen_copy(_require_effect(m), "effect"))
 
     @property
     def dim(self) -> int:
@@ -51,14 +53,12 @@ class Povm:
     def __post_init__(self):
         effs = [e.matrix if isinstance(e, Effect) else e for e in self.effects]
         stack = _frozen_stack(effs, "POVM effect", "a POVM needs at least one effect", "(n, d, d)")
-        for m in stack:
-            _require_effect(m)
+        stack = np.stack([_require_effect(m) for m in stack])
         outs = tuple(self.outcomes)
         if len(outs) != len(stack):
             raise ValueError("outcomes and effects must have the same length")
         if len(set(outs)) != len(outs):
             raise ValueError("outcome labels must be distinct")
-        stack = (stack + stack.conj().transpose(0, 2, 1)) / 2
         total = stack.sum(axis=0)
         err = np.max(np.abs(total - np.eye(len(total))))
         if not _within(err, ATOL, total):
@@ -227,8 +227,7 @@ def commuting_joint(a, b) -> Povm:
         raise ValueError("effects do not commute; no joint observable is constructed")
     eye = np.eye(am.shape[0], dtype=complex)
     prods = [ab, (eye - am) @ bm, am @ (eye - bm), (eye - am) @ (eye - bm)]
-    effs = tuple((p + dag(p)) / 2 for p in prods)
-    return Povm((1, 2, 3, 4), effs)
+    return Povm((1, 2, 3, 4), prods)
 
 
 def has_unit_eigenvalue(e: np.ndarray, tol: float = 1e-7) -> bool:

@@ -76,9 +76,6 @@ class ShiftMultiplyBasis:
         return cls(d, keys, _frozen_copy(us.reshape(-1, d, d), "shift-multiply unitary"),
                    _frozen_copy(kets, "Bell ket"))
 
-    def bell_povm(self) -> Povm:
-        return Povm(self.keys, self.bell_kets @ self.bell_kets.conj().transpose(0, 2, 1))
-
 
 # The per-d tables below are built once per process; their arrays are
 # read-only, so every caller can share them.  A basis holds 2 d^4 complex

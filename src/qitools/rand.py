@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import _probe_kraus, _unit_rows, basis_ket, dag
+from .linalg import _herm, _probe_kraus, _unit_rows, basis_ket, dag
 
 
 def rng_from(seed) -> np.random.Generator:
@@ -130,7 +130,7 @@ def random_hermitian(d: int, rng) -> np.ndarray:
         raise ValueError("dimension must be a positive integer")
     rng = rng_from(rng)
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return (g + dag(g)) / 2
+    return _herm(g)
 
 
 def random_kraus_ops(d: int, rng, count: int | None = None) -> list[np.ndarray]:

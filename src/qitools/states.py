@@ -7,8 +7,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import (ATOL, _eig_tol, _frozen_copy, _kraus_columns, _require_finite, _within,
-                     asarray, dag, eigh, inner, is_hermitian, psd_sqrt)
+from .linalg import (ATOL, _eig_tol, _frozen_copy, _hermitian, _kraus_columns, _require_finite,
+                     _within, asarray, dag, eigh, inner, psd_sqrt)
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -28,15 +28,16 @@ class State:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("a state must be a square matrix")
         _require_finite(m, "state")
-        if not is_hermitian(m):
+        h = _hermitian(m, ATOL)
+        if h is None:
             raise ValueError("state matrix is not Hermitian")
-        evals = np.linalg.eigvalsh((m + dag(m)) / 2)
+        evals = np.linalg.eigvalsh(h)
         if not _within(-evals.min(), ATOL, m):
             raise ValueError(f"state matrix is not PSD: eigenvalue {evals.min():.3e}")
         tr = np.trace(m).real
         if not _within(abs(tr - 1), ATOL, m):
             raise ValueError(f"state trace is {tr}, not 1")
-        object.__setattr__(self, "matrix", _frozen_copy((m + dag(m)) / 2, "state"))
+        object.__setattr__(self, "matrix", _frozen_copy(h, "state"))
         object.__setattr__(self, "dim", m.shape[0])
 
     @classmethod

@@ -1,21 +1,21 @@
-"""Every script under demos/ runs to completion against the source tree."""
-
-import os
-import subprocess
-import sys
-from pathlib import Path
+"""Every script under demos/ runs to completion against the source tree and
+prints what the seeded-output corpus holds (see seeded_corpus.py)."""
 
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
-DEMOS = sorted((ROOT / "demos").glob("*.py"))
+from seeded_corpus import DEMOS, demo_process, expected, output_differences
+
+WANT = expected()["demos"]
+
+
+def test_the_corpus_holds_every_demo():
+    assert sorted(WANT) == [p.name for p in DEMOS]
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=[p.name for p in DEMOS])
 def test_demo_runs(script):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(script)], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = demo_process(script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+    diffs = output_differences(proc.stdout, WANT[script.name], "text")
+    assert not diffs, diffs[:10]

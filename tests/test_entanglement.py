@@ -8,6 +8,7 @@ from qitools.entanglement import (
     Witness,
     _upb_projector,
     certify_witness,
+    chsh_operator,
     chsh_value,
     chsh_witness,
     majorization_convertible,
@@ -163,6 +164,28 @@ def test_witness_rejects_psd_or_uncertified():
         Witness(np.eye(4), 0.0, 0.5)  # PSD, min eigenvalue not negative
     with pytest.raises(ValueError):
         witness_evaluate(np.eye(4), singlet())
+
+
+def test_certify_witness_rejects_malformed_operators():
+    w = 2 * np.eye(4, dtype=complex) + chsh_operator(*CHSH_VECTORS)
+    skew = np.zeros((4, 4), dtype=complex)
+    skew[0, 3] = 0.5j
+    with pytest.raises(ValueError, match="witness is not Hermitian"):
+        certify_witness(w + skew, 2, 2, restarts=4)
+    nan = w.copy()
+    nan[1, 2] = np.nan
+    with pytest.raises(ValueError, match=r"witness\[6\]: entries must be finite"):
+        certify_witness(nan, 2, 2, restarts=4)
+    with pytest.raises(ValueError, match="witness shape does not match the declared dimensions"):
+        certify_witness(np.eye(3), 2, 2, restarts=4)
+
+
+def test_certify_witness_keeps_a_valid_operator_as_given():
+    w = 2 * np.eye(4, dtype=complex) + chsh_operator(*CHSH_VECTORS)
+    w[0, 3] += 1e-13j  # Hermitian within ATOL, not exactly
+    witness = certify_witness(w, 2, 2, restarts=4)
+    assert np.array_equal(witness.matrix, w)
+    assert witness.min_eigenvalue == np.linalg.eigvalsh((w + dag(w)) / 2).min()
 
 
 def test_max_entangled_fraction():
