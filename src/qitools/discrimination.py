@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (ATOL, _eig_tol, dag, eigh, inner, matrix_rank, outer, psd_sqrt, trace_norm,
-                     unit_ket)
+from .linalg import (ATOL, _eig_tol, _hermitian, dag, eigh, inner, matrix_rank, outer, psd_sqrt,
+                     trace_norm, unit_ket)
 from .observables import Povm
 from .states import _as_matrix
 
@@ -43,8 +43,10 @@ def trace_distance(rho1, rho2) -> float:
     m1, m2 = _as_matrix(rho1), _as_matrix(rho2)
     if m1.shape != m2.shape:
         raise ValueError("states must share a dimension")
-    evals = np.linalg.eigvalsh(m1 - m2)
-    return float(np.abs(evals).sum() / 2)
+    h = _hermitian(m1 - m2, ATOL)
+    if h is None:
+        raise ValueError("rho1 - rho2 is not Hermitian within tolerance")
+    return float(np.abs(np.linalg.eigvalsh(h)).sum() / 2)
 
 
 def fidelity(rho1, rho2) -> float | np.ndarray:

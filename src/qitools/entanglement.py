@@ -6,14 +6,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
-from numbers import Integral
 
 import numpy as np
 
-from .linalg import (ATOL, _frozen_copy, _herm, _hermitian, _require_finite, _seesaw, _within,
-                     asarray, dag, eigh, outer, partial_trace, partial_transpose, swap_operator,
-                     tensor)
-from .rand import _gram_schmidt, _haar_normals, haar_unitaries, random_kets, rng_from
+from .linalg import (ATOL, _frozen_copy, _herm, _hermitian, _lowest_eigh, _require_finite, _seesaw,
+                     _within, asarray, dag, eigh, outer, partial_trace, partial_transpose,
+                     swap_operator, tensor)
+from .rand import _gram_schmidt, _haar_normals, _require_size, haar_unitaries, random_kets, rng_from
 from .states import PAULIS, State
 
 
@@ -127,17 +126,14 @@ def reduction_criterion(rho: BipartiteState, tol: float = ATOL):
     return (e1 < -tol or e2 < -tol), e1, e2
 
 
-def _spin(direction) -> np.ndarray:
-    n = np.asarray(direction, dtype=float)
-    if abs(np.linalg.norm(n) - 1) > 1e-9:
-        raise ValueError("Bloch directions must be unit vectors")
-    return n[0] * PAULIS[1] + n[1] * PAULIS[2] + n[2] * PAULIS[3]
-
-
 def chsh_operator(a, a_prime, b, b_prime) -> np.ndarray:
-    return tensor(_spin(a), _spin(b) + _spin(b_prime)) + tensor(
-        _spin(a_prime), _spin(b) - _spin(b_prime)
-    )
+    """A (x) (B + B') + A' (x) (B - B') with A = a . sigma, from one stacked Pauli contraction."""
+    n = np.array([a, a_prime, b, b_prime], dtype=float)
+    if (np.abs(np.linalg.norm(n, axis=1) - 1) > 1e-9).any():
+        raise ValueError("Bloch directions must be unit vectors")
+    s = np.tensordot([n[0], n[1], n[2] + n[3], n[2] - n[3]], PAULIS[1:], 1)  # A, A', B +- B'
+    kron = s[:2, :, None, :, None] * s[2:, None, :, None, :]  # A (x) (B + B'), A' (x) (B - B')
+    return (kron[0] + kron[1]).reshape(4, 4)
 
 
 def chsh_value(rho: BipartiteState, a, a_prime, b, b_prime) -> float:
@@ -294,8 +290,7 @@ def twirl_monte_carlo(x: np.ndarray, d: int, samples: int, rng=0) -> np.ndarray:
     if x.shape != (d * d, d * d):
         raise ValueError("operator must act on a d*d space")
     _require_finite(x, "operator")
-    if not isinstance(samples, Integral):
-        raise ValueError(f"samples must be an integer, got {samples!r}")
+    _require_size(samples, "samples", 0)
     if samples < 1:
         raise ValueError("at least one sample is required")
     rng = rng_from(rng)
@@ -381,11 +376,11 @@ def _min_product_step(t: np.ndarray, phi: np.ndarray):
     n, dA, dB = len(phi), t.shape[0], t.shape[1]
     t_b = t.transpose(1, 3, 0, 2).reshape(dB * dB, dA * dA)
     mat_a = ((phi.conj()[:, :, None] * phi[:, None, :]).reshape(n, -1) @ t_b).reshape(n, dA, dA)
-    psi = np.linalg.eigh(_herm(mat_a))[1][:, :, 0]
+    psi = _lowest_eigh(mat_a)[1]
     t_a = t.transpose(0, 2, 1, 3).reshape(dA * dA, dB * dB)
     mat_b = ((psi.conj()[:, :, None] * psi[:, None, :]).reshape(n, -1) @ t_a).reshape(n, dB, dB)
-    vals, vecs = np.linalg.eigh(_herm(mat_b))
-    return vecs[:, :, 0], -vals[:, 0]
+    vals, vecs = _lowest_eigh(mat_b)
+    return vecs, -vals
 
 
 def _min_product_expectation(op: np.ndarray, dA: int, dB: int, rng, restarts: int) -> float:

@@ -361,6 +361,27 @@ def _unit_rows(x: np.ndarray) -> np.ndarray:
     return x / np.linalg.norm(x, axis=-1, keepdims=True)
 
 
+def _lowest_eigh(m: np.ndarray):
+    """Lowest eigenvalues (n,) and unit eigenvectors (n, k) of an (n, k, k) stack's Hermitian parts.
+
+    At k = 2, for h = [[a, b], [b*, d]], the closed form lambda = (a + d)/2 - hypot((a - d)/2, |b|)
+    (Kopp, Int. J. Mod. Phys. C 19, 523 (2008)) has the eigenvector (b, lambda - a) if a >= d, else
+    (lambda - d, b*): nothing cancels, and a scalar member gets e_0.  From 3x3 on, numpy closed
+    forms cost more than LAPACK's eigh at any stack size.
+    """
+    if m.shape[-1] != 2:
+        vals, vecs = np.linalg.eigh(_herm(m))
+        return vals[:, 0], vecs[:, :, 0]
+    a, d, b = m[:, 0, 0].real, m[:, 1, 1].real, (m[:, 0, 1] + m[:, 1, 0].conj()) / 2
+    lam = (a + d) / 2 - np.hypot((a - d) / 2, np.abs(b))
+    top = a >= d
+    v = np.stack([np.where(top, b, lam - d), np.where(top, lam - a, b.conj())], axis=1)
+    norm = np.hypot(np.abs(v[:, 0]), np.abs(v[:, 1]))
+    zero = norm == 0  # a scalar member
+    v[zero, 0], norm[zero] = 1, 1
+    return lam, v / norm[:, None]
+
+
 def _seesaw(step, x: np.ndarray, max_iter: int, tol: float):
     """Alternating maximization over a stack of starts (leading axis).
 
@@ -368,8 +389,8 @@ def _seesaw(step, x: np.ndarray, max_iter: int, tol: float):
     a reported value is a lower bound on the objective at the next point,
     and at least the value at the point stepped from; neither may depend
     on the positive scale of the input.  A start stops once a step raises
-    its value by at most ``tol``; only the running starts are passed to
-    ``step``.
+    its value by at most ``tol``; only the running starts' state is kept,
+    and passed to ``step`` in start order.
 
     Points are vectors along the last axis, defined up to a phase, and a
     start that converges slowly also tries a jump.  Its last two gains g1,
@@ -389,37 +410,40 @@ def _seesaw(step, x: np.ndarray, max_iter: int, tol: float):
     if not len(x):
         raise ValueError("at least one start is required")
     x = np.array(x)
-    prev = x.copy()
     value = np.full(len(x), -np.inf)
-    g1 = np.full(len(x), np.nan)
-    g2 = np.full(len(x), np.nan)
     iterations = np.zeros(len(x), dtype=int)
-    running = np.arange(len(x))
-    for _ in range(max_iter):
-        if not running.size:
-            break
-        cur = x[running]
-        ratio = g1[running] / g2[running]
-        jump = np.flatnonzero((ratio > 0.25) & (ratio < 1))
-        points = cur
-        if jump.size:
+    # the running starts: indices, points, previous points, values, last two gains
+    idx, cur, prev, val = np.arange(len(x)), x, x, value
+    g1 = g2 = np.full(len(x), np.nan)
+    rounds = 0
+    while idx.size and rounds < max_iter:
+        m, points, jump = len(cur), cur, ()
+        if rounds >= 3:  # a rate needs two finite gains; the first, from -inf, is not
+            ratio = g1 / g2
+            jump = np.flatnonzero((ratio > 0.25) & (ratio < 1))
+        if len(jump):
             r = np.sqrt(ratio[jump]).reshape((-1,) + (1,) * (x.ndim - 1))
-            xk, xp = cur[jump], prev[running[jump]]
-            phase = np.exp(1j * np.angle(np.sum(xp.conj() * xk, axis=-1, keepdims=True)))
+            xk, xp = cur[jump], prev[jump]
+            phase = np.exp(1j * np.angle((xp.conj() * xk).sum(-1, keepdims=True)))
             points = np.concatenate([cur, _unit_rows(xk + r / (1 - r) * (xk - phase * xp))])
         nxt, new = step(points)
-        better = new[len(cur):] > new[jump]
-        kept = jump[better]
-        nxt[kept], new[kept] = nxt[len(cur):][better], new[len(cur):][better]
-        prev[running] = cur
-        x[running] = nxt[:len(cur)]
-        gain = new[:len(cur)] - value[running]
-        value[running] = new[:len(cur)]
-        g2[running], g1[running] = g1[running], gain
-        g1[running[kept]] = g2[running[kept]] = np.nan
-        iterations[running] += 1
-        running = running[gain > tol]
-    converged = ~np.isin(np.arange(len(x)), running)
+        if len(jump):
+            better = new[m:] > new[jump]
+            kept = jump[better]
+            nxt[kept], new[kept] = nxt[m:][better], new[m:][better]
+        gain = new[:m] - val
+        stop = ~(gain > tol)
+        prev, cur, val, g2, g1 = cur, nxt[:m], new[:m], g1, gain
+        if len(jump):
+            g1[kept] = np.nan  # a kept jump restarts the rate estimate: no rate for two rounds
+        rounds += 1
+        if stop.any():
+            done, keep = idx[stop], ~stop
+            x[done], value[done], iterations[done] = cur[stop], val[stop], rounds
+            idx, cur, prev, val, g1, g2 = (a[keep] for a in (idx, cur, prev, val, g1, g2))
+    x[idx], value[idx], iterations[idx] = cur, val, rounds
+    converged = np.ones(len(x), dtype=bool)
+    converged[idx] = False
     best = int(np.argmax(value))
     return float(value[best]), x[best], iterations, converged
 

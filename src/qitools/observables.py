@@ -8,8 +8,8 @@ from math import comb
 
 import numpy as np
 
-from .linalg import (ATOL, _effect, _frozen_copy, _frozen_stack, _herm, _require_finite, _within,
-                     asarray, dag, eigh, is_hermitian, is_projection, matrix_rank)
+from .linalg import (ATOL, _effect, _frozen_copy, _frozen_stack, _herm, _hermitian, _require_finite,
+                     _within, asarray, dag, eigh, is_hermitian, is_projection, matrix_rank)
 from .states import _as_matrix
 
 
@@ -232,7 +232,10 @@ def commuting_joint(a, b) -> Povm:
 
 def has_unit_eigenvalue(e: np.ndarray, tol: float = 1e-7) -> bool:
     """True when the largest eigenvalue of an effect is 1 within tol."""
-    return bool(abs(np.linalg.eigvalsh(asarray(e)).max() - 1) < tol)
+    h = _hermitian(asarray(e), ATOL)
+    if h is None:
+        raise ValueError("effect is not Hermitian within tolerance")
+    return bool(abs(np.linalg.eigvalsh(h).max() - 1) < tol)
 
 
 def stern_gerlach(direction) -> Povm:

@@ -14,9 +14,16 @@ def rng_from(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _require_size(value, name: str, least: int) -> None:
+    """Raise ValueError unless a size is an int or numpy integer (no bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be a {'positive' if least else 'non-negative'} integer")
+
+
 def random_ket(d: int, rng) -> np.ndarray:
-    if d < 1:
-        raise ValueError("dimension must be a positive integer")
+    _require_size(d, "dimension", 1)
     rng = rng_from(rng)
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return (v / np.linalg.norm(v)).reshape(d, 1)
@@ -28,10 +35,9 @@ def random_kets(dims, count: int, rng) -> list[np.ndarray]:
     One normal block holds the same draws as ``count`` rounds of
     ``random_ket`` over the factors (real part, then imaginary part).
     """
-    if any(d < 1 for d in dims):
-        raise ValueError("dimension must be a positive integer")
-    if count < 0:
-        raise ValueError("count must be a non-negative integer")
+    for d in dims:
+        _require_size(d, "dimension", 1)
+    _require_size(count, "count", 0)
     z = rng_from(rng).standard_normal((count, 2 * sum(dims)))
     kets, start = [], 0
     for d in dims:
@@ -50,10 +56,8 @@ def _haar_normals(d: int, count: int, rng, blocks: int = 1) -> np.ndarray:
     of shape (blocks, 2, count, d, d), hold the same numbers as ``blocks``
     separate draws.
     """
-    if d < 1:
-        raise ValueError("dimension must be a positive integer")
-    if count < 0:
-        raise ValueError("count must be a non-negative integer")
+    _require_size(d, "dimension", 1)
+    _require_size(count, "count", 0)
     return rng_from(rng).standard_normal((blocks, 2, count, d, d))
 
 
@@ -112,12 +116,11 @@ def haar_unitary(d: int, rng) -> np.ndarray:
     return haar_unitaries(d, 1, rng)[0]
 
 
-def random_density(d: int, rng, rank: int | None = None) -> np.ndarray:
+def random_density(d: int, rng, *, rank: int | None = None) -> np.ndarray:
     """Random mixed state; full rank unless a smaller rank is requested."""
-    if d < 1:
-        raise ValueError("dimension must be a positive integer")
-    if rank is not None and rank < 1:
-        raise ValueError("rank must be a positive integer")
+    _require_size(d, "dimension", 1)
+    if rank is not None:
+        _require_size(rank, "rank", 1)
     rng = rng_from(rng)
     r = d if rank is None else rank
     g = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
@@ -126,18 +129,16 @@ def random_density(d: int, rng, rank: int | None = None) -> np.ndarray:
 
 
 def random_hermitian(d: int, rng) -> np.ndarray:
-    if d < 1:
-        raise ValueError("dimension must be a positive integer")
+    _require_size(d, "dimension", 1)
     rng = rng_from(rng)
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return _herm(g)
 
 
-def random_kraus_ops(d: int, rng, count: int | None = None) -> list[np.ndarray]:
+def random_kraus_ops(d: int, rng, *, count: int | None = None) -> list[np.ndarray]:
     """Kraus operators (I (x) <k|) U (I (x) |0>) of a Haar unitary U on C^d (x) C^count."""
-    if d < 1:
-        raise ValueError("dimension must be a positive integer")
-    if count is not None and count < 1:
-        raise ValueError("count must be a positive integer")
+    _require_size(d, "dimension", 1)
+    if count is not None:
+        _require_size(count, "count", 1)
     n = count if count is not None else d
     return list(_probe_kraus(haar_unitary(d * n, rng), d, basis_ket(n, 0)))

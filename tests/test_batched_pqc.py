@@ -13,6 +13,7 @@ from qitools.rand import (
     random_hermitian,
     random_ket,
     random_kets,
+    random_kraus_ops,
 )
 
 
@@ -91,6 +92,37 @@ def test_random_stacks_reject_negative_count(draw):
     with pytest.raises(ValueError, match="^count must be a non-negative integer$"):
         draw(-1)
     assert np.size(draw(0)) == 0
+
+
+@pytest.mark.parametrize("draw, name", [
+    (lambda v: haar_unitaries(2, v, 0), "count"),
+    (lambda v: random_kets([2], v, 0), "count"),
+    (lambda v: random_kraus_ops(2, 0, count=v), "count"),
+    (lambda v: random_density(2, 0, rank=v), "rank"),
+    (lambda v: random_ket(v, 0), "dimension"),
+])
+@pytest.mark.parametrize("value", [2.5, 2.0, "2", True, np.random.default_rng(0)])
+def test_random_draws_reject_a_non_integer_size(draw, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        draw(value)
+
+
+def test_random_draws_accept_numpy_integer_sizes():
+    two = np.int64(2)
+    assert haar_unitaries(2, two, 0).shape == (2, 2, 2)
+    assert random_kets([two], two, 0)[0].shape == (2, 2)
+    assert len(random_kraus_ops(two, 0, count=two)) == 2
+    assert random_density(two, 0, rank=np.int32(1)).shape == (2, 2)
+
+
+def test_random_optional_sizes_are_keyword_only():
+    # the generator in the count slot used to fail inside a comparison
+    with pytest.raises(ValueError, match="^count must be an integer, got Generator"):
+        random_kets((2,), np.random.default_rng(0), 3)
+    with pytest.raises(TypeError):
+        random_kraus_ops(2, 0, 2)
+    with pytest.raises(TypeError):
+        random_density(2, 0, 1)
 
 
 def test_pqc_rejects_negative_message_count():

@@ -45,7 +45,7 @@ IDENT2 = KrausChannel((np.eye(2, dtype=complex),))
 
 
 def random_channel(d, rng, count=None):
-    return KrausChannel(tuple(random_kraus_ops(d, rng, count)))
+    return KrausChannel(tuple(random_kraus_ops(d, rng, count=count)))
 
 
 def test_apply_identity_and_contraction():

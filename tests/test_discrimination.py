@@ -44,6 +44,12 @@ def test_trace_distance_pure_pairs():
     assert abs(d - np.sqrt(1 - 0.36)) < 1e-12
 
 
+def test_trace_distance_rejects_a_non_hermitian_difference():
+    # eigvalsh would read the lower triangle alone and return 0.5
+    with pytest.raises(ValueError, match="not Hermitian"):
+        trace_distance([[1, 5], [0, 0]], np.eye(2) / 2)
+
+
 def test_fidelity_basic():
     rng = np.random.default_rng(1)
     rho = State(random_density(3, rng))

@@ -279,7 +279,7 @@ def test_purify_identical(d, seed):
 @pytest.mark.parametrize("d, seed", CASES)
 def test_kraus_for_program_identical(d, seed):
     proc, xi1, xi2 = processor_pair(KrausChannel(tuple(random_kraus_ops(d, seed))),
-                                    KrausChannel(tuple(random_kraus_ops(d, seed + 1, 2))))
+                                    KrausChannel(tuple(random_kraus_ops(d, seed + 1, count=2))))
     xi = (xi1 + 1j * xi2) / np.sqrt(2)
     assert_same_list(proc.kraus_for_program(xi), kraus_for_program_reference(proc, xi))
     assert isinstance(proc.kraus_for_program(xi), list)

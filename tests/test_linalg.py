@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qitools.linalg import (
+    _lowest_eigh,
     dag,
     eigh,
     gram_schmidt_complete,
@@ -238,3 +239,64 @@ def test_partial_trace_linearity():
         lhs = partial_trace(2.0 * x - 0.5 * y, 2, 3, side)
         rhs = 2.0 * partial_trace(x, 2, 3, side) - 0.5 * partial_trace(y, 2, 3, side)
         assert np.abs(lhs - rhs).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Lowest eigenpair of a stack: the 2x2 closed form against LAPACK
+# ---------------------------------------------------------------------------
+
+def hermitian_2x2(a, d, b):
+    return np.array([[a, b], [np.conj(b), d]], dtype=complex)
+
+
+def lowest_2x2_cases():
+    rng = np.random.default_rng(23)
+    g = rng.standard_normal((200, 2, 2)) + 1j * rng.standard_normal((200, 2, 2))
+    cases = list((g + g.conj().transpose(0, 2, 1)) / 2)
+    cases += [
+        hermitian_2x2(2.0, -1.0, 0.5 - 0.25j),  # a > d
+        hermitian_2x2(-3.0, 1.0, 0.1j),  # a < d
+        hermitian_2x2(0.7, 0.7, 2.0 + 1.0j),  # a = d, b != 0
+        hermitian_2x2(1.5, 1.5, 0.0),  # scalar
+        hermitian_2x2(0.0, 0.0, 0.0),
+        hermitian_2x2(0.0, 0.0, 1e-300),  # |b| = 1e-300
+        hermitian_2x2(1.0, 0.5, 1e-300j),
+        hermitian_2x2(1.0, 0.5, 1e-9j),  # the other branch would cancel in lambda - d
+        hermitian_2x2(0.5, 1.0, 1e-9),  # and here in lambda - a
+        hermitian_2x2(3e150, -1e150, 2e150 - 1e150j),  # entries near 1e150
+        hermitian_2x2(1e150, 1e150, 1e150),
+    ]
+    return np.array(cases)
+
+
+def test_lowest_eigh_2x2_closed_form_against_lapack():
+    h = lowest_2x2_cases()
+    vals, vecs = _lowest_eigh(h)
+    eps = np.finfo(float).eps
+    for k in range(len(h)):
+        ref = np.linalg.eigvalsh(h[k])
+        scale = np.abs(ref).max()
+        assert abs(vals[k] - ref[0]) <= 4 * eps * scale
+        v = vecs[k]
+        assert abs(np.linalg.norm(v) - 1) <= 4 * eps
+        assert np.linalg.norm(h[k] @ v - vals[k] * v) <= 1e-14 * scale
+    scalar = _lowest_eigh(np.array([1.5 * np.eye(2), np.zeros((2, 2))]))[1]
+    assert scalar.tolist() == [[1, 0], [1, 0]]  # a scalar member gets e_0
+
+
+def test_lowest_eigh_reads_the_hermitian_part():
+    rng = np.random.default_rng(5)
+    for k in (2, 3):
+        m = rng.standard_normal((6, k, k)) + 1j * rng.standard_normal((6, k, k))
+        h = (m + m.conj().transpose(0, 2, 1)) / 2
+        for got, want in zip(_lowest_eigh(m), _lowest_eigh(h)):
+            assert np.array_equal(got, want)
+
+
+def test_lowest_eigh_from_3x3_is_lapack():
+    rng = np.random.default_rng(6)
+    g = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+    h = (g + g.conj().transpose(0, 2, 1)) / 2
+    vals, vecs = np.linalg.eigh(h)
+    got = _lowest_eigh(h)
+    assert np.array_equal(got[0], vals[:, 0]) and np.array_equal(got[1], vecs[:, :, 0])

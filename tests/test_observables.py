@@ -279,3 +279,5 @@ def test_sharp_povm_at_most_d_nonzero_effects():
 def test_has_unit_eigenvalue():
     assert has_unit_eigenvalue(np.diag([1.0, 0.3]))
     assert not has_unit_eigenvalue(np.diag([0.9, 0.3]))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        has_unit_eigenvalue([[1, 7], [0, 0.2]])  # its lower triangle has eigenvalue 1

@@ -37,7 +37,7 @@ from qitools.entanglement import (
     upb_projector,
     werner,
 )
-from qitools.linalg import _seesaw, dag, tensor, trace_norm
+from qitools.linalg import _seesaw, _unit_rows, dag, tensor, trace_norm
 from qitools.rand import (
     haar_unitaries,
     haar_unitary,
@@ -173,6 +173,71 @@ def plain_seesaw_reference(step, x, max_iter, tol):
     return float(value[best]), x[best], iterations, converged
 
 
+# The kernel before its running state was compacted, verbatim: the compacted
+# kernel must hand ``step`` the same stacks and return the same results.
+def seesaw_reference(step, x: np.ndarray, max_iter: int, tol: float):
+    """Alternating maximization over a stack of starts (leading axis).
+
+    ``step`` maps a stack of points to the next points and their values;
+    a reported value is a lower bound on the objective at the next point,
+    and at least the value at the point stepped from; neither may depend
+    on the positive scale of the input.  A start stops once a step raises
+    its value by at most ``tol``; only the running starts are passed to
+    ``step``.
+
+    Points are vectors along the last axis, defined up to a phase, and a
+    start that converges slowly also tries a jump.  Its last two gains g1,
+    g2 estimate the linear rate of the point as r = sqrt(g1/g2), as the
+    value near a smooth maximum closes quadratically in the point's
+    distance; when g1/g2 lies in (1/4, 1) the jump is
+    y = _unit_rows(x_k + r/(1 - r) (x_k - c x_{k-1})), the extrapolated
+    limit, with the phase c aligning x_{k-1} with x_k.  y is stepped in the
+    same ``step`` call as x_k and the step with the higher value is kept, so
+    values never decrease and a gain is at least that of the plain step.
+    A kept jump restarts the rate estimate.
+
+    Returns ``(best value, argmax, iterations per start, converged per
+    start)``.  ``converged`` means a step gained at most ``tol``; a start
+    still rising at ``max_iter`` has not converged.
+    """
+    if not len(x):
+        raise ValueError("at least one start is required")
+    x = np.array(x)
+    prev = x.copy()
+    value = np.full(len(x), -np.inf)
+    g1 = np.full(len(x), np.nan)
+    g2 = np.full(len(x), np.nan)
+    iterations = np.zeros(len(x), dtype=int)
+    running = np.arange(len(x))
+    for _ in range(max_iter):
+        if not running.size:
+            break
+        cur = x[running]
+        ratio = g1[running] / g2[running]
+        jump = np.flatnonzero((ratio > 0.25) & (ratio < 1))
+        points = cur
+        if jump.size:
+            r = np.sqrt(ratio[jump]).reshape((-1,) + (1,) * (x.ndim - 1))
+            xk, xp = cur[jump], prev[running[jump]]
+            phase = np.exp(1j * np.angle(np.sum(xp.conj() * xk, axis=-1, keepdims=True)))
+            points = np.concatenate([cur, _unit_rows(xk + r / (1 - r) * (xk - phase * xp))])
+        nxt, new = step(points)
+        better = new[len(cur):] > new[jump]
+        kept = jump[better]
+        nxt[kept], new[kept] = nxt[len(cur):][better], new[len(cur):][better]
+        prev[running] = cur
+        x[running] = nxt[:len(cur)]
+        gain = new[:len(cur)] - value[running]
+        value[running] = new[:len(cur)]
+        g2[running], g1[running] = g1[running], gain
+        g1[running[kept]] = g2[running[kept]] = np.nan
+        iterations[running] += 1
+        running = running[gain > tol]
+    converged = ~np.isin(np.arange(len(x)), running)
+    best = int(np.argmax(value))
+    return float(value[best]), x[best], iterations, converged
+
+
 def random_channel(d, rng):
     return KrausChannel(tuple(random_kraus_ops(d, rng)))
 
@@ -225,13 +290,63 @@ def test_seesaw_extrapolates_a_slow_start():
     assert value > 1 - 1e-9
 
 
-def test_sup_distance_reaches_a_slowly_converging_maximum():
-    # eigenphases 0 and 0.001 nearly coincide, so the plain see-saw crawls
-    # and stops about 9e-6 short of sin(1) after 1000 steps
+def saddle_unitary():
+    # eigenphases 0 and 0.001 nearly coincide: starts that leave a saddle run to the cap
     w = haar_unitary(3, np.random.default_rng(7))
-    u = (w * np.exp(1j * np.array([0.0, 0.001, 2.0]))) @ dag(w)
+    return (w * np.exp(1j * np.array([0.0, 0.001, 2.0]))) @ dag(w)
+
+
+def assert_same_as_reference(step, starts, max_iter, iterations=None):
+    """The kernel hands ``step`` the same stacks as the reference and returns the same results."""
+    runs = []
+    for kernel in (_seesaw, seesaw_reference):
+        calls = []
+
+        def recording(points, calls=calls):
+            calls.append(points.copy())
+            return step(points)
+
+        runs.append((kernel(recording, starts, max_iter, 1e-12), calls))
+    ((value, arg, its, conv), calls), (ref, ref_calls) = runs
+    assert value == ref[0] and np.array_equal(arg, ref[1])
+    assert np.array_equal(its, ref[2]) and np.array_equal(conv, ref[3])
+    assert len(calls) == len(ref_calls)
+    assert all(np.array_equal(a, b) for a, b in zip(calls, ref_calls))
+    if iterations is not None:
+        assert its.tolist() == iterations
+
+
+def test_compacted_kernel_matches_reference_on_the_tiles_projector():
+    t = upb_projector().reshape(3, 3, 3, 3)
+    _, phi = random_kets((3, 3), 200, rng_from(109))
+    assert_same_as_reference(lambda p: _min_product_step(t, p), phi, 100)
+
+
+def test_compacted_kernel_matches_reference_on_a_saddle():
+    s = _superop(KrausChannel((saddle_unitary(),))) - _superop(
+        KrausChannel((np.eye(3, dtype=complex),)))
+    (kets,) = random_kets((3,), 8, 0)
+    assert_same_as_reference(lambda k: _sup_step(s, 3, k), kets, 1000,
+                             [1000, 8, 1000, 11, 8, 11, 1000, 1000])
+
+
+def test_compacted_kernel_matches_reference_on_a_werner_state():
+    m = werner(3, 0.3).matrix
+    shifted = m - np.linalg.eigvalsh(m)[0] * np.eye(9)
+    starts = haar_unitaries(3, 64, 5).reshape(64, 9)
+    assert_same_as_reference(lambda u: _mef_step(m, shifted, u), starts, 1000)
+
+
+def test_compacted_kernel_matches_reference_on_a_slow_contraction():
+    s = _superop(KrausChannel(tuple(random_kraus_ops(4, 1))))
+    pairs = np.stack(random_kets((4, 4), 50, 0), axis=1)
+    assert_same_as_reference(lambda x: _contraction_step(s, 4, x), pairs, 1000)
+
+
+def test_sup_distance_reaches_a_slowly_converging_maximum():
+    # the plain see-saw crawls and stops about 9e-6 short of sin(1) after 1000 steps
     ident = KrausChannel((np.eye(3, dtype=complex),))
-    value, _ = sup_distance(KrausChannel((u,)), ident, rng=0, restarts=8)
+    value, _ = sup_distance(KrausChannel((saddle_unitary(),)), ident, rng=0, restarts=8)
     assert abs(value - np.sin(1.0)) < 1e-9
 
 
