@@ -49,7 +49,7 @@ from .linalg import (
     trace_norm,
 )
 from .rand import random_kets
-from .states import PAULIS, State, _as_matrix, _operator_basis
+from .states import PAULIS, State, _as_matrix, _operator_basis, _sigma_dot
 
 
 # ---------------------------------------------------------------------------
@@ -87,17 +87,24 @@ class KrausChannel:
 
 @dataclass(frozen=True, eq=False)
 class ChoiMatrix:
-    """Omega = (E (x) I)[P+]; PSD iff the map is completely positive."""
+    """Omega = (E (x) I)[P+]; PSD iff the map is completely positive.
+
+    One that ``to_choi`` builds from a ``KrausChannel`` also keeps that
+    channel's read-only Kraus stack, read through ``_choi_factor``.
+    """
 
     matrix: np.ndarray
     in_dim: int
     out_dim: int
+    _kraus: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         m = _frozen_copy(self.matrix, "Choi matrix", (self.out_dim * self.in_dim,) * 2)
         object.__setattr__(self, "matrix", m)
 
     def min_eigenvalue(self) -> float:
+        if _choi_factor(self) is not None:
+            return 0.0  # rank Omega <= r < n
         return float(np.linalg.eigvalsh(_herm(self.matrix)).min())
 
     def is_cp(self, tol: float = ATOL) -> bool:
@@ -171,6 +178,20 @@ def _kraus_gram(ch: KrausChannel) -> np.ndarray:
     return v.T @ v.conj()
 
 
+def _choi_factor(choi: ChoiMatrix) -> np.ndarray | None:
+    """F with d_in * Omega = F F^dag, the columns vec(A_k) of the kept Kraus
+    stack, when there is one of r < n = d_in * d_out operators; else None.
+
+    Then rank Omega <= r < n, and the nonzero spectrum of d_in * Omega is that
+    of the r x r Gram matrix F^dag F (M.-D. Choi, Linear Algebra Appl. 10,
+    285 (1975)).  Every other Choi matrix is read as its n x n matrix.
+    """
+    ops = choi._kraus
+    if ops is None or len(ops) >= len(choi.matrix):
+        return None
+    return ops.reshape(len(ops), -1).T
+
+
 def _superop(ch) -> np.ndarray:
     """Row-major superoperator matrix S of a map in any representation."""
     if isinstance(ch, LinearMap):
@@ -229,21 +250,30 @@ def to_choi(ch) -> ChoiMatrix:
         return ch
     d_in, d_out = ch.in_dim, ch.out_dim
     if isinstance(ch, KrausChannel):
-        omega = _kraus_gram(ch)
-    else:
-        omega = _reshuffle(_superop(ch), d_out, d_out, d_in, d_in)
-    return ChoiMatrix(omega / d_in, d_in, d_out)
+        choi = ChoiMatrix(_kraus_gram(ch) / d_in, d_in, d_out)
+        object.__setattr__(choi, "_kraus", ch.kraus_ops)  # read-only already: no copy
+        return choi
+    return ChoiMatrix(_reshuffle(_superop(ch), d_out, d_out, d_in, d_in) / d_in, d_in, d_out)
 
 
 def from_choi(choi: ChoiMatrix, tol: float = ATOL) -> KrausChannel:
-    """Kraus operators from a PSD Choi matrix (count = numerical Choi rank)."""
-    vals, vecs = eigh(choi.in_dim * choi.matrix)
-    if not _is_cp(choi, vals.min() / choi.in_dim, tol):
-        raise ValueError(
-            f"not completely positive: Choi eigenvalue {vals.min() / choi.in_dim:.3e}"
-        )
-    ops = _kraus_columns(vals, vecs, tol).T.reshape(-1, choi.out_dim, choi.in_dim)
-    return KrausChannel(ops)
+    """Kraus operators from a PSD Choi matrix (count = numerical Choi rank).
+
+    Through a kept factor F (``_choi_factor``) the eigenpairs come from the
+    r x r Gram matrix F^dag F, and the operators are the columns F w_k.
+    """
+    f = _choi_factor(choi)
+    if f is not None:
+        vals, w = eigh(dag(f) @ f)
+        cols = _kraus_columns(vals, w, tol, f)
+    else:
+        vals, vecs = eigh(choi.in_dim * choi.matrix)
+        if not _is_cp(choi, vals.min() / choi.in_dim, tol):
+            raise ValueError(
+                f"not completely positive: Choi eigenvalue {vals.min() / choi.in_dim:.3e}"
+            )
+        cols = _kraus_columns(vals, vecs, tol)
+    return KrausChannel(cols.T.reshape(-1, choi.out_dim, choi.in_dim))
 
 
 # Channel properties, each decided once here on the marginals of the
@@ -256,12 +286,16 @@ def _is_cp(choi: ChoiMatrix, min_eig: float, tol: float) -> bool:
 
 
 def _marginal(ch, side: str) -> np.ndarray:
-    """tr_side Omega, from the Kraus operators when there are any."""
+    """tr_side Omega, from the Kraus operators when there are any, kept ones too."""
     if isinstance(ch, KrausChannel):
-        a = ch.kraus_ops if side == "A" else ch.kraus_ops.conj().transpose(0, 2, 1)
-        rows = a.reshape(-1, a.shape[2])  # sum_k a_k^dag a_k = rows^dag rows
-        return dag(rows) @ rows / ch.in_dim
-    return partial_trace(to_choi(ch).matrix, ch.out_dim, ch.in_dim, side=side)
+        ops = ch.kraus_ops
+    elif isinstance(ch, ChoiMatrix) and (f := _choi_factor(ch)) is not None:
+        ops = f.T.reshape(-1, ch.out_dim, ch.in_dim)
+    else:
+        return partial_trace(to_choi(ch).matrix, ch.out_dim, ch.in_dim, side=side)
+    a = ops if side == "A" else ops.conj().transpose(0, 2, 1)
+    rows = a.reshape(-1, a.shape[2])  # sum_k a_k^dag a_k = rows^dag rows
+    return dag(rows) @ rows / ch.in_dim
 
 
 def _is_identity(ch, side: str, tol: float) -> bool:
@@ -501,8 +535,7 @@ def make(kind: str, **params):
         else:
             n = np.asarray(axis, dtype=float)
             n = n / np.linalg.norm(n)
-        u = n[0] * PAULIS[1] + n[1] * PAULIS[2] + n[2] * PAULIS[3]
-        ops = np.array([np.sqrt(eta) * PAULIS[0], np.sqrt(1 - eta) * u])
+        ops = np.array([np.sqrt(eta) * PAULIS[0], np.sqrt(1 - eta) * _sigma_dot(n)])
         return KrausChannel(ops[[eta > 0, eta < 1]])
     raise ValueError(f"unknown channel kind {kind!r}")
 
@@ -592,7 +625,7 @@ def su2_from_rotation(r: np.ndarray) -> np.ndarray:
         q[j + 1] = (r[j, i] + r[i, j]) / s
         q[k + 1] = (r[k, i] + r[i, k]) / s
     q = q / np.linalg.norm(q)
-    u = q[0] * PAULIS[0] - 1j * (q[1] * PAULIS[1] + q[2] * PAULIS[2] + q[3] * PAULIS[3])
+    u = q[0] * PAULIS[0] - 1j * _sigma_dot(q[1:])
     if np.max(np.abs(bloch_rotation(u) - r)) > 1e-7:
         raise NumericError("quaternion extraction failed to reproduce the rotation")
     return u
@@ -895,8 +928,16 @@ def measure_prepare_channel(pairs) -> LinearMap:
 
 
 def process_fidelity(ch1, ch2) -> float:
-    """State fidelity of the trace-one Choi states of two channels."""
+    """State fidelity of the trace-one Choi states of two channels.
+
+    When both are read through kept factors, Omega_i = F_i F_i^dag / d_i, the
+    fidelity tr|sqrt(Omega_1) sqrt(Omega_2)| is ||F_1^dag F_2||_1 / sqrt(d_1 d_2):
+    one r_1 x r_2 SVD and no square root of a rounding-level eigenvalue.
+    """
     from .discrimination import fidelity
 
     o1, o2 = to_choi(ch1), to_choi(ch2)
-    return fidelity(o1.matrix, o2.matrix)
+    f1, f2 = _choi_factor(o1), _choi_factor(o2)
+    if f1 is None or f2 is None or len(f1) != len(f2):
+        return fidelity(o1.matrix, o2.matrix)
+    return trace_norm(dag(f1) @ f2) / np.sqrt(o1.in_dim * o2.in_dim)

@@ -13,7 +13,7 @@ from .linalg import (ATOL, _frozen_copy, _herm, _hermitian, _lowest_eigh, _requi
                      _within, asarray, dag, eigh, outer, partial_trace, partial_transpose,
                      swap_operator, tensor)
 from .rand import _gram_schmidt, _haar_normals, _require_size, haar_unitaries, random_kets, rng_from
-from .states import PAULIS, State
+from .states import State, _sigma_dot, _unit_directions
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,10 +128,8 @@ def reduction_criterion(rho: BipartiteState, tol: float = ATOL):
 
 def chsh_operator(a, a_prime, b, b_prime) -> np.ndarray:
     """A (x) (B + B') + A' (x) (B - B') with A = a . sigma, from one stacked Pauli contraction."""
-    n = np.array([a, a_prime, b, b_prime], dtype=float)
-    if (np.abs(np.linalg.norm(n, axis=1) - 1) > 1e-9).any():
-        raise ValueError("Bloch directions must be unit vectors")
-    s = np.tensordot([n[0], n[1], n[2] + n[3], n[2] - n[3]], PAULIS[1:], 1)  # A, A', B +- B'
+    n = _unit_directions([a, a_prime, b, b_prime])
+    s = _sigma_dot([n[0], n[1], n[2] + n[3], n[2] - n[3]])  # A, A', B +- B'
     kron = s[:2, :, None, :, None] * s[2:, None, :, None, :]  # A (x) (B + B'), A' (x) (B - B')
     return (kron[0] + kron[1]).reshape(4, 4)
 

@@ -74,12 +74,15 @@ def _require_finite(a: np.ndarray, what: str) -> None:
 # is hashable, since an array has no single truth value and two operators can
 # only agree within a tolerance.
 
-def _frozen_copy(a, what: str, shape: tuple | None = None, dtype=complex) -> np.ndarray:
-    """Read-only copy of ``a``, checked to have ``shape`` (when given) and finite entries."""
+def _frozen_copy(a, what: str, shape: tuple | None = None, dtype=complex,
+                 finite: bool = False) -> np.ndarray:
+    """Read-only copy of ``a``, checked to have ``shape`` (when given) and finite
+    entries; ``finite=True`` when the caller has checked what ``a`` was formed from."""
     m = np.array(a, dtype=dtype)
     if shape is not None and m.shape != shape:
         raise ValueError(f"{what} shape does not match the declared dimensions")
-    _require_finite(m, what)
+    if not finite:
+        _require_finite(m, what)
     m.flags.writeable = False
     return m
 
@@ -327,15 +330,21 @@ def matrix_rank(a: np.ndarray, tol: float = ATOL) -> int:
     return int((s > tol * s[0]).sum())
 
 
-def _kraus_columns(vals: np.ndarray, vecs: np.ndarray, tol: float) -> np.ndarray:
+def _kraus_columns(vals: np.ndarray, vecs: np.ndarray, tol: float,
+                   factor: np.ndarray | None = None) -> np.ndarray:
     """Columns sqrt(lambda) v of the eigenpairs above _eig_tol(vals, tol).
 
-    With none above it (the zero map) one zero column is returned, so the
-    map keeps a single zero Kraus operator.
+    Given a ``factor`` F whose Gram matrix F^dag F has the eigenpairs (vals,
+    vecs), the columns F v instead: F v = sqrt(lambda) u, with u the unit
+    eigenvector of F F^dag for the same lambda, and no division.  With none
+    above the cut (the zero map) one zero column is returned, so the map
+    keeps a single zero Kraus operator.
     """
     keep = vals > _eig_tol(vals, tol)
     if not keep.any():
-        return np.zeros((len(vals), 1), dtype=complex)
+        return np.zeros((len(vals) if factor is None else len(factor), 1), dtype=complex)
+    if factor is not None:
+        return factor @ vecs[:, keep]
     return np.sqrt(vals[keep]) * vecs[:, keep]
 
 

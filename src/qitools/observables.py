@@ -10,7 +10,7 @@ import numpy as np
 
 from .linalg import (ATOL, _effect, _frozen_copy, _frozen_stack, _herm, _hermitian, _require_finite,
                      _within, asarray, dag, eigh, is_hermitian, is_projection, matrix_rank)
-from .states import _as_matrix
+from .states import _as_matrix, _sigma_dot, _unit_directions
 
 
 def _require_effect(m: np.ndarray) -> np.ndarray:
@@ -240,12 +240,7 @@ def has_unit_eigenvalue(e: np.ndarray, tol: float = 1e-7) -> bool:
 
 def stern_gerlach(direction) -> Povm:
     """Ideal two-outcome qubit observable along a unit Bloch direction."""
-    from .states import PAULIS
-
-    n = np.asarray(direction, dtype=float)
-    if abs(np.linalg.norm(n) - 1) > 1e-9:
-        raise ValueError("direction must be a unit vector")
-    sig = n[0] * PAULIS[1] + n[1] * PAULIS[2] + n[2] * PAULIS[3]
+    sig = _sigma_dot(_unit_directions(direction))
     up = (np.eye(2, dtype=complex) + sig) / 2
     down = (np.eye(2, dtype=complex) - sig) / 2
     return Povm((1, -1), (up, down))

@@ -16,6 +16,22 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (np.eye(2, dtype=complex), PAULI_X, PAULI_Y, PAULI_Z)
 
 
+def _sigma_dot(n) -> np.ndarray:
+    """n . sigma for each real 3-vector along the last axis of ``n``, one Pauli contraction.
+
+    Each entry sums at most one real and one imaginary term, so it is exact.
+    """
+    return np.tensordot(n, PAULIS[1:], 1)
+
+
+def _unit_directions(directions) -> np.ndarray:
+    """Float Bloch directions, or ValueError unless each is a unit vector."""
+    n = np.array(directions, dtype=float)
+    if (np.abs(np.linalg.norm(n, axis=-1) - 1) > 1e-9).any():
+        raise ValueError("Bloch directions must be unit vectors")
+    return n
+
+
 @dataclass(frozen=True, eq=False)
 class State:
     """Trace-one positive matrix, optionally with bipartite dimensions."""
@@ -27,7 +43,7 @@ class State:
         m = asarray(self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("a state must be a square matrix")
-        _require_finite(m, "state")
+        _require_finite(m, "state")  # the one finiteness check: h is formed from m
         h = _hermitian(m, ATOL)
         if h is None:
             raise ValueError("state matrix is not Hermitian")
@@ -37,7 +53,7 @@ class State:
         tr = np.trace(m).real
         if not _within(abs(tr - 1), ATOL, m):
             raise ValueError(f"state trace is {tr}, not 1")
-        object.__setattr__(self, "matrix", _frozen_copy(h, "state"))
+        object.__setattr__(self, "matrix", _frozen_copy(h, "state", finite=True))
         object.__setattr__(self, "dim", m.shape[0])
 
     @classmethod

@@ -39,6 +39,23 @@ def test_state_rejects_non_finite_entries(bad):
         State(m)
 
 
+def test_state_checks_finiteness_once(monkeypatch):
+    import qitools.linalg
+    import qitools.states
+
+    seen = []
+    check = qitools.linalg._require_finite
+
+    def counted(a, what):
+        seen.append(what)
+        check(a, what)
+
+    monkeypatch.setattr(qitools.linalg, "_require_finite", counted)
+    monkeypatch.setattr(qitools.states, "_require_finite", counted)
+    State(np.diag([0.25, 0.75]))
+    assert seen == ["state"]
+
+
 def test_purity_range_and_pure():
     rng = np.random.default_rng(0)
     psi = random_ket(4, rng)
