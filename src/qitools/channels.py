@@ -14,8 +14,13 @@ vec(E(X)) = S vec(X) and a Kraus list gives S = sum_k A_k (x) conj(A_k).
 S and the Choi matrix hold the same numbers in a different index order:
 S[(a, b), (j, k)] = d_in * Omega[(a, j), (b, k)] (the "reshuffle").
 
-Basis coordinates: with G the columns vec(I), vec(E_j) of ``states._operator_basis``,
-chi = G^dag Phi G / d and the affine matrix [[1, 0], [t, T]] = G^dag S G / d.
+Basis coordinates: one read-only stack I, E_1, ..., E_{d^2-1}
+(``states._operator_stack``; the Paulis at d = 2) is the operator basis of
+every map.  With G its columns vec(I), vec(E_j) (``states._operator_basis``),
+chi = G^dag Phi G / d in the default basis G / sqrt(d), and the affine matrix
+[[1, 0], [t, T]] = G^dag S G / d.  The qubit maps r -> diag(lmbda) r + t are
+read through ``affine_to_choi``, so their Choi matrices share the (E (x) I)
+order above.
 """
 
 from __future__ import annotations
@@ -49,7 +54,8 @@ from .linalg import (
     trace_norm,
 )
 from .rand import random_kets
-from .states import PAULIS, State, _as_matrix, _operator_basis, _sigma_dot
+from .states import (PAULIS, State, _as_matrix, _axis_direction, _operator_basis, _operator_stack,
+                     _sigma_dot)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +344,7 @@ def to_chi(ch, basis=None) -> ChiMatrix:
     if not isinstance(ch, KrausChannel) and not choi.is_cp():
         raise ValueError(f"not completely positive: Choi eigenvalue {choi.min_eigenvalue():.3e}")
     if basis is None:
-        basis = _operator_basis(d).T.reshape(-1, d, d) / np.sqrt(d)
+        basis = _operator_stack(d) / np.sqrt(d)
     ops = asarray(basis)
     b = ops.reshape(len(ops), -1).T
     if np.max(np.abs(dag(b) @ b - np.eye(len(ops)))) > 1e-9:
@@ -505,8 +511,7 @@ def make(kind: str, **params):
         d, p = params["d"], params["p"]
         if not 0 <= p <= 1:
             raise ValueError("depolarizing strength must lie in [0, 1]")
-        basis = _operator_basis(d).T.reshape(-1, d, d) / np.sqrt(d)
-        ops = np.concatenate([np.eye(d)[None], basis])
+        ops = np.concatenate([np.eye(d)[None], _operator_stack(d) / np.sqrt(d)])
         weights = np.r_[1 - p, np.full(d * d, p / d)]  # the terms of weight 0 are dropped
         return KrausChannel((np.sqrt(weights)[:, None, None] * ops)[weights > 0])
     if kind == "pauli":
@@ -514,7 +519,7 @@ def make(kind: str, **params):
         q = _probability_vector(params["q"], message)
         if len(q) != 4:
             raise ValueError(message)
-        return KrausChannel((np.sqrt(q)[:, None, None] * np.array(PAULIS))[q > 0])
+        return KrausChannel((np.sqrt(q)[:, None, None] * _operator_stack(2))[q > 0])
     if kind == "random_unitary":
         pairs = params["pairs"]
         _probability_vector([p for p, _ in pairs], "weights must form a probability vector")
@@ -529,12 +534,7 @@ def make(kind: str, **params):
         eta = params["eta"]
         if not 0 <= eta <= 1:
             raise ValueError("damping parameter must lie in [0, 1]")
-        axis = params.get("axis", "z")
-        if isinstance(axis, str):
-            n = {"x": (1, 0, 0), "y": (0, 1, 0), "z": (0, 0, 1)}[axis]
-        else:
-            n = np.asarray(axis, dtype=float)
-            n = n / np.linalg.norm(n)
+        n = _axis_direction(params.get("axis", "z"))
         ops = np.array([np.sqrt(eta) * PAULIS[0], np.sqrt(1 - eta) * _sigma_dot(n)])
         return KrausChannel(ops[[eta > 0, eta < 1]])
     raise ValueError(f"unknown channel kind {kind!r}")
@@ -552,31 +552,22 @@ def unitary_channel(u) -> KrausChannel:
 # ---------------------------------------------------------------------------
 
 def qubit_diagonal_choi(lmbda, t) -> np.ndarray:
-    """Chi-normalized Choi matrix of the qubit map r -> diag(lmbda) r + t."""
-    l1, l2, l3 = (float(x) for x in lmbda)
-    t1, t2, t3 = (float(x) for x in t)
-    return 0.5 * np.array(
-        [
-            [1 + t3 + l3, t1 - 1j * t2, 0, l1 + l2],
-            [t1 + 1j * t2, 1 - t3 - l3, l1 - l2, 0],
-            [0, l1 - l2, 1 + t3 - l3, t1 - 1j * t2],
-            [l1 + l2, 0, t1 + 1j * t2, 1 - t3 + l3],
-        ],
-        dtype=complex,
-    )
+    """Chi-normalized Choi matrix Phi = 2 Omega of the qubit map r -> diag(lmbda) r + t."""
+    return 2 * affine_to_choi(AffineRep(np.diag(lmbda), t, 2)).matrix
 
 
 def qubit_cp_check(lmbda, t) -> dict:
     """Complete-positivity verdict for the diagonal qubit affine map.
 
-    The PSD test on the explicit 4x4 Choi matrix is authoritative; the
-    three closed-form inequalities are reported as diagnostics only (the
-    third is known to be unreliable in print).
+    The PSD test on the map's Choi matrix is authoritative; the three
+    closed-form inequalities are reported as diagnostics only (the third
+    is known to be unreliable in print).  ``choi`` and ``choi_min_eig``
+    are in the chi-normalized scale Phi = 2 Omega.
     """
+    choi = affine_to_choi(AffineRep(np.diag(lmbda), t, 2))  # checks shapes and finiteness
+    min_eig = choi.min_eigenvalue()
     l1, l2, l3 = (float(x) for x in lmbda)
     t1, t2, t3 = (float(x) for x in t)
-    phi = qubit_diagonal_choi(lmbda, t)
-    min_eig = float(np.linalg.eigvalsh(phi).min())  # of Phi = 2 Omega
     lam2 = l1 * l1 + l2 * l2 + l3 * l3
     tnorm2 = t1 * t1 + t2 * t2 + t3 * t3
     ineqs = {
@@ -592,9 +583,9 @@ def qubit_cp_check(lmbda, t) -> dict:
         ),
     }
     return {
-        "cp": _is_cp(ChoiMatrix(phi / 2, 2, 2), min_eig / 2, ATOL),
-        "choi_min_eig": min_eig,
-        "choi": phi,
+        "cp": _is_cp(choi, min_eig, ATOL),
+        "choi_min_eig": 2 * min_eig,
+        "choi": 2 * choi.matrix,
         "inequalities": ineqs,
     }
 

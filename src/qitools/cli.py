@@ -8,8 +8,9 @@ output.  Exit codes: 0 success, 1 stdout closed before the output was
 written, 2 validation failure, 3 numeric failure.
 
 ``--tol`` (fallback ``QITOOLS_TOL``) is the verdict tolerance of
-certify-channel, entanglement and werner; documents are validated at
-``linalg.ATOL``.
+certify-channel, entanglement and werner, a finite non-negative number;
+documents are validated at ``linalg.ATOL``, and declare at most 1024 per
+dimension and 1024^2 entries in all.
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ from .linalg import ATOL, NumericError, _require_finite
 
 TOL_ENV_VAR = "QITOOLS_TOL"
 
+# A document declares at most _MAX_DIM per dimension and _MAX_ENTRIES entries in all.
+_MAX_DIM = 1024
+_MAX_ENTRIES = _MAX_DIM**2
+
 
 class ValidationError(ValueError):
     """Malformed input document or invariant violation."""
@@ -41,6 +46,8 @@ def _dim(value) -> int:
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if not (number and 1 <= value < np.inf and value == int(value)):
         raise ValidationError(f"dimensions must be positive integers, got {value!r}")
+    if value > _MAX_DIM:
+        raise ValidationError(f"dimensions must be at most {_MAX_DIM}, got {value!r}")
     return int(value)
 
 
@@ -52,7 +59,11 @@ def _dims_pair(dims) -> tuple[int, int]:
     return _dim(pair[0]), _dim(pair[1])
 
 
-def _entries_to_array(entries, rows: int, cols: int, path: str) -> np.ndarray:
+def _entries_to_array(entries, rows: int, cols: int, path: str, count: int = 1) -> np.ndarray:
+    """One of the ``count`` rows x cols matrices of a document, from its [re, im] entries."""
+    if count * rows * cols > _MAX_ENTRIES:
+        raise ValidationError(f"a document holds at most {_MAX_ENTRIES} entries, "
+                              f"got {count * rows * cols}")
     if len(entries) != rows * cols:
         raise ValidationError(f"{path}: expected {rows * cols} entries, got {len(entries)}")
     flat = []
@@ -99,10 +110,8 @@ def load_document(doc: dict):
             return Effect(m)
         if kind == "povm":
             d = _dim(doc["dims"])
-            effs = [
-                _entries_to_array(e, d, d, f"effects[{i}]")
-                for i, e in enumerate(doc["effects"])
-            ]
+            effs = [_entries_to_array(e, d, d, f"effects[{i}]", len(doc["effects"]))
+                    for i, e in enumerate(doc["effects"])]
             outs = doc.get("outcomes", list(range(len(effs))))
             if not isinstance(outs, list):
                 raise ValidationError(f"outcomes must be a list of labels, got {outs!r}")
@@ -110,10 +119,8 @@ def load_document(doc: dict):
             return Povm(tuple(outs), tuple(effs))
         if kind == "kraus":
             out_d, in_d = _dims_pair(doc["dims"])
-            ops = [
-                _entries_to_array(op, out_d, in_d, f"operators[{i}]")
-                for i, op in enumerate(doc["operators"])
-            ]
+            ops = [_entries_to_array(op, out_d, in_d, f"operators[{i}]", len(doc["operators"]))
+                   for i, op in enumerate(doc["operators"])]
             from .channels import KrausChannel
             return KrausChannel(ops)
         if kind == "choi":
@@ -406,6 +413,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _tolerance(flag: float | None) -> float:
+    """``--tol``, else ``QITOOLS_TOL``, else ``ATOL``: a finite non-negative number."""
+    text = flag if flag is not None else os.environ.get(TOL_ENV_VAR, ATOL)
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = np.nan
+    if not 0 <= tol < np.inf:
+        source = "--tol" if flag is not None else TOL_ENV_VAR
+        raise ValidationError(f"{source} must be a finite non-negative number, got {text!r}")
+    return tol
+
+
 def _merge_value_flags(argv):
     """Join flags with values that start with '-' (e.g. --lambda -1,-1,-1)."""
     merged = []
@@ -430,10 +450,8 @@ def run(argv=None) -> int:
         args = parser.parse_args(_merge_value_flags(list(argv)))
     except SystemExit as err:
         return 2 if err.code not in (0, None) else 0
-    if args.tol is None:
-        # Flag takes precedence; the environment variable is the fallback.
-        args.tol = float(os.environ.get(TOL_ENV_VAR, ATOL))
     try:
+        args.tol = _tolerance(args.tol)
         payload = args.func(args)
         print(emit(payload, args.format))
         return 0

@@ -9,11 +9,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .linalg import (ATOL, _frozen_copy, _probe_kraus, asarray, basis_ket, dag, inner,
-                     is_unitary, outer, partial_trace, tensor)
-from .observables import Povm, outcome_distribution
+from .linalg import (ATOL, _frozen_copy, _probe_kraus, asarray, basis_ket, dag, is_unitary, outer,
+                     partial_trace, tensor)
+from .observables import outcome_distribution, stern_gerlach
 from .rand import random_ket, random_kets, rng_from
-from .states import PAULIS, State
+from .states import _AXES, State, _operator_stack
 
 if TYPE_CHECKING:  # channels loads only when a function below needs it
     from .channels import KrausChannel, LinearMap
@@ -157,10 +157,10 @@ def superdense(message: int, rng=0) -> ProtocolReport:
         raise ValueError("message must encode two bits (0..3)")
     from .entanglement import maximally_entangled_ket
 
-    psi_plus = maximally_entangled_ket(2)
-    encoded = tensor(PAULIS[message], np.eye(2)) @ psi_plus
-    bell_kets = [tensor(PAULIS[j], np.eye(2)) @ psi_plus for j in range(4)]
-    probs = [abs(inner(b, encoded)) ** 2 for b in bell_kets]
+    # (P (x) I) psi+ = vec(P) / sqrt(2) for each Pauli P, as in ``ShiftMultiplyBasis``.
+    bell_kets = _operator_stack(2).reshape(4, 4, 1) * maximally_entangled_ket(2)[0]
+    encoded = bell_kets[message]
+    probs = (np.abs(dag(encoded) @ bell_kets) ** 2).ravel().tolist()
     marginal = partial_trace(outer(encoded), 2, 2, side="B")
     records = [
         {"message": message, "decoded": int(np.argmax(probs)), "probabilities": probs}
@@ -209,22 +209,13 @@ def _bb84_records() -> tuple:
 def _bb84_p_one() -> np.ndarray:
     """Read-only p_one[bit, prepared basis, measured basis]: probability of reading 1.
 
-    Built once per process from the two measurement bases as ``Povm``s and
-    the four prepared kets as ``State``s.
+    Basis 0 is sigma_z and basis 1 is sigma_x.  Bit x is prepared as the
+    projector of outcome x of the ``stern_gerlach`` observable along the
+    basis axis and read as that outcome.
     """
-    e0 = np.array([[1.0], [0.0]], dtype=complex)
-    e1 = np.array([[0.0], [1.0]], dtype=complex)
-    plus = (e0 + e1) / np.sqrt(2)
-    minus = (e0 - e1) / np.sqrt(2)
-    kets = {(0, 0): e0, (1, 0): e1, (0, 1): plus, (1, 1): minus}
-    bases = [Povm.from_basis([kets[(0, b)], kets[(1, b)]]) for b in (0, 1)]
-    p_one = np.array(
-        [
-            [[outcome_distribution(bases[m], State.from_ket(kets[(x, b)]))[1] for m in (0, 1)]
-             for b in (0, 1)]
-            for x in (0, 1)
-        ]
-    )
+    spins = [stern_gerlach(_AXES[axis]) for axis in "zx"]
+    p_one = [[[outcome_distribution(spins[m], State(spins[b].effects[x]))[1] for m in (0, 1)]
+              for b in (0, 1)] for x in (0, 1)]
     return _frozen_copy(p_one, "BB84 table", dtype=float)
 
 
@@ -387,29 +378,10 @@ def _pqc_keyless_gap(d: int) -> float:
 # Mean king
 # ---------------------------------------------------------------------------
 
-def _mean_king_basis() -> list[np.ndarray]:
-    up = np.array([[1.0], [0.0]], dtype=complex)
-    dn = np.array([[0.0], [1.0]], dtype=complex)
-    e = lambda a, b: tensor(a, b)
-    p = np.exp(1j * np.pi / 4)
-    m = np.exp(-1j * np.pi / 4)
-    s2 = 1 / np.sqrt(2)
-    theta1 = s2 * e(up, dn) + 0.5 * m * e(up, up) - 0.5 * p * e(dn, dn)
-    theta2 = s2 * e(up, dn) - 0.5 * m * e(up, up) + 0.5 * p * e(dn, dn)
-    theta3 = s2 * e(dn, up) + 0.5 * p * e(up, up) - 0.5 * m * e(dn, dn)
-    theta4 = s2 * e(dn, up) - 0.5 * p * e(up, up) + 0.5 * m * e(dn, dn)
-    return [theta1, theta2, theta3, theta4]
-
-
-def _king_eigenkets():
-    up = np.array([[1.0], [0.0]], dtype=complex)
-    dn = np.array([[0.0], [1.0]], dtype=complex)
-    s2 = 1 / np.sqrt(2)
-    return {
-        "x": {1: s2 * (up + dn), -1: s2 * (up - dn)},
-        "y": {1: s2 * (up + 1j * dn), -1: s2 * (up - 1j * dn)},
-        "z": {1: up, -1: dn},
-    }
+def _mean_king_basis() -> np.ndarray:
+    """The four kets theta_k, a (4, 4, 1) stack over |up up>, |up dn>, |dn up>, |dn dn>."""
+    p, m, s2 = np.exp(1j * np.pi / 4) / 2, np.exp(-1j * np.pi / 4) / 2, 1 / np.sqrt(2)
+    return np.array([[m, s2, 0, -p], [-m, s2, 0, p], [p, 0, s2, -m], [-p, 0, s2, m]])[..., None]
 
 
 def mean_king(rng=None) -> ProtocolReport:
@@ -419,29 +391,22 @@ def mean_king(rng=None) -> ProtocolReport:
     settings with Lüders collapses, and applies the table-based decoding
     rule, which succeeds with certainty.
     """
-    thetas = _mean_king_basis()
-    eig = _king_eigenkets()
-    settings = [(b, o) for b in ("x", "y", "z") for o in (1, -1)]
-    # Conditional post-measurement states of (Alice kept (x) returned) system.
-    table = np.zeros((4, 6))
+    thetas = _mean_king_basis()[..., 0]  # row k holds theta_k
+    settings = [(b, o) for b in _AXES for o in (1, -1)]
+    spins = {b: stern_gerlach(direction) for b, direction in _AXES.items()}
+    # King outcome o collapses the singlet to (Alice kept (x) returned) = |-o>|o>.
+    collapsed = np.array([tensor(spins[b].effect(-o), spins[b].effect(o)) for b, o in settings])
+    table = np.einsum("ki,cij,kj->kc", thetas.conj(), collapsed, thetas).real
     records = []
     for col, (b, o) in enumerate(settings):
-        phi = tensor(eig[b][-o], eig[b][o])  # king outcome o collapses the singlet
-        for k, theta in enumerate(thetas):
-            table[k, col] = abs(inner(theta, phi)) ** 2
         outcomes = [k for k in range(4) if table[k, col] > 1e-12]
         # Decoding: told b, outcome k points to the unique compatible result.
-        correct = True
-        for k in outcomes:
-            other = -o
-            other_col = settings.index((b, other))
-            if table[k, other_col] > 1e-12:
-                correct = False
+        other_col = settings.index((b, -o))
         records.append(
             {
                 "setting": f"{b}{'+' if o == 1 else '-'}",
                 "alice_outcomes": outcomes,
-                "guess_correct": correct,
+                "guess_correct": all(table[k, other_col] <= 1e-12 for k in outcomes),
             }
         )
     summary = {

@@ -10,10 +10,57 @@ import numpy as np
 from .linalg import (ATOL, _eig_tol, _frozen_copy, _hermitian, _kraus_columns, _require_finite,
                      _within, asarray, dag, eigh, inner, psd_sqrt)
 
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULIS = (np.eye(2, dtype=complex), PAULI_X, PAULI_Y, PAULI_Z)
+
+@lru_cache(maxsize=None)
+def _operator_stack(d: int) -> np.ndarray:
+    """Read-only (d^2, d, d) stack I, E_1, ..., E_{d^2-1}: the one operator basis.
+
+    The E_j are generalized Gell-Mann matrices scaled so tr[E_j E_k] =
+    d delta_jk, ordered as symmetric pair operators, antisymmetric pair
+    operators, then diagonal ones; for d = 2 they are exactly (sigma_x,
+    sigma_y, sigma_z).
+    """
+    scale = np.sqrt(d / 2)
+    ops = [np.eye(d, dtype=complex)]
+    for j in range(d):
+        for k in range(j + 1, d):
+            m = np.zeros((d, d), dtype=complex)
+            m[j, k] = m[k, j] = 1
+            ops.append(scale * m)
+    for j in range(d):
+        for k in range(j + 1, d):
+            m = np.zeros((d, d), dtype=complex)
+            m[j, k] = -1j
+            m[k, j] = 1j
+            ops.append(scale * m)
+    for l in range(1, d):
+        diag = np.zeros(d)
+        diag[:l] = 1
+        diag[l] = -l
+        m = np.diag(diag / np.sqrt(l * (l + 1))).astype(complex)
+        ops.append(np.sqrt(2) * scale * m)
+    return _frozen_copy(np.stack(ops), "operator basis")
+
+
+@lru_cache(maxsize=None)
+def _operator_basis(d: int) -> np.ndarray:
+    """Read-only d^2 x d^2 matrix G with columns vec(I), vec(E_1), ... of ``_operator_stack(d)``;
+    vectorization is row-major, so G^dag G = d I and (G^dag vec X)_j = tr[E_j X] for Hermitian X.
+    """
+    return _frozen_copy(_operator_stack(d).reshape(d * d, -1).T.copy(), "operator basis")
+
+
+def traceless_hermitian_basis(d: int) -> tuple[np.ndarray, ...]:
+    """Read-only matrices E_1, ..., E_{d^2-1} of ``_operator_stack(d)``."""
+    return tuple(_operator_stack(d)[1:])
+
+
+# The Paulis (I, sigma_x, sigma_y, sigma_z) are read-only members of the d = 2 stack.
+PAULIS = tuple(_operator_stack(2))
+PAULI_X, PAULI_Y, PAULI_Z = PAULIS[1:]
+
+# Bloch directions of the named axes.
+_AXES = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
 
 
 def _sigma_dot(n) -> np.ndarray:
@@ -21,7 +68,15 @@ def _sigma_dot(n) -> np.ndarray:
 
     Each entry sums at most one real and one imaginary term, so it is exact.
     """
-    return np.tensordot(n, PAULIS[1:], 1)
+    return np.tensordot(n, _operator_stack(2)[1:], 1)
+
+
+def _axis_direction(axis) -> np.ndarray:
+    """Unit Bloch direction of an axis name in ``_AXES`` or of a nonzero finite 3-vector."""
+    n = np.array(_AXES.get(axis, np.nan) if isinstance(axis, str) else axis, dtype=float)
+    if n.shape != (3,) or not np.isfinite(n).all() or not n.any():
+        raise ValueError(f"axis must be x, y, z or a nonzero finite 3-vector, got {axis!r}")
+    return n / np.linalg.norm(n)
 
 
 def _unit_directions(directions) -> np.ndarray:
@@ -97,44 +152,6 @@ def von_neumann_entropy(rho, base: str | int = "e") -> float:
     elif base != "e":
         raise ValueError("base must be 'e' or 2")
     return max(s, 0.0)
-
-
-@lru_cache(maxsize=None)
-def _operator_basis(d: int) -> np.ndarray:
-    """Read-only d^2 x d^2 matrix G with columns vec(I), vec(E_1), ..., vec(E_{d^2-1}).
-
-    The E_j are generalized Gell-Mann matrices scaled so tr[E_j E_k] =
-    d delta_jk, ordered as symmetric pair operators, antisymmetric pair
-    operators, then diagonal ones; for d = 2 they are exactly (sigma_x,
-    sigma_y, sigma_z).  Vectorization is row-major, so G^dag G = d I and
-    (G^dag vec X)_j = tr[E_j X] for Hermitian X.
-    """
-    scale = np.sqrt(d / 2)
-    ops = [np.eye(d, dtype=complex)]
-    for j in range(d):
-        for k in range(j + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = m[k, j] = 1
-            ops.append(scale * m)
-    for j in range(d):
-        for k in range(j + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = -1j
-            m[k, j] = 1j
-            ops.append(scale * m)
-    for l in range(1, d):
-        diag = np.zeros(d)
-        diag[:l] = 1
-        diag[l] = -l
-        m = np.diag(diag / np.sqrt(l * (l + 1))).astype(complex)
-        ops.append(np.sqrt(2) * scale * m)
-    return _frozen_copy(np.stack([op.reshape(-1) for op in ops], axis=1), "operator basis")
-
-
-@lru_cache(maxsize=None)
-def traceless_hermitian_basis(d: int) -> tuple[np.ndarray, ...]:
-    """Read-only matrices E_1, ..., E_{d^2-1} of ``_operator_basis(d)``."""
-    return tuple(_frozen_copy(_operator_basis(d)[:, 1:].T.reshape(-1, d, d), "operator basis"))
 
 
 @dataclass(frozen=True, eq=False)

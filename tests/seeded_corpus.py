@@ -59,6 +59,16 @@ COMMANDS = [
      "--mode", "minerror", "--eta", "0.4"],
     ["discriminate", "--s1", _doc("zero.ket.json"), "--s2", _doc("tilted.ket.json"),
      "--mode", "unambiguous"],
+    ["--seed", "7", "demo", "pqc"],
+    ["--seed", "7", "demo", "processor", "--d", "3"],
+    ["--seed", "7", "demo", "processor", "--d", "5"],
+    ["--seed", "7", "demo", "teleport", "--d", "3"],
+    ["--seed", "7", "demo", "teleport", "--d", "6"],
+    ["--seed", "7", "demo", "b92", "--rounds", "200"],
+    ["--seed", "7", "entanglement", "--in", _doc("mef.ket.json"), "--dims", "3,3",
+     "--tests", "mef"],
+    ["discriminate", "--s1", _doc("zero.ket.json"), "--s2", _doc("real_tilted.ket.json"),
+     "--mode", "minerror"],
 ]
 
 

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qitools.channels import (ChoiMatrix, KrausChannel, certify, heisenberg_dual, qubit_cp_check,
-                              qubit_diagonal_choi, to_choi)
+from qitools.channels import (AffineRep, ChoiMatrix, KrausChannel, affine_to_choi, certify,
+                              heisenberg_dual, qubit_cp_check, qubit_diagonal_choi, to_choi)
 from qitools.instruments import DiscreteInstrument
 from qitools.observables import Povm
 from qitools.states import State
@@ -98,6 +98,18 @@ def test_instrument_total_is_checked_at_atol():
 def test_qubit_cp_check_agrees_with_certify(lmbda, t):
     choi = ChoiMatrix(qubit_diagonal_choi(lmbda, t) / 2, 2, 2)
     assert qubit_cp_check(lmbda, t)["cp"] == certify(choi)["cp"]
+    # The qubit Choi matrix is in the (E (x) I) order of every other Choi matrix.
+    generic = certify(affine_to_choi(AffineRep(np.diag(lmbda), t, 2)))
+    keys = ("cp", "tp", "unital", "trace_decreasing")
+    assert [certify(choi)[k] for k in keys] == [generic[k] for k in keys]
+
+
+def test_a_translated_qubit_map_is_trace_preserving_and_not_unital():
+    report = certify(ChoiMatrix(qubit_diagonal_choi((0, 0, 0), (0, 0, 0.5)) / 2, 2, 2))
+    assert report["tp"] and not report["unital"]
+    rep = qubit_cp_check((0, 0, 0), (0, 0, 0.5))
+    assert np.array_equal(rep["choi"], 2 * affine_to_choi(AffineRep(np.zeros((3, 3)),
+                                                                    (0, 0, 0.5), 2)).matrix)
 
 
 # lambda = -1/3 - delta in every direction gives Phi the eigenvalue -1.5 delta,

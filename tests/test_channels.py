@@ -330,6 +330,19 @@ def test_phase_damping_affine():
         assert np.abs(aff.t).max() < 1e-12
 
 
+def test_phase_damping_axis_names_and_vectors_agree():
+    for name, vector in (("x", (2, 0, 0)), ("y", (0, 0.5, 0)), ("z", (0, 0, 3))):
+        by_name = make("phase_damping", eta=0.3, axis=name).kraus_ops
+        assert np.abs(by_name - make("phase_damping", eta=0.3, axis=vector).kraus_ops).max() == 0
+
+
+@pytest.mark.parametrize("axis", ["w", "X", "", (0, 0, 0), (np.nan, 0, 0), (0, np.inf, 0),
+                                  (1, 0), [[1, 0, 0]], None])
+def test_phase_damping_rejects_a_bad_axis(axis):
+    with pytest.raises(ValueError, match="axis must be x, y, z or a nonzero finite 3-vector"):
+        make("phase_damping", eta=0.3, axis=axis)
+
+
 def test_qubit_cp_check_examples():
     assert qubit_cp_check((1, 1, 1), (0, 0, 0))["cp"]
     rep = qubit_cp_check((-1, -1, -1), (0, 0, 0))

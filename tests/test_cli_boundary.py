@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qitools.cli import ValidationError, load_document, run
+from qitools.cli import _MAX_DIM, _MAX_ENTRIES, ValidationError, load_document, run
 from qitools.discrimination import unambiguous_mixture_povm, unambiguous_two_pure
 from qitools.entanglement import BipartiteState
 from qitools.linalg import NumericError
 from qitools.states import State
+from seeded_corpus import CORPUS
 
 
 def write_json(tmp_path, payload):
@@ -180,3 +181,81 @@ def test_unambiguous_schemes_reject_a_zero_ket():
     for scheme in (unambiguous_two_pure, lambda a, b: unambiguous_mixture_povm(a, b, 0.5)):
         with pytest.raises(ValueError, match="cannot normalize the zero vector"):
             scheme(np.zeros(2), np.array([1, 0]))
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", ["--lambda", "--t"])
+def test_qubit_channel_rejects_non_finite_parameters(capsys, bad, flag):
+    values = {"--lambda": "0.5,0.5,0.5", "--t": "0,0,0.1"}
+    values[flag] = f"0.2,{bad},0"
+    argv = ["qubit-channel", "--lambda", values["--lambda"], "--t", values["--t"]]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "entries must be finite" in json.loads(captured.err)["detail"]
+
+
+TOLERANCE = "must be a finite non-negative number"
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "-1e-12"])
+def test_a_bad_tolerance_flag_exits_2(capsys, tol):
+    assert run([f"--tol={tol}", "werner", "--d", "2", "--mu", "0.3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--tol {TOLERANCE}" in json.loads(captured.err)["detail"]
+
+
+@pytest.mark.parametrize("tol", ["abc", "", "nan", "inf", "-1"])
+def test_a_bad_tolerance_variable_exits_2(monkeypatch, capsys, tol):
+    monkeypatch.setenv("QITOOLS_TOL", tol)
+    assert run(["werner", "--d", "2", "--mu", "0.3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"QITOOLS_TOL {TOLERANCE}" in json.loads(captured.err)["detail"]
+
+
+def test_a_tolerance_flag_overrides_the_variable(monkeypatch, capsys):
+    monkeypatch.setenv("QITOOLS_TOL", "abc")
+    assert run(["--tol", "0", "werner", "--d", "2", "--mu", "0.3"]) == 0
+    monkeypatch.setenv("QITOOLS_TOL", "1e-7")
+    assert run(["werner", "--d", "2", "--mu", "0.3"]) == 0
+
+
+def test_documents_are_capped_in_each_dimension(tmp_path, capsys):
+    ket = [[1.0, 0.0]] + [[0.0, 0.0]] * (_MAX_DIM - 1)
+    assert load_document({"kind": "ket", "dims": _MAX_DIM, "entries": ket}).shape == (_MAX_DIM, 1)
+    for doc in ({"kind": "ket", "dims": _MAX_DIM + 1, "entries": ket + [[0.0, 0.0]]},
+                {"kind": "kraus", "dims": [1, _MAX_DIM + 1], "operators": []},
+                {"kind": "state", "dims": 1, "entries": [[1, 0]],
+                 "bipartite_dims": [1, _MAX_DIM + 1]}):
+        with pytest.raises(ValidationError, match=f"dimensions must be at most {_MAX_DIM}"):
+            load_document(doc)
+        assert run(["certify-channel", "--in", write_json(tmp_path, doc)]) == 2
+        assert f"dimensions must be at most {_MAX_DIM}" in error_detail(capsys)
+
+
+def test_documents_are_capped_in_total_entries(tmp_path, capsys):
+    side = int(np.sqrt(_MAX_DIM))
+    zero = [[0.0, 0.0]]
+    # At the cap: one operator of _MAX_ENTRIES entries.
+    doc = {"kind": "kraus", "dims": [_MAX_DIM, _MAX_DIM], "operators": [zero * _MAX_ENTRIES]}
+    assert load_document(doc).kraus_ops.shape == (1, _MAX_DIM, _MAX_DIM)
+    # One more operator, one more POVM effect, or a Choi matrix one row too wide is past it.
+    past = [
+        dict(doc, operators=[zero * _MAX_ENTRIES, zero]),
+        {"kind": "povm", "dims": _MAX_DIM, "effects": [zero, zero]},
+        {"kind": "choi", "dims": [side + 1, side], "entries": zero},
+    ]
+    for bad in past:
+        with pytest.raises(ValidationError, match=f"at most {_MAX_ENTRIES} entries"):
+            load_document(bad)
+    assert run(["certify-channel", "--in", write_json(tmp_path, past[2])]) == 2
+    assert f"at most {_MAX_ENTRIES} entries" in error_detail(capsys)
+
+
+def test_every_corpus_document_is_well_under_the_cap():
+    for path in sorted(CORPUS.glob("*.*.json")):
+        doc = json.loads(path.read_text())
+        rows = [doc.get("entries", [])] + doc.get("effects", []) + doc.get("operators", [])
+        assert 64 * sum(map(len, rows)) <= _MAX_ENTRIES, path.name

@@ -19,11 +19,16 @@ from qitools.channels import (
     transposition_map,
 )
 from qitools.linalg import dag
-from qitools.observables import Povm, is_informationally_complete, minimal_ic_povm
+from qitools.observables import Povm, is_informationally_complete, minimal_ic_povm, stern_gerlach
 from qitools.rand import haar_unitary, random_density, random_kraus_ops
 from qitools.states import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    PAULIS,
     BlochVector,
     _operator_basis,
+    _operator_stack,
     from_bloch,
     to_bloch,
     traceless_hermitian_basis,
@@ -84,6 +89,32 @@ def test_operator_basis_is_read_only(d):
     with pytest.raises(ValueError, match="read-only"):
         g[0, 0] = 2
     assert g.base is None or not g.base.flags.writeable
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_operator_stack_holds_the_columns_of_the_basis_matrix(d):
+    stack = _operator_stack(d)
+    assert stack is _operator_stack(d) and stack.shape == (d * d, d, d)
+    assert np.array_equal(stack.reshape(d * d, -1).T, _operator_basis(d))
+    assert np.array_equal(stack[0], np.eye(d))
+    with pytest.raises(ValueError, match="read-only"):
+        stack[1, 0, 0] = 2
+    for e in traceless_hermitian_basis(d):
+        with pytest.raises(ValueError, match="read-only"):
+            e[0, 0] = 2
+
+
+def test_paulis_are_the_read_only_qubit_stack():
+    literals = ([[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]])
+    for p, q, literal in zip(PAULIS, _operator_stack(2), literals):
+        assert np.array_equal(p, q) and np.array_equal(p, literal)
+        with pytest.raises(ValueError, match="read-only"):
+            p[0, 1] = 5
+    assert all(a is b for a, b in zip((PAULI_X, PAULI_Y, PAULI_Z), PAULIS[1:]))
+    # A write to a Pauli cannot reach the observables built from it.
+    with pytest.raises(ValueError, match="read-only"):
+        PAULIS[3][1, 1] = 1
+    assert np.array_equal(stern_gerlach((0, 0, 1)).effect(-1), [[0, 0], [0, 1]])
 
 
 @pytest.mark.parametrize("d", DIMS)

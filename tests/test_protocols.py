@@ -181,6 +181,13 @@ def test_superdense_bell_kets_orthogonal():
     assert np.abs(gram - np.eye(4)).max() < 1e-12
 
 
+def test_bb84_table_reads_the_stern_gerlach_projectors_exactly():
+    from qitools.protocols import _bb84_p_one
+
+    # p_one[bit, prepared basis, measured basis], basis 0 = sigma_z, 1 = sigma_x.
+    assert _bb84_p_one().tolist() == [[[0.0, 0.5], [0.5, 0.0]], [[1.0, 0.5], [0.5, 1.0]]]
+
+
 def test_bb84_without_eve():
     rep = bb84(3000, eve="none", rng=5)
     assert rep.summary["qber"] == 0.0
