@@ -39,6 +39,7 @@ from .linalg import (
     _kraus_columns,
     _prepare_kraus,
     _probe_kraus,
+    _require_unit_interval,
     _seesaw,
     _within,
     asarray,
@@ -393,6 +394,11 @@ def affine_to_choi(aff: AffineRep) -> ChoiMatrix:
     return to_choi(LinearMap(g @ m @ dag(g) / d, d, d))
 
 
+def _require_same_dims(ch1, ch2) -> None:
+    if (ch1.in_dim, ch1.out_dim) != (ch2.in_dim, ch2.out_dim):
+        raise ValueError("channels must share dimensions")
+
+
 def kraus_equivalent(k1: KrausChannel, k2: KrausChannel, tol: float = 1e-8,
                      return_witness: bool = False):
     """Whether two Kraus lists define the same map (Choi uniqueness).
@@ -400,8 +406,7 @@ def kraus_equivalent(k1: KrausChannel, k2: KrausChannel, tol: float = 1e-8,
     When they do and a witness is requested, the partial-isometry matrix
     u with A_j = sum_k u[j, k] B_k is recovered by least squares.
     """
-    if (k1.in_dim, k1.out_dim) != (k2.in_dim, k2.out_dim):
-        raise ValueError("channels must share dimensions")
+    _require_same_dims(k1, k2)
     same = trace_norm(to_choi(k1).matrix - to_choi(k2).matrix) < tol
     if not return_witness:
         return same
@@ -509,8 +514,7 @@ def make(kind: str, **params):
     """
     if kind == "depolarizing":
         d, p = params["d"], params["p"]
-        if not 0 <= p <= 1:
-            raise ValueError("depolarizing strength must lie in [0, 1]")
+        _require_unit_interval(p, "depolarizing strength")
         ops = np.concatenate([np.eye(d)[None], _operator_stack(d) / np.sqrt(d)])
         weights = np.r_[1 - p, np.full(d * d, p / d)]  # the terms of weight 0 are dropped
         return KrausChannel((np.sqrt(weights)[:, None, None] * ops)[weights > 0])
@@ -532,8 +536,7 @@ def make(kind: str, **params):
         return transposition_map(params["d"])
     if kind == "phase_damping":
         eta = params["eta"]
-        if not 0 <= eta <= 1:
-            raise ValueError("damping parameter must lie in [0, 1]")
+        _require_unit_interval(eta, "damping parameter")
         n = _axis_direction(params.get("axis", "z"))
         ops = np.array([np.sqrt(eta) * PAULIS[0], np.sqrt(1 - eta) * _sigma_dot(n)])
         return KrausChannel(ops[[eta > 0, eta < 1]])
@@ -599,7 +602,7 @@ def bloch_rotation(u: np.ndarray) -> np.ndarray:
 def su2_from_rotation(r: np.ndarray) -> np.ndarray:
     """Qubit unitary whose Bloch action is the given proper rotation."""
     r = np.asarray(r, dtype=float)
-    if abs(np.linalg.det(r) - 1) > 1e-6:
+    if r.shape != (3, 3) or not np.isfinite(r).all() or not abs(np.linalg.det(r) - 1) <= 1e-6:
         raise ValueError("matrix is not a proper rotation")
     tr = np.trace(r)
     if tr > 0:
@@ -617,7 +620,7 @@ def su2_from_rotation(r: np.ndarray) -> np.ndarray:
         q[k + 1] = (r[k, i] + r[i, k]) / s
     q = q / np.linalg.norm(q)
     u = q[0] * PAULIS[0] - 1j * _sigma_dot(q[1:])
-    if np.max(np.abs(bloch_rotation(u) - r)) > 1e-7:
+    if not np.max(np.abs(bloch_rotation(u) - r)) <= 1e-7:
         raise NumericError("quaternion extraction failed to reproduce the rotation")
     return u
 
@@ -698,8 +701,7 @@ def sup_distance(ch1, ch2, rng=0, restarts: int = 64):
     the value never decreases and is a lower bound on the supremum.
     Assumes Hermiticity-preserving maps.  Returns (value, argmax ket).
     """
-    if (ch1.in_dim, ch1.out_dim) != (ch2.in_dim, ch2.out_dim):
-        raise ValueError("channels must share dimensions")
+    _require_same_dims(ch1, ch2)
     d = ch1.in_dim
     s = _superop(ch1) - _superop(ch2)
     (kets,) = random_kets((d,), restarts, rng)

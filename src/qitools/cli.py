@@ -10,7 +10,7 @@ written, 2 validation failure, 3 numeric failure.
 ``--tol`` (fallback ``QITOOLS_TOL``) is the verdict tolerance of
 certify-channel, entanglement and werner, a finite non-negative number;
 documents are validated at ``linalg.ATOL``, and declare at most 1024 per
-dimension and 1024^2 entries in all.
+dimension and 1024^2 entries in all.  Caps: demo --d 10, werner --d 32, demo --rounds 100000.
 """
 
 from __future__ import annotations
@@ -32,6 +32,10 @@ TOL_ENV_VAR = "QITOOLS_TOL"
 # A document declares at most _MAX_DIM per dimension and _MAX_ENTRIES entries in all.
 _MAX_DIM = 1024
 _MAX_ENTRIES = _MAX_DIM**2
+# No operator is wider than _MAX_DIM: d^3 x d^3 in the processor demo, d^2 x d^2 in werner.
+_MAX_DEMO_DIM = int(_MAX_DIM ** (1 / 3))
+_MAX_WERNER_DIM = int(_MAX_DIM**0.5)
+_MAX_ROUNDS = 100_000
 
 
 class ValidationError(ValueError):
@@ -42,13 +46,18 @@ class ValidationError(ValueError):
 # Matrix documents
 # ---------------------------------------------------------------------------
 
+def _at_most(value, name: str, cap: int):
+    """``value``, or ValidationError when it exceeds ``cap``."""
+    if value > cap:
+        raise ValidationError(f"{name} must be at most {cap}, got {value!r}")
+    return value
+
+
 def _dim(value) -> int:
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if not (number and 1 <= value < np.inf and value == int(value)):
         raise ValidationError(f"dimensions must be positive integers, got {value!r}")
-    if value > _MAX_DIM:
-        raise ValidationError(f"dimensions must be at most {_MAX_DIM}, got {value!r}")
-    return int(value)
+    return int(_at_most(value, "dimensions", _MAX_DIM))
 
 
 def _dims_pair(dims) -> tuple[int, int]:
@@ -320,17 +329,20 @@ def _cmd_discriminate(args) -> dict:
 def _cmd_werner(args) -> dict:
     from .entanglement import werner_report
 
-    return werner_report(args.d, args.mu, tol=args.tol)
+    return werner_report(_at_most(args.d, "--d", _MAX_WERNER_DIM), args.mu, tol=args.tol)
 
 
 def _cmd_qubit_channel(args) -> dict:
-    lmbda = [float(x) for x in args.lmbda.split(",")]
-    t = [float(x) for x in args.t.split(",")]
-    if len(lmbda) != 3 or len(t) != 3:
-        raise ValidationError("--lambda and --t both need three comma-separated reals")
+    params = []
+    for flag, text in (("--lambda", args.lmbda), ("--t", args.t)):
+        v = np.array([float(x) for x in text.split(",")])
+        if v.shape != (3,):
+            raise ValidationError(f"{flag} needs three comma-separated reals, got {text!r}")
+        _require_finite(v, flag)  # names the flag and the component, e.g. --lambda[1]
+        params.append(v)
     from .channels import qubit_cp_check
 
-    report = qubit_cp_check(lmbda, t)
+    report = qubit_cp_check(*params)
     return {key: report[key] for key in ("cp", "choi_min_eig", "inequalities")}
 
 
@@ -338,6 +350,8 @@ def _cmd_demo(args) -> dict:
     from .protocols import (b92, bb84, mean_king, private_quantum_channel,
                             probabilistic_processor, superdense, teleport)
 
+    _at_most(args.d, "--d", _MAX_DEMO_DIM)
+    _at_most(args.rounds, "--rounds", _MAX_ROUNDS)
     name = args.name
     if name == "teleport":
         from .states import State
@@ -429,14 +443,9 @@ def _tolerance(flag: float | None) -> float:
 def _merge_value_flags(argv):
     """Join flags with values that start with '-' (e.g. --lambda -1,-1,-1)."""
     merged = []
-    skip = False
-    for i, token in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if token in ("--lambda", "--t") and i + 1 < len(argv):
-            merged.append(f"{token}={argv[i + 1]}")
-            skip = True
+    for token in argv:
+        if merged and merged[-1] in ("--lambda", "--t"):
+            merged[-1] = f"{merged[-1]}={token}"
         else:
             merged.append(token)
     return merged

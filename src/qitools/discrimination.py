@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (ATOL, _eig_tol, _hermitian, dag, eigh, inner, matrix_rank, outer, psd_sqrt,
-                     trace_norm, unit_ket)
+from .linalg import (ATOL, _eig_tol, _require_hermitian, dag, eigh, inner, matrix_rank, outer,
+                     psd_sqrt, trace_norm, unit_ket)
 from .observables import Povm
 from .states import _as_matrix
 
@@ -32,20 +32,29 @@ def prob_distances(p, q) -> tuple[float, float, float]:
     if p.shape != q.shape:
         raise ValueError("probability vectors must have the same length")
     for v in (p, q):
-        if abs(v.sum() - 1) > 1e-7 or v.min() < -1e-12:
+        if not (abs(v.sum() - 1) <= 1e-7 and v.min() >= -1e-12):
             raise ValueError("inputs must be probability vectors")
     diff = np.abs(p - q)
     return float(diff.max()), float(diff.sum() / 2), float(np.sqrt(p * q).sum())
 
 
+def _state_pair(rho1, rho2, stacks: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The matrices of two states on one space; with ``stacks`` either may be an (n, d, d) stack."""
+    m1, m2 = _as_matrix(rho1), _as_matrix(rho2)
+    if m1.shape[-2:] != m2.shape[-2:] or not (stacks or m1.shape == m2.shape):
+        raise ValueError("states must share a dimension")
+    return m1, m2
+
+
+def _require_prior(eta: float) -> None:
+    if not 0 < eta < 1:
+        raise ValueError("prior must satisfy 0 < eta < 1")
+
+
 def trace_distance(rho1, rho2) -> float:
     """(1/2) tr|rho1 - rho2|."""
-    m1, m2 = _as_matrix(rho1), _as_matrix(rho2)
-    if m1.shape != m2.shape:
-        raise ValueError("states must share a dimension")
-    h = _hermitian(m1 - m2, ATOL)
-    if h is None:
-        raise ValueError("rho1 - rho2 is not Hermitian within tolerance")
+    m1, m2 = _state_pair(rho1, rho2)
+    h = _require_hermitian(m1 - m2, ATOL, "rho1 - rho2")
     return float(np.abs(np.linalg.eigvalsh(h)).sum() / 2)
 
 
@@ -57,9 +66,7 @@ def fidelity(rho1, rho2) -> float | np.ndarray:
     stack ``(n, d, d)``; the result is then one fidelity per member (pairing
     members when both are stacks), from one stacked square root per stack.
     """
-    m1, m2 = _as_matrix(rho1), _as_matrix(rho2)
-    if m1.shape[-2:] != m2.shape[-2:]:
-        raise ValueError("states must share a dimension")
+    m1, m2 = _state_pair(rho1, rho2, stacks=True)
     return trace_norm(psd_sqrt(m1) @ psd_sqrt(m2))
 
 
@@ -70,8 +77,7 @@ def helstrom(rho1, rho2, eta: float = 0.5) -> DiscriminationResult:
     (1-eta)*rho2; zero eigenvalues are split half-half between the two
     conclusions.
     """
-    if not 0 < eta < 1:
-        raise ValueError("prior must satisfy 0 < eta < 1")
+    _require_prior(eta)
     m1, m2 = _as_matrix(rho1), _as_matrix(rho2)
     gap = eta * m1 - (1 - eta) * m2
     vals, vecs = eigh(gap)
@@ -106,8 +112,7 @@ def unambiguous_two_pure(psi1, psi2, eta: float = 0.5) -> DiscriminationResult:
     error-free and, for eta = 1/2, the success probability is
     1 - |<psi1|psi2>|.
     """
-    if not 0 < eta < 1:
-        raise ValueError("prior must satisfy 0 < eta < 1")
+    _require_prior(eta)
     v1, v2 = unit_ket(psi1), unit_ket(psi2)
     overlap = abs(inner(v1, v2))
     if overlap > 1 - 1e-12:
@@ -133,8 +138,7 @@ def unambiguous_mixture_povm(psi1, psi2, q: float, eta: float = 0.5) -> Discrimi
     """
     if not 0 < q < 1:
         raise ValueError("mixing weight must satisfy 0 < q < 1")
-    if not 0 < eta < 1:
-        raise ValueError("prior must satisfy 0 < eta < 1")
+    _require_prior(eta)
     v1, v2 = unit_ket(psi1), unit_ket(psi2)
     rho1, rho2 = outer(v1), outer(v2)
     eye = np.eye(v1.shape[0])
@@ -153,8 +157,7 @@ def idp_bound(rho1, rho2, eta: float = 0.5) -> float:
     The cross term is the trace norm of the product of square roots (the
     fidelity); for a pure pair at even prior this is 1 - |<psi1|psi2>|.
     """
-    if not 0 < eta < 1:
-        raise ValueError("prior must satisfy 0 < eta < 1")
+    _require_prior(eta)
     cross = fidelity(rho1, rho2)
     return float(1 - 2 * np.sqrt(eta * (1 - eta)) * cross)
 

@@ -9,10 +9,10 @@ from math import isqrt
 
 import numpy as np
 
-from .linalg import (ATOL, _frozen_copy, _herm, _hermitian, _lowest_eigh, _require_finite, _seesaw,
-                     _within, asarray, dag, eigh, outer, partial_trace, partial_transpose,
-                     swap_operator, tensor)
-from .rand import _gram_schmidt, _haar_normals, _require_size, haar_unitaries, random_kets, rng_from
+from .linalg import (ATOL, _frozen_copy, _herm, _lowest_eigh, _require_finite, _require_hermitian,
+                     _require_size, _require_unit_interval, _seesaw, _within, asarray, dag, eigh,
+                     outer, partial_trace, partial_transpose, swap_operator, tensor)
+from .rand import _gram_schmidt, _haar_normals, haar_unitaries, random_kets, rng_from
 from .states import State, _sigma_dot, _unit_directions
 
 
@@ -25,8 +25,8 @@ class BipartiteState:
     dB: int
 
     def __post_init__(self):
-        if self.dA < 1 or self.dB < 1:
-            raise ValueError("dimension must be a positive integer")
+        _require_size(self.dA, "dimension", 1)
+        _require_size(self.dB, "dimension", 1)
         if self.dA * self.dB != self.state.dim:
             raise ValueError("factor dimensions do not multiply to the state dimension")
 
@@ -155,9 +155,7 @@ def chsh_witness(a, a_prime, b, b_prime, sign: int = 1, rng=0) -> Witness:
 def certify_witness(w: np.ndarray, dA: int, dB: int, rng=0, restarts: int = 100) -> Witness:
     """Certify a finite Hermitian candidate witness on C^dA (x) C^dB over product kets."""
     w = _frozen_copy(w, "witness", (dA * dB, dA * dB))
-    h = _hermitian(w, ATOL)
-    if h is None:
-        raise ValueError("witness is not Hermitian")
+    h = _require_hermitian(w, ATOL, "witness")
     value = _min_product_expectation(w, dA, dB, rng_from(rng), restarts)
     return Witness(w, value, float(np.linalg.eigvalsh(h).min()))
 
@@ -215,8 +213,7 @@ def maximally_entangled_state(d: int) -> BipartiteState:
 
 def sym_antisym(d: int):
     """(P_plus, P_minus, V_swap): symmetric/antisymmetric projectors and swap."""
-    if d < 2:
-        raise ValueError("dimension must be at least 2")
+    _require_size(d, "dimension", 2)
     v = swap_operator(d)
     eye = np.eye(d * d, dtype=complex)
     return (eye + v) / 2, (eye - v) / 2, v
@@ -224,8 +221,7 @@ def sym_antisym(d: int):
 
 def werner(d: int, mu: float) -> BipartiteState:
     """Werner state mu P+/d+ + (1-mu) P-/d-."""
-    if not 0 <= mu <= 1:
-        raise ValueError("the Werner parameter must lie in [0, 1]")
+    _require_unit_interval(mu, "the Werner parameter")
     p_plus, p_minus, _ = sym_antisym(d)
     d_plus = d * (d + 1) // 2
     d_minus = d * (d - 1) // 2
@@ -253,14 +249,19 @@ def werner_report(d: int, mu: float, tol: float = ATOL) -> dict:
     }
 
 
+def _require_operator(x: np.ndarray, d: int) -> None:
+    """Raise ValueError unless ``x`` is a finite operator on C^d (x) C^d."""
+    if x.shape != (d * d, d * d):
+        raise ValueError("operator must act on a d*d space")
+    _require_finite(x, "operator")
+
+
 def twirl(x: np.ndarray, d: int | None = None) -> np.ndarray:
     """Project onto the U (x) U commutant: span{P+, P-}."""
     x = asarray(x)
     if d is None:
         d = int(round(np.sqrt(x.shape[0])))
-    if x.shape != (d * d, d * d):
-        raise ValueError("operator must act on a d*d space")
-    _require_finite(x, "operator")
+    _require_operator(x, d)
     p_plus, p_minus, _ = sym_antisym(d)
     d_plus = d * (d + 1) // 2
     d_minus = d * (d - 1) // 2
@@ -285,12 +286,8 @@ _TWIRL_BLOCK = 8
 def twirl_monte_carlo(x: np.ndarray, d: int, samples: int, rng=0) -> np.ndarray:
     """Haar Monte-Carlo estimate of the twirl, for cross-checking."""
     x = asarray(x)
-    if x.shape != (d * d, d * d):
-        raise ValueError("operator must act on a d*d space")
-    _require_finite(x, "operator")
-    _require_size(samples, "samples", 0)
-    if samples < 1:
-        raise ValueError("at least one sample is required")
+    _require_operator(x, d)
+    _require_size(samples, "samples", 1)
     rng = rng_from(rng)
     full, rest = divmod(samples, _TWIRL_BATCH)
     blocks = [(min(_TWIRL_BLOCK, full - c), _TWIRL_BATCH) for c in range(0, full, _TWIRL_BLOCK)]

@@ -66,6 +66,21 @@ def _require_finite(a: np.ndarray, what: str) -> None:
     raise ValueError(f"{what}[{i}]: entries must be finite, got [{z.real}, {z.imag}]")
 
 
+def _require_size(value, name: str, least: int) -> None:
+    """Raise ValueError unless a size is an int or numpy integer (no bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        bound = {0: "a non-negative integer", 1: "a positive integer"}.get(least)
+        raise ValueError(f"{name} must be {bound or f'at least {least}'}")
+
+
+def _require_unit_interval(x, name: str) -> None:
+    """Raise ValueError unless 0 <= x <= 1; NaN fails."""
+    if not 0 <= x <= 1:
+        raise ValueError(f"{name} must lie in [0, 1]")
+
+
 # How a carrier holds its arrays is decided here alone: a read-only array is a
 # checked copy made by _frozen_copy or _frozen_stack, so the caller's arrays
 # stay writable and the carrier's cannot change.  Every dataclass that holds an
@@ -167,6 +182,14 @@ def _hermitian(a: np.ndarray, tol: float) -> np.ndarray | None:
     return _herm(a) if ok else None
 
 
+def _require_hermitian(a: np.ndarray, tol: float, what: str) -> np.ndarray:
+    """_hermitian(a, tol), or ValueError naming ``what``."""
+    h = _hermitian(a, tol)
+    if h is None:
+        raise ValueError(f"{what} is not Hermitian within tolerance")
+    return h
+
+
 def is_psd(a: np.ndarray, tol: float = ATOL) -> bool:
     a = asarray(a)
     return is_hermitian(a, tol) and _within(-np.linalg.eigvalsh(_herm(a)).min(), tol, a)
@@ -207,6 +230,13 @@ def tensor(*ops) -> np.ndarray:
     return out
 
 
+def _by_side(side: str, a, b):
+    """``a`` for side "A", ``b`` for side "B"."""
+    if side not in ("A", "B"):
+        raise ValueError("side must be 'A' or 'B'")
+    return a if side == "A" else b
+
+
 def partial_trace(t: np.ndarray, dA: int, dB: int, side: str = "A") -> np.ndarray:
     """Trace out one tensor factor of an operator on a dA*dB space.
 
@@ -216,24 +246,13 @@ def partial_trace(t: np.ndarray, dA: int, dB: int, side: str = "A") -> np.ndarra
     t = asarray(t)
     if t.shape != (dA * dB, dA * dB):
         raise ValueError(f"expected a {dA * dB} x {dA * dB} matrix, got {t.shape}")
-    r = t.reshape(dA, dB, dA, dB)
-    if side == "A":
-        return np.einsum("ijik->jk", r)
-    if side == "B":
-        return np.einsum("ijkj->ik", r)
-    raise ValueError("side must be 'A' or 'B'")
+    return np.einsum(_by_side(side, "ijik->jk", "ijkj->ik"), t.reshape(dA, dB, dA, dB))
 
 
 def partial_transpose(t: np.ndarray, dA: int, dB: int, side: str = "B") -> np.ndarray:
     """Blockwise transpose of one tensor factor in the product basis."""
     r = asarray(t).reshape(dA, dB, dA, dB)
-    if side == "B":
-        out = np.einsum("ijkl->ilkj", r)
-    elif side == "A":
-        out = np.einsum("ijkl->kjil", r)
-    else:
-        raise ValueError("side must be 'A' or 'B'")
-    return out.reshape(dA * dB, dA * dB)
+    return np.einsum(_by_side(side, "ijkl->kjil", "ijkl->ilkj"), r).reshape(dA * dB, dA * dB)
 
 
 def swap_operator(d: int) -> np.ndarray:
@@ -249,9 +268,8 @@ def eigh(t: np.ndarray, tol: float = ATOL):
     Degenerate eigenspaces come with an arbitrary orthonormal basis.
     """
     t = asarray(t)
-    if not is_hermitian(t, tol):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    vals, vecs = np.linalg.eigh(_herm(t))  # the part is freed before the column copy below
+    m = t if t.ndim == 2 else t.reshape(-1)  # flattened, a stack fails as a vector does
+    vals, vecs = np.linalg.eigh(_require_hermitian(m, tol, "matrix"))  # freed before the copy below
     order = np.argsort(vals)[::-1]
     return vals[order], vecs[:, order]
 
@@ -276,10 +294,7 @@ def psd_sqrt(t: np.ndarray, tol: float = ATOL) -> np.ndarray:
 def _psd_sqrt_stack(t: np.ndarray, tol: float) -> np.ndarray:
     """psd_sqrt of each member of a stack, with the checks and the descending
     eigenvalue order of ``eigh`` and ``psd_sqrt`` on one matrix."""
-    h = _hermitian(t, tol)
-    if h is None:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    vals, vecs = np.linalg.eigh(h)
+    vals, vecs = np.linalg.eigh(_require_hermitian(t, tol, "matrix"))
     order = np.argsort(vals, axis=-1)[:, ::-1]
     vals = np.take_along_axis(vals, order, axis=-1)
     vecs = np.take_along_axis(vecs, order[:, None, :], axis=-1)

@@ -8,8 +8,9 @@ from math import comb
 
 import numpy as np
 
-from .linalg import (ATOL, _effect, _frozen_copy, _frozen_stack, _herm, _hermitian, _require_finite,
-                     _within, asarray, dag, eigh, is_hermitian, is_projection, matrix_rank)
+from .linalg import (ATOL, _effect, _frozen_copy, _frozen_stack, _herm, _require_finite,
+                     _require_hermitian, _require_size, _require_unit_interval, _within, asarray,
+                     dag, eigh, is_hermitian, is_projection, matrix_rank)
 from .states import _as_matrix, _sigma_dot, _unit_directions
 
 
@@ -131,8 +132,7 @@ def minimal_ic_povm(d: int) -> Povm:
     and imaginary superpositions (j < k), renormalized by the inverse
     square root of their sum.
     """
-    if d < 2:
-        raise ValueError("dimension must be at least 2")
+    _require_size(d, "dimension", 2)
     eye = np.eye(d, dtype=complex)
     projections = {}
     for j in range(d):
@@ -157,7 +157,7 @@ def coarse_grain(a: Povm, nu: np.ndarray, outcomes=None) -> Povm:
     nu = np.asarray(nu, dtype=float)
     if nu.ndim != 2 or nu.shape[0] != len(a.outcomes):
         raise ValueError("stochastic matrix rows must match the POVM outcomes")
-    if nu.min() < -ATOL or np.max(np.abs(nu.sum(axis=1) - 1)) > ATOL:
+    if not (nu.min() >= -ATOL and np.max(np.abs(nu.sum(axis=1) - 1)) <= ATOL):
         raise ValueError("matrix is not stochastic (rows must be probability vectors)")
     m = nu.shape[1]
     outs = tuple(range(m)) if outcomes is None else tuple(outcomes)
@@ -170,8 +170,7 @@ def photon_counting(eps: float, cutoff: int) -> Povm:
     Effects are diagonal with <k|N(n)|k> = C(k, n) eps^n (1-eps)^(k-n);
     on the truncated space they sum to the identity exactly.
     """
-    if not 0 <= eps <= 1:
-        raise ValueError("efficiency must lie in [0, 1]")
+    _require_unit_interval(eps, "efficiency")
     dim = cutoff + 1
     effs = np.zeros((dim, dim, dim))
     for n in range(dim):
@@ -232,9 +231,7 @@ def commuting_joint(a, b) -> Povm:
 
 def has_unit_eigenvalue(e: np.ndarray, tol: float = 1e-7) -> bool:
     """True when the largest eigenvalue of an effect is 1 within tol."""
-    h = _hermitian(asarray(e), ATOL)
-    if h is None:
-        raise ValueError("effect is not Hermitian within tolerance")
+    h = _require_hermitian(asarray(e), ATOL, "effect")
     return bool(abs(np.linalg.eigvalsh(h).max() - 1) < tol)
 
 

@@ -9,8 +9,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .linalg import (ATOL, _frozen_copy, _probe_kraus, asarray, basis_ket, dag, is_unitary, outer,
-                     partial_trace, tensor)
+from .linalg import (ATOL, _frozen_copy, _probe_kraus, _require_size, _require_unit_interval,
+                     asarray, basis_ket, dag, is_unitary, outer, partial_trace, tensor)
 from .observables import outcome_distribution, stern_gerlach
 from .rand import random_ket, random_kets, rng_from
 from .states import _AXES, State, _operator_stack
@@ -63,8 +63,7 @@ class ShiftMultiplyBasis:
     def build(cls, d: int) -> "ShiftMultiplyBasis":
         from .entanglement import maximally_entangled_ket
 
-        if d < 1:
-            raise ValueError("dimension must be a positive integer")
+        _require_size(d, "dimension", 1)
         r, s, l = np.ogrid[:d, :d, :d]
         us = np.zeros((d, d, d, d), dtype=complex)  # us[r, s] = U_rs
         # The phase is divided by d as a real number: numpy divides a complex
@@ -226,12 +225,10 @@ def bb84(rounds: int, eve: str = "none", rng=0, sample_fraction: float = 0.25) -
     sifted key, and the fraction of sifted bits the attacker holds
     correctly.
     """
-    if rounds < 1:
-        raise ValueError("at least one round is required")
+    _require_size(rounds, "rounds", 1)
     if eve not in ("none", "intercept_resend"):
         raise ValueError("eve must be 'none' or 'intercept_resend'")
-    if not 0 <= sample_fraction <= 1:
-        raise ValueError("sample_fraction must lie in [0, 1]")
+    _require_unit_interval(sample_fraction, "sample_fraction")
     seed = _seed_repr(rng)
     rng = rng_from(rng)
     p_one = _bb84_p_one()
@@ -297,8 +294,7 @@ def b92(rounds: int, overlap: float, rng=0) -> ProtocolReport:
     Conclusive rounds are error-free and occur at asymptotic rate
     1 - overlap.
     """
-    if rounds < 1:
-        raise ValueError("at least one round is required")
+    _require_size(rounds, "rounds", 1)
     if not 0 <= overlap < 1:
         raise ValueError("overlap must lie in [0, 1)")
     seed = _seed_repr(rng)
@@ -333,8 +329,7 @@ def private_quantum_channel(d: int, n_messages: int, rng=0) -> ProtocolReport:
     the two Choi matrices, reported as 0.0 when it is at or below
     ``linalg.ATOL``, where only rounding noise remains.
     """
-    if n_messages < 0:
-        raise ValueError("n_messages must be non-negative")
+    _require_size(n_messages, "n_messages", 0)
     seed = _seed_repr(rng)
     rng = rng_from(rng)
     basis = _shift_multiply(d)
@@ -503,8 +498,7 @@ def probabilistic_processor(d: int, target_u, rng=0, n_inputs: int = 3) -> Proto
     target_u = asarray(target_u)
     if target_u.shape != (d, d) or not is_unitary(target_u):
         raise ValueError("processor target must be a d x d unitary")
-    if n_inputs < 0:
-        raise ValueError("n_inputs must be non-negative")
+    _require_size(n_inputs, "n_inputs", 0)
     seed = _seed_repr(rng)
     rng = rng_from(rng)
     us = _shift_multiply(d).unitaries

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import _herm, _probe_kraus, _unit_rows, basis_ket, dag
+from .linalg import _herm, _probe_kraus, _require_size, _unit_rows, basis_ket, dag
 
 
 def rng_from(seed) -> np.random.Generator:
@@ -12,14 +12,6 @@ def rng_from(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def _require_size(value, name: str, least: int) -> None:
-    """Raise ValueError unless a size is an int or numpy integer (no bool) of at least ``least``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be a {'positive' if least else 'non-negative'} integer")
 
 
 def random_ket(d: int, rng) -> np.ndarray:

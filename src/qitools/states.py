@@ -7,8 +7,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import (ATOL, _eig_tol, _frozen_copy, _hermitian, _kraus_columns, _require_finite,
-                     _within, asarray, dag, eigh, inner, psd_sqrt)
+from .linalg import (ATOL, _eig_tol, _frozen_copy, _kraus_columns, _require_finite,
+                     _require_hermitian, _require_size, _within, asarray, dag, eigh, inner,
+                     psd_sqrt)
 
 
 @lru_cache(maxsize=None)
@@ -82,7 +83,7 @@ def _axis_direction(axis) -> np.ndarray:
 def _unit_directions(directions) -> np.ndarray:
     """Float Bloch directions, or ValueError unless each is a unit vector."""
     n = np.array(directions, dtype=float)
-    if (np.abs(np.linalg.norm(n, axis=-1) - 1) > 1e-9).any():
+    if not (np.abs(np.linalg.norm(n, axis=-1) - 1) <= 1e-9).all():
         raise ValueError("Bloch directions must be unit vectors")
     return n
 
@@ -99,9 +100,7 @@ class State:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("a state must be a square matrix")
         _require_finite(m, "state")  # the one finiteness check: h is formed from m
-        h = _hermitian(m, ATOL)
-        if h is None:
-            raise ValueError("state matrix is not Hermitian")
+        h = _require_hermitian(m, ATOL, "state matrix")
         evals = np.linalg.eigvalsh(h)
         if not _within(-evals.min(), ATOL, m):
             raise ValueError(f"state matrix is not PSD: eigenvalue {evals.min():.3e}")
@@ -119,8 +118,7 @@ class State:
 
     @classmethod
     def maximally_mixed(cls, d: int) -> "State":
-        if d < 1:
-            raise ValueError("dimension must be a positive integer")
+        _require_size(d, "dimension", 1)
         return cls(np.eye(d, dtype=complex) / d)
 
     def is_pure(self, tol: float = ATOL) -> bool:
@@ -217,7 +215,7 @@ def convex_decomposition(rho, basis, tol: float = ATOL) -> list[tuple[float, np.
     d = m.shape[0]
     kets = [asarray(v).reshape(-1, 1) for v in basis]
     gram = np.array([[inner(a, b) for b in kets] for a in kets])
-    if len(kets) != d or np.max(np.abs(gram - np.eye(d))) > 1e-7:
+    if len(kets) != d or not np.max(np.abs(gram - np.eye(d))) <= 1e-7:
         raise ValueError("basis is not orthonormal")
     root = psd_sqrt(m)
     out = []
@@ -248,7 +246,7 @@ def interference_term(psi, phi, a: complex, b: complex, effect) -> float:
     """
     psi = asarray(psi).reshape(-1, 1)
     phi = asarray(phi).reshape(-1, 1)
-    if abs(inner(psi, phi)) > 1e-8:
+    if not abs(inner(psi, phi)) <= 1e-8:
         raise ValueError("interference is defined for orthogonal kets")
     w = abs(a) ** 2 + abs(b) ** 2
     if w == 0:

@@ -126,6 +126,6 @@ def test_random_optional_sizes_are_keyword_only():
 
 
 def test_pqc_rejects_negative_message_count():
-    with pytest.raises(ValueError, match="^n_messages must be non-negative$"):
+    with pytest.raises(ValueError, match="^n_messages must be a non-negative integer$"):
         private_quantum_channel(2, -1, rng=0)
     assert private_quantum_channel(2, 0, rng=0).records == ()

@@ -520,6 +520,18 @@ def test_bloch_rotation_round_trip():
     assert np.abs(bloch_rotation(u2) - r).max() < 1e-8
 
 
+@pytest.mark.parametrize("bad", [np.full((3, 3), np.nan), np.full((3, 3), np.inf), np.eye(2)])
+def test_su2_from_rotation_rejects_a_non_finite_or_non_3x3_matrix_without_a_warning(bad):
+    import warnings
+
+    from qitools.channels import su2_from_rotation
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^matrix is not a proper rotation$"):
+            su2_from_rotation(bad)
+
+
 def test_bloch_rotation_matches_pauli_traces():
     rng = np.random.default_rng(30)
     u = haar_unitary(2, rng)

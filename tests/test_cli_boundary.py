@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qitools.cli import _MAX_DIM, _MAX_ENTRIES, ValidationError, load_document, run
+from qitools.cli import (_MAX_DEMO_DIM, _MAX_DIM, _MAX_ENTRIES, _MAX_ROUNDS, _MAX_WERNER_DIM,
+                         ValidationError, load_document, run)
 from qitools.discrimination import unambiguous_mixture_povm, unambiguous_two_pure
 from qitools.entanglement import BipartiteState
 from qitools.linalg import NumericError
@@ -193,6 +194,87 @@ def test_qubit_channel_rejects_non_finite_parameters(capsys, bad, flag):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "entries must be finite" in json.loads(captured.err)["detail"]
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", ["--lambda", "--t"])
+def test_qubit_channel_names_the_flag_of_a_non_finite_component(capsys, bad, flag):
+    values = {"--lambda": "0.5,0.5,0.5", "--t": "0,0,0.1"}
+    values[flag] = f"0.2,{bad},0"
+    assert run(["qubit-channel", "--lambda", values["--lambda"], "--t", values["--t"]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["detail"].startswith(f"{flag}[1]: entries must be finite")
+
+
+@pytest.mark.parametrize("text", ["0.2,0", "0.2,0,0,0", "1"])
+@pytest.mark.parametrize("flag", ["--lambda", "--t"])
+def test_qubit_channel_names_the_flag_of_a_malformed_triple(capsys, text, flag):
+    values = {"--lambda": "0.5,0.5,0.5", "--t": "0,0,0.1"}
+    values[flag] = text
+    assert run(["qubit-channel", f"--lambda={values['--lambda']}", f"--t={values['--t']}"]) == 2
+    detail = json.loads(capsys.readouterr().err)["detail"]
+    assert detail == f"{flag} needs three comma-separated reals, got {text!r}"
+
+
+class _Report:
+    def to_dict(self):
+        return {}
+
+
+def _recorder(seen: dict, key: str, result):
+    """A stand-in for a library call that records its first argument under ``key``."""
+    def call(value, *args, **kwargs):
+        seen[key] = value
+        return result
+    return call
+
+
+def test_demo_and_werner_dimension_caps_follow_the_document_cap():
+    # The processor demo builds a d^3 x d^3 unitary, a Werner state d^2 x d^2 operators.
+    assert _MAX_DEMO_DIM**3 <= _MAX_DIM < (_MAX_DEMO_DIM + 1) ** 3
+    assert _MAX_WERNER_DIM**2 <= _MAX_DIM < (_MAX_WERNER_DIM + 1) ** 2
+    assert (_MAX_DEMO_DIM, _MAX_WERNER_DIM) == (10, 32)
+    assert _MAX_ROUNDS >= 20000  # the README's BB84 run
+
+
+def test_the_caps_admit_their_own_value(monkeypatch, capsys):
+    # The library calls are replaced, so nothing of the capped size is built.
+    seen = {}
+    monkeypatch.setattr("qitools.protocols.probabilistic_processor",
+                        _recorder(seen, "processor", _Report()))
+    monkeypatch.setattr("qitools.protocols.bb84", _recorder(seen, "bb84", _Report()))
+    monkeypatch.setattr("qitools.entanglement.werner_report", _recorder(seen, "werner", {}))
+    assert run(["demo", "processor", "--d", str(_MAX_DEMO_DIM)]) == 0
+    assert run(["demo", "bb84", "--rounds", str(_MAX_ROUNDS)]) == 0
+    assert run(["werner", "--d", str(_MAX_WERNER_DIM), "--mu", "0.3"]) == 0
+    assert seen == {"processor": _MAX_DEMO_DIM, "bb84": _MAX_ROUNDS, "werner": _MAX_WERNER_DIM}
+
+
+@pytest.mark.parametrize(
+    "argv, detail",
+    [
+        (["demo", "processor", "--d", "11"], "--d must be at most 10, got 11"),
+        (["demo", "pqc", "--d", "11"], "--d must be at most 10, got 11"),
+        (["demo", "teleport", "--d", "11"], "--d must be at most 10, got 11"),
+        (["demo", "bb84", "--rounds", str(_MAX_ROUNDS + 1)],
+         f"--rounds must be at most {_MAX_ROUNDS}, got {_MAX_ROUNDS + 1}"),
+        (["demo", "pqc", "--rounds", str(_MAX_ROUNDS + 1)],
+         f"--rounds must be at most {_MAX_ROUNDS}, got {_MAX_ROUNDS + 1}"),
+        (["werner", "--d", "33", "--mu", "0.3"], "--d must be at most 32, got 33"),
+    ],
+)
+def test_a_size_past_its_cap_exits_2_before_anything_is_built(monkeypatch, capsys, argv, detail):
+    def fail(*args, **kwargs):
+        raise AssertionError("a capped command reached the library")
+
+    for name in ("probabilistic_processor", "private_quantum_channel", "teleport", "bb84"):
+        monkeypatch.setattr(f"qitools.protocols.{name}", fail)
+    monkeypatch.setattr("qitools.entanglement.werner_report", fail)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["detail"] == detail
 
 
 TOLERANCE = "must be a finite non-negative number"

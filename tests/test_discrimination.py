@@ -34,6 +34,12 @@ def test_prob_distances():
         prob_distances([1, 0], [1, 0, 0])
 
 
+@pytest.mark.parametrize("p, q", [([np.nan, 1], [0.5, 0.5]), ([0.5, 0.5], [1, np.nan])])
+def test_prob_distances_rejects_nan(p, q):
+    with pytest.raises(ValueError, match="^inputs must be probability vectors$"):
+        prob_distances(p, q)
+
+
 def test_trace_distance_pure_pairs():
     psi1, psi2 = pure_pair_with_overlap(0.0)
     assert abs(trace_distance(State.from_ket(psi1), State.from_ket(psi2)) - 1) < 1e-12

@@ -153,7 +153,7 @@ def test_twirl_monte_carlo_partial_chunk_agrees_with_twirl(d):
 
 def test_twirl_monte_carlo_rejects_bad_input():
     x = random_density(4, np.random.default_rng(8))
-    with pytest.raises(ValueError, match="at least one sample"):
+    with pytest.raises(ValueError, match="^samples must be a positive integer$"):
         twirl_monte_carlo(x, 2, 0)
     with pytest.raises(ValueError, match=r"operator must act on a d\*d space"):
         twirl_monte_carlo(x, 3, 10)

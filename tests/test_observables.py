@@ -154,6 +154,11 @@ def test_coarse_grain_rejects_non_stochastic():
         coarse_grain(basis_povm(2), np.array([[0.5, 0.6], [0.5, 0.5]]))
 
 
+def test_coarse_grain_rejects_a_nan_row_as_not_stochastic():
+    with pytest.raises(ValueError, match=r"^matrix is not stochastic"):
+        coarse_grain(basis_povm(2), np.array([[np.nan, 1.0], [0.0, 1.0]]))
+
+
 def test_photon_counting_extremes():
     ideal = photon_counting(1.0, 4)
     for n, e in zip(ideal.outcomes, ideal.effects):

@@ -345,7 +345,7 @@ def test_probabilistic_processor_rejects_a_target_that_is_not_a_d_by_d_unitary(t
 
 
 def test_probabilistic_processor_rejects_negative_n_inputs():
-    with pytest.raises(ValueError, match="n_inputs must be non-negative"):
+    with pytest.raises(ValueError, match="^n_inputs must be a non-negative integer$"):
         probabilistic_processor(2, np.eye(2), n_inputs=-2)
     assert probabilistic_processor(2, np.eye(2), n_inputs=0).rounds == 0
 

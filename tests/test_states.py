@@ -186,6 +186,27 @@ def test_convex_decomposition_rejects_bad_basis():
         convex_decomposition(State.maximally_mixed(2), [np.array([[1], [0]])] * 2)
 
 
+def test_convex_decomposition_rejects_a_nan_basis():
+    with pytest.raises(ValueError, match="^basis is not orthonormal$"):
+        convex_decomposition(State.maximally_mixed(2), [[np.nan, 0], [0, 1]])
+
+
+def test_interference_term_rejects_a_nan_ket():
+    with pytest.raises(ValueError, match="^interference is defined for orthogonal kets$"):
+        interference_term([1, 0], [np.nan, 1], 1, 1, np.eye(2))
+
+
+def test_bloch_directions_reject_nan():
+    from qitools.entanglement import chsh_operator
+    from qitools.observables import stern_gerlach
+
+    z = (0.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="^Bloch directions must be unit vectors$"):
+        chsh_operator((np.nan, 0.0, 0.0), z, z, z)
+    with pytest.raises(ValueError, match="^Bloch directions must be unit vectors$"):
+        stern_gerlach((np.nan, 0.0, 0.0))
+
+
 def test_purify_round_trip():
     rng = np.random.default_rng(9)
     rho = State(random_density(3, rng, rank=2))
