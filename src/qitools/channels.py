@@ -39,14 +39,15 @@ from .linalg import (
     _kraus_columns,
     _prepare_kraus,
     _probe_kraus,
+    _require_size,
     _require_unit_interval,
     _seesaw,
     _within,
     asarray,
     basis_ket,
+    complete_unitary,
     dag,
     eigh,
-    gram_schmidt_complete,
     is_unitary,
     partial_trace,
     partial_transpose,
@@ -106,6 +107,8 @@ class ChoiMatrix:
     _kraus: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
+        _require_size(self.in_dim, "dimension", 1)
+        _require_size(self.out_dim, "dimension", 1)
         m = _frozen_copy(self.matrix, "Choi matrix", (self.out_dim * self.in_dim,) * 2)
         object.__setattr__(self, "matrix", m)
 
@@ -144,6 +147,7 @@ class AffineRep:
     dim: int
 
     def __post_init__(self):
+        _require_size(self.dim, "dimension", 1)
         n = self.dim**2 - 1
         object.__setattr__(self, "T", _frozen_copy(self.T, "T", (n, n), float))
         object.__setattr__(self, "t", _frozen_copy(self.t, "t", (n,), float))
@@ -162,6 +166,8 @@ class LinearMap:
     out_dim: int
 
     def __post_init__(self):
+        _require_size(self.in_dim, "dimension", 1)
+        _require_size(self.out_dim, "dimension", 1)
         s = _frozen_copy(self.superop, "superoperator", (self.out_dim**2, self.in_dim**2))
         object.__setattr__(self, "superop", s)
 
@@ -420,7 +426,8 @@ def stinespring(ch: KrausChannel, tol: float = ATOL):
     """(env_dim, U, env_ket) with tr_E[U (rho (x) |e0><e0|) U^dag] = E(rho).
 
     The isometry phi -> sum_k A_k phi (x) |k> is completed to a unitary
-    by deterministic Gram-Schmidt over the canonical basis.
+    by one Householder QR (``linalg.complete_unitary``): its complete Q
+    supplies an orthonormal basis of the isometry's orthogonal complement.
     """
     if not ch.is_trace_preserving(tol):
         raise ValueError("Stinespring dilation implemented for trace-preserving channels")
@@ -435,12 +442,13 @@ def _dilation_unitary(ops: np.ndarray, probe_dim: int) -> np.ndarray:
 
     Each B_m maps C^d into C^d (x) C^tag with tag = probe_dim / len(ops);
     probe index (t, m) is t * len(ops) + m.  Columns b * probe_dim (system
-    b, probe 0) carry the isometry; deterministic Gram-Schmidt fills the
-    rest in order.
+    b, probe 0) carry the isometry bit for bit; the rest, in order, are the
+    complement columns of one Householder QR of it (``complete_unitary``).
+    A stack that is not an isometry raises NumericError.
     """
     n, d = len(ops), ops.shape[2]
     v = ops.reshape(n, d, probe_dim // n, d).transpose(1, 2, 0, 3).reshape(d * probe_dim, d)
-    full = gram_schmidt_complete(v)
+    full = complete_unitary(v)
     first = np.arange(d) * probe_dim
     u = np.empty_like(full)
     u[:, first] = full[:, :d]
@@ -514,6 +522,7 @@ def make(kind: str, **params):
     """
     if kind == "depolarizing":
         d, p = params["d"], params["p"]
+        _require_size(d, "dimension", 1)
         _require_unit_interval(p, "depolarizing strength")
         ops = np.concatenate([np.eye(d)[None], _operator_stack(d) / np.sqrt(d)])
         weights = np.r_[1 - p, np.full(d * d, p / d)]  # the terms of weight 0 are dropped

@@ -51,11 +51,12 @@ def _require_prior(eta: float) -> None:
         raise ValueError("prior must satisfy 0 < eta < 1")
 
 
-def trace_distance(rho1, rho2) -> float:
-    """(1/2) tr|rho1 - rho2|."""
+def trace_distance(rho1, rho2) -> float | np.ndarray:
+    """(1/2) tr|rho1 - rho2|; two equal-shape (n, d, d) stacks give one distance per member."""
     m1, m2 = _state_pair(rho1, rho2)
     h = _require_hermitian(m1 - m2, ATOL, "rho1 - rho2")
-    return float(np.abs(np.linalg.eigvalsh(h)).sum() / 2)
+    dist = np.abs(np.linalg.eigvalsh(h)).sum(axis=-1) / 2
+    return dist if dist.ndim else float(dist)
 
 
 def fidelity(rho1, rho2) -> float | np.ndarray:

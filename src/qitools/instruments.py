@@ -8,8 +8,7 @@ import numpy as np
 
 from .linalg import (ATOL, _frozen_copy, _kraus_columns, _prepare_kraus, basis_ket, eigh,
                      is_unitary, outer, psd_sqrt)
-from .channels import (KrausChannel, LinearMap, _dilation_unitary, _superop, apply, from_choi,
-                       to_choi)
+from .channels import ChoiMatrix, KrausChannel, _dilation_unitary, _superop, apply, from_choi
 from .observables import Povm, is_sharp
 from .states import State, _as_matrix, _operator_basis
 
@@ -96,19 +95,18 @@ def trivial_instrument(a: Povm, xi: State) -> DiscreteInstrument:
 def memo_to_instrument(m: MeasurementModel, tol: float = 1e-8) -> DiscreteInstrument:
     """Instrument induced by a measurement model.
 
-    I_x(rho) = tr_probe[V (rho (x) rho_0) V^dag (I (x) F(x))], converted
-    to Kraus form through the superoperator of each outcome map.
+    I_x(rho) = tr_probe[V (rho (x) rho_0) V^dag (I (x) F(x))].  Every
+    outcome's Choi matrix comes from one contraction with W = V rho_0 and
+    one batched product with conj(V), then is read in Kraus form.
     """
-    d = m.system_dim
-    k = m.probe_dim
+    d, k = m.system_dim, m.probe_dim
     v = m.coupling.reshape(d, k, d, k)
-    ops = []
-    for eff in m.pointer.effects:
-        # S[(a, e), (b, c)] = sum V[a,p,b,q] rho_0[q,r] conj(V[e,s,c,r]) F[s,p]
-        s = np.einsum("apbq,qr,escr,sp->aebc", v, m.probe_state.matrix, v.conj(),
-                      eff, optimize=True)
-        ops.append(from_choi(to_choi(LinearMap(s.reshape(d * d, d * d), d, d)), tol))
-    return DiscreteInstrument(m.pointer.outcomes, tuple(ops))
+    # T[x, a, b, s, r] = sum_p F_x[s, p] W[a, p, b, r]
+    t = np.einsum("xsp,apbr->xabsr", m.pointer.effects, v @ m.probe_state.matrix)
+    # d Omega_x[(a, b), (e, c)] = sum_{s, r} T[x, a, b, s, r] conj(V[e, s, c, r])
+    chois = t.reshape(-1, d * d, k * k) @ v.conj().transpose(1, 3, 0, 2).reshape(k * k, d * d) / d
+    ops = tuple(from_choi(ChoiMatrix(c, d, d), tol) for c in chois)
+    return DiscreteInstrument(m.pointer.outcomes, ops)
 
 
 def instrument_to_normal_memo(ins: DiscreteInstrument) -> MeasurementModel:

@@ -472,29 +472,16 @@ def _seesaw(step, x: np.ndarray, max_iter: int, tol: float):
     return float(value[best]), x[best], iterations, converged
 
 
-def gram_schmidt_complete(cols: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Complete orthonormal columns to a full unitary, deterministically.
+def complete_unitary(cols: np.ndarray) -> np.ndarray:
+    """Complete k orthonormal columns to a unitary by one Householder QR.
 
-    Candidate vectors are the canonical basis kets, taken in order and
-    orthogonalized twice against everything accepted so far: a single
-    pass leaves a candidate whose residual is barely above ``tol`` far
-    from orthogonal after cancellation.
+    The first k columns of the complete Q of ``cols`` span their range, so
+    its last columns span the orthogonal complement (Golub and Van Loan,
+    Matrix Computations, 5.2); the first k are then set to ``cols`` bit
+    for bit.  The result is unitary only when ``cols`` is an isometry:
+    callers check ``is_unitary``.
     """
     cols = asarray(cols)
-    dim, k = cols.shape
-    basis = np.zeros((dim, dim), dtype=complex)
-    basis[:, :k] = cols
-    for j in range(dim):
-        if k == dim:
-            break
-        v = np.zeros(dim, dtype=complex)
-        v[j] = 1.0
-        for _ in range(2):
-            v = v - basis[:, :k] @ (basis[:, :k].conj().T @ v)
-        n = np.linalg.norm(v)
-        if n > tol:
-            basis[:, k] = v / n
-            k += 1
-    if k != dim:
-        raise NumericError("failed to complete an orthonormal basis")
-    return basis
+    full = np.linalg.qr(cols, mode="complete")[0]
+    full[:, :cols.shape[1]] = cols
+    return full

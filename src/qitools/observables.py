@@ -171,6 +171,7 @@ def photon_counting(eps: float, cutoff: int) -> Povm:
     on the truncated space they sum to the identity exactly.
     """
     _require_unit_interval(eps, "efficiency")
+    _require_size(cutoff, "cutoff", 0)
     dim = cutoff + 1
     effs = np.zeros((dim, dim, dim))
     for n in range(dim):
@@ -187,6 +188,7 @@ def efficiency_coarse_matrix(eps1: float, eps2: float, cutoff: int) -> np.ndarra
     """
     if not 0 < eps1 <= eps2 <= 1:
         raise ValueError("coarse-graining impossible: need 0 < eps1 <= eps2 <= 1")
+    _require_size(cutoff, "cutoff", 0)
     dim = cutoff + 1
     mu = np.zeros((dim, dim))
     for k in range(dim):

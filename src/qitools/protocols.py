@@ -336,14 +336,11 @@ def private_quantum_channel(d: int, n_messages: int, rng=0) -> ProtocolReport:
     # The draw order, all keys and then all messages, fixes the seeded stream.
     picks = rng.integers(len(basis.keys), size=n_messages)
     (kets,) = random_kets([d], n_messages, rng)
-    messages = kets[:, :, None]
     u = basis.unitaries[picks]
-    u_dag = u.conj().transpose(0, 2, 1)
-    bras = messages.conj().transpose(0, 2, 1)
-    cipher = u @ (messages @ bras) @ u_dag
-    decoded = u_dag @ cipher @ u
-    # F(sigma, psi psi^dag) = sqrt(<psi|sigma|psi>), exact for a pure argument.
-    fidelities = np.sqrt((bras @ decoded @ messages)[:, 0, 0].real)
+    cipher = u @ kets[:, :, None]  # c = U psi
+    decoded = u.conj().transpose(0, 2, 1) @ cipher  # phi = U^dag c
+    # F(phi phi^dag, psi psi^dag) = |<psi|phi>|, per message ket.
+    fidelities = np.abs((kets.conj() * decoded[:, :, 0]).sum(axis=1))
     records = [
         {"key": list(basis.keys[j]), "decode_fidelity": f}
         for j, f in zip(picks.tolist(), fidelities.tolist())
@@ -424,6 +421,8 @@ class Processor:
     unitary: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        _require_size(self.system_dim, "dimension", 1)
+        _require_size(self.program_dim, "dimension", 1)
         n = self.system_dim * self.program_dim
         object.__setattr__(self, "unitary",
                            _frozen_copy(self.unitary, "processor unitary", shape=(n, n)))

@@ -50,6 +50,18 @@ def test_trace_distance_pure_pairs():
     assert abs(d - np.sqrt(1 - 0.36)) < 1e-12
 
 
+def test_trace_distance_of_two_stacks_is_one_distance_per_member():
+    rng = np.random.default_rng(3)
+    r1 = np.stack([random_density(3, rng) for _ in range(4)])
+    r2 = np.stack([random_density(3, rng) for _ in range(4)])
+    dist = trace_distance(r1, r2)
+    assert dist.shape == (4,)
+    assert dist.tolist() == [trace_distance(a, b) for a, b in zip(r1, r2)]
+    half = np.stack([np.diag([1.0, 0.0]), np.diag([0.5, 0.5])])
+    assert trace_distance(half, half[::-1]).tolist() == [0.5, 0.5]  # not their sum, 1.0
+    assert isinstance(trace_distance(r1[0], r2[0]), float)
+
+
 def test_trace_distance_rejects_a_non_hermitian_difference():
     # eigvalsh would read the lower triangle alone and return 0.5
     with pytest.raises(ValueError, match="not Hermitian"):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qitools.channels import KrausChannel, apply, certify
+from qitools.channels import KrausChannel, LinearMap, apply, certify, from_choi, to_choi
 from qitools.instruments import (
     DiscreteInstrument,
     MeasurementModel,
@@ -285,3 +285,32 @@ def test_repeat_trace_identity_equals_outcome_disjointness():
         )
         assert identity_holds == disjoint
         assert identity_holds == is_repeatable(ins)
+
+
+def memo_to_instrument_per_effect(m, tol=1e-8):
+    """Reference: one einsum per pointer effect, through the superoperator."""
+    d = m.system_dim
+    k = m.probe_dim
+    v = m.coupling.reshape(d, k, d, k)
+    ops = []
+    for eff in m.pointer.effects:
+        # S[(a, e), (b, c)] = sum V[a,p,b,q] rho_0[q,r] conj(V[e,s,c,r]) F[s,p]
+        s = np.einsum("apbq,qr,escr,sp->aebc", v, m.probe_state.matrix, v.conj(),
+                      eff, optimize=True)
+        ops.append(from_choi(to_choi(LinearMap(s.reshape(d * d, d * d), d, d)), tol))
+    return ops
+
+
+@pytest.mark.parametrize("d, k", [(2, 3), (3, 4), (4, 9)])
+def test_memo_to_instrument_matches_the_per_effect_contraction(d, k):
+    rng = np.random.default_rng(100 * d + k)
+    g = rng.standard_normal((3, k, k)) + 1j * rng.standard_normal((3, k, k))
+    parts = g.conj().transpose(0, 2, 1) @ g
+    vals, vecs = np.linalg.eigh(parts.sum(axis=0))
+    inv_root = (vecs / np.sqrt(vals)) @ vecs.conj().T
+    pointer = Povm((0, 1, 2), inv_root @ parts @ inv_root)  # three full-rank effects
+    m = MeasurementModel(k, State(random_density(k, rng)), haar_unitary(d * k, rng), pointer)
+    ins = memo_to_instrument(m)
+    for op, ref in zip(ins.operations, memo_to_instrument_per_effect(m), strict=True):
+        assert len(op.kraus_ops) == len(ref.kraus_ops)
+        assert np.abs(to_choi(op).matrix - to_choi(ref).matrix).max() <= 1e-12

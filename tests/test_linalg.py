@@ -3,9 +3,9 @@ import pytest
 
 from qitools.linalg import (
     _lowest_eigh,
+    complete_unitary,
     dag,
     eigh,
-    gram_schmidt_complete,
     is_hermitian,
     is_projection,
     is_psd,
@@ -223,12 +223,17 @@ def test_predicates():
     assert not is_projection(np.diag([0.5, 1.0]))
 
 
-def test_gram_schmidt_complete():
+def test_complete_unitary():
+    """Seeded isometries of every shape up to 64: the input columns are kept bit
+    for bit, and the completion is unitary to rounding."""
     rng = np.random.default_rng(10)
-    cols = np.linalg.qr(rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2)))[0]
-    full = gram_schmidt_complete(cols)
-    assert np.allclose(full[:, :2], cols)
-    assert is_unitary(full)
+    for dim in range(1, 65):
+        for k in sorted({0, 1, dim // 2, dim}):
+            z = rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
+            cols = np.linalg.qr(z)[0]
+            full = complete_unitary(cols)
+            assert np.array_equal(full[:, :k], cols), (dim, k)
+            assert np.abs(full.conj().T @ full - np.eye(dim)).max() <= 1e-14, (dim, k)
 
 
 def test_partial_trace_linearity():

@@ -291,12 +291,9 @@ def pqc_reference(d, n_messages, seed):
     basis = _shift_multiply(d)
     picks = rng.integers(len(basis.keys), size=n_messages)
     (kets,) = random_kets([d], n_messages, rng)
-    messages = kets[:, :, None]
     u = basis.unitaries[picks]
-    u_dag = u.conj().transpose(0, 2, 1)
-    bras = messages.conj().transpose(0, 2, 1)
-    decoded = u_dag @ (u @ (messages @ bras) @ u_dag) @ u
-    fidelities = np.sqrt((bras @ decoded @ messages)[:, 0, 0].real)
+    decoded = u.conj().transpose(0, 2, 1) @ (u @ kets[:, :, None])
+    fidelities = np.abs((kets.conj() * decoded[:, :, 0]).sum(axis=1))
     return [
         {"key": list(basis.keys[j]), "decode_fidelity": float(f)}
         for j, f in zip(picks, fidelities)

@@ -16,9 +16,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qitools.channels import AffineRep, ChoiMatrix, LinearMap, make
 from qitools.entanglement import BipartiteState, werner
 from qitools.linalg import eigh
-from qitools.protocols import bb84
+from qitools.observables import efficiency_coarse_matrix, photon_counting
+from qitools.protocols import Processor, bb84
 from qitools.states import State
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qitools"
@@ -131,6 +133,13 @@ RHO4 = State(np.eye(4) / 4)
         (lambda: bb84(2.5), "^rounds must be an integer, got 2.5$"),
         (lambda: werner(1, 0.3), "^dimension must be at least 2$"),
         (lambda: bb84(0), "^rounds must be a positive integer$"),
+        (lambda: ChoiMatrix(np.eye(4) / 2, 2.0, 2.0), "^dimension must be an integer, got 2.0$"),
+        (lambda: LinearMap(np.eye(4), 2, 2.0), "^dimension must be an integer, got 2.0$"),
+        (lambda: AffineRep(np.eye(3), np.zeros(3), 2.0), "^dimension must be an integer, got 2.0$"),
+        (lambda: Processor(2.0, 1, np.eye(2)), "^dimension must be an integer, got 2.0$"),
+        (lambda: make("depolarizing", d=2.5, p=0.1), "^dimension must be an integer, got 2.5$"),
+        (lambda: photon_counting(0.5, 2.5), "^cutoff must be an integer, got 2.5$"),
+        (lambda: efficiency_coarse_matrix(0.3, 0.5, -1), "^cutoff must be a non-negative integer$"),
     ],
 )
 def test_sizes_that_drifted_are_rejected_as_values(call, message):

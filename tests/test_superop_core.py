@@ -7,6 +7,7 @@ from qitools.channels import (
     ChoiMatrix,
     KrausChannel,
     LinearMap,
+    _dilation_unitary,
     _marginal,
     _superop,
     affine_to_choi,
@@ -22,7 +23,7 @@ from qitools.channels import (
     to_choi,
     transposition_map,
 )
-from qitools.linalg import gram_schmidt_complete, tensor
+from qitools.linalg import NumericError, complete_unitary, tensor
 from qitools.protocols import ShiftMultiplyBasis, teleport_channel
 from qitools.rand import random_density, random_kraus_ops
 from qitools.states import traceless_hermitian_basis
@@ -92,9 +93,15 @@ def test_shift_multiply_basis_rejects_nonpositive_dimension():
 def test_gram_schmidt_reorthogonalizes_near_parallel_candidates():
     eps = 1e-10
     col = np.array([[np.cos(eps)], [np.sin(eps)], [0], [0]])
-    full = gram_schmidt_complete(col)
+    full = complete_unitary(col)
     assert np.abs(full.conj().T @ full - np.eye(4)).max() < 1e-14
     assert np.array_equal(full[:, :1], col.astype(complex))
+
+
+def test_dilation_unitary_rejects_a_non_isometric_stack():
+    ops = np.stack([np.eye(2), np.eye(2)])  # sum_k A_k^dag A_k = 2 I
+    with pytest.raises(NumericError, match="dilation unitary"):
+        _dilation_unitary(ops, 2)
 
 
 # The stacked Kraus paths against their per-operator definitions.
