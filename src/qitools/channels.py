@@ -5,6 +5,13 @@ CPTP certification, Stinespring dilations, conjugate and dual maps,
 channel distances, fixed points, the qubit normal form and a family of
 named constructors.
 
+The functions that take a map (``apply``, ``compose``, ``to_choi``,
+``certify``, ``to_chi``, ``to_affine``, ``sup_distance``,
+``process_fidelity``, ``kraus_equivalent``) read a ``KrausChannel``, a
+``ChoiMatrix`` or a ``LinearMap``, and raise TypeError for anything else;
+``chi_to_kraus`` and ``affine_to_choi`` convert a ``ChiMatrix`` and an
+``AffineRep``.
+
 Choi convention: Omega = (E (x) I)[P+] with the map acting on the FIRST
 tensor factor; the chi-normalized matrix is Phi = d * Omega.
 
@@ -37,6 +44,7 @@ from .linalg import (
     _frozen_stack,
     _herm,
     _kraus_columns,
+    _min_eig,
     _prepare_kraus,
     _probe_kraus,
     _require_size,
@@ -115,7 +123,7 @@ class ChoiMatrix:
     def min_eigenvalue(self) -> float:
         if _choi_factor(self) is not None:
             return 0.0  # rank Omega <= r < n
-        return float(np.linalg.eigvalsh(_herm(self.matrix)).min())
+        return _min_eig(self.matrix)
 
     def is_cp(self, tol: float = ATOL) -> bool:
         return _is_cp(self, self.min_eigenvalue(), tol)
@@ -205,17 +213,21 @@ def _choi_factor(choi: ChoiMatrix) -> np.ndarray | None:
     return ops.reshape(len(ops), -1).T
 
 
+def _dims(ch) -> tuple[int, int]:
+    """(in_dim, out_dim) of a map carrier; TypeError for any other object."""
+    if not isinstance(ch, (KrausChannel, ChoiMatrix, LinearMap)):
+        raise TypeError(f"cannot read a map from {type(ch).__name__}: pass a KrausChannel, "
+                        "ChoiMatrix or LinearMap (chi_to_kraus and affine_to_choi convert)")
+    return ch.in_dim, ch.out_dim
+
+
 def _superop(ch) -> np.ndarray:
-    """Row-major superoperator matrix S of a map in any representation."""
+    """Row-major superoperator matrix S of a KrausChannel, ChoiMatrix or LinearMap."""
+    d_in, d_out = _dims(ch)
     if isinstance(ch, LinearMap):
         return ch.superop
-    if isinstance(ch, KrausChannel):
-        m = _kraus_gram(ch)
-    elif isinstance(ch, ChoiMatrix):
-        m = ch.in_dim * ch.matrix
-    else:
-        raise TypeError(f"cannot apply object of type {type(ch).__name__}")
-    return _reshuffle(m, ch.out_dim, ch.in_dim, ch.out_dim, ch.in_dim)
+    m = _kraus_gram(ch) if isinstance(ch, KrausChannel) else d_in * ch.matrix
+    return _reshuffle(m, d_out, d_in, d_out, d_in)
 
 
 def _kraus_action(ops: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -224,7 +236,7 @@ def _kraus_action(ops: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def apply(ch, t) -> np.ndarray:
-    """Apply a map in any representation to an operator."""
+    """Apply a KrausChannel, ChoiMatrix or LinearMap to an operator."""
     t = _as_matrix(t)
     if isinstance(ch, KrausChannel):
         if t.shape != (ch.in_dim, ch.in_dim):
@@ -242,7 +254,7 @@ def kraus_to_linear_map(ch: KrausChannel) -> LinearMap:
 
 def compose(outer_map, inner_map) -> LinearMap | KrausChannel:
     """Map applying ``inner_map`` first, then ``outer_map``."""
-    if outer_map.in_dim != inner_map.out_dim:
+    if _dims(outer_map)[0] != _dims(inner_map)[1]:
         raise ValueError(f"cannot compose a map on dimension {outer_map.in_dim} "
                          f"after one into dimension {inner_map.out_dim}")
     if isinstance(outer_map, KrausChannel) and isinstance(inner_map, KrausChannel):
@@ -258,10 +270,10 @@ def tensor_channels(ch1: KrausChannel, ch2: KrausChannel) -> KrausChannel:
 
 
 def to_choi(ch) -> ChoiMatrix:
-    """Choi matrix Omega = (E (x) I)[P+] of a map in any representation."""
+    """Choi matrix Omega = (E (x) I)[P+] of a KrausChannel, ChoiMatrix or LinearMap."""
+    d_in, d_out = _dims(ch)
     if isinstance(ch, ChoiMatrix):
         return ch
-    d_in, d_out = ch.in_dim, ch.out_dim
     if isinstance(ch, KrausChannel):
         choi = ChoiMatrix(_kraus_gram(ch) / d_in, d_in, d_out)
         object.__setattr__(choi, "_kraus", ch.kraus_ops)  # read-only already: no copy
@@ -281,10 +293,7 @@ def from_choi(choi: ChoiMatrix, tol: float = ATOL) -> KrausChannel:
         cols = _kraus_columns(vals, w, tol, f)
     else:
         vals, vecs = eigh(choi.in_dim * choi.matrix)
-        if not _is_cp(choi, vals.min() / choi.in_dim, tol):
-            raise ValueError(
-                f"not completely positive: Choi eigenvalue {vals.min() / choi.in_dim:.3e}"
-            )
+        _require_cp(choi, vals.min() / choi.in_dim, tol)
         cols = _kraus_columns(vals, vecs, tol)
     return KrausChannel(cols.T.reshape(-1, choi.out_dim, choi.in_dim))
 
@@ -296,6 +305,12 @@ def from_choi(choi: ChoiMatrix, tol: float = ATOL) -> KrausChannel:
 def _is_cp(choi: ChoiMatrix, min_eig: float, tol: float) -> bool:
     """Omega >= 0, given its smallest eigenvalue ``min_eig``."""
     return _within(-min_eig, tol, choi.matrix)
+
+
+def _require_cp(choi: ChoiMatrix, min_eig: float, tol: float) -> None:
+    """Raise ValueError unless _is_cp(choi, min_eig, tol)."""
+    if not _is_cp(choi, min_eig, tol):
+        raise ValueError(f"not completely positive: Choi eigenvalue {min_eig:.3e}")
 
 
 def _marginal(ch, side: str) -> np.ndarray:
@@ -344,12 +359,12 @@ def to_chi(ch, basis=None) -> ChiMatrix:
     B stacks the vectorized basis operators as columns; the default basis
     is {I, E_1, ...} / sqrt(d), i.e. B = G / sqrt(d).
     """
-    d = ch.in_dim
-    if ch.out_dim != d:
+    d, d_out = _dims(ch)
+    if d_out != d:
         raise ValueError("chi representation requires equal input and output dimensions")
     choi = to_choi(ch)
-    if not isinstance(ch, KrausChannel) and not choi.is_cp():
-        raise ValueError(f"not completely positive: Choi eigenvalue {choi.min_eigenvalue():.3e}")
+    if not isinstance(ch, KrausChannel):
+        _require_cp(choi, choi.min_eigenvalue(), ATOL)
     if basis is None:
         basis = _operator_stack(d) / np.sqrt(d)
     ops = asarray(basis)
@@ -401,7 +416,7 @@ def affine_to_choi(aff: AffineRep) -> ChoiMatrix:
 
 
 def _require_same_dims(ch1, ch2) -> None:
-    if (ch1.in_dim, ch1.out_dim) != (ch2.in_dim, ch2.out_dim):
+    if _dims(ch1) != _dims(ch2):
         raise ValueError("channels must share dimensions")
 
 
@@ -609,28 +624,20 @@ def bloch_rotation(u: np.ndarray) -> np.ndarray:
 
 
 def su2_from_rotation(r: np.ndarray) -> np.ndarray:
-    """Qubit unitary whose Bloch action is the given proper rotation."""
+    """Qubit unitary with det 1 whose Bloch action is the given proper rotation.
+
+    The channel rho -> U rho U^dag has the Choi matrix vec(U) vec(U)^dag / 2,
+    so U is sqrt(2) times its top unit eigenvector, up to a phase.  Scaling
+    to det U = 1 fixes the phase up to a sign: U and -U act alike, and
+    either may be returned.
+    """
     r = np.asarray(r, dtype=float)
     if r.shape != (3, 3) or not np.isfinite(r).all() or not abs(np.linalg.det(r) - 1) <= 1e-6:
         raise ValueError("matrix is not a proper rotation")
-    tr = np.trace(r)
-    if tr > 0:
-        s = 2 * np.sqrt(1 + tr)
-        q = np.array([s / 4, (r[2, 1] - r[1, 2]) / s, (r[0, 2] - r[2, 0]) / s,
-                      (r[1, 0] - r[0, 1]) / s])
-    else:
-        i = int(np.argmax(np.diag(r)))
-        j, k = (i + 1) % 3, (i + 2) % 3
-        s = 2 * np.sqrt(max(1 + r[i, i] - r[j, j] - r[k, k], 0.0))
-        q = np.zeros(4)
-        q[i + 1] = s / 4
-        q[0] = (r[k, j] - r[j, k]) / s
-        q[j + 1] = (r[j, i] + r[i, j]) / s
-        q[k + 1] = (r[k, i] + r[i, k]) / s
-    q = q / np.linalg.norm(q)
-    u = q[0] * PAULIS[0] - 1j * _sigma_dot(q[1:])
+    u = eigh(2 * affine_to_choi(AffineRep(r, np.zeros(3), 2)).matrix)[1][:, 0].reshape(2, 2)
+    u = u / np.sqrt(np.linalg.det(u))
     if not np.max(np.abs(bloch_rotation(u) - r)) <= 1e-7:
-        raise NumericError("quaternion extraction failed to reproduce the rotation")
+        raise NumericError("no qubit unitary reproduces the rotation")
     return u
 
 
@@ -773,35 +780,24 @@ def is_pure_decoherence(ch: KrausChannel, basis, tol: float = 1e-8) -> bool:
 # Entanglement breaking
 # ---------------------------------------------------------------------------
 
-def _takagi(a: np.ndarray, tol: float = 1e-10):
-    """Autonne-Takagi decomposition a = U diag(s) U^T of a symmetric matrix."""
+def _takagi(a: np.ndarray):
+    """Autonne-Takagi decomposition a = U diag(s) U^T of a symmetric matrix.
+
+    The real embedding b = [[Re a, Im a], [Im a, -Re a]] has the spectrum
+    +-(singular values of a).  An eigenvector (x, y) of b for s > 0 gives the
+    column u = x + iy with a conj(u) = s u, and those columns are orthonormal,
+    as (-y, x) is the eigenvector for -s; ``complete_unitary`` adds the
+    columns for s = 0.
+    """
     a = asarray(a)
     n = a.shape[0]
     b = np.block([[a.real, a.imag], [a.imag, -a.real]])
     vals, vecs = np.linalg.eigh(_herm(b))
-    cut = _eig_tol(vals, tol)  # the spectrum of b is +-(singular values of a)
-    pos = [(vals[i], vecs[:, i]) for i in range(2 * n) if vals[i] > cut]
-    pos.sort(key=lambda p: -p[0])
-    cols, sings = [], []
-    for s, v in pos:
-        u = v[:n] + 1j * v[n:]
-        cols.append(u / np.linalg.norm(u))
-        sings.append(s)
-    zero_vecs = [vecs[:, i] for i in range(2 * n) if abs(vals[i]) <= cut]
-    for v in zero_vecs:
-        u = v[:n] + 1j * v[n:]
-        for c in cols:
-            u = u - c * (np.conj(c) @ u)
-        nrm = np.linalg.norm(u)
-        if nrm > 1e-7:
-            cols.append(u / nrm)
-            sings.append(0.0)
-        if len(cols) == n:
-            break
-    if len(cols) != n:
-        raise NumericError("Takagi factorization failed to produce a full basis")
-    u = np.stack(cols, axis=1)
-    s = np.array(sings)
+    pos = np.flatnonzero(vals > _eig_tol(vals, 1e-10))
+    pos = pos[np.argsort(-vals[pos], kind="stable")]  # descending, ties in eigh's order
+    u = complete_unitary(vecs[:n, pos] + 1j * vecs[n:, pos])
+    s = np.zeros(n)
+    s[:len(pos)] = vals[pos]
     if not _within(np.max(np.abs(u @ np.diag(s) @ u.T - a)), 1e-7, a):
         raise NumericError("Takagi factorization residual too large")
     return u, s
@@ -851,40 +847,22 @@ def product_decomposition_2x2(omega: np.ndarray, tol: float = 1e-9):
     list of subnormalized kets z_k with omega = sum_k z_k z_k^dag and
     each z_k of Schmidt rank one.
     """
-    omega = asarray(omega)
     yy = tensor(PAULIS[2], PAULIS[2])
-    vals, vecs = eigh(omega)
-    keep = vals > _eig_tol(vals, tol)
-    subnorm = list((np.sqrt(vals[keep]) * vecs[:, keep]).T)
-    r = len(subnorm)
-    if r == 0:
-        return []
-    tau = np.zeros((r, r), dtype=complex)
-    for i in range(r):
-        for j in range(r):
-            tau[i, j] = np.conj(subnorm[i]) @ yy @ np.conj(subnorm[j])
-    tau = (tau + tau.T) / 2
-    u, lam = _takagi(tau)
-    xs = [sum(u[j, i] * subnorm[j] for j in range(r)) for i in range(r)]
-    while len(xs) < 4:
-        xs.append(np.zeros(4, dtype=complex))
-        lam = np.append(lam, 0.0)
-    lam = lam[:4]
+    subnorm = _kraus_columns(*eigh(omega), tol)  # one zero column for omega = 0
+    tau = dag(subnorm) @ yy @ subnorm.conj()
+    u, lam = _takagi((tau + tau.T) / 2)
+    x = np.zeros((4, 4), dtype=complex)
+    x[:, :len(lam)] = subnorm @ u  # x_i = sum_j u[j, i] z_j, zero-padded to four
+    lam = np.append(lam, np.zeros(4 - len(lam)))
     concurrence = lam[0] - lam[1:].sum()
     if concurrence > 1e-7:
         raise ValueError(f"state is entangled (concurrence {concurrence:.3e})")
-    ys = [xs[0]] + [1j * x for x in xs[1:]]
-    w = _close_polygon(lam)
-    theta = np.angle(w) / 2
+    y = x * np.exp(1j * np.angle(_close_polygon(lam)) / 2) * [1, 1j, 1j, 1j]
     hadamard = 0.5 * np.array(
         [[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]], dtype=float
     )
-    zs = []
-    for k in range(4):
-        z = sum(hadamard[k, j] * np.exp(1j * theta[j]) * ys[j] for j in range(4))
-        if np.linalg.norm(z) > 1e-9:
-            zs.append(z.reshape(-1, 1))
-    return zs
+    z = y @ hadamard  # z_k = sum_j hadamard[k, j] y_j; the matrix is symmetric
+    return [z[:, [k]] for k in range(4) if np.linalg.norm(z[:, k]) > 1e-9]
 
 
 def is_entanglement_breaking(ch: KrausChannel, tol: float = ATOL) -> dict:
@@ -898,7 +876,7 @@ def is_entanglement_breaking(ch: KrausChannel, tol: float = ATOL) -> dict:
     choi = to_choi(ch)
     d_in, d_out = choi.in_dim, choi.out_dim
     pt = partial_transpose(choi.matrix, d_out, d_in)
-    min_eig = float(np.linalg.eigvalsh(_herm(pt)).min())
+    min_eig = _min_eig(pt)
     if not _within(-min_eig, tol, choi.matrix):
         return {"verdict": "no", "pt_min_eig": min_eig, "measure_prepare": None}
     if d_in == 2 and d_out == 2:

@@ -9,9 +9,10 @@ from math import isqrt
 
 import numpy as np
 
-from .linalg import (ATOL, _frozen_copy, _herm, _lowest_eigh, _require_finite, _require_hermitian,
-                     _require_size, _require_unit_interval, _seesaw, _within, asarray, dag, eigh,
-                     outer, partial_trace, partial_transpose, swap_operator, tensor)
+from .linalg import (ATOL, _frozen_copy, _lowest_eigh, _min_eig, _require_finite,
+                     _require_hermitian, _require_size, _require_unit_interval, _seesaw, _within,
+                     asarray, dag, eigh, outer, partial_trace, partial_transpose, swap_operator,
+                     tensor)
 from .rand import _gram_schmidt, _haar_normals, haar_unitaries, random_kets, rng_from
 from .states import State, _sigma_dot, _unit_directions
 
@@ -102,8 +103,8 @@ def schmidt(psi, dA: int, dB: int, tol: float = ATOL) -> SchmidtData:
 def ppt(rho: BipartiteState, side: str = "B", tol: float = ATOL) -> tuple[bool, float]:
     """(is PPT, minimal eigenvalue of the partial transpose)."""
     pt = partial_transpose(rho.matrix, rho.dA, rho.dB, side=side)
-    min_eig = float(np.linalg.eigvalsh(_herm(pt)).min())
-    return min_eig >= -tol, min_eig
+    min_eig = _min_eig(pt)
+    return _within(-min_eig, tol, pt), min_eig
 
 
 def peres_horodecki(rho: BipartiteState, tol: float = ATOL) -> str:
@@ -121,9 +122,8 @@ def reduction_criterion(rho: BipartiteState, tol: float = ATOL):
     ra = rho.reduced("A").matrix
     op1 = tensor(np.eye(rho.dA), rb) - m
     op2 = tensor(ra, np.eye(rho.dB)) - m
-    e1 = float(np.linalg.eigvalsh(_herm(op1)).min())
-    e2 = float(np.linalg.eigvalsh(_herm(op2)).min())
-    return (e1 < -tol or e2 < -tol), e1, e2
+    e1, e2 = _min_eig(op1), _min_eig(op2)
+    return not (_within(-e1, tol, op1) and _within(-e2, tol, op2)), e1, e2
 
 
 def chsh_operator(a, a_prime, b, b_prime) -> np.ndarray:
@@ -155,9 +155,9 @@ def chsh_witness(a, a_prime, b, b_prime, sign: int = 1, rng=0) -> Witness:
 def certify_witness(w: np.ndarray, dA: int, dB: int, rng=0, restarts: int = 100) -> Witness:
     """Certify a finite Hermitian candidate witness on C^dA (x) C^dB over product kets."""
     w = _frozen_copy(w, "witness", (dA * dB, dA * dB))
-    h = _require_hermitian(w, ATOL, "witness")
+    _require_hermitian(w, ATOL, "witness")
     value = _min_product_expectation(w, dA, dB, rng_from(rng), restarts)
-    return Witness(w, value, float(np.linalg.eigvalsh(h).min()))
+    return Witness(w, value, _min_eig(w))
 
 
 def witness_evaluate(w: Witness, rho: BipartiteState, tol: float = ATOL):

@@ -9,12 +9,8 @@ import numpy as np
 from .linalg import (ATOL, _frozen_copy, _kraus_columns, _prepare_kraus, basis_ket, eigh,
                      is_unitary, outer, psd_sqrt)
 from .channels import ChoiMatrix, KrausChannel, _dilation_unitary, _superop, apply, from_choi
-from .observables import Povm, is_sharp
+from .observables import UNIT_EIGENVALUE_TOL, Povm, is_sharp
 from .states import State, _as_matrix, _operator_basis
-
-# Repeatability hinges on exact unit eigenvalues; detection uses a looser
-# threshold than the global tolerance because roundoff perturbs spectra.
-UNIT_EIGENVALUE_TOL = 1e-7
 
 
 @dataclass(frozen=True, eq=False)

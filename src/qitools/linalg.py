@@ -190,9 +190,23 @@ def _require_hermitian(a: np.ndarray, tol: float, what: str) -> np.ndarray:
     return h
 
 
+def _min_eig(a: np.ndarray) -> float:
+    """The lowest eigenvalue of a's Hermitian part."""
+    return float(np.linalg.eigvalsh(_herm(a)).min())
+
+
+def _require_psd(vals: np.ndarray, tol: float, a: np.ndarray, what: str) -> None:
+    """Raise ValueError unless the spectrum ``vals`` of a's Hermitian part
+    clears the one PSD floor, lambda_min >= -tol * max(1, ||a||_2)."""
+    low = vals.min()
+    if not _within(-low, tol, a):
+        floor = -tol * _scale(a)
+        raise ValueError(f"{what} is not PSD: eigenvalue {low:.3e} below {floor:.3e}")
+
+
 def is_psd(a: np.ndarray, tol: float = ATOL) -> bool:
     a = asarray(a)
-    return is_hermitian(a, tol) and _within(-np.linalg.eigvalsh(_herm(a)).min(), tol, a)
+    return is_hermitian(a, tol) and _within(-_min_eig(a), tol, a)
 
 
 def is_unitary(a: np.ndarray, tol: float = ATOL) -> bool:
@@ -281,12 +295,11 @@ def psd_sqrt(t: np.ndarray, tol: float = ATOL) -> np.ndarray:
     eigendecomposition; each member is checked as a single matrix is, and
     the first that fails raises the single-matrix message.
     """
-    if np.ndim(t) == 3:
-        return _psd_sqrt_stack(asarray(t), tol)
+    t = asarray(t)
+    if t.ndim == 3:
+        return _psd_sqrt_stack(t, tol)
     vals, vecs = eigh(t, tol)
-    if not _within(-vals.min(), tol, t):
-        floor = -tol * _scale(t)
-        raise ValueError(f"matrix is not PSD: eigenvalue {vals.min():.3e} below {floor:.3e}")
+    _require_psd(vals, tol, t, "matrix")
     vals = np.clip(vals, 0.0, None)
     return (vecs * np.sqrt(vals)) @ dag(vecs)
 
@@ -299,11 +312,8 @@ def _psd_sqrt_stack(t: np.ndarray, tol: float) -> np.ndarray:
     vals = np.take_along_axis(vals, order, axis=-1)
     vecs = np.take_along_axis(vecs, order[:, None, :], axis=-1)
     low = vals.min(axis=-1, initial=np.inf)
-    bad = np.flatnonzero(~_within_each(-low, tol, t))
-    if bad.size:
-        k = bad[0]
-        floor = -tol * _scale(t[k])
-        raise ValueError(f"matrix is not PSD: eigenvalue {low[k]:.3e} below {floor:.3e}")
+    for k in np.flatnonzero(~_within_each(-low, tol, t)):
+        _require_psd(vals[k], tol, t[k], "matrix")  # raises for the first member that fails
     vals = np.clip(vals, 0.0, None)
     return (vecs * np.sqrt(vals)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
 

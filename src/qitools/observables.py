@@ -231,7 +231,12 @@ def commuting_joint(a, b) -> Povm:
     return Povm((1, 2, 3, 4), prods)
 
 
-def has_unit_eigenvalue(e: np.ndarray, tol: float = 1e-7) -> bool:
+# Repeatability hinges on exact unit eigenvalues; detection uses a looser
+# threshold than the global tolerance because roundoff perturbs spectra.
+UNIT_EIGENVALUE_TOL = 1e-7
+
+
+def has_unit_eigenvalue(e: np.ndarray, tol: float = UNIT_EIGENVALUE_TOL) -> bool:
     """True when the largest eigenvalue of an effect is 1 within tol."""
     h = _require_hermitian(asarray(e), ATOL, "effect")
     return bool(abs(np.linalg.eigvalsh(h).max() - 1) < tol)

@@ -7,9 +7,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import (ATOL, _eig_tol, _frozen_copy, _kraus_columns, _require_finite,
-                     _require_hermitian, _require_size, _within, asarray, dag, eigh, inner,
-                     psd_sqrt)
+from .linalg import (ATOL, _eig_tol, _frozen_copy, _kraus_columns, _min_eig, _require_finite,
+                     _require_hermitian, _require_psd, _require_size, _within, asarray, dag, eigh,
+                     inner, psd_sqrt)
 
 
 @lru_cache(maxsize=None)
@@ -101,9 +101,7 @@ class State:
             raise ValueError("a state must be a square matrix")
         _require_finite(m, "state")  # the one finiteness check: h is formed from m
         h = _require_hermitian(m, ATOL, "state matrix")
-        evals = np.linalg.eigvalsh(h)
-        if not _within(-evals.min(), ATOL, m):
-            raise ValueError(f"state matrix is not PSD: eigenvalue {evals.min():.3e}")
+        _require_psd(np.linalg.eigvalsh(h), ATOL, m, "state matrix")
         tr = np.trace(m).real
         if not _within(abs(tr - 1), ATOL, m):
             raise ValueError(f"state trace is {tr}, not 1")
@@ -126,7 +124,7 @@ class State:
 
     def is_boundary(self, tol: float = ATOL) -> bool:
         """True when the state has a zero eigenvalue within tol."""
-        return bool(np.linalg.eigvalsh(self.matrix).min() < tol)
+        return _min_eig(self.matrix) < tol
 
 
 def _as_matrix(rho) -> np.ndarray:
@@ -185,11 +183,9 @@ def from_bloch(b: BlochVector, tol: float = ATOL) -> State:
     d = b.dim
     g = _operator_basis(d)
     m = ((g[:, 0] + g[:, 1:] @ b.components) / d).reshape(d, d)
-    evals = np.linalg.eigvalsh(m)
-    if evals.min() < -tol:
-        raise ValueError(
-            f"Bloch vector lies outside the state space: eigenvalue {evals.min():.6g}"
-        )
+    low = _min_eig(m)
+    if not _within(-low, tol, m):
+        raise ValueError(f"Bloch vector lies outside the state space: eigenvalue {low:.6g}")
     return State(m)
 
 

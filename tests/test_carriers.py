@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from qitools import channels
 from qitools.channels import AffineRep, ChiMatrix, make, to_chi
 from qitools.discrimination import helstrom
 from qitools.entanglement import (BipartiteState, certify_witness, chsh_operator, schmidt,
@@ -159,3 +160,30 @@ def test_array_carriers_compare_by_identity(build):
     assert (x == x) is True
     assert (x == build()) is False
     assert {x: 1}[x] == 1
+
+
+MAP_FUNCTIONS = {
+    "to_choi": lambda x, k: channels.to_choi(x),
+    "certify": lambda x, k: channels.certify(x),
+    "compose_outer": lambda x, k: channels.compose(x, k),
+    "compose_inner": lambda x, k: channels.compose(k, x),
+    "to_chi": lambda x, k: channels.to_chi(x),
+    "to_affine": lambda x, k: channels.to_affine(x),
+    "sup_distance": lambda x, k: channels.sup_distance(x, k, restarts=2),
+    "process_fidelity": lambda x, k: channels.process_fidelity(x, k),
+    "kraus_equivalent": lambda x, k: channels.kraus_equivalent(x, k),
+    "apply": lambda x, k: channels.apply(x, np.eye(2) / 2),
+}
+
+
+@pytest.mark.parametrize("carrier", ["ChiMatrix", "AffineRep"])
+@pytest.mark.parametrize("name", sorted(MAP_FUNCTIONS))
+def test_map_functions_reject_a_chi_or_affine_carrier_by_type(name, carrier):
+    dep = make("depolarizing", d=2, p=0.3)
+    x = to_chi(dep) if carrier == "ChiMatrix" else channels.to_affine(dep)
+    message = f"^cannot read a map from {carrier}: pass a KrausChannel, ChoiMatrix or LinearMap"
+    with pytest.raises(TypeError, match=message):
+        MAP_FUNCTIONS[name](x, dep)
+    # the conversions named in the message read the carrier
+    converted = channels.chi_to_kraus(x) if carrier == "ChiMatrix" else channels.affine_to_choi(x)
+    assert channels.certify(converted)["cp"]

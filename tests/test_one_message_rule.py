@@ -1,7 +1,9 @@
 """Each validation rule is written once.
 
-A literal message is raised from one site in ``src/qitools``, so a rule
-that several functions share lives in one helper.  Outside ``linalg.py``
+A message is raised from one site in ``src/qitools``, so a rule that
+several functions share lives in one helper.  A literal message is read
+as written, and an f-string as its template, each placeholder read as
+``{}``.  Outside ``linalg.py``
 no module writes the size rule (``if n < 1: raise``, or an
 ``isinstance(n, np.integer)`` check that raises), the closed unit
 interval (``0 <= x <= 1``) or the Hermitian check (``_hermitian``) by
@@ -26,15 +28,24 @@ from qitools.states import State
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qitools"
 
 
+def _template(node: ast.AST) -> str | None:
+    """A string constant as written, an f-string with each placeholder as ``{}``, else None."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(v.value if isinstance(v, ast.Constant) else "{}" for v in node.values)
+    return None
+
+
 def _message_sites(sources: dict[str, str]) -> dict[str, list[str]]:
-    """Each string constant passed first to a raised exception, with its sites."""
+    """Each message template passed first to a raised exception, with its sites."""
     sites = defaultdict(list)
     for name, source in sources.items():
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args:
-                first = node.exc.args[0]
-                if isinstance(first, ast.Constant) and isinstance(first.value, str):
-                    sites[first.value].append(f"{name}:{node.lineno}")
+                template = _template(node.exc.args[0])
+                if template is not None:
+                    sites[template].append(f"{name}:{node.lineno}")
     return sites
 
 
@@ -102,7 +113,18 @@ def test_the_message_scan_catches_a_planted_duplicate():
     assert _repeated({"one": one}) == []
     assert _repeated({"one": one, "two": two}) == ["'x is bad' at one:3, two:2"]
     formatted = 'def h(x):\n    raise ValueError(f"{x} is bad")\n'
-    assert _repeated({"one": formatted, "two": formatted}) == []
+    assert _repeated({"one": formatted}) == []
+    assert _repeated({"one": formatted, "two": formatted}) == ["'{} is bad' at one:2, two:2"]
+    other = 'def k(y):\n    raise ValueError(f"{y!r:>4} is bad")\n'
+    assert _repeated({"one": formatted, "two": other}) == ["'{} is bad' at one:2, two:2"]
+    assert _repeated({"one": formatted, "two": one}) == []
+
+
+def test_every_message_template_in_the_package_is_read():
+    templates = _message_sites(_package_sources())
+    assert "{} is not PSD: eigenvalue {} below {}" in templates
+    assert "not completely positive: Choi eigenvalue {}" in templates
+    assert len(templates) > 40
 
 
 def test_the_rule_scan_sees_each_form():
