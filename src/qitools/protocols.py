@@ -28,7 +28,12 @@ def _seed_repr(rng_arg) -> object:
 
 @dataclass(frozen=True)
 class ProtocolReport:
-    """Simulation record: per-round data plus summary statistics and the seed."""
+    """Simulation record: per-round data plus summary statistics and the seed.
+
+    BB84 and B92 rounds share their records: each is one of a few read-only
+    dicts, built once per process, so ``dict(record)`` gives a mutable copy.
+    The records of every other protocol are fresh dicts.
+    """
 
     protocol: str
     rounds: int
@@ -176,13 +181,29 @@ def superdense(message: int, rng=0) -> ProtocolReport:
 # Key distribution
 # ---------------------------------------------------------------------------
 
-# A protocol's per-round records are copies of a few template dicts, built
-# once per process.  The templates never leave this module; every record of
-# a report is a fresh dict.
+# A BB84 or B92 round's record is one of a few templates, built once per
+# process and shared by every report: a round holds a reference, not a copy.
+# The templates are read-only dicts, so no caller can change another's rounds.
+
+class _SharedRecord(dict):
+    """A read-only dict shared between rounds; ``dict(record)`` is a mutable copy."""
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a BB84 or B92 record is shared between rounds and read-only; "
+                        "use dict(record) for a mutable copy")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return _SharedRecord, (dict(self),)
+
 
 def _round_records(templates: tuple, codes: np.ndarray) -> tuple:
-    """A fresh copy of ``templates[c]`` for each code ``c`` of ``codes``."""
-    return tuple(map(dict.copy, map(templates.__getitem__, codes.tolist())))
+    """The shared template ``templates[c]`` for each code ``c`` of ``codes``."""
+    return tuple(map(templates.__getitem__, codes.tolist()))
 
 
 @lru_cache(maxsize=None)
@@ -190,7 +211,7 @@ def _bb84_records() -> tuple:
     """The 96 BB84 record templates, indexed by the mixed-radix code of
     (alice basis, bob basis, alice bit, bob bit, eve bit 0, 1 or None, released)."""
     return tuple(
-        {
+        _SharedRecord({
             "alice_basis": ab,
             "bob_basis": bb,
             "alice_bit": xa,
@@ -198,7 +219,7 @@ def _bb84_records() -> tuple:
             "eve_bit": eb,
             "sifted": ab == bb,
             "released": rl,
-        }
+        })
         for ab, bb, xa, yb, eb, rl in product((0, 1), (0, 1), (0, 1), (0, 1), (0, 1, None),
                                               (False, True))
     )
@@ -282,10 +303,17 @@ def _b92_records(overlap: float) -> tuple:
     for Alice's bit x and the k-th outcome of ``_b92_table(overlap)``."""
     outcomes = _b92_table(overlap)[0]
     return tuple(
-        {"alice_bit": xa, "outcome": o, "bob_bit": None if o == "?" else int(o) - 1}
+        _SharedRecord({"alice_bit": xa, "outcome": o, "bob_bit": None if o == "?" else int(o) - 1})
         for xa in (0, 1)
         for o in outcomes
     )
+
+
+@lru_cache(maxsize=64)
+def _b92_bob_bits(overlap: float) -> np.ndarray:
+    """Read-only Bob's bit of each ``_b92_records(overlap)`` template, -1 where inconclusive."""
+    return _frozen_copy([-1 if r["bob_bit"] is None else r["bob_bit"]
+                         for r in _b92_records(overlap)], "B92 bit table", dtype=int)
 
 
 def b92(rounds: int, overlap: float, rng=0) -> ProtocolReport:
@@ -304,7 +332,7 @@ def b92(rounds: int, overlap: float, rng=0) -> ProtocolReport:
     x = rng.integers(2, size=rounds)
     idx = (rng.random(rounds)[:, None] >= cdf[x]).sum(axis=1)
     codes = x * len(outcomes) + idx
-    bob = np.array([-1 if r["bob_bit"] is None else r["bob_bit"] for r in templates])[codes]
+    bob = _b92_bob_bits(float(overlap))[codes]
     conclusive = bob >= 0
     records = _round_records(templates, codes)
     summary = {
@@ -318,6 +346,9 @@ def b92(rounds: int, overlap: float, rng=0) -> ProtocolReport:
 # ---------------------------------------------------------------------------
 # Private quantum channel
 # ---------------------------------------------------------------------------
+
+_PQC_BATCH = 1024  # messages decoded per chunk
+
 
 def private_quantum_channel(d: int, n_messages: int, rng=0) -> ProtocolReport:
     """One-time-pad encryption of quantum states with shift-multiply keys.
@@ -336,11 +367,15 @@ def private_quantum_channel(d: int, n_messages: int, rng=0) -> ProtocolReport:
     # The draw order, all keys and then all messages, fixes the seeded stream.
     picks = rng.integers(len(basis.keys), size=n_messages)
     (kets,) = random_kets([d], n_messages, rng)
-    u = basis.unitaries[picks]
-    cipher = u @ kets[:, :, None]  # c = U psi
-    decoded = u.conj().transpose(0, 2, 1) @ cipher  # phi = U^dag c
-    # F(phi phi^dag, psi psi^dag) = |<psi|phi>|, per message ket.
-    fidelities = np.abs((kets.conj() * decoded[:, :, 0]).sum(axis=1))
+    fidelities = np.empty(n_messages)
+    # Chunked, so the gathered key unitaries take O(_PQC_BATCH d^2) memory, not O(n d^2).
+    for lo in range(0, n_messages, _PQC_BATCH):
+        u = basis.unitaries[picks[lo:lo + _PQC_BATCH]]
+        psi = kets[lo:lo + _PQC_BATCH]
+        cipher = u @ psi[:, :, None]  # c = U psi
+        decoded = u.conj().transpose(0, 2, 1) @ cipher  # phi = U^dag c
+        # F(phi phi^dag, psi psi^dag) = |<psi|phi>|, per message ket.
+        fidelities[lo:lo + _PQC_BATCH] = np.abs((psi.conj() * decoded[:, :, 0]).sum(axis=1))
     records = [
         {"key": list(basis.keys[j]), "decode_fidelity": f}
         for j, f in zip(picks.tolist(), fidelities.tolist())

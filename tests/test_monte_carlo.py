@@ -1,6 +1,11 @@
 """The batched Monte-Carlo paths: stacked Haar draws, the chunked twirl
-estimate, and the table-driven BB84/B92 rounds and their template-copied
-records."""
+estimate, the table-driven BB84/B92 rounds and their shared read-only
+records, and the chunked private-quantum-channel decode."""
+
+import copy
+import json
+import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +13,9 @@ import pytest
 from qitools.channels import KrausChannel
 from qitools.entanglement import _TWIRL_BATCH, _TWIRL_BLOCK, twirl, twirl_monte_carlo
 from qitools.linalg import ATOL, dag, is_unitary, tensor
-from qitools.protocols import (_b92_records, _b92_table, _bb84_p_one, _bb84_records,
-                               _shift_multiply, b92, bb84, private_quantum_channel)
+from qitools.protocols import (_PQC_BATCH, _b92_bob_bits, _b92_records, _b92_table,
+                               _bb84_p_one, _bb84_records, _shift_multiply, b92, bb84,
+                               private_quantum_channel)
 from qitools.rand import (_gram_schmidt, _haar_columns, _haar_normals, haar_unitaries,
                           haar_unitary, random_density, random_kets, random_kraus_ops)
 
@@ -331,18 +337,91 @@ def test_pqc_records_match_the_numpy_scalar_reference(d):
         assert len({id(r["key"]) for r in rep.records}) == len(rep.records)
 
 
-@pytest.mark.parametrize("protocol, reference", [
+SHARED_PROTOCOLS = [
     (lambda: bb84(300, eve="intercept_resend", rng=4),
      lambda: bb84_reference(300, "intercept_resend", 4, 0.25)),
     (lambda: bb84(300, rng=4), lambda: bb84_reference(300, "none", 4, 0.25)),
     (lambda: b92(300, 0.3, rng=4), lambda: b92_reference(300, 0.3, 4)),
-])
-def test_template_records_are_fresh_dicts(protocol, reference):
+]
+
+MUTATIONS = [
+    lambda r: r.__setitem__("alice_bit", 99),
+    lambda r: r.__delitem__("alice_bit"),
+    lambda r: r.clear(),
+    lambda r: r.pop("alice_bit"),
+    lambda r: r.popitem(),
+    lambda r: r.setdefault("extra", 1),
+    lambda r: r.update(alice_bit=99),
+]
+
+
+@pytest.mark.parametrize("protocol, reference", SHARED_PROTOCOLS)
+def test_shared_records_are_read_only(protocol, reference):
     rep = protocol()
-    before = [dict(r) for r in rep.records]
-    rep.records[0]["alice_bit"] = 99
-    assert [dict(r) for r in rep.records[1:]] == before[1:]
+    record = rep.records[0]
+    for mutate in MUTATIONS:
+        with pytest.raises(TypeError, match=r"read-only; use dict\(record\)"):
+            mutate(record)
+    with pytest.raises(TypeError, match="read-only"):
+        record |= {"alice_bit": 99}  # __ior__
+    copied = dict(record)
+    copied["alice_bit"] = 99
+    assert type(copied) is dict and copied != record
+    assert isinstance(record, dict)
     assert_same_records(protocol().records, reference())
+
+
+@pytest.mark.parametrize("protocol, reference", SHARED_PROTOCOLS)
+def test_shared_records_round_trip(protocol, reference):
+    rep = protocol()
+    for clone in (pickle.loads(pickle.dumps(rep)), copy.deepcopy(rep)):
+        assert clone == rep
+        assert type(clone.records[0]) is type(rep.records[0])
+        assert_same_records(clone.records, reference())
+    doc = json.loads(json.dumps(rep.to_dict()))
+    assert doc["records"] == reference() and doc["rounds"] == rep.rounds
+
+
+def test_bb84_rounds_share_the_templates():
+    tracemalloc.start()
+    try:
+        rep = bb84(100_000, eve="intercept_resend", rng=1)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len({id(r) for r in rep.records}) <= len(_bb84_records()) == 96
+    assert all(any(r is t for t in _bb84_records()) for r in rep.records[:200])
+    # One pointer per round; a dict per round held about 28 MB.
+    assert held < 4e6
+
+
+def test_pqc_decode_memory_does_not_grow_with_the_messages():
+    d, n = 10, 16 * _PQC_BATCH
+    private_quantum_channel(d, 1)  # build the per-d tables outside the trace
+    tracemalloc.start()
+    try:
+        rep = private_quantum_channel(d, n, rng=2)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rep.records) == n
+    # Gathering U and U^dag for every message at once took 16 d^2 bytes each
+    # way per message (52 MB here); a chunk takes 2 * 16 d^2 _PQC_BATCH (3.3 MB).
+    assert peak - held < 8e6
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 7])
+def test_pqc_chunks_decode_the_whole_stream(d):
+    for n in (1, _PQC_BATCH, _PQC_BATCH + 1, 2 * _PQC_BATCH + 3):
+        assert_same_records(private_quantum_channel(d, n, rng=n).records, pqc_reference(d, n, n))
+
+
+def test_b92_bob_bits_follow_the_templates():
+    for overlap in (0.0, 0.3, 0.9):
+        bits = _b92_bob_bits(overlap)
+        assert not bits.flags.writeable
+        assert bits.tolist() == [-1 if r["bob_bit"] is None else r["bob_bit"]
+                                 for r in _b92_records(overlap)]
 
 
 def test_record_templates_are_built_once_per_process():
