@@ -4,8 +4,11 @@ Matrix documents are JSON objects with a ``kind`` tag (state, effect,
 povm, kraus, choi, ket), dimensions, and row-major entries as [re, im]
 pairs.  Output is canonical JSON (or CSV for flat tables) printed with
 12 significant digits; identical seeds and flags give byte-identical
-output.  Exit codes: 0 success, 1 stdout closed before the output was
-written, 2 validation failure, 3 numeric failure.
+output.  JSON stdout is, byte for byte, json.dumps(canonical payload,
+sort_keys=True, indent=2), written in one pass that encodes each record
+shared between BB84/B92 rounds once per call.  Exit codes: 0 success,
+1 stdout closed before the output was written, 2 validation failure,
+3 numeric failure.
 
 ``--tol`` (fallback ``QITOOLS_TOL``) is the verdict tolerance of
 certify-channel, entanglement and werner, a finite non-negative number;
@@ -19,8 +22,10 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -199,16 +204,13 @@ def _read_json(path: str) -> dict:
 # ---------------------------------------------------------------------------
 
 def _round_sig(x: float) -> float:
-    if x == 0 or not np.isfinite(x):
+    if x == 0 or not math.isfinite(x):
         return float(x)
     return float(f"{x:.12g}")
 
 
-def _canonicalize(obj):
-    if isinstance(obj, dict):
-        return {str(k): _canonicalize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_canonicalize(v) for v in obj]
+def _canonical_leaf(obj):
+    """A scalar as printed: bool, int, a float at 12 significant digits, complex as [re, im]."""
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (int, np.integer)):
@@ -217,19 +219,90 @@ def _canonicalize(obj):
         return _round_sig(float(obj))
     if isinstance(obj, complex):
         return [_round_sig(obj.real), _round_sig(obj.imag)]
-    if isinstance(obj, np.ndarray):
-        return _canonicalize(obj.tolist())
     return obj
 
 
+def _canonicalize(obj):
+    if isinstance(obj, dict):
+        return {str(k): _canonicalize(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_canonicalize(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return _canonicalize(obj.tolist())
+    return _canonical_leaf(obj)
+
+
+def _float_text(x: float) -> str:
+    if math.isfinite(x):
+        return repr(x)
+    return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
+
+
+# The text json.dumps writes for each type of canonical scalar.
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _encode(obj, level: int, memo: dict) -> str:
+    """``json.dumps(_canonicalize(obj), sort_keys=True, indent=2)`` for a value ``level`` deep.
+
+    ``memo`` maps ``(id(obj), level)`` of each dict, list, tuple or ndarray
+    met in one call to ``(obj, text)``, so a container shared between rounds
+    is encoded once per depth; holding ``obj`` keeps its id from being reused
+    while the memo lives.  A complex number's [re, im] pair is never memoized.
+    """
+    if isinstance(obj, (dict, list, tuple, np.ndarray)):
+        key = (id(obj), level)
+        hit = memo.get(key)
+        if hit is None:
+            text = (_encode(obj.tolist(), level, memo) if isinstance(obj, np.ndarray)
+                    else _encode_items(obj, level, memo))
+            hit = memo[key] = (obj, text)
+        return hit[1]
+    leaf = _canonical_leaf(obj)
+    text = _SCALAR_TEXT.get(type(leaf))
+    if text is not None:
+        return text(leaf)
+    if isinstance(leaf, list):
+        return _encode_items(leaf, level, memo)
+    if isinstance(leaf, str):
+        return encode_basestring_ascii(leaf)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _encode_items(obj, level: int, memo: dict) -> str:
+    """The text of a dict (keys as ``str``, sorted) or a list, its items ``level + 1`` deep."""
+    sep = ",\n" + "  " * (level + 1)
+    parts = []
+    if isinstance(obj, dict):
+        keyed = {str(k): v for k, v in obj.items()}  # the last of colliding keys wins
+        for k in sorted(keyed):
+            parts += (sep, encode_basestring_ascii(k), ": ", _encode(keyed[k], level + 1, memo))
+        brackets = "{}"
+    else:
+        for v in obj:
+            parts += (sep, _encode(v, level + 1, memo))
+        brackets = "[]"
+    if not parts:
+        return brackets
+    # One join, so a large item's text is copied once, into the result.
+    parts[0] = brackets[0] + sep[1:]
+    parts.append("\n" + "  " * level + brackets[1])
+    return "".join(parts)
+
+
 def emit(payload: dict, fmt: str) -> str:
-    payload = _canonicalize(payload)
     if fmt == "json":
-        return json.dumps(payload, sort_keys=True, indent=2)
+        return _encode(payload, 0, {})
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        flat = _flatten(payload)
+        flat = _flatten(_canonicalize(payload))
         writer.writerow(["key", "value"])
         for key, value in flat:
             writer.writerow([key, value])

@@ -14,7 +14,7 @@ from .linalg import (ATOL, _frozen_copy, _lowest_eigh, _min_eig, _require_finite
                      asarray, dag, eigh, outer, partial_trace, partial_transpose, swap_operator,
                      tensor)
 from .rand import _gram_schmidt, _haar_normals, haar_unitaries, random_kets, rng_from
-from .states import State, _sigma_dot, _unit_directions
+from .states import State, _sigma_dot, _unit_directions, maximally_entangled_ket
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,10 +201,6 @@ def max_entangled_fraction(rho: BipartiteState, rng=0, restarts: int = 64) -> fl
     shifted = m - np.linalg.eigvalsh(m)[0] * np.eye(d * d)
     starts = haar_unitaries(d, restarts, rng).reshape(restarts, d * d)
     return _seesaw(lambda u: _mef_step(m, shifted, u), starts, 1000, 1e-12)[0]
-
-
-def maximally_entangled_ket(d: int) -> np.ndarray:
-    return np.eye(d, dtype=complex).reshape(-1, 1) / np.sqrt(d)
 
 
 def maximally_entangled_state(d: int) -> BipartiteState:

@@ -13,7 +13,7 @@ from .linalg import (ATOL, _frozen_copy, _probe_kraus, _require_size, _require_u
                      asarray, basis_ket, dag, is_unitary, outer, partial_trace, tensor)
 from .observables import outcome_distribution, stern_gerlach
 from .rand import random_ket, random_kets, rng_from
-from .states import _AXES, State, _operator_stack
+from .states import _AXES, State, _operator_stack, maximally_entangled_ket
 
 if TYPE_CHECKING:  # channels loads only when a function below needs it
     from .channels import KrausChannel, LinearMap
@@ -66,8 +66,6 @@ class ShiftMultiplyBasis:
 
     @classmethod
     def build(cls, d: int) -> "ShiftMultiplyBasis":
-        from .entanglement import maximally_entangled_ket
-
         _require_size(d, "dimension", 1)
         r, s, l = np.ogrid[:d, :d, :d]
         us = np.zeros((d, d, d, d), dtype=complex)  # us[r, s] = U_rs
@@ -145,8 +143,6 @@ def _teleport_kraus(d: int) -> np.ndarray:
     Alice's input and half of psi+ are measured in the Bell basis, and Bob
     corrects his half with U_rs: the map from Alice's input to Bob's output.
     """
-    from .entanglement import maximally_entangled_ket
-
     basis = _shift_multiply(d)
     bell = basis.bell_kets.reshape(-1, d, d)  # beta[r, (a, a')]
     share = maximally_entangled_ket(d).reshape(d, d)  # psi+[(a', b)]
@@ -159,8 +155,6 @@ def superdense(message: int, rng=0) -> ProtocolReport:
     """Send two classical bits through one qubit and a shared Bell pair."""
     if message not in range(4):
         raise ValueError("message must encode two bits (0..3)")
-    from .entanglement import maximally_entangled_ket
-
     # (P (x) I) psi+ = vec(P) / sqrt(2) for each Pauli P, as in ``ShiftMultiplyBasis``.
     bell_kets = _operator_stack(2).reshape(4, 4, 1) * maximally_entangled_ket(2)[0]
     encoded = bell_kets[message]

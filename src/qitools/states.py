@@ -256,6 +256,11 @@ def superposition_ket(psi, phi, a: complex, b: complex) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def maximally_entangled_ket(d: int) -> np.ndarray:
+    """psi+ = sum_i |ii> / sqrt(d), as a (d^2, 1) column."""
+    return np.eye(d, dtype=complex).reshape(-1, 1) / np.sqrt(d)
+
+
 def conjugation_average(rho, unitaries, weights=None) -> np.ndarray:
     """Average of U rho U^dag over a family of unitaries."""
     m = _as_matrix(rho)

@@ -86,6 +86,8 @@ def docs(tmp_path):
         (["discriminate", "--s1", "{ket0}", "--s2", "{ket_plus}", "--mode", "unambiguous"],
          DISCRIMINATION),
         (["--seed", "7", "demo", "bb84", "--rounds", "200", "--eve"], PROTOCOLS),
+        (["--seed", "7", "demo", "teleport", "--d", "3"],
+         ["discrimination", "linalg", "observables", "protocols", "rand", "states"]),
     ],
 )
 def test_subcommand_loads_only_its_modules(docs, argv, modules):
