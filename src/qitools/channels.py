@@ -10,7 +10,9 @@ The functions that take a map (``apply``, ``compose``, ``to_choi``,
 ``process_fidelity``, ``kraus_equivalent``) read a ``KrausChannel``, a
 ``ChoiMatrix`` or a ``LinearMap``, and raise TypeError for anything else;
 ``chi_to_kraus`` and ``affine_to_choi`` convert a ``ChiMatrix`` and an
-``AffineRep``.
+``AffineRep``.  A Kraus stack of r < n = d_in * d_out operators, a KrausChannel's
+own or the one ``to_choi`` keeps, is read as the factor F of d_in * Omega = F F^dag
+(``_choi_factor``): ``certify``, ``process_fidelity`` and ``to_chi`` form no n x n matrix.
 
 Choi convention: Omega = (E (x) I)[P+] with the map acting on the FIRST
 tensor factor; the chi-normalized matrix is Phi = d * Omega.
@@ -95,10 +97,10 @@ class KrausChannel:
         return dag(rows) @ rows
 
     def is_trace_preserving(self, tol: float = ATOL) -> bool:
-        return _is_identity(self, "A", tol)
+        return _is_identity(_marginal(self, "A"), self.in_dim, tol)
 
     def is_unital(self, tol: float = ATOL) -> bool:
-        return _is_identity(self, "B", tol)
+        return _is_identity(_marginal(self, "B"), self.in_dim, tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,16 +201,23 @@ def _kraus_gram(ch: KrausChannel) -> np.ndarray:
     return v.T @ v.conj()
 
 
-def _choi_factor(choi: ChoiMatrix) -> np.ndarray | None:
-    """F with d_in * Omega = F F^dag, the columns vec(A_k) of the kept Kraus
-    stack, when there is one of r < n = d_in * d_out operators; else None.
+def _kraus_stack(ch) -> np.ndarray | None:
+    """A KrausChannel's own stack, the one a ChoiMatrix kept from ``to_choi``, or None."""
+    return ch.kraus_ops if isinstance(ch, KrausChannel) else getattr(ch, "_kraus", None)
+
+
+def _choi_factor(ch) -> np.ndarray | None:
+    """F with d_in * Omega = F F^dag, the columns vec(A_k) of the stack a
+    KrausChannel or a ChoiMatrix carries (``_kraus_stack``), when it holds
+    r < n = d_in * d_out operators; else None.
 
     Then rank Omega <= r < n, and the nonzero spectrum of d_in * Omega is that
     of the r x r Gram matrix F^dag F (M.-D. Choi, Linear Algebra Appl. 10,
-    285 (1975)).  Every other Choi matrix is read as its n x n matrix.
+    285 (1975)), so no n x n matrix is formed.  A dense ChoiMatrix, r >= n and
+    a LinearMap are read as the n x n matrix.
     """
-    ops = choi._kraus
-    if ops is None or len(ops) >= len(choi.matrix):
+    ops = _kraus_stack(ch)
+    if ops is None or len(ops) >= ch.in_dim * ch.out_dim:
         return None
     return ops.reshape(len(ops), -1).T
 
@@ -314,41 +323,35 @@ def _require_cp(choi: ChoiMatrix, min_eig: float, tol: float) -> None:
 
 
 def _marginal(ch, side: str) -> np.ndarray:
-    """tr_side Omega, from the Kraus operators when there are any, kept ones too."""
-    if isinstance(ch, KrausChannel):
-        ops = ch.kraus_ops
-    elif isinstance(ch, ChoiMatrix) and (f := _choi_factor(ch)) is not None:
-        ops = f.T.reshape(-1, ch.out_dim, ch.in_dim)
-    else:
+    """tr_side Omega, from the Kraus stack the map carries (``_kraus_stack``) if any."""
+    ops = _kraus_stack(ch)
+    if ops is None:
         return partial_trace(to_choi(ch).matrix, ch.out_dim, ch.in_dim, side=side)
     a = ops if side == "A" else ops.conj().transpose(0, 2, 1)
     rows = a.reshape(-1, a.shape[2])  # sum_k a_k^dag a_k = rows^dag rows
     return dag(rows) @ rows / ch.in_dim
 
 
-def _is_identity(ch, side: str, tol: float) -> bool:
-    """N = I (side "A", trace-preserving) or E(I) = I (side "B", unital)."""
-    x = _marginal(ch, side)
-    return _within(np.max(np.abs(x - np.eye(len(x)) / ch.in_dim)), tol, x)
-
-
-def _is_trace_decreasing(ch, tol: float) -> bool:
-    """N <= I."""
-    x = _marginal(ch, "A")
-    return _within(np.linalg.eigvalsh(x).max(), tol, x, offset=1 / ch.in_dim)
+def _is_identity(x: np.ndarray, d_in: int, tol: float) -> bool:
+    """A marginal x = _marginal(ch, side) equals I / d_in: N = I (side "A",
+    trace-preserving) or E(I) = I (side "B", unital)."""
+    return _within(np.max(np.abs(x - np.eye(len(x)) / d_in)), tol, x)
 
 
 def certify(ch, tol: float = ATOL) -> dict:
-    """Report {cp, tp, unital, trace_decreasing, choi_min_eig} for a map."""
-    choi = to_choi(ch)
-    min_eig = choi.min_eigenvalue()
-    if not isinstance(ch, KrausChannel):
-        ch = choi  # read the marginals off the Choi matrix built above
+    """Report {cp, tp, unital, trace_decreasing, choi_min_eig} for a map; through a
+    Kraus factor (``_choi_factor``) choi_min_eig is exactly 0.0, rank Omega < n."""
+    if (f := _choi_factor(ch)) is None:
+        ch = to_choi(ch)  # a KrausChannel's stack is kept: its marginals stay on it
+        min_eig, scale = _min_eig(ch.matrix), ch.matrix
+    else:
+        min_eig, scale = 0.0, f  # 0 <= tol passes on any finite scale, as on Omega's
+    n = _marginal(ch, "A")
     return {
-        "cp": _is_cp(choi, min_eig, tol),
-        "tp": _is_identity(ch, "A", tol),
-        "unital": _is_identity(ch, "B", tol),
-        "trace_decreasing": _is_trace_decreasing(ch, tol),
+        "cp": _within(-min_eig, tol, scale),
+        "tp": _is_identity(n, ch.in_dim, tol),
+        "unital": _is_identity(_marginal(ch, "B"), ch.in_dim, tol),
+        "trace_decreasing": _within(np.linalg.eigvalsh(n).max(), tol, n, offset=1 / ch.in_dim),
         "choi_min_eig": min_eig,
     }
 
@@ -357,20 +360,25 @@ def to_chi(ch, basis=None) -> ChiMatrix:
     """chi-matrix B^dag Phi B over an orthonormal operator basis.
 
     B stacks the vectorized basis operators as columns; the default basis
-    is {I, E_1, ...} / sqrt(d), i.e. B = G / sqrt(d).
+    is {I, E_1, ...} / sqrt(d), i.e. B = G / sqrt(d).  Through a Kraus
+    factor F (``_choi_factor``), Phi = F F^dag and chi = C C^dag with the
+    n x r matrix C = B^dag F.
     """
     d, d_out = _dims(ch)
     if d_out != d:
         raise ValueError("chi representation requires equal input and output dimensions")
-    choi = to_choi(ch)
-    if not isinstance(ch, KrausChannel):
-        _require_cp(choi, choi.min_eigenvalue(), ATOL)
+    if (f := _choi_factor(ch)) is None:
+        choi = to_choi(ch)
+        if not isinstance(ch, KrausChannel):
+            _require_cp(choi, choi.min_eigenvalue(), ATOL)
     if basis is None:
         basis = _operator_stack(d) / np.sqrt(d)
     ops = asarray(basis)
     b = ops.reshape(len(ops), -1).T
     if np.max(np.abs(dag(b) @ b - np.eye(len(ops)))) > 1e-9:
         raise ValueError("operator basis is not Hilbert-Schmidt orthonormal")
+    if f is not None:
+        return ChiMatrix((c := dag(b) @ f) @ dag(c), ops)
     return ChiMatrix(dag(b) @ (d * choi.matrix) @ b, ops)
 
 
@@ -393,7 +401,7 @@ def to_affine(ch) -> AffineRep:
     Since tr[E_j X] = (G^dag vec(X))_j, the block matrix G^dag S G / d holds
     t_j = tr[E_j E(I)] / d in its first column and T_jk = tr[E_j E(E_k)] / d.
     """
-    if not _is_identity(ch, "A", ATOL):
+    if not _is_identity(_marginal(ch, "A"), ch.in_dim, ATOL):
         raise ValueError("affine representation requires a trace-preserving map")
     if ch.in_dim != ch.out_dim:
         raise ValueError("affine representation requires equal dimensions")
@@ -464,10 +472,10 @@ def _dilation_unitary(ops: np.ndarray, probe_dim: int) -> np.ndarray:
     n, d = len(ops), ops.shape[2]
     v = ops.reshape(n, d, probe_dim // n, d).transpose(1, 2, 0, 3).reshape(d * probe_dim, d)
     full = complete_unitary(v)
-    first = np.arange(d) * probe_dim
+    first = np.arange(d * probe_dim) % probe_dim == 0  # a mask: columns in ascending order
     u = np.empty_like(full)
     u[:, first] = full[:, :d]
-    u[:, np.setdiff1d(np.arange(d * probe_dim), first)] = full[:, d:]
+    u[:, ~first] = full[:, d:]
     if not is_unitary(u, 1e-8):
         raise NumericError("failed to complete the dilation unitary")
     return u
@@ -910,14 +918,14 @@ def measure_prepare_channel(pairs) -> LinearMap:
 def process_fidelity(ch1, ch2) -> float:
     """State fidelity of the trace-one Choi states of two channels.
 
-    When both are read through kept factors, Omega_i = F_i F_i^dag / d_i, the
-    fidelity tr|sqrt(Omega_1) sqrt(Omega_2)| is ||F_1^dag F_2||_1 / sqrt(d_1 d_2):
-    one r_1 x r_2 SVD and no square root of a rounding-level eigenvalue.
+    When both are read through Kraus factors (``_choi_factor``), Omega_i =
+    F_i F_i^dag / d_i, the fidelity tr|sqrt(Omega_1) sqrt(Omega_2)| is
+    ||F_1^dag F_2||_1 / sqrt(d_1 d_2): one r_1 x r_2 SVD, no n x n matrix and
+    no square root of a rounding-level eigenvalue.
     """
     from .discrimination import fidelity
 
-    o1, o2 = to_choi(ch1), to_choi(ch2)
-    f1, f2 = _choi_factor(o1), _choi_factor(o2)
+    f1, f2 = _choi_factor(ch1), _choi_factor(ch2)
     if f1 is None or f2 is None or len(f1) != len(f2):
-        return fidelity(o1.matrix, o2.matrix)
-    return trace_norm(dag(f1) @ f2) / np.sqrt(o1.in_dim * o2.in_dim)
+        return fidelity(to_choi(ch1).matrix, to_choi(ch2).matrix)
+    return trace_norm(dag(f1) @ f2) / np.sqrt(ch1.in_dim * ch2.in_dim)

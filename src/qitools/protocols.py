@@ -155,10 +155,11 @@ def superdense(message: int, rng=0) -> ProtocolReport:
     """Send two classical bits through one qubit and a shared Bell pair."""
     if message not in range(4):
         raise ValueError("message must encode two bits (0..3)")
-    # (P (x) I) psi+ = vec(P) / sqrt(2) for each Pauli P, as in ``ShiftMultiplyBasis``.
-    bell_kets = _operator_stack(2).reshape(4, 4, 1) * maximally_entangled_ket(2)[0]
-    encoded = bell_kets[message]
-    probs = (np.abs(dag(encoded) @ bell_kets) ** 2).ravel().tolist()
+    # (P (x) I) psi+ = vec(P) / sqrt(2) for each Pauli P, as in ``ShiftMultiplyBasis``, so
+    # |<beta_m|beta_k>|^2 = |tr(P_m^dag P_k)|^2 / 4: sums of 0, +-1, +-i, exactly one-hot.
+    paulis = _operator_stack(2)
+    encoded = paulis[message].reshape(4, 1) * maximally_entangled_ket(2)[0]
+    probs = (np.abs(np.einsum("ij,kij->k", paulis[message].conj(), paulis)) ** 2 / 4).tolist()
     marginal = partial_trace(outer(encoded), 2, 2, side="B")
     records = [
         {"message": message, "decoded": int(np.argmax(probs)), "probabilities": probs}

@@ -1,19 +1,22 @@
-"""A Choi matrix built from r < n = d_in * d_out Kraus operators is read through them.
+"""A map given by r < n = d_in * d_out Kraus operators is read through them.
 
-``to_choi`` keeps the channel's Kraus stack on the Choi matrix; ``min_eigenvalue``,
-``certify``, ``from_choi`` and ``process_fidelity`` then work on the n x r factor F
-with d_in * Omega = F F^dag.  A Choi matrix rebuilt from its entries alone, or one
-with r >= n, takes the n x n path.
+A ``KrausChannel``'s own stack, and the one ``to_choi`` keeps on the Choi matrix it
+builds, give the n x r factor F with d_in * Omega = F F^dag.  ``min_eigenvalue``,
+``certify``, ``from_choi``, ``process_fidelity`` and ``to_chi`` then work on F.  A Choi
+matrix rebuilt from its entries alone, or one with r >= n, takes the n x n path.
 """
 
 import numpy as np
 import pytest
 
+from qitools import channels
 from qitools.channels import (ChoiMatrix, KrausChannel, certify, from_choi, process_fidelity,
-                              to_choi, unitary_channel)
+                              to_chi, to_choi, unitary_channel)
+from qitools.discrimination import fidelity
 from qitools.entanglement import chsh_operator
 from qitools.linalg import _eig_tol, _herm, _kraus_columns, eigh
 from qitools.observables import stern_gerlach
+from qitools.states import _operator_stack
 
 DIMS = [(2, 2), (3, 3), (2, 3), (3, 2), (4, 2)]  # (d_in, d_out)
 
@@ -115,14 +118,63 @@ def test_rebuilt_choi_takes_the_dense_path(d_in, d_out):
             assert certify(choi) == certify(plain)
 
 
+def factor_cases(rng, d_in, d_out):
+    """Channels with r in {1, n - 1, n, n + 1} operators, and one with a duplicated operator."""
+    n = d_in * d_out
+    chs = [kraus(rng, d_in, d_out, r) for r in (1, n - 1, n, n + 1)]
+    a, b = kraus(rng, d_in, d_out, 2).kraus_ops / np.sqrt(2)
+    return chs + [KrausChannel([a, a, b])]
+
+
+def truncated_root(m):
+    """sqrt(m) from the dense eigendecomposition, rounding-level eigenvalues dropped."""
+    vals, vecs = np.linalg.eigh(m)
+    vals = np.where(vals > 1e-12 * vals.max(), vals, 0.0)
+    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+
+
 @pytest.mark.parametrize("d_in, d_out", DIMS)
 def test_process_fidelity_matches_the_dense_route(d_in, d_out):
-    rng = np.random.default_rng([d_in, d_out, 3])
-    rs = ranks(d_in, d_out)
-    for r1, r2 in zip(rs, rs[::-1]):
-        c1, c2 = to_choi(kraus(rng, d_in, d_out, r1)), to_choi(kraus(rng, d_in, d_out, r2))
-        dense = process_fidelity(rebuilt(c1), rebuilt(c2))
-        assert abs(process_fidelity(c1, c2) - dense) <= 1e-8
+    """Bit-equal to the route through to_choi's kept stacks; against the dense Choi
+    states within 1e-12 of a rank-truncated root and within 1e-8 of ``fidelity``,
+    whose square roots of rounding-level eigenvalues stand about 1e-8 off."""
+    chs = factor_cases(np.random.default_rng([d_in, d_out, 5]), d_in, d_out)
+    n = d_in * d_out
+    for ch1 in chs:
+        for ch2 in chs:
+            value = process_fidelity(ch1, ch2)
+            assert value == process_fidelity(to_choi(ch1), to_choi(ch2))
+            o1, o2 = to_choi(ch1).matrix, to_choi(ch2).matrix
+            assert abs(value - fidelity(o1, o2)) <= 1e-8
+            if len(ch1.kraus_ops) < n and len(ch2.kraus_ops) < n:
+                dense = np.linalg.svd(truncated_root(o1) @ truncated_root(o2), compute_uv=False)
+                assert abs(value - dense.sum()) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_kraus_input_chi_is_the_dense_chi(d):
+    rng = np.random.default_rng([d, 6])
+    z = rng.standard_normal((d * d,) * 2) + 1j * rng.standard_normal((d * d,) * 2)
+    mixed = np.einsum("jk,kab->jab", np.linalg.qr(z)[0], _operator_stack(d) / np.sqrt(d))
+    for basis in (None, mixed):
+        b = (_operator_stack(d) / np.sqrt(d) if basis is None else mixed).reshape(d * d, -1).T
+        for ch in factor_cases(rng, d, d):
+            dense = b.conj().T @ (d * to_choi(ch).matrix) @ b
+            assert np.abs(to_chi(ch, basis).matrix - dense).max() <= 1e-12
+
+
+def test_kraus_input_forms_no_n_by_n_choi_matrix(monkeypatch):
+    """With r < n, certify, process_fidelity and to_chi never build F F^dag."""
+    rng = np.random.default_rng(8)
+    ch1, ch2 = kraus(rng, 3, 3, 2), kraus(rng, 3, 3, 4)
+
+    def dense(ch):
+        raise AssertionError("the n x n Choi matrix was formed")
+
+    monkeypatch.setattr(channels, "_kraus_gram", dense)
+    assert certify(ch1)["choi_min_eig"] == 0.0
+    assert 0.0 <= process_fidelity(ch1, ch2) <= 1.0
+    assert to_chi(ch1).matrix.shape == (9, 9)
 
 
 def test_process_fidelity_of_unitary_channels():

@@ -172,6 +172,13 @@ def test_superdense_all_messages():
         assert np.abs(marginal - np.eye(2) / 2).max() < 1e-10
 
 
+def test_superdense_probabilities_are_exactly_one_hot():
+    """Distinct Bell kets have overlap exactly 0, so no rounding residue is printed."""
+    for message in range(4):
+        probs = superdense(message).records[0]["probabilities"]
+        assert probs == [float(k == message) for k in range(4)]
+
+
 def test_superdense_bell_kets_orthogonal():
     from qitools.entanglement import maximally_entangled_ket
 
