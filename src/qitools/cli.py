@@ -6,9 +6,9 @@ pairs.  Output is canonical JSON (or CSV for flat tables) printed with
 12 significant digits; identical seeds and flags give byte-identical
 output.  JSON stdout is, byte for byte, json.dumps(canonical payload,
 sort_keys=True, indent=2), written in one pass that encodes each record
-shared between BB84/B92 rounds once per call.  Exit codes: 0 success,
-1 stdout closed before the output was written, 2 validation failure,
-3 numeric failure.
+shared between BB84/B92 rounds once per records list.  Exit codes:
+0 success, 1 stdout closed before the output was written, 2 validation
+failure, 3 numeric failure.
 
 ``--tol`` (fallback ``QITOOLS_TOL``) is the verdict tolerance of
 certify-channel, entanglement and werner, a finite non-negative number;
@@ -248,45 +248,43 @@ _SCALAR_TEXT = {
 }
 
 
-def _encode(obj, level: int, memo: dict) -> str:
-    """``json.dumps(_canonicalize(obj), sort_keys=True, indent=2)`` for a value ``level`` deep.
-
-    ``memo`` maps ``(id(obj), level)`` of each dict, list, tuple or ndarray
-    met in one call to ``(obj, text)``, so a container shared between rounds
-    is encoded once per depth; holding ``obj`` keeps its id from being reused
-    while the memo lives.  A complex number's [re, im] pair is never memoized.
-    """
-    if isinstance(obj, (dict, list, tuple, np.ndarray)):
-        key = (id(obj), level)
-        hit = memo.get(key)
-        if hit is None:
-            text = (_encode(obj.tolist(), level, memo) if isinstance(obj, np.ndarray)
-                    else _encode_items(obj, level, memo))
-            hit = memo[key] = (obj, text)
-        return hit[1]
+def _encode(obj, level: int) -> str:
+    """``json.dumps(_canonicalize(obj), sort_keys=True, indent=2)`` for a value ``level`` deep."""
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (dict, list, tuple)):
+        return _encode_items(obj, level)
     leaf = _canonical_leaf(obj)
     text = _SCALAR_TEXT.get(type(leaf))
     if text is not None:
         return text(leaf)
-    if isinstance(leaf, list):
-        return _encode_items(leaf, level, memo)
+    if isinstance(leaf, list):  # a complex number's [re, im]
+        return _encode_items(leaf, level)
     if isinstance(leaf, str):
         return encode_basestring_ascii(leaf)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _encode_items(obj, level: int, memo: dict) -> str:
+def _encode_items(obj, level: int) -> str:
     """The text of a dict (keys as ``str``, sorted) or a list, its items ``level + 1`` deep."""
     sep = ",\n" + "  " * (level + 1)
     parts = []
     if isinstance(obj, dict):
         keyed = {str(k): v for k, v in obj.items()}  # the last of colliding keys wins
         for k in sorted(keyed):
-            parts += (sep, encode_basestring_ascii(k), ": ", _encode(keyed[k], level + 1, memo))
+            parts += (sep, encode_basestring_ascii(k), ": ", _encode(keyed[k], level + 1))
         brackets = "{}"
     else:
+        # The text of each dict, list or tuple item by id, so a record shared between
+        # rounds is encoded once per list.  The list holds its items while it is
+        # written, so no id is reused.
+        texts = {}
         for v in obj:
-            parts += (sep, _encode(v, level + 1, memo))
+            if isinstance(v, (dict, list, tuple)):
+                text = texts.get(id(v)) or texts.setdefault(id(v), _encode_items(v, level + 1))
+            else:
+                text = _encode(v, level + 1)
+            parts += (sep, text)
         brackets = "[]"
     if not parts:
         return brackets
@@ -298,7 +296,7 @@ def _encode_items(obj, level: int, memo: dict) -> str:
 
 def emit(payload: dict, fmt: str) -> str:
     if fmt == "json":
-        return _encode(payload, 0, {})
+        return _encode(payload, 0)
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -334,10 +332,11 @@ def _cmd_certify_channel(args) -> dict:
     obj = load_document(_read_json(args.infile))
     from .channels import ChoiMatrix, KrausChannel, certify
 
-    if args.rep == "kraus" and not isinstance(obj, KrausChannel):
-        raise ValidationError("document does not hold a Kraus channel")
-    if args.rep == "choi" and not isinstance(obj, ChoiMatrix):
-        raise ValidationError("document does not hold a Choi matrix")
+    kinds = {"kraus": KrausChannel, "choi": ChoiMatrix}
+    if args.rep is not None:
+        kinds = {args.rep: kinds[args.rep]}
+    if not isinstance(obj, tuple(kinds.values())):
+        raise ValidationError(f"certify-channel expects a {' or '.join(kinds)} document")
     return certify(obj, tol=args.tol)
 
 
@@ -347,7 +346,10 @@ def _cmd_entanglement(args) -> dict:
                                reduction_criterion)
     from .states import State
 
-    da, db = (int(x) for x in args.dims.split(","))
+    try:
+        da, db = (int(x) for x in args.dims.split(","))
+    except ValueError:
+        raise ValidationError(f"--dims must be two integers dA,dB, got {args.dims!r}") from None
     if isinstance(obj, State):
         obj = BipartiteState(obj, da, db)
     elif isinstance(obj, np.ndarray):
@@ -375,16 +377,28 @@ def _cmd_entanglement(args) -> dict:
     return out
 
 
+def _state_of(obj):
+    """The ``State`` a state or ket document holds, or ValidationError."""
+    from .states import State
+
+    if isinstance(obj, np.ndarray):
+        return State.from_ket(obj)
+    if not isinstance(obj, State):
+        from .entanglement import BipartiteState  # loaded already when obj is one
+
+        if not isinstance(obj, BipartiteState):
+            raise ValidationError("minimum-error discrimination expects state or ket documents")
+        obj = obj.state
+    return obj
+
+
 def _cmd_discriminate(args) -> dict:
     obj1 = load_document(_read_json(args.s1))
     obj2 = load_document(_read_json(args.s2))
     from .discrimination import helstrom, unambiguous_two_pure
-    from .states import State
 
     if args.mode == "minerror":
-        rho1 = obj1 if isinstance(obj1, State) else State.from_ket(obj1)
-        rho2 = obj2 if isinstance(obj2, State) else State.from_ket(obj2)
-        result = helstrom(rho1, rho2, eta=args.eta)
+        result = helstrom(_state_of(obj1), _state_of(obj2), eta=args.eta)
     else:
         if not (isinstance(obj1, np.ndarray) and isinstance(obj2, np.ndarray)):
             raise ValidationError("unambiguous discrimination expects ket documents")

@@ -196,16 +196,21 @@ class _SharedRecord(dict):
         return _SharedRecord, (dict(self),)
 
 
-def _round_records(templates: tuple, codes: np.ndarray) -> tuple:
-    """The shared template ``templates[c]`` for each code ``c`` of ``codes``."""
-    return tuple(map(templates.__getitem__, codes.tolist()))
-
-
 @lru_cache(maxsize=None)
-def _bb84_records() -> tuple:
-    """The 96 BB84 record templates, indexed by the mixed-radix code of
-    (alice basis, bob basis, alice bit, bob bit, eve bit 0, 1 or None, released)."""
-    return tuple(
+def _bb84_tables() -> tuple[np.ndarray, tuple]:
+    """(p_one, templates): the read-only BB84 table and the 96 round records.
+
+    p_one[bit, prepared basis, measured basis] is the probability of reading 1.
+    Basis 0 is sigma_z and basis 1 is sigma_x.  Bit x is prepared as the
+    projector of outcome x of the ``stern_gerlach`` observable along the
+    basis axis and read as that outcome.  ``templates`` is indexed by the
+    mixed-radix code of (alice basis, bob basis, alice bit, bob bit, eve bit
+    0, 1 or None, released).
+    """
+    spins = [stern_gerlach(_AXES[axis]) for axis in "zx"]
+    p_one = [[[outcome_distribution(spins[m], State(spins[b].effects[x]))[1] for m in (0, 1)]
+              for b in (0, 1)] for x in (0, 1)]
+    templates = tuple(
         _SharedRecord({
             "alice_basis": ab,
             "bob_basis": bb,
@@ -218,20 +223,7 @@ def _bb84_records() -> tuple:
         for ab, bb, xa, yb, eb, rl in product((0, 1), (0, 1), (0, 1), (0, 1), (0, 1, None),
                                               (False, True))
     )
-
-
-@lru_cache(maxsize=None)
-def _bb84_p_one() -> np.ndarray:
-    """Read-only p_one[bit, prepared basis, measured basis]: probability of reading 1.
-
-    Basis 0 is sigma_z and basis 1 is sigma_x.  Bit x is prepared as the
-    projector of outcome x of the ``stern_gerlach`` observable along the
-    basis axis and read as that outcome.
-    """
-    spins = [stern_gerlach(_AXES[axis]) for axis in "zx"]
-    p_one = [[[outcome_distribution(spins[m], State(spins[b].effects[x]))[1] for m in (0, 1)]
-              for b in (0, 1)] for x in (0, 1)]
-    return _frozen_copy(p_one, "BB84 table", dtype=float)
+    return _frozen_copy(p_one, "BB84 table", dtype=float), templates
 
 
 def bb84(rounds: int, eve: str = "none", rng=0, sample_fraction: float = 0.25) -> ProtocolReport:
@@ -247,7 +239,7 @@ def bb84(rounds: int, eve: str = "none", rng=0, sample_fraction: float = 0.25) -
     _require_unit_interval(sample_fraction, "sample_fraction")
     seed = _seed_repr(rng)
     rng = rng_from(rng)
-    p_one = _bb84_p_one()
+    p_one, templates = _bb84_tables()
     a_basis, b_basis, x = rng.integers(2, size=(3, rounds))
     sent_bit, sent_basis, eve_code = x, a_basis, 2
     if eve == "intercept_resend":
@@ -257,9 +249,9 @@ def bb84(rounds: int, eve: str = "none", rng=0, sample_fraction: float = 0.25) -
     y = (rng.random(rounds) < p_one[sent_bit, sent_basis, b_basis]).astype(int)
     sifted = a_basis == b_basis
     released = sifted & (rng.random(rounds) < sample_fraction)
-    # The index of each round's template in _bb84_records; eve_code 2 stands for None.
+    # The index of each round's template; eve_code 2 stands for None.
     codes = ((((a_basis * 2 + b_basis) * 2 + x) * 2 + y) * 3 + eve_code) * 2 + released
-    records = _round_records(_bb84_records(), codes)
+    records = tuple(map(templates.__getitem__, codes.tolist()))
     qber = float(np.mean(x[released] != y[released])) if released.any() else 0.0
     eve_fraction = (
         float(np.mean(eve_bit[sifted] == x[sifted]))
@@ -276,10 +268,13 @@ def bb84(rounds: int, eve: str = "none", rng=0, sample_fraction: float = 0.25) -
 
 
 @lru_cache(maxsize=64)
-def _b92_table(overlap: float) -> tuple[tuple, np.ndarray]:
-    """(outcomes, read-only cdf) of the unambiguous B92 measurement at ``overlap``.
+def _b92_tables(overlap: float) -> tuple[np.ndarray, tuple, np.ndarray]:
+    """(cdf, templates, bob_bits) of the unambiguous B92 measurement at ``overlap``.
 
-    cdf[bit] is the cumulative outcome distribution of the state Alice sends.
+    cdf[bit], read-only, is the cumulative outcome distribution of the state
+    Alice sends.  ``templates`` holds the record of Alice's bit x and the
+    measurement's k-th outcome at entry x * cdf.shape[1] + k, and the read-only
+    ``bob_bits`` Bob's bit of each, -1 where inconclusive.
     """
     from .discrimination import unambiguous_two_pure
 
@@ -289,26 +284,14 @@ def _b92_table(overlap: float) -> tuple[tuple, np.ndarray]:
     povm = unambiguous_two_pure(psi0, psi1).povm
     cdf = np.cumsum([outcome_distribution(povm, State.from_ket(k)) for k in (psi0, psi1)], axis=1)
     cdf /= cdf[:, -1:]  # close the last bin at 1, so every u in [0, 1) lands in range
-    return povm.outcomes, _frozen_copy(cdf, "B92 table", dtype=float)
-
-
-@lru_cache(maxsize=64)
-def _b92_records(overlap: float) -> tuple:
-    """The B92 record templates at ``overlap``: entry x * len(outcomes) + k
-    for Alice's bit x and the k-th outcome of ``_b92_table(overlap)``."""
-    outcomes = _b92_table(overlap)[0]
-    return tuple(
+    templates = tuple(
         _SharedRecord({"alice_bit": xa, "outcome": o, "bob_bit": None if o == "?" else int(o) - 1})
         for xa in (0, 1)
-        for o in outcomes
+        for o in povm.outcomes
     )
-
-
-@lru_cache(maxsize=64)
-def _b92_bob_bits(overlap: float) -> np.ndarray:
-    """Read-only Bob's bit of each ``_b92_records(overlap)`` template, -1 where inconclusive."""
-    return _frozen_copy([-1 if r["bob_bit"] is None else r["bob_bit"]
-                         for r in _b92_records(overlap)], "B92 bit table", dtype=int)
+    bob_bits = [-1 if r["bob_bit"] is None else r["bob_bit"] for r in templates]
+    return (_frozen_copy(cdf, "B92 table", dtype=float), templates,
+            _frozen_copy(bob_bits, "B92 bit table", dtype=int))
 
 
 def b92(rounds: int, overlap: float, rng=0) -> ProtocolReport:
@@ -322,14 +305,13 @@ def b92(rounds: int, overlap: float, rng=0) -> ProtocolReport:
         raise ValueError("overlap must lie in [0, 1)")
     seed = _seed_repr(rng)
     rng = rng_from(rng)
-    outcomes, cdf = _b92_table(float(overlap))
-    templates = _b92_records(float(overlap))
+    cdf, templates, bob_bits = _b92_tables(float(overlap))
     x = rng.integers(2, size=rounds)
     idx = (rng.random(rounds)[:, None] >= cdf[x]).sum(axis=1)
-    codes = x * len(outcomes) + idx
-    bob = _b92_bob_bits(float(overlap))[codes]
+    codes = x * cdf.shape[1] + idx
+    bob = bob_bits[codes]
     conclusive = bob >= 0
-    records = _round_records(templates, codes)
+    records = tuple(map(templates.__getitem__, codes.tolist()))
     summary = {
         "conclusive_rate": int(conclusive.sum()) / rounds,
         "conclusive_errors": int((conclusive & (bob != x)).sum()),

@@ -13,7 +13,7 @@ from qitools.entanglement import (BipartiteState, certify_witness, chsh_operator
                                   witness_evaluate)
 from qitools.instruments import MeasurementModel, instrument_to_normal_memo, luders
 from qitools.observables import Effect, Povm, stern_gerlach
-from qitools.protocols import (Processor, ShiftMultiplyBasis, _b92_table, b92,
+from qitools.protocols import (Processor, ShiftMultiplyBasis, _b92_tables, b92,
                                controlled_unitary_processor)
 from qitools.states import PAULI_X, BlochVector, State
 
@@ -131,11 +131,12 @@ def test_schmidt_data_holds_frozen_copies():
 
 def test_b92_reads_one_read_only_table_per_overlap():
     b92(10, 0.5, rng=0)
-    outcomes, cdf = _b92_table(0.5)
+    cdf, templates, _ = _b92_tables(0.5)
     b92(10, 0.5, rng=1)
-    assert _b92_table(0.5)[1] is cdf
-    assert outcomes == ("1", "2", "?") and not cdf.flags.writeable
-    assert _b92_table.cache_info().maxsize is not None
+    assert _b92_tables(0.5)[0] is cdf
+    outcomes = [r["outcome"] for r in templates[:cdf.shape[1]]]
+    assert outcomes == ["1", "2", "?"] and not cdf.flags.writeable
+    assert _b92_tables.cache_info().maxsize is not None
 
 
 CARRIERS = {

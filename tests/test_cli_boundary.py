@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qitools.cli import (_MAX_DEMO_DIM, _MAX_DIM, _MAX_ENTRIES, _MAX_ROUNDS, _MAX_WERNER_DIM,
-                         ValidationError, load_document, run)
+                         ValidationError, dump_document, load_document, run)
 from qitools.discrimination import unambiguous_mixture_povm, unambiguous_two_pure
 from qitools.entanglement import BipartiteState
 from qitools.linalg import NumericError
+from qitools.observables import Effect, stern_gerlach
 from qitools.states import State
 from seeded_corpus import CORPUS
 
@@ -341,3 +342,28 @@ def test_every_corpus_document_is_well_under_the_cap():
         doc = json.loads(path.read_text())
         rows = [doc.get("entries", [])] + doc.get("effects", []) + doc.get("operators", [])
         assert 64 * sum(map(len, rows)) <= _MAX_ENTRIES, path.name
+
+
+def test_a_document_of_the_wrong_kind_exits_2(tmp_path, capsys):
+    """Each document-reading command on every document kind: a result or exit 2, never a crash."""
+    docs = sorted(str(p) for p in CORPUS.glob("*.json") if p.name != "stdout.json")
+    for name, obj in (("effect", Effect(np.eye(2) / 2)), ("povm", stern_gerlach([0, 0, 1]))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(dump_document(obj)))
+        docs.append(str(path))
+    commands = [argv for doc in docs for argv in (["certify-channel", "--in", doc],
+                                                  ["entanglement", "--in", doc, "--dims", "2,2"])]
+    commands += [["discriminate", "--s1", s1, "--s2", s2, "--mode", mode]
+                 for s1 in docs for s2 in docs for mode in ("minerror", "unambiguous")]
+    for argv in commands:
+        code = run(argv)
+        out = capsys.readouterr().out
+        assert code in (0, 2), argv
+        assert code == 0 or out == "", argv
+
+
+def test_entanglement_names_a_malformed_dims_flag(capsys):
+    for dims in ("2", "a,b", "2,2,2"):
+        assert run(["entanglement", "--in", str(CORPUS / "noisy_bell.state.json"),
+                    "--dims", dims]) == 2
+        assert error_detail(capsys) == f"--dims must be two integers dA,dB, got {dims!r}"

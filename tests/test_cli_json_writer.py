@@ -1,8 +1,9 @@
 """The CLI's JSON writer prints exactly what ``json.dumps`` prints for the canonical payload.
 
 ``cli.emit(payload, "json")`` writes the ``indent=2``, ``sort_keys`` text in
-one pass and encodes each shared container once per depth.  ``reference``
-below is the expression it replaced, kept here as the byte contract.
+one pass and encodes a record that recurs in a list, such as a shared BB84
+round, once per records list.  ``reference`` below is the expression it
+replaced, kept here as the byte contract.
 """
 
 import json
@@ -17,7 +18,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from qitools import cli
 from qitools.channels import KrausChannel, to_choi
 from qitools.cli import _canonicalize, dump_document, emit
-from qitools.protocols import bb84
+from qitools.protocols import bb84, private_quantum_channel
 from qitools.states import State
 from seeded_corpus import COMMANDS, ROOT
 
@@ -182,9 +183,9 @@ _PAYLOADS = st.recursive(
 @given(_PAYLOADS)
 def test_generated_payloads_print_the_reference(payload):
     assert emit(payload, "json") == reference(payload)
-    # The same value at depths 1 (twice), 2 and 3: its text is reused at one
-    # depth and written anew at each other.
-    again = {"a": payload, "b": [payload, {"c": payload}], "d": payload}
+    # The same value at depths 1 (twice), 2 and 3, and twice in one list: that list
+    # encodes it once, as it does a records list, and each other occurrence anew.
+    again = {"a": payload, "b": [payload, {"c": payload}, payload], "d": payload}
     assert emit(again, "json") == reference(again)
 
 
@@ -203,3 +204,32 @@ def test_a_long_bb84_report_is_written_in_a_few_times_its_length():
     # About 2x: the records' text and the report's.  Canonicalizing one dict
     # per round before encoding, as json.dumps needs, peaks at about 9x.
     assert peak <= 6 * len(out), peak / len(out)
+
+
+def test_a_long_pqc_report_is_written_in_a_few_times_its_length():
+    payload = private_quantum_channel(10, 20_000, rng=7).to_dict()
+    tracemalloc.start()
+    try:
+        out = emit(payload, "json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Every record is its own dict, so nothing is shared: the records' text, the
+    # report's and the records list's memo of ids.  Memoizing every container
+    # of the call, each entry holding its object, peaked at about 8.4x.
+    assert peak <= 4 * len(out), peak / len(out)
+
+
+def test_a_shared_record_is_encoded_once_per_records_list(monkeypatch):
+    payload = bb84(2000, eve="intercept_resend", rng=7).to_dict()
+    records = []
+
+    def spy(obj, level):
+        if isinstance(obj, dict) and "alice_basis" in obj:
+            records.append(obj)
+        return encode_items(obj, level)
+
+    encode_items = cli._encode_items
+    monkeypatch.setattr(cli, "_encode_items", spy)
+    assert emit(payload, "json") == reference(payload)
+    assert len(records) <= 96

@@ -13,9 +13,8 @@ import pytest
 from qitools.channels import KrausChannel
 from qitools.entanglement import _TWIRL_BATCH, _TWIRL_BLOCK, twirl, twirl_monte_carlo
 from qitools.linalg import ATOL, dag, is_unitary, tensor
-from qitools.protocols import (_PQC_BATCH, _b92_bob_bits, _b92_records, _b92_table,
-                               _bb84_p_one, _bb84_records, _shift_multiply, b92, bb84,
-                               private_quantum_channel)
+from qitools.protocols import (_PQC_BATCH, _b92_tables, _bb84_tables, _shift_multiply, b92,
+                               bb84, private_quantum_channel)
 from qitools.rand import (_gram_schmidt, _haar_columns, _haar_normals, haar_unitaries,
                           haar_unitary, random_density, random_kets, random_kraus_ops)
 
@@ -189,13 +188,13 @@ def test_twirl_monte_carlo_accepts_numpy_integer_samples():
 
 
 def test_bb84_table_is_built_once_and_read_only():
-    _bb84_p_one.cache_clear()
+    _bb84_tables.cache_clear()
     cold = [bb84(500, eve=eve, rng=3).to_dict() for eve in ("none", "intercept_resend")]
-    table = _bb84_p_one()
+    table = _bb84_tables()[0]
     warm = [bb84(500, eve=eve, rng=3).to_dict() for eve in ("none", "intercept_resend")]
     assert cold == warm
-    assert _bb84_p_one() is table
-    assert _bb84_p_one.cache_info().misses == 1
+    assert _bb84_tables()[0] is table
+    assert _bb84_tables.cache_info().misses == 1
     assert not table.flags.writeable
     with pytest.raises(ValueError):
         table[0, 0, 0] = 1.0
@@ -253,7 +252,7 @@ def test_b92_records_agree_with_summary():
 
 def bb84_reference(rounds, eve, seed, sample_fraction):
     rng = np.random.default_rng(seed)
-    p_one = _bb84_p_one()
+    p_one = _bb84_tables()[0]
     a_basis, b_basis, x = rng.integers(2, size=(3, rounds))
     sent_bit, sent_basis, eve_col = x, a_basis, [None] * rounds
     if eve == "intercept_resend":
@@ -282,7 +281,8 @@ def bb84_reference(rounds, eve, seed, sample_fraction):
 
 def b92_reference(rounds, overlap, seed):
     rng = np.random.default_rng(seed)
-    outcomes, cdf = _b92_table(float(overlap))
+    cdf = _b92_tables(float(overlap))[0]
+    outcomes = ("1", "2", "?")  # those of unambiguous_two_pure, in the order of cdf
     x = rng.integers(2, size=rounds)
     idx = (rng.random(rounds)[:, None] >= cdf[x]).sum(axis=1)
     bob_of = [None if o == "?" else int(o) - 1 for o in outcomes]
@@ -389,8 +389,9 @@ def test_bb84_rounds_share_the_templates():
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert len({id(r) for r in rep.records}) <= len(_bb84_records()) == 96
-    assert all(any(r is t for t in _bb84_records()) for r in rep.records[:200])
+    templates = _bb84_tables()[1]
+    assert len({id(r) for r in rep.records}) <= len(templates) == 96
+    assert all(any(r is t for t in templates) for r in rep.records[:200])
     # One pointer per round; a dict per round held about 28 MB.
     assert held < 4e6
 
@@ -418,22 +419,23 @@ def test_pqc_chunks_decode_the_whole_stream(d):
 
 def test_b92_bob_bits_follow_the_templates():
     for overlap in (0.0, 0.3, 0.9):
-        bits = _b92_bob_bits(overlap)
+        _, templates, bits = _b92_tables(overlap)
         assert not bits.flags.writeable
         assert bits.tolist() == [-1 if r["bob_bit"] is None else r["bob_bit"]
-                                 for r in _b92_records(overlap)]
+                                 for r in templates]
 
 
 def test_record_templates_are_built_once_per_process():
-    _bb84_records.cache_clear()
-    _b92_records.cache_clear()
+    _bb84_tables.cache_clear()
+    _b92_tables.cache_clear()
     for seed in range(3):
         for eve in ("none", "intercept_resend"):
             bb84(200, eve=eve, rng=seed)
         for overlap in (0.3, 0.5):
             b92(200, overlap, rng=seed)
-    assert _bb84_records.cache_info().misses == 1
-    assert len(_bb84_records()) == 96
-    assert _b92_records.cache_info().misses == 2
-    assert _b92_records.cache_info().maxsize is not None
-    assert len(_b92_records(0.5)) == 2 * len(_b92_table(0.5)[0])
+    assert _bb84_tables.cache_info().misses == 1
+    assert len(_bb84_tables()[1]) == 96
+    assert _b92_tables.cache_info().misses == 2
+    assert _b92_tables.cache_info().maxsize is not None
+    cdf, templates, _ = _b92_tables(0.5)
+    assert len(templates) == 2 * cdf.shape[1]

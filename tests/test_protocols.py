@@ -189,10 +189,10 @@ def test_superdense_bell_kets_orthogonal():
 
 
 def test_bb84_table_reads_the_stern_gerlach_projectors_exactly():
-    from qitools.protocols import _bb84_p_one
+    from qitools.protocols import _bb84_tables
 
     # p_one[bit, prepared basis, measured basis], basis 0 = sigma_z, 1 = sigma_x.
-    assert _bb84_p_one().tolist() == [[[0.0, 0.5], [0.5, 0.0]], [[1.0, 0.5], [0.5, 1.0]]]
+    assert _bb84_tables()[0].tolist() == [[[0.0, 0.5], [0.5, 0.0]], [[1.0, 0.5], [0.5, 1.0]]]
 
 
 def test_bb84_without_eve():
