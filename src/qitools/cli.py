@@ -356,6 +356,9 @@ def _cmd_entanglement(args) -> dict:
         obj = BipartiteState(State.from_ket(obj), da, db)
     if not isinstance(obj, BipartiteState):
         raise ValidationError("entanglement tests need a state document")
+    if (obj.dA, obj.dB) != (da, db):
+        raise ValidationError(f"--dims {da},{db} contradicts the document's bipartite_dims "
+                              f"{obj.dA},{obj.dB}")
     tests = args.tests.split(",") if args.tests else ["ppt", "reduction"]
     out = {}
     for test in tests:

@@ -39,10 +39,11 @@ def prob_distances(p, q) -> tuple[float, float, float]:
 
 
 def _state_pair(rho1, rho2, stacks: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """The matrices of two states on one space; with ``stacks`` either may be an (n, d, d) stack."""
+    """The matrices, or kets, of two states on one space; with ``stacks`` either may be
+    an (n, d, d) stack."""
     m1, m2 = _as_matrix(rho1), _as_matrix(rho2)
     if m1.shape[-2:] != m2.shape[-2:] or not (stacks or m1.shape == m2.shape):
-        raise ValueError("states must share a dimension")
+        raise ValueError(f"states must share a dimension, got shapes {m1.shape} and {m2.shape}")
     return m1, m2
 
 
@@ -79,7 +80,7 @@ def helstrom(rho1, rho2, eta: float = 0.5) -> DiscriminationResult:
     conclusions.
     """
     _require_prior(eta)
-    m1, m2 = _as_matrix(rho1), _as_matrix(rho2)
+    m1, m2 = _state_pair(rho1, rho2)
     gap = eta * m1 - (1 - eta) * m2
     vals, vecs = eigh(gap)
     d = m1.shape[0]
@@ -114,7 +115,7 @@ def unambiguous_two_pure(psi1, psi2, eta: float = 0.5) -> DiscriminationResult:
     1 - |<psi1|psi2>|.
     """
     _require_prior(eta)
-    v1, v2 = unit_ket(psi1), unit_ket(psi2)
+    v1, v2 = _state_pair(unit_ket(psi1), unit_ket(psi2))
     overlap = abs(inner(v1, v2))
     if overlap > 1 - 1e-12:
         raise ValueError("states identical - nothing to discriminate")
@@ -140,7 +141,7 @@ def unambiguous_mixture_povm(psi1, psi2, q: float, eta: float = 0.5) -> Discrimi
     if not 0 < q < 1:
         raise ValueError("mixing weight must satisfy 0 < q < 1")
     _require_prior(eta)
-    v1, v2 = unit_ket(psi1), unit_ket(psi2)
+    v1, v2 = _state_pair(unit_ket(psi1), unit_ket(psi2))
     rho1, rho2 = outer(v1), outer(v2)
     eye = np.eye(v1.shape[0])
     c1 = q * (eye - rho2)
@@ -169,7 +170,7 @@ def unambiguous_feasible(rho1, rho2, tol: float = ATOL) -> tuple[bool, bool]:
     State 1 is identifiable iff its support is not contained in the
     support of state 2 (and symmetrically).
     """
-    m1, m2 = _as_matrix(rho1), _as_matrix(rho2)
+    m1, m2 = _state_pair(rho1, rho2)
 
     def support_cols(m):
         vals, vecs = eigh(m)

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 from typing import TYPE_CHECKING
 
@@ -26,18 +28,61 @@ def _seed_repr(rng_arg) -> object:
     return rng_arg
 
 
+class _RoundColumns(Sequence):
+    """A report's records kept as read-only columns, one entry per round.
+
+    Item i is ``row(*(column[i] for column in columns))``, built when it is
+    read.  Indexing takes negative and numpy integers, a slice gives a tuple,
+    and the sequence equals a tuple, list or ``_RoundColumns`` of equal items.
+    """
+
+    __slots__ = ("_row", "_columns")
+
+    def __init__(self, row, *columns):
+        self._row = row
+        self._columns = tuple(_frozen_copy(c, "round column", dtype=c.dtype, finite=True)
+                              for c in columns)
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self._row, *(c[i].tolist() for c in self._columns)))
+        i = operator.index(i)
+        return self._row(*(c.item(i) for c in self._columns))
+
+    def __iter__(self):
+        return map(self._row, *(c.tolist() for c in self._columns))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (tuple, list, _RoundColumns)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    def __reduce__(self):
+        return _RoundColumns, (self._row, *self._columns)
+
+
 @dataclass(frozen=True)
 class ProtocolReport:
     """Simulation record: per-round data plus summary statistics and the seed.
 
-    BB84 and B92 rounds share their records: each is one of a few read-only
-    dicts, built once per process, so ``dict(record)`` gives a mutable copy.
-    The records of every other protocol are fresh dicts.
+    BB84, B92 and the private quantum channel keep their rounds as read-only
+    columns: ``records`` is a read-only sequence that builds each record when
+    it is read.  A BB84 or B92 record is one of a few read-only dicts, built
+    once per process and shared by the rounds, so ``dict(record)`` gives a
+    mutable copy; a private-quantum-channel record is a fresh dict on each
+    read, so editing it leaves the report as it was.  The records of every
+    other protocol are a tuple of fresh dicts.
     """
 
     protocol: str
     rounds: int
-    records: tuple
+    records: Sequence
     summary: dict
     seed: object
 
@@ -177,7 +222,7 @@ def superdense(message: int, rng=0) -> ProtocolReport:
 # ---------------------------------------------------------------------------
 
 # A BB84 or B92 round's record is one of a few templates, built once per
-# process and shared by every report: a round holds a reference, not a copy.
+# process and shared by every report: a round holds the template's index.
 # The templates are read-only dicts, so no caller can change another's rounds.
 
 class _SharedRecord(dict):
@@ -251,7 +296,7 @@ def bb84(rounds: int, eve: str = "none", rng=0, sample_fraction: float = 0.25) -
     released = sifted & (rng.random(rounds) < sample_fraction)
     # The index of each round's template; eve_code 2 stands for None.
     codes = ((((a_basis * 2 + b_basis) * 2 + x) * 2 + y) * 3 + eve_code) * 2 + released
-    records = tuple(map(templates.__getitem__, codes.tolist()))
+    records = _RoundColumns(templates.__getitem__, codes)
     qber = float(np.mean(x[released] != y[released])) if released.any() else 0.0
     eve_fraction = (
         float(np.mean(eve_bit[sifted] == x[sifted]))
@@ -311,7 +356,7 @@ def b92(rounds: int, overlap: float, rng=0) -> ProtocolReport:
     codes = x * cdf.shape[1] + idx
     bob = bob_bits[codes]
     conclusive = bob >= 0
-    records = tuple(map(templates.__getitem__, codes.tolist()))
+    records = _RoundColumns(templates.__getitem__, codes)
     summary = {
         "conclusive_rate": int(conclusive.sum()) / rounds,
         "conclusive_errors": int((conclusive & (bob != x)).sum()),
@@ -353,16 +398,18 @@ def private_quantum_channel(d: int, n_messages: int, rng=0) -> ProtocolReport:
         decoded = u.conj().transpose(0, 2, 1) @ cipher  # phi = U^dag c
         # F(phi phi^dag, psi psi^dag) = |<psi|phi>|, per message ket.
         fidelities[lo:lo + _PQC_BATCH] = np.abs((psi.conj() * decoded[:, :, 0]).sum(axis=1))
-    records = [
-        {"key": list(basis.keys[j]), "decode_fidelity": f}
-        for j, f in zip(picks.tolist(), fidelities.tolist())
-    ]
+    records = _RoundColumns(partial(_pqc_record, basis.keys), picks, fidelities)
     summary = {
         "keyless_choi_deviation": _pqc_keyless_gap(d),
-        "min_decode_fidelity": min(r["decode_fidelity"] for r in records) if records else 1.0,
+        "min_decode_fidelity": float(fidelities.min()) if n_messages else 1.0,
         "key_bits_total": 2 * n_messages * np.log2(d),
     }
-    return ProtocolReport("private_quantum_channel", n_messages, tuple(records), summary, seed)
+    return ProtocolReport("private_quantum_channel", n_messages, records, summary, seed)
+
+
+def _pqc_record(keys: tuple, pick: int, fidelity: float) -> dict:
+    """The record of a message sent with key ``keys[pick]``."""
+    return {"key": list(keys[pick]), "decode_fidelity": fidelity}
 
 
 @lru_cache(maxsize=16)

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from qitools.cli import (_MAX_DEMO_DIM, _MAX_DIM, _MAX_ENTRIES, _MAX_ROUNDS, _MAX_WERNER_DIM,
                          ValidationError, dump_document, load_document, run)
-from qitools.discrimination import unambiguous_mixture_povm, unambiguous_two_pure
+from qitools.discrimination import (helstrom, unambiguous_feasible, unambiguous_mixture_povm,
+                                     unambiguous_two_pure)
 from qitools.entanglement import BipartiteState
 from qitools.linalg import NumericError
 from qitools.observables import Effect, stern_gerlach
@@ -367,3 +368,38 @@ def test_entanglement_names_a_malformed_dims_flag(capsys):
         assert run(["entanglement", "--in", str(CORPUS / "noisy_bell.state.json"),
                     "--dims", dims]) == 2
         assert error_detail(capsys) == f"--dims must be two integers dA,dB, got {dims!r}"
+
+
+@pytest.mark.parametrize("mode, s1, s2, shapes", [
+    ("minerror", "mixed_a.state.json", "noisy_bell.state.json", "(2, 2) and (4, 4)"),
+    ("unambiguous", "mef.ket.json", "tilted.ket.json", "(9, 1) and (2, 1)"),
+])
+def test_discriminate_names_documents_of_different_dimensions(capsys, mode, s1, s2, shapes):
+    argv = ["discriminate", "--s1", str(CORPUS / s1), "--s2", str(CORPUS / s2), "--mode", mode]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["detail"] == (
+        f"states must share a dimension, got shapes {shapes}")
+
+
+def test_each_two_state_scheme_rejects_a_dimension_mismatch():
+    ket2, ket3 = np.array([1, 0]), np.array([0, 1, 0])
+    calls = [lambda: helstrom(np.eye(2) / 2, np.eye(3) / 3),
+             lambda: unambiguous_feasible(np.eye(2) / 2, np.eye(3) / 3),
+             lambda: unambiguous_two_pure(ket2, ket3),
+             lambda: unambiguous_mixture_povm(ket2, ket3, 0.5)]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^states must share a dimension, got shapes \("):
+            call()
+
+
+def test_entanglement_rejects_dims_that_contradict_the_document(capsys):
+    doc = str(CORPUS / "noisy_bell.state.json")  # bipartite_dims [2, 2]
+    for dims in ("1,2", "4,1"):
+        assert run(["entanglement", "--in", doc, "--dims", dims]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["detail"] == (
+            f"--dims {dims} contradicts the document's bipartite_dims 2,2")
+    assert run(["entanglement", "--in", doc, "--dims", "2,2"]) == 0

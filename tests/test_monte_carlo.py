@@ -334,7 +334,8 @@ def test_pqc_records_match_the_numpy_scalar_reference(d):
     for seed in range(10):
         rep = private_quantum_channel(d, 40, rng=seed)
         assert_same_records(rep.records, pqc_reference(d, 40, seed))
-        assert len({id(r["key"]) for r in rep.records}) == len(rep.records)
+        recs = list(rep.records)
+        assert len({id(r["key"]) for r in recs}) == len(recs)
 
 
 SHARED_PROTOCOLS = [
@@ -393,6 +394,71 @@ def test_bb84_rounds_share_the_templates():
     assert len({id(r) for r in rep.records}) <= len(templates) == 96
     assert all(any(r is t for t in templates) for r in rep.records[:200])
     # One pointer per round; a dict per round held about 28 MB.
+    assert held < 4e6
+
+
+# BB84, B92 and the private quantum channel keep their rounds as read-only
+# columns; ``records`` builds each item when it is read.
+COLUMN_PROTOCOLS = SHARED_PROTOCOLS + [
+    (lambda: private_quantum_channel(3, 300, rng=4), lambda: pqc_reference(3, 300, 4)),
+]
+
+
+@pytest.mark.parametrize("protocol, reference", COLUMN_PROTOCOLS)
+def test_column_records_index_like_a_tuple(protocol, reference):
+    records, expected = protocol().records, reference()
+    n = len(expected)
+    assert len(records) == n
+    for i in (0, 7, n - 1, -1, -n, np.int64(5), np.int32(-3), np.uint8(200)):
+        assert_same_records([records[i]], [expected[i]])
+    for cut in (slice(2, 9), slice(None, None, -37), slice(n, None), slice(-5, None)):
+        part = records[cut]
+        assert type(part) is tuple
+        assert_same_records(part, expected[cut])
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            records[i]
+    with pytest.raises(TypeError):
+        records[1.0]
+
+
+@pytest.mark.parametrize("protocol, reference", COLUMN_PROTOCOLS)
+def test_column_records_iterate_again_and_compare_both_ways(protocol, reference):
+    records, expected = protocol().records, reference()
+    first, second = list(records), list(records)
+    assert_same_records(first, expected)
+    assert first == second
+    for other in (expected, tuple(expected), protocol().records):
+        assert records == other and other == records
+        assert not (records != other or other != records)
+    for other in (expected[:-1], expected[1:] + expected[:1], (), "not records"):
+        assert records != other and other != records
+
+
+def test_pqc_records_round_trip():
+    test_shared_records_round_trip(*COLUMN_PROTOCOLS[-1])
+
+
+def test_a_pqc_record_is_a_fresh_dict_on_each_read():
+    rep = private_quantum_channel(3, 10, rng=1)
+    record = rep.records[0]
+    record["decode_fidelity"] = 0.0
+    record["key"].append(9)
+    assert rep.records[0] is not rep.records[0]
+    assert_same_records(rep.records, pqc_reference(3, 10, 1))
+
+
+def test_a_long_pqc_report_holds_two_columns():
+    private_quantum_channel(10, 1)  # build the per-d tables outside the trace
+    tracemalloc.start()
+    try:
+        rep = private_quantum_channel(10, 100_000, rng=3)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(rep.records) == 100_000
+    # A key index and a fidelity per message (1.6 MB); a dict and a list per
+    # message held about 29 MB.
     assert held < 4e6
 
 
