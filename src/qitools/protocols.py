@@ -5,7 +5,7 @@ from __future__ import annotations
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import product
 from typing import TYPE_CHECKING
 
@@ -28,35 +28,39 @@ def _seed_repr(rng_arg) -> object:
     return rng_arg
 
 
-class _RoundColumns(Sequence):
-    """A report's records kept as read-only columns, one entry per round.
+class _PqcRecords(Sequence):
+    """A private-quantum-channel report's records, kept as two read-only columns.
 
-    Item i is ``row(*(column[i] for column in columns))``, built when it is
-    read.  Indexing takes negative and numpy integers, a slice gives a tuple,
-    and the sequence equals a tuple, list or ``_RoundColumns`` of equal items.
+    Record i is a fresh ``{"key": list(keys[picks[i]]), "decode_fidelity":
+    fidelities[i]}``, built when it is read.  Indexing takes negative and
+    numpy integers, a slice gives a tuple, and the sequence equals a tuple,
+    list or ``_PqcRecords`` of equal records.
     """
 
-    __slots__ = ("_row", "_columns")
+    __slots__ = ("_keys", "_picks", "_fidelities")
 
-    def __init__(self, row, *columns):
-        self._row = row
-        self._columns = tuple(_frozen_copy(c, "round column", dtype=c.dtype, finite=True)
-                              for c in columns)
+    def __init__(self, keys: tuple, picks, fidelities):
+        self._keys = keys
+        self._picks = _frozen_copy(picks, "key pick", dtype=int, finite=True)
+        self._fidelities = _frozen_copy(fidelities, "decode fidelity", dtype=float, finite=True)
+
+    def _record(self, pick: int, fidelity: float) -> dict:
+        return {"key": list(self._keys[pick]), "decode_fidelity": fidelity}
 
     def __len__(self) -> int:
-        return len(self._columns[0])
+        return len(self._picks)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return tuple(map(self._row, *(c[i].tolist() for c in self._columns)))
+            return tuple(map(self._record, self._picks[i].tolist(), self._fidelities[i].tolist()))
         i = operator.index(i)
-        return self._row(*(c.item(i) for c in self._columns))
+        return self._record(self._picks.item(i), self._fidelities.item(i))
 
     def __iter__(self):
-        return map(self._row, *(c.tolist() for c in self._columns))
+        return map(self._record, self._picks.tolist(), self._fidelities.tolist())
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, (tuple, list, _RoundColumns)):
+        if not isinstance(other, (tuple, list, _PqcRecords)):
             return NotImplemented
         return len(self) == len(other) and all(map(operator.eq, self, other))
 
@@ -64,20 +68,21 @@ class _RoundColumns(Sequence):
         return repr(tuple(self))
 
     def __reduce__(self):
-        return _RoundColumns, (self._row, *self._columns)
+        return _PqcRecords, (self._keys, self._picks, self._fidelities)
 
 
 @dataclass(frozen=True)
 class ProtocolReport:
     """Simulation record: per-round data plus summary statistics and the seed.
 
-    BB84, B92 and the private quantum channel keep their rounds as read-only
-    columns: ``records`` is a read-only sequence that builds each record when
-    it is read.  A BB84 or B92 record is one of a few read-only dicts, built
-    once per process and shared by the rounds, so ``dict(record)`` gives a
-    mutable copy; a private-quantum-channel record is a fresh dict on each
-    read, so editing it leaves the report as it was.  The records of every
-    other protocol are a tuple of fresh dicts.
+    ``records`` is a tuple, except for the private quantum channel.  BB84 and
+    B92 rounds share their records: each is one of a few read-only dicts,
+    built once per process, so ``dict(record)`` gives a mutable copy.  The
+    private quantum channel keeps its rounds as two read-only columns, and
+    its ``records`` is a read-only sequence (no concatenation, repetition or
+    hash; ``tuple(records)`` gives a tuple) that builds a fresh dict each
+    time a record is read, so editing one leaves the report as it was.  The
+    records of every other protocol are fresh dicts.
     """
 
     protocol: str
@@ -222,8 +227,10 @@ def superdense(message: int, rng=0) -> ProtocolReport:
 # ---------------------------------------------------------------------------
 
 # A BB84 or B92 round's record is one of a few templates, built once per
-# process and shared by every report: a round holds the template's index.
-# The templates are read-only dicts, so no caller can change another's rounds.
+# process and shared by every report: a round holds a reference, not a copy.
+# The templates are read-only dicts in a read-only object array, so no caller
+# can change another's rounds, and a report gathers its rounds' references in
+# one indexing call.
 
 class _SharedRecord(dict):
     """A read-only dict shared between rounds; ``dict(record)`` is a mutable copy."""
@@ -242,15 +249,15 @@ class _SharedRecord(dict):
 
 
 @lru_cache(maxsize=None)
-def _bb84_tables() -> tuple[np.ndarray, tuple]:
+def _bb84_tables() -> tuple[np.ndarray, np.ndarray]:
     """(p_one, templates): the read-only BB84 table and the 96 round records.
 
     p_one[bit, prepared basis, measured basis] is the probability of reading 1.
     Basis 0 is sigma_z and basis 1 is sigma_x.  Bit x is prepared as the
     projector of outcome x of the ``stern_gerlach`` observable along the
-    basis axis and read as that outcome.  ``templates`` is indexed by the
-    mixed-radix code of (alice basis, bob basis, alice bit, bob bit, eve bit
-    0, 1 or None, released).
+    basis axis and read as that outcome.  ``templates``, a read-only object
+    array, is indexed by the mixed-radix code of (alice basis, bob basis,
+    alice bit, bob bit, eve bit 0, 1 or None, released).
     """
     spins = [stern_gerlach(_AXES[axis]) for axis in "zx"]
     p_one = [[[outcome_distribution(spins[m], State(spins[b].effects[x]))[1] for m in (0, 1)]
@@ -268,7 +275,8 @@ def _bb84_tables() -> tuple[np.ndarray, tuple]:
         for ab, bb, xa, yb, eb, rl in product((0, 1), (0, 1), (0, 1), (0, 1), (0, 1, None),
                                               (False, True))
     )
-    return _frozen_copy(p_one, "BB84 table", dtype=float), templates
+    return (_frozen_copy(p_one, "BB84 table", dtype=float),
+            _frozen_copy(templates, "BB84 records", dtype=object, finite=True))
 
 
 def bb84(rounds: int, eve: str = "none", rng=0, sample_fraction: float = 0.25) -> ProtocolReport:
@@ -296,7 +304,7 @@ def bb84(rounds: int, eve: str = "none", rng=0, sample_fraction: float = 0.25) -
     released = sifted & (rng.random(rounds) < sample_fraction)
     # The index of each round's template; eve_code 2 stands for None.
     codes = ((((a_basis * 2 + b_basis) * 2 + x) * 2 + y) * 3 + eve_code) * 2 + released
-    records = _RoundColumns(templates.__getitem__, codes)
+    records = tuple(templates[codes].tolist())
     qber = float(np.mean(x[released] != y[released])) if released.any() else 0.0
     eve_fraction = (
         float(np.mean(eve_bit[sifted] == x[sifted]))
@@ -313,13 +321,14 @@ def bb84(rounds: int, eve: str = "none", rng=0, sample_fraction: float = 0.25) -
 
 
 @lru_cache(maxsize=64)
-def _b92_tables(overlap: float) -> tuple[np.ndarray, tuple, np.ndarray]:
+def _b92_tables(overlap: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(cdf, templates, bob_bits) of the unambiguous B92 measurement at ``overlap``.
 
     cdf[bit], read-only, is the cumulative outcome distribution of the state
-    Alice sends.  ``templates`` holds the record of Alice's bit x and the
-    measurement's k-th outcome at entry x * cdf.shape[1] + k, and the read-only
-    ``bob_bits`` Bob's bit of each, -1 where inconclusive.
+    Alice sends.  ``templates``, a read-only object array, holds the record
+    of Alice's bit x and the measurement's k-th outcome at entry
+    x * cdf.shape[1] + k, and the read-only ``bob_bits`` Bob's bit of each,
+    -1 where inconclusive.
     """
     from .discrimination import unambiguous_two_pure
 
@@ -335,7 +344,8 @@ def _b92_tables(overlap: float) -> tuple[np.ndarray, tuple, np.ndarray]:
         for o in povm.outcomes
     )
     bob_bits = [-1 if r["bob_bit"] is None else r["bob_bit"] for r in templates]
-    return (_frozen_copy(cdf, "B92 table", dtype=float), templates,
+    return (_frozen_copy(cdf, "B92 table", dtype=float),
+            _frozen_copy(templates, "B92 records", dtype=object, finite=True),
             _frozen_copy(bob_bits, "B92 bit table", dtype=int))
 
 
@@ -356,7 +366,7 @@ def b92(rounds: int, overlap: float, rng=0) -> ProtocolReport:
     codes = x * cdf.shape[1] + idx
     bob = bob_bits[codes]
     conclusive = bob >= 0
-    records = _RoundColumns(templates.__getitem__, codes)
+    records = tuple(templates[codes].tolist())
     summary = {
         "conclusive_rate": int(conclusive.sum()) / rounds,
         "conclusive_errors": int((conclusive & (bob != x)).sum()),
@@ -398,18 +408,13 @@ def private_quantum_channel(d: int, n_messages: int, rng=0) -> ProtocolReport:
         decoded = u.conj().transpose(0, 2, 1) @ cipher  # phi = U^dag c
         # F(phi phi^dag, psi psi^dag) = |<psi|phi>|, per message ket.
         fidelities[lo:lo + _PQC_BATCH] = np.abs((psi.conj() * decoded[:, :, 0]).sum(axis=1))
-    records = _RoundColumns(partial(_pqc_record, basis.keys), picks, fidelities)
+    records = _PqcRecords(basis.keys, picks, fidelities)
     summary = {
         "keyless_choi_deviation": _pqc_keyless_gap(d),
         "min_decode_fidelity": float(fidelities.min()) if n_messages else 1.0,
         "key_bits_total": 2 * n_messages * np.log2(d),
     }
     return ProtocolReport("private_quantum_channel", n_messages, records, summary, seed)
-
-
-def _pqc_record(keys: tuple, pick: int, fidelity: float) -> dict:
-    """The record of a message sent with key ``keys[pick]``."""
-    return {"key": list(keys[pick]), "decode_fidelity": fidelity}
 
 
 @lru_cache(maxsize=16)

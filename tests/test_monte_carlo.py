@@ -397,15 +397,25 @@ def test_bb84_rounds_share_the_templates():
     assert held < 4e6
 
 
-# BB84, B92 and the private quantum channel keep their rounds as read-only
-# columns; ``records`` builds each item when it is read.
-COLUMN_PROTOCOLS = SHARED_PROTOCOLS + [
+def test_shared_records_are_a_tuple_gathered_from_a_read_only_table():
+    for protocol, _ in SHARED_PROTOCOLS:
+        assert type(protocol().records) is tuple
+    for templates in (_bb84_tables()[1], _b92_tables(0.3)[1]):
+        assert templates.dtype == object and not templates.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            templates[0] = {}
+
+
+# The private quantum channel keeps its rounds as read-only columns;
+# ``records`` builds each item when it is read.
+PQC_PROTOCOLS = [
     (lambda: private_quantum_channel(3, 300, rng=4), lambda: pqc_reference(3, 300, 4)),
+    (lambda: private_quantum_channel(2, 257, rng=5), lambda: pqc_reference(2, 257, 5)),
 ]
 
 
-@pytest.mark.parametrize("protocol, reference", COLUMN_PROTOCOLS)
-def test_column_records_index_like_a_tuple(protocol, reference):
+@pytest.mark.parametrize("protocol, reference", PQC_PROTOCOLS)
+def test_pqc_records_index_like_a_tuple(protocol, reference):
     records, expected = protocol().records, reference()
     n = len(expected)
     assert len(records) == n
@@ -422,8 +432,8 @@ def test_column_records_index_like_a_tuple(protocol, reference):
         records[1.0]
 
 
-@pytest.mark.parametrize("protocol, reference", COLUMN_PROTOCOLS)
-def test_column_records_iterate_again_and_compare_both_ways(protocol, reference):
+@pytest.mark.parametrize("protocol, reference", PQC_PROTOCOLS)
+def test_pqc_records_iterate_again_and_compare_both_ways(protocol, reference):
     records, expected = protocol().records, reference()
     first, second = list(records), list(records)
     assert_same_records(first, expected)
@@ -435,8 +445,9 @@ def test_column_records_iterate_again_and_compare_both_ways(protocol, reference)
         assert records != other and other != records
 
 
-def test_pqc_records_round_trip():
-    test_shared_records_round_trip(*COLUMN_PROTOCOLS[-1])
+@pytest.mark.parametrize("protocol, reference", PQC_PROTOCOLS)
+def test_pqc_records_round_trip(protocol, reference):
+    test_shared_records_round_trip(protocol, reference)
 
 
 def test_a_pqc_record_is_a_fresh_dict_on_each_read():
