@@ -7,21 +7,26 @@ named constructors.
 
 The functions that take a map (``apply``, ``compose``, ``to_choi``,
 ``certify``, ``to_chi``, ``to_affine``, ``sup_distance``,
-``process_fidelity``, ``kraus_equivalent``) read a ``KrausChannel``, a
-``ChoiMatrix`` or a ``LinearMap``, and raise TypeError for anything else;
-``chi_to_kraus`` and ``affine_to_choi`` convert a ``ChiMatrix`` and an
-``AffineRep``.  A Kraus stack of r < n = d_in * d_out operators, a KrausChannel's
+``process_fidelity``, ``kraus_equivalent``) read a ``KrausChannel`` or a
+``ChoiMatrix``, and raise TypeError for anything else; ``chi_to_kraus`` and
+``affine_to_choi`` convert a ``ChiMatrix`` and an ``AffineRep``.  A map that
+is not completely positive, such as the transposition, is a ``ChoiMatrix``
+too.  A Kraus stack of r < n = d_in * d_out operators, a KrausChannel's
 own or the one ``to_choi`` keeps, is read as the factor F of d_in * Omega = F F^dag
 (``_choi_factor``): ``certify``, ``process_fidelity`` and ``to_chi`` form no n x n matrix.
 
 Choi convention: Omega = (E (x) I)[P+] with the map acting on the FIRST
 tensor factor; the chi-normalized matrix is Phi = d * Omega.
 
-Internal form: every conversion goes through the superoperator matrix S
-acting on row-major vectorized operators, vec(X)[i*d + j] = X[i, j], so
+Internal forms: ``certify``, ``to_chi``, ``process_fidelity`` and
+``from_choi`` read the Kraus factor or Omega.  Where a product or the affine
+form needs it, ``_superop`` forms the superoperator matrix S acting on
+row-major vectorized operators, vec(X)[i*d + j] = X[i, j], so
 vec(E(X)) = S vec(X) and a Kraus list gives S = sum_k A_k (x) conj(A_k).
 S and the Choi matrix hold the same numbers in a different index order:
-S[(a, b), (j, k)] = d_in * Omega[(a, j), (b, k)] (the "reshuffle").
+S[(a, b), (j, k)] = d_in * Omega[(a, j), (b, k)] (the "reshuffle"; M.-D. Choi,
+Linear Algebra Appl. 10, 285 (1975)); ``_superop_to_choi`` reads a product S
+back as a ChoiMatrix.
 
 Basis coordinates: one read-only stack I, E_1, ..., E_{d^2-1}
 (``states._operator_stack``; the Paulis at d = 2) is the operator basis of
@@ -163,25 +168,6 @@ class AffineRep:
         object.__setattr__(self, "t", _frozen_copy(self.t, "t", (n,), float))
 
 
-@dataclass(frozen=True, eq=False)
-class LinearMap:
-    """General linear map on operators via its superoperator matrix.
-
-    ``superop`` acts on row-major vectorized operators; this carrier also
-    holds maps that are not completely positive (e.g. transposition).
-    """
-
-    superop: np.ndarray
-    in_dim: int
-    out_dim: int
-
-    def __post_init__(self):
-        _require_size(self.in_dim, "dimension", 1)
-        _require_size(self.out_dim, "dimension", 1)
-        s = _frozen_copy(self.superop, "superoperator", (self.out_dim**2, self.in_dim**2))
-        object.__setattr__(self, "superop", s)
-
-
 # ---------------------------------------------------------------------------
 # Action and conversions
 # ---------------------------------------------------------------------------
@@ -213,8 +199,8 @@ def _choi_factor(ch) -> np.ndarray | None:
 
     Then rank Omega <= r < n, and the nonzero spectrum of d_in * Omega is that
     of the r x r Gram matrix F^dag F (M.-D. Choi, Linear Algebra Appl. 10,
-    285 (1975)), so no n x n matrix is formed.  A dense ChoiMatrix, r >= n and
-    a LinearMap are read as the n x n matrix.
+    285 (1975)), so no n x n matrix is formed.  A dense ChoiMatrix and r >= n
+    are read as the n x n matrix.
     """
     ops = _kraus_stack(ch)
     if ops is None or len(ops) >= ch.in_dim * ch.out_dim:
@@ -224,19 +210,22 @@ def _choi_factor(ch) -> np.ndarray | None:
 
 def _dims(ch) -> tuple[int, int]:
     """(in_dim, out_dim) of a map carrier; TypeError for any other object."""
-    if not isinstance(ch, (KrausChannel, ChoiMatrix, LinearMap)):
-        raise TypeError(f"cannot read a map from {type(ch).__name__}: pass a KrausChannel, "
-                        "ChoiMatrix or LinearMap (chi_to_kraus and affine_to_choi convert)")
+    if not isinstance(ch, (KrausChannel, ChoiMatrix)):
+        raise TypeError(f"cannot read a map from {type(ch).__name__}: pass a KrausChannel "
+                        "or ChoiMatrix (chi_to_kraus and affine_to_choi convert)")
     return ch.in_dim, ch.out_dim
 
 
 def _superop(ch) -> np.ndarray:
-    """Row-major superoperator matrix S of a KrausChannel, ChoiMatrix or LinearMap."""
+    """Row-major superoperator matrix S of a KrausChannel or ChoiMatrix."""
     d_in, d_out = _dims(ch)
-    if isinstance(ch, LinearMap):
-        return ch.superop
     m = _kraus_gram(ch) if isinstance(ch, KrausChannel) else d_in * ch.matrix
     return _reshuffle(m, d_out, d_in, d_out, d_in)
+
+
+def _superop_to_choi(s: np.ndarray, d_in: int, d_out: int) -> ChoiMatrix:
+    """The ChoiMatrix of the map with superoperator s: Omega = reshuffle(s) / d_in."""
+    return ChoiMatrix(_reshuffle(s, d_out, d_out, d_in, d_in) / d_in, d_in, d_out)
 
 
 def _kraus_action(ops: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -245,24 +234,18 @@ def _kraus_action(ops: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def apply(ch, t) -> np.ndarray:
-    """Apply a KrausChannel, ChoiMatrix or LinearMap to an operator."""
+    """Apply a KrausChannel or ChoiMatrix to an operator."""
     t = _as_matrix(t)
-    if isinstance(ch, KrausChannel):
-        if t.shape != (ch.in_dim, ch.in_dim):
-            raise ValueError("operator dimension does not match the channel input")
-        return _kraus_action(ch.kraus_ops, t)
-    s = _superop(ch)
-    if t.shape != (ch.in_dim, ch.in_dim):
+    if t.shape != (_dims(ch)[0],) * 2:
         raise ValueError("operator dimension does not match the map input")
-    return (s @ t.reshape(-1)).reshape(ch.out_dim, ch.out_dim)
+    if isinstance(ch, KrausChannel):
+        return _kraus_action(ch.kraus_ops, t)
+    return (_superop(ch) @ t.reshape(-1)).reshape(ch.out_dim, ch.out_dim)
 
 
-def kraus_to_linear_map(ch: KrausChannel) -> LinearMap:
-    return LinearMap(_superop(ch), ch.in_dim, ch.out_dim)
-
-
-def compose(outer_map, inner_map) -> LinearMap | KrausChannel:
-    """Map applying ``inner_map`` first, then ``outer_map``."""
+def compose(outer_map, inner_map) -> KrausChannel | ChoiMatrix:
+    """Map applying ``inner_map`` first, then ``outer_map``: a KrausChannel of
+    two KrausChannels, else the ChoiMatrix of the superoperator product."""
     if _dims(outer_map)[0] != _dims(inner_map)[1]:
         raise ValueError(f"cannot compose a map on dimension {outer_map.in_dim} "
                          f"after one into dimension {inner_map.out_dim}")
@@ -270,7 +253,7 @@ def compose(outer_map, inner_map) -> LinearMap | KrausChannel:
         ops = outer_map.kraus_ops[:, None] @ inner_map.kraus_ops[None]  # outer-major pairs
         return KrausChannel(ops.reshape(-1, outer_map.out_dim, inner_map.in_dim))
     s = _superop(outer_map) @ _superop(inner_map)
-    return LinearMap(s, inner_map.in_dim, outer_map.out_dim)
+    return _superop_to_choi(s, inner_map.in_dim, outer_map.out_dim)
 
 
 def tensor_channels(ch1: KrausChannel, ch2: KrausChannel) -> KrausChannel:
@@ -279,15 +262,13 @@ def tensor_channels(ch1: KrausChannel, ch2: KrausChannel) -> KrausChannel:
 
 
 def to_choi(ch) -> ChoiMatrix:
-    """Choi matrix Omega = (E (x) I)[P+] of a KrausChannel, ChoiMatrix or LinearMap."""
+    """Choi matrix Omega = (E (x) I)[P+] of a KrausChannel; a ChoiMatrix is returned as is."""
     d_in, d_out = _dims(ch)
     if isinstance(ch, ChoiMatrix):
         return ch
-    if isinstance(ch, KrausChannel):
-        choi = ChoiMatrix(_kraus_gram(ch) / d_in, d_in, d_out)
-        object.__setattr__(choi, "_kraus", ch.kraus_ops)  # read-only already: no copy
-        return choi
-    return ChoiMatrix(_reshuffle(_superop(ch), d_out, d_out, d_in, d_in) / d_in, d_in, d_out)
+    choi = ChoiMatrix(_kraus_gram(ch) / d_in, d_in, d_out)
+    object.__setattr__(choi, "_kraus", ch.kraus_ops)  # read-only already: no copy
+    return choi
 
 
 def from_choi(choi: ChoiMatrix, tol: float = ATOL) -> KrausChannel:
@@ -420,7 +401,7 @@ def affine_to_choi(aff: AffineRep) -> ChoiMatrix:
     m = np.eye(d * d)  # [[1, 0], [t, T]]
     m[1:, 0], m[1:, 1:] = aff.t, aff.T
     # E(X) = [tr(X) (I + t.E) + sum_jk T_jk tr(E_k X) E_j] / d
-    return to_choi(LinearMap(g @ m @ dag(g) / d, d, d))
+    return _superop_to_choi(g @ m @ dag(g) / d, d, d)
 
 
 def _require_same_dims(ch1, ch2) -> None:
@@ -531,9 +512,10 @@ def heisenberg_dual(ch: KrausChannel) -> KrausChannel:
 # Constructors
 # ---------------------------------------------------------------------------
 
-def transposition_map(d: int) -> LinearMap:
-    """Transposition: positive but not completely positive."""
-    return LinearMap(swap_operator(d), d, d)
+def transposition_map(d: int) -> ChoiMatrix:
+    """Transposition: positive but not completely positive.  Its superoperator
+    is the swap, and the swap is its own reshuffle, so Omega = SWAP / d."""
+    return ChoiMatrix(swap_operator(d) / d, d, d)
 
 
 def make(kind: str, **params):
@@ -541,7 +523,7 @@ def make(kind: str, **params):
 
     kinds: ``depolarizing(d, p)``, ``pauli(q0, q1, q2, q3)``,
     ``random_unitary(pairs)``, ``contraction(xi)``, ``transposition(d)``
-    (returned as a non-CP ``LinearMap``), ``phase_damping(eta, axis)``.
+    (returned as a non-CP ``ChoiMatrix``), ``phase_damping(eta, axis)``.
     """
     if kind == "depolarizing":
         d, p = params["d"], params["p"]
@@ -904,15 +886,15 @@ def is_entanglement_breaking(ch: KrausChannel, tol: float = ATOL) -> dict:
     return {"verdict": "inconclusive", "pt_min_eig": min_eig, "measure_prepare": None}
 
 
-def measure_prepare_channel(pairs) -> LinearMap:
-    """Channel rho -> sum_n xi_n tr[rho F_n] from measure-and-prepare data."""
+def measure_prepare_channel(pairs) -> ChoiMatrix:
+    """Channel rho -> sum_n xi_n tr[rho F_n] from measure-and-prepare data,
+    as Omega = sum_n xi_n (x) F_n^T / d_in."""
     d_in = pairs[0][0].shape[0]
     d_out = _as_matrix(pairs[0][1]).shape[0]
-    s = np.zeros((d_out * d_out, d_in * d_in), dtype=complex)
+    omega = np.zeros((d_out * d_in,) * 2, dtype=complex)
     for effect, xi in pairs:
-        xi_m = _as_matrix(xi)
-        s += np.outer(xi_m.reshape(-1), effect.T.reshape(-1))
-    return LinearMap(s, d_in, d_out)
+        omega += np.kron(_as_matrix(xi), effect.T)
+    return ChoiMatrix(omega / d_in, d_in, d_out)
 
 
 def process_fidelity(ch1, ch2) -> float:

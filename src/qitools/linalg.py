@@ -66,9 +66,14 @@ def _require_finite(a: np.ndarray, what: str) -> None:
     raise ValueError(f"{what}[{i}]: entries must be finite, got [{z.real}, {z.imag}]")
 
 
+def _is_integer(value) -> bool:
+    """Whether value is an int or numpy integer, not a bool: what a size or a code must be."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _require_size(value, name: str, least: int) -> None:
     """Raise ValueError unless a size is an int or numpy integer (no bool) of at least ``least``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if not _is_integer(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         bound = {0: "a non-negative integer", 1: "a positive integer"}.get(least)

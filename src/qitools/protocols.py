@@ -11,14 +11,15 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .linalg import (ATOL, _frozen_copy, _probe_kraus, _require_size, _require_unit_interval,
-                     asarray, basis_ket, dag, is_unitary, outer, partial_trace, tensor)
+from .linalg import (ATOL, _frozen_copy, _is_integer, _probe_kraus, _require_size,
+                     _require_unit_interval, asarray, basis_ket, dag, is_unitary, outer,
+                     partial_trace, tensor)
 from .observables import outcome_distribution, stern_gerlach
 from .rand import random_ket, random_kets, rng_from
 from .states import _AXES, State, _operator_stack, maximally_entangled_ket
 
 if TYPE_CHECKING:  # channels loads only when a function below needs it
-    from .channels import KrausChannel, LinearMap
+    from .channels import ChoiMatrix, KrausChannel
 
 
 def _seed_repr(rng_arg) -> object:
@@ -175,14 +176,14 @@ def teleport(rho_in, rng=0) -> ProtocolReport:
     return ProtocolReport("teleport", len(records), records, summary, seed)
 
 
-def teleport_channel(d: int) -> LinearMap:
+def teleport_channel(d: int) -> ChoiMatrix:
     """The composed teleportation map (measure, correct, average): identity.
 
     Outcome rs contributes the Kraus operator U_rs (<beta_rs| (x) I)(I (x) |psi+>).
     """
-    from .channels import KrausChannel, kraus_to_linear_map
+    from .channels import KrausChannel, to_choi
 
-    return kraus_to_linear_map(KrausChannel(_teleport_kraus(d)))
+    return to_choi(KrausChannel(_teleport_kraus(d)))
 
 
 @lru_cache(maxsize=16)
@@ -203,7 +204,7 @@ def _teleport_kraus(d: int) -> np.ndarray:
 
 def superdense(message: int, rng=0) -> ProtocolReport:
     """Send two classical bits through one qubit and a shared Bell pair."""
-    if message not in range(4):
+    if not _is_integer(message) or message not in range(4):
         raise ValueError("message must encode two bits (0..3)")
     # (P (x) I) psi+ = vec(P) / sqrt(2) for each Pauli P, as in ``ShiftMultiplyBasis``, so
     # |<beta_m|beta_k>|^2 = |tr(P_m^dag P_k)|^2 / 4: sums of 0, +-1, +-i, exactly one-hot.

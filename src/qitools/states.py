@@ -9,7 +9,7 @@ import numpy as np
 
 from .linalg import (ATOL, _eig_tol, _frozen_copy, _kraus_columns, _min_eig, _require_finite,
                      _require_hermitian, _require_psd, _require_size, _within, asarray, dag, eigh,
-                     inner, psd_sqrt)
+                     inner, psd_sqrt, unit_ket)
 
 
 @lru_cache(maxsize=None)
@@ -110,8 +110,7 @@ class State:
 
     @classmethod
     def from_ket(cls, psi) -> "State":
-        v = asarray(psi).reshape(-1, 1)
-        v = v / np.linalg.norm(v)
+        v = unit_ket(psi)
         return cls(v @ dag(v))
 
     @classmethod
@@ -230,8 +229,7 @@ def purify(rho, tol: float = ATOL) -> np.ndarray:
     is sum_j sqrt(lambda_j) phi_j (x) e_j.
     """
     # The (d, r) columns sqrt(lambda_j) phi_j flattened row-major: system outer.
-    psi = _kraus_columns(*eigh(_as_matrix(rho)), tol).reshape(-1, 1)
-    return psi / np.linalg.norm(psi)
+    return unit_ket(_kraus_columns(*eigh(_as_matrix(rho)), tol))
 
 
 def interference_term(psi, phi, a: complex, b: complex, effect) -> float:
@@ -252,8 +250,7 @@ def interference_term(psi, phi, a: complex, b: complex, effect) -> float:
 
 
 def superposition_ket(psi, phi, a: complex, b: complex) -> np.ndarray:
-    v = a * asarray(psi).reshape(-1, 1) + b * asarray(phi).reshape(-1, 1)
-    return v / np.linalg.norm(v)
+    return unit_ket(a * asarray(psi).reshape(-1, 1) + b * asarray(phi).reshape(-1, 1))
 
 
 def maximally_entangled_ket(d: int) -> np.ndarray:

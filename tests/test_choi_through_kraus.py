@@ -98,6 +98,8 @@ def test_zero_map_keeps_one_zero_operator(d_in, d_out):
 def test_kept_stack_is_the_channels_own():
     ch = kraus(np.random.default_rng(3), 2, 2, 2)
     assert to_choi(ch)._kraus is ch.kraus_ops
+    # rank Omega <= r = 2 < n = 4: the smallest eigenvalue is 0.0 without an eigensolver
+    assert to_choi(ch).min_eigenvalue() == 0.0 and to_choi(ch).is_cp()
 
 
 @pytest.mark.parametrize("d_in, d_out", DIMS)

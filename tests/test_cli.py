@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import shlex
@@ -10,6 +12,7 @@ import pytest
 
 from qitools.cli import dump_document, load_document, run
 from qitools.channels import KrausChannel, make
+from qitools.entanglement import BipartiteState
 from qitools.states import State
 
 
@@ -159,6 +162,19 @@ def test_csv_format(capsys):
     assert any(line.startswith("swap_expectation,") for line in out.splitlines())
 
 
+def test_csv_rows_of_a_list_of_records(capsys):
+    """Each record of a list is flattened under its index; a flat list stays one cell."""
+    assert run(["--format", "csv", "--seed", "7", "demo", "teleport", "--d", "2"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0] == ["key", "value"]
+    cells = dict(rows[1:])
+    assert [key for key in cells if key.startswith("records.")] == [
+        f"records.{i}.{field}" for i in range(4)
+        for field in ("fidelity", "outcome", "probability")]
+    assert cells["records.1.outcome"] == "[0, 1]"
+    assert cells["summary.probabilities"] == "[0.25, 0.25, 0.25, 0.25]"
+
+
 def test_emitted_numbers_have_12_significant_digits(capsys):
     assert run(["werner", "--d", "3", "--mu", "0.3"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -190,11 +206,14 @@ def test_all_document_kinds_round_trip():
         make("depolarizing", d=2, p=0.4),
         to_choi(make("depolarizing", d=2, p=0.4)),
         unit_ket([1, 1j]),
+        BipartiteState(State(np.diag([0.1, 0.2, 0.3, 0.4])), 2, 2),
     ]
     for obj in objs:
         doc = dump_document(obj)
         again = load_document(doc)
         assert type(again).__name__ == type(obj).__name__
+        if isinstance(obj, BipartiteState):
+            assert doc["bipartite_dims"] == [2, 2] and (again.dA, again.dB) == (2, 2)
         if hasattr(obj, "matrix") and hasattr(again, "matrix"):
             assert np.abs(np.asarray(again.matrix) - np.asarray(obj.matrix)).max() < 1e-12
 

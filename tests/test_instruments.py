@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qitools.channels import KrausChannel, LinearMap, apply, certify, from_choi, to_choi
+from qitools.channels import KrausChannel, _superop_to_choi, apply, certify, from_choi, to_choi
 from qitools.instruments import (
     DiscreteInstrument,
     MeasurementModel,
@@ -191,6 +191,10 @@ def test_repeatable_instrument_mixed_sharpness():
     a = Povm((0, 1), (e1, e2))
     ins = repeatable_instrument(a)
     assert is_repeatable(ins)
+    # a zero effect gets the zero operation
+    with_zero = repeatable_instrument(Povm((0, 1, 2), (e1, e2, np.zeros((3, 3)))))
+    assert is_repeatable(with_zero)
+    assert not with_zero.operations[2].kraus_ops.any()
 
 
 def test_repeated_outcomes_are_disjoint():
@@ -297,7 +301,7 @@ def memo_to_instrument_per_effect(m, tol=1e-8):
         # S[(a, e), (b, c)] = sum V[a,p,b,q] rho_0[q,r] conj(V[e,s,c,r]) F[s,p]
         s = np.einsum("apbq,qr,escr,sp->aebc", v, m.probe_state.matrix, v.conj(),
                       eff, optimize=True)
-        ops.append(from_choi(to_choi(LinearMap(s.reshape(d * d, d * d), d, d)), tol))
+        ops.append(from_choi(_superop_to_choi(s.reshape(d * d, d * d), d, d), tol))
     return ops
 
 

@@ -326,7 +326,7 @@ def test_teleport_matches_joint_state(d, seed):
 @pytest.mark.parametrize("d", DIMS)
 def test_teleport_channel_matches_joint_state(d):
     old = _superop(KrausChannel(tuple(teleport_kraus_reference(d))))
-    assert np.max(np.abs(teleport_channel(d).superop - old)) <= 1e-12
+    assert np.max(np.abs(_superop(teleport_channel(d)) - old)) <= 1e-12
 
 
 @pytest.mark.parametrize("d, seed", [(d, seed) for d in (2, 3) for seed in SEEDS])

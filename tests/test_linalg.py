@@ -10,6 +10,7 @@ from qitools.linalg import (
     is_projection,
     is_psd,
     is_unitary,
+    matrix_rank,
     norms,
     partial_trace,
     polar,
@@ -221,6 +222,17 @@ def test_predicates():
     assert not is_unitary(np.diag([1.0, 0.5]))
     assert is_projection(np.diag([1.0, 0.0]))
     assert not is_projection(np.diag([0.5, 1.0]))
+
+
+@pytest.mark.parametrize("a, rank", [
+    (np.zeros((3, 3)), 0),
+    (np.zeros((0, 3)), 0),
+    (np.diag([2.0, 1e-12, 0.0]), 1),  # 1e-12 is below ATOL * s_max
+    (np.diag([1e-6, 1e-12]), 2),  # the cut is relative to s_max
+    (np.eye(3), 3),
+])
+def test_matrix_rank_cuts_relative_to_the_largest_singular_value(a, rank):
+    assert matrix_rank(a) == rank
 
 
 def test_complete_unitary():

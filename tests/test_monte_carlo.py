@@ -438,6 +438,7 @@ def test_pqc_records_iterate_again_and_compare_both_ways(protocol, reference):
     first, second = list(records), list(records)
     assert_same_records(first, expected)
     assert first == second
+    assert repr(records) == repr(tuple(expected))
     for other in (expected, tuple(expected), protocol().records):
         assert records == other and other == records
         assert not (records != other or other != records)

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qitools.channels import AffineRep, ChoiMatrix, LinearMap, make
+from qitools.channels import AffineRep, ChoiMatrix, make
 from qitools.entanglement import BipartiteState, werner
 from qitools.linalg import eigh
 from qitools.observables import efficiency_coarse_matrix, photon_counting
@@ -156,7 +156,7 @@ RHO4 = State(np.eye(4) / 4)
         (lambda: werner(1, 0.3), "^dimension must be at least 2$"),
         (lambda: bb84(0), "^rounds must be a positive integer$"),
         (lambda: ChoiMatrix(np.eye(4) / 2, 2.0, 2.0), "^dimension must be an integer, got 2.0$"),
-        (lambda: LinearMap(np.eye(4), 2, 2.0), "^dimension must be an integer, got 2.0$"),
+        (lambda: ChoiMatrix(np.eye(4) / 2, 2, 2.0), "^dimension must be an integer, got 2.0$"),
         (lambda: AffineRep(np.eye(3), np.zeros(3), 2.0), "^dimension must be an integer, got 2.0$"),
         (lambda: Processor(2.0, 1, np.eye(2)), "^dimension must be an integer, got 2.0$"),
         (lambda: make("depolarizing", d=2.5, p=0.1), "^dimension must be an integer, got 2.5$"),

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qitools.channels import LinearMap, from_choi, to_chi, to_choi, transposition_map
+from qitools.channels import from_choi, to_chi, to_choi, transposition_map
 from qitools.entanglement import BipartiteState, ppt, reduction_criterion, werner
 from qitools.linalg import ATOL, psd_sqrt
 from qitools.rand import random_density
@@ -85,7 +85,7 @@ def test_from_choi_and_to_chi_share_one_message():
     with pytest.raises(ValueError, match=message):
         to_chi(choi)
     with pytest.raises(ValueError, match=message):
-        to_chi(LinearMap(transposition_map(2).superop, 2, 2))
+        to_chi(transposition_map(2))
 
 
 def _seeded_states():

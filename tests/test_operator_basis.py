@@ -11,9 +11,7 @@ import pytest
 from qitools.channels import (
     ChoiMatrix,
     KrausChannel,
-    LinearMap,
     chi_to_kraus,
-    kraus_to_linear_map,
     to_chi,
     to_choi,
     transposition_map,
@@ -122,7 +120,7 @@ def test_to_chi_matches_trace_loops(d):
     rng = np.random.default_rng(700 + d)
     ch = KrausChannel(tuple(random_kraus_ops(d, rng, count=3)))
     ref = chi_by_trace_loops(ch.kraus_ops, d)
-    for rep in (ch, to_choi(ch), kraus_to_linear_map(ch)):
+    for rep in (ch, to_choi(ch), ChoiMatrix(to_choi(ch).matrix, d, d)):
         assert np.abs(to_chi(rep).matrix - ref).max() < 1e-14
 
 
@@ -202,8 +200,8 @@ def test_to_chi_rejects_non_orthonormal_bases():
 
 def test_to_chi_rejects_unequal_dimensions():
     iso = KrausChannel((np.eye(3, 2, dtype=complex),))
-    for rep in (iso, to_choi(iso), kraus_to_linear_map(iso)):
+    for rep in (iso, to_choi(iso), ChoiMatrix(to_choi(iso).matrix, 2, 3)):
         with pytest.raises(ValueError, match="equal input and output dimensions"):
             to_chi(rep)
     with pytest.raises(ValueError, match="equal input and output dimensions"):
-        to_chi(LinearMap(np.zeros((9, 4)), 2, 3))
+        to_chi(ChoiMatrix(np.zeros((6, 6)), 2, 3))

@@ -164,12 +164,18 @@ def test_teleport_channel_is_identity():
 
 
 def test_superdense_all_messages():
-    for message in range(4):
+    for message in (*range(4), np.int64(2)):
         rep = superdense(message)
         assert rep.summary["decoded"] == message
         assert abs(rep.summary["decode_probability"] - 1) < 1e-10
         marginal = np.array(rep.summary["intercepted_marginal"])
         assert np.abs(marginal - np.eye(2) / 2).max() < 1e-10
+
+
+@pytest.mark.parametrize("message", [1.0, np.float64(2.0), True, False, "1", None, 4, -1])
+def test_superdense_rejects_a_message_that_is_not_two_bits(message):
+    with pytest.raises(ValueError, match=r"^message must encode two bits \(0\.\.3\)$"):
+        superdense(message)
 
 
 def test_superdense_probabilities_are_exactly_one_hot():

@@ -229,6 +229,21 @@ def test_purify_pure_state_is_product():
     assert psi.shape == (3, 1)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: superposition_ket([1, 0], [1, 0], 0.5, -0.5),
+    lambda: purify(np.zeros((2, 2))),
+    lambda: State.from_ket([0, 0]),
+], ids=["superposition_ket", "purify", "from_ket"])
+def test_a_zero_ket_is_not_normalized(build):
+    with pytest.raises(ValueError, match="^cannot normalize the zero vector$"):
+        build()
+
+
+def test_a_nonzero_superposition_is_divided_by_its_norm():
+    v = 0.6 * np.array([[1.0], [1j]]) + 0.8j * np.array([[0.5], [2.0]])
+    assert np.array_equal(superposition_ket([1, 1j], [0.5, 2.0], 0.6, 0.8j), v / np.linalg.norm(v))
+
+
 def test_interference_term():
     e0 = np.array([[1.0], [0.0]], dtype=complex)
     e1 = np.array([[0.0], [1.0]], dtype=complex)

@@ -1,4 +1,4 @@
-"""The superoperator core: every representation converts through S."""
+"""The map core: the Kraus and Choi carriers, and the superoperator S formed from them."""
 
 import numpy as np
 import pytest
@@ -6,16 +6,15 @@ import pytest
 from qitools.channels import (
     ChoiMatrix,
     KrausChannel,
-    LinearMap,
     _dilation_unitary,
     _marginal,
     _superop,
+    _superop_to_choi,
     affine_to_choi,
     apply,
     compose,
     conjugate,
     heisenberg_dual,
-    kraus_to_linear_map,
     make,
     tensor_channels,
     to_affine,
@@ -47,12 +46,12 @@ def test_every_representation_gives_the_same_choi(d):
     ref = choi_by_matrix_units(ch.kraus_ops, d)
     choi = to_choi(ch)
     assert np.abs(choi.matrix - ref).max() < 1e-14
-    assert np.abs(to_choi(kraus_to_linear_map(ch)).matrix - ref).max() < 1e-14
+    assert np.abs(_superop_to_choi(_superop(ch), d, d).matrix - ref).max() < 1e-14
     assert np.abs(affine_to_choi(to_affine(ch)).matrix - ref).max() < 1e-14
     rho = random_density(d, rng)
     assert np.abs(apply(choi, rho) - apply(ch, rho)).max() < 1e-14
     back = compose(choi, KrausChannel((np.eye(d, dtype=complex),)))
-    assert np.abs(back.superop - kraus_to_linear_map(ch).superop).max() < 1e-14
+    assert np.abs(_superop(back) - _superop(ch)).max() < 1e-14
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -73,13 +72,13 @@ def test_non_cp_map_round_trips_through_choi():
     x = random_density(3, np.random.default_rng(320))
     assert np.abs(apply(choi, x) - x.T).max() < 1e-15
     again = ChoiMatrix(choi.matrix, 3, 3)
-    assert np.abs(compose(again, t).superop - np.eye(9)).max() < 1e-15
-    assert isinstance(compose(t, t), LinearMap)
+    assert np.abs(_superop(compose(again, t)) - np.eye(9)).max() < 1e-15
+    assert isinstance(compose(t, t), ChoiMatrix)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_teleport_channel_is_exactly_identity(d):
-    assert np.abs(teleport_channel(d).superop - np.eye(d * d)).max() < 1e-14
+    assert np.abs(_superop(teleport_channel(d)) - np.eye(d * d)).max() < 1e-14
 
 
 def test_shift_multiply_basis_rejects_nonpositive_dimension():
@@ -187,8 +186,8 @@ def test_kraus_constructor_rejects_malformed_lists():
 def test_compose_rejects_dimensions_that_do_not_chain():
     qubit = KrausChannel([np.eye(2)])
     qutrit = KrausChannel([np.eye(3)])
-    for outer, inner in ((qubit, qutrit), (kraus_to_linear_map(qubit), to_choi(qutrit)),
-                         (to_choi(qutrit), kraus_to_linear_map(qubit))):
+    for outer, inner in ((qubit, qutrit), (transposition_map(2), to_choi(qutrit)),
+                         (to_choi(qutrit), transposition_map(2))):
         with pytest.raises(ValueError, match="cannot compose a map on dimension"):
             compose(outer, inner)
     rect = KrausChannel(np.ones((1, 3, 2)))  # C^2 -> C^3
@@ -197,28 +196,29 @@ def test_compose_rejects_dimensions_that_do_not_chain():
         compose(rect, qutrit)
 
 
-def test_linear_map_copies_and_freezes_its_superop():
-    s = np.eye(4, dtype=complex)
-    m = LinearMap(s, 2, 2)
-    s[0, 0] = np.nan  # the caller's array is copied, not frozen
-    assert np.array_equal(apply(m, np.eye(2)), np.eye(2))
-    assert not m.superop.flags.writeable
+def test_choi_matrix_copies_and_freezes_its_matrix():
+    vec_id = np.eye(2, dtype=complex).reshape(-1)
+    m = np.outer(vec_id, vec_id) / 2
+    choi = ChoiMatrix(m, 2, 2)  # the identity map: Omega = P+
+    m[0, 0] = np.nan  # the caller's array is copied, not frozen
+    assert np.array_equal(apply(choi, np.eye(2)), np.eye(2))
+    assert not choi.matrix.flags.writeable
     with pytest.raises(ValueError):
-        m.superop[0, 0] = 1
+        choi.matrix[0, 0] = 1
 
 
-def test_linear_map_rejects_a_malformed_superop():
-    with pytest.raises(ValueError, match="superoperator shape does not match the declared"):
-        LinearMap(np.eye(3), 2, 2)
-    s = np.eye(4)
-    s[1, 2] = np.nan
-    with pytest.raises(ValueError, match="superoperator\\[6\\]: entries must be finite"):
-        LinearMap(s, 2, 2)
+def test_choi_matrix_rejects_a_malformed_matrix():
+    with pytest.raises(ValueError, match="Choi matrix shape does not match the declared"):
+        ChoiMatrix(np.eye(3), 2, 2)
+    m = np.eye(4)
+    m[1, 2] = np.nan
+    with pytest.raises(ValueError, match="Choi matrix\\[6\\]: entries must be finite"):
+        ChoiMatrix(m, 2, 2)
 
 
 def test_map_carriers_compare_by_identity():
     ch = make("depolarizing", d=2, p=0.3)
     assert (make("depolarizing", d=2, p=0.3) == make("depolarizing", d=2, p=0.3)) is False
-    for rep in (ch, to_choi(ch), to_chi(ch), to_affine(ch), kraus_to_linear_map(ch)):
+    for rep in (ch, to_choi(ch), to_chi(ch), to_affine(ch), transposition_map(2)):
         assert rep == rep
         assert {rep: 1}[rep] == 1 and hash(rep) == hash(rep)
