@@ -53,6 +53,7 @@ from .linalg import (
     _kraus_columns,
     _min_eig,
     _prepare_kraus,
+    _probability_vector,
     _probe_kraus,
     _require_size,
     _require_unit_interval,
@@ -488,19 +489,20 @@ def random_unitary_conjugate(pairs) -> KrausChannel:
     the system-to-environment map is the contraction onto diag(p): the
     environment learns nothing about the input.
     """
-    probs = _probability_vector([p for p, _ in pairs], "weights must form a probability vector")
-    d = asarray(pairs[0][1]).shape[0]
+    probs, unitaries = _weighted_unitaries(pairs)
+    d = unitaries[0].shape[0]
     keep = probs > 0
     cols = np.eye(len(probs))[:, keep] * np.sqrt(probs[keep])  # sqrt(p_j) |j>
     return KrausChannel(_prepare_kraus(cols, np.eye(d)))
 
 
-def _probability_vector(weights, message: str) -> np.ndarray:
-    """Float weights, or ValueError(message) unless >= 0 with sum 1 (NaN fails)."""
-    p = np.asarray(weights, dtype=float)
-    if p.ndim != 1 or not (p >= 0).all() or not abs(p.sum() - 1) <= 1e-12:
-        raise ValueError(message)
-    return p
+def _weighted_unitaries(pairs) -> tuple[np.ndarray, list]:
+    """The weights, a probability vector, and the unitaries of (weight, unitary) pairs."""
+    probs = _probability_vector([p for p, _ in pairs], "weights must form a probability vector")
+    unitaries = [asarray(u) for _, u in pairs]
+    if not all(map(is_unitary, unitaries)):
+        raise ValueError("operator is not unitary")
+    return probs, unitaries
 
 
 def heisenberg_dual(ch: KrausChannel) -> KrausChannel:
@@ -533,17 +535,14 @@ def make(kind: str, **params):
         weights = np.r_[1 - p, np.full(d * d, p / d)]  # the terms of weight 0 are dropped
         return KrausChannel((np.sqrt(weights)[:, None, None] * ops)[weights > 0])
     if kind == "pauli":
-        message = "pauli channel needs a probability 4-vector"
-        q = _probability_vector(params["q"], message)
-        if len(q) != 4:
-            raise ValueError(message)
+        q = _probability_vector(params["q"], "pauli channel needs a probability 4-vector", 4)
         return KrausChannel((np.sqrt(q)[:, None, None] * _operator_stack(2))[q > 0])
     if kind == "random_unitary":
-        pairs = params["pairs"]
-        _probability_vector([p for p, _ in pairs], "weights must form a probability vector")
-        return KrausChannel([np.sqrt(p) * asarray(u) for p, u in pairs if p > 0])
+        probs, unitaries = _weighted_unitaries(params["pairs"])
+        return KrausChannel([np.sqrt(p) * u for p, u in zip(probs, unitaries) if p > 0])
     if kind == "contraction":
-        xi = _as_matrix(params["xi"])
+        xi = params["xi"]
+        xi = (xi if isinstance(xi, State) else State(xi)).matrix
         ops = _prepare_kraus(_kraus_columns(*eigh(xi), ATOL), np.eye(len(xi)))
         return KrausChannel(ops)  # A_jk = sqrt(lambda_j) v_j e_k^T
     if kind == "transposition":
@@ -558,10 +557,8 @@ def make(kind: str, **params):
 
 
 def unitary_channel(u) -> KrausChannel:
-    u = asarray(u)
-    if not is_unitary(u):
-        raise ValueError("operator is not unitary")
-    return KrausChannel((u,))
+    """The channel rho -> U rho U^dag."""
+    return KrausChannel(_weighted_unitaries([(1.0, u)])[1])
 
 
 # ---------------------------------------------------------------------------

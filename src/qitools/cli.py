@@ -328,34 +328,44 @@ def _flatten(payload, prefix=""):
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_certify_channel(args) -> dict:
-    obj = load_document(_read_json(args.infile))
-    from .channels import ChoiMatrix, KrausChannel, certify
+def _document(path: str, command: str, kinds: tuple[str, ...]):
+    """The toolkit object of the document at ``path``, or ValidationError unless its
+    kind is one of ``kinds``, the kinds ``command`` reads."""
+    doc = _read_json(path)
+    obj = load_document(doc)
+    if doc["kind"] not in kinds:
+        raise ValidationError(f"{command} expects a {' or '.join(kinds)} document")
+    return obj
 
-    kinds = {"kraus": KrausChannel, "choi": ChoiMatrix}
-    if args.rep is not None:
-        kinds = {args.rep: kinds[args.rep]}
-    if not isinstance(obj, tuple(kinds.values())):
-        raise ValidationError(f"certify-channel expects a {' or '.join(kinds)} document")
+
+def _state_of(obj):
+    """The ``State`` of a state or ket document's object."""
+    from .states import State
+
+    if isinstance(obj, np.ndarray):
+        return State.from_ket(obj)
+    return obj if isinstance(obj, State) else obj.state  # a BipartiteState
+
+
+def _cmd_certify_channel(args) -> dict:
+    kinds = ("kraus", "choi") if args.rep is None else (args.rep,)
+    obj = _document(args.infile, "certify-channel", kinds)
+    from .channels import certify
+
     return certify(obj, tol=args.tol)
 
 
 def _cmd_entanglement(args) -> dict:
-    obj = load_document(_read_json(args.infile))
+    obj = _document(args.infile, "entanglement", ("state", "ket"))
     from .entanglement import (BipartiteState, chsh_value, max_entangled_fraction, ppt,
                                reduction_criterion)
-    from .states import State
 
     try:
         da, db = (int(x) for x in args.dims.split(","))
     except ValueError:
         raise ValidationError(f"--dims must be two integers dA,dB, got {args.dims!r}") from None
-    if isinstance(obj, State):
-        obj = BipartiteState(obj, da, db)
-    elif isinstance(obj, np.ndarray):
-        obj = BipartiteState(State.from_ket(obj), da, db)
     if not isinstance(obj, BipartiteState):
-        raise ValidationError("entanglement tests need a state document")
+        obj = BipartiteState(_state_of(obj), da, db)
     if (obj.dA, obj.dB) != (da, db):
         raise ValidationError(f"--dims {da},{db} contradicts the document's bipartite_dims "
                               f"{obj.dA},{obj.dB}")
@@ -380,31 +390,15 @@ def _cmd_entanglement(args) -> dict:
     return out
 
 
-def _state_of(obj):
-    """The ``State`` a state or ket document holds, or ValidationError."""
-    from .states import State
-
-    if isinstance(obj, np.ndarray):
-        return State.from_ket(obj)
-    if not isinstance(obj, State):
-        from .entanglement import BipartiteState  # loaded already when obj is one
-
-        if not isinstance(obj, BipartiteState):
-            raise ValidationError("minimum-error discrimination expects state or ket documents")
-        obj = obj.state
-    return obj
-
-
 def _cmd_discriminate(args) -> dict:
-    obj1 = load_document(_read_json(args.s1))
-    obj2 = load_document(_read_json(args.s2))
+    command = f"discriminate --mode {args.mode}"
+    kinds = ("state", "ket") if args.mode == "minerror" else ("ket",)
+    obj1, obj2 = (_document(path, command, kinds) for path in (args.s1, args.s2))
     from .discrimination import helstrom, unambiguous_two_pure
 
     if args.mode == "minerror":
         result = helstrom(_state_of(obj1), _state_of(obj2), eta=args.eta)
     else:
-        if not (isinstance(obj1, np.ndarray) and isinstance(obj2, np.ndarray)):
-            raise ValidationError("unambiguous discrimination expects ket documents")
         result = unambiguous_two_pure(obj1, obj2, eta=args.eta)
     return {
         "mode": args.mode,

@@ -16,13 +16,14 @@ from .states import _as_matrix
 class DiscriminationResult:
     """Measurement plus bookkeeping for a two-state discrimination scheme.
 
-    ``conclusions`` maps each POVM outcome to "1", "2" or "?".
+    Each outcome label is what the scheme concludes: "1", "2" and, for an
+    unambiguous scheme, "?".  An unambiguous scheme never errs, so its ``p_error`` is its
+    inconclusive probability, 1 - ``p_success``.
     """
 
     povm: Povm
     p_success: float
     p_error: float
-    conclusions: dict
 
 
 def prob_distances(p, q) -> tuple[float, float, float]:
@@ -77,40 +78,39 @@ def helstrom(rho1, rho2, eta: float = 0.5) -> DiscriminationResult:
 
     The "1" effect projects onto the positive part of eta*rho1 -
     (1-eta)*rho2; zero eigenvalues are split half-half between the two
-    conclusions.
+    outcomes.
     """
     _require_prior(eta)
     m1, m2 = _state_pair(rho1, rho2)
     gap = eta * m1 - (1 - eta) * m2
     vals, vecs = eigh(gap)
-    d = m1.shape[0]
     cut = _eig_tol(vals, ATOL)
-    c1 = np.zeros((d, d), dtype=complex)
-    for j, v in enumerate(vals):
-        p = outer(vecs[:, j].reshape(-1, 1))
-        if v > cut:
-            c1 += p
-        elif abs(v) <= cut:
-            c1 += p / 2
-    c2 = np.eye(d) - c1
+    weights = (vals > cut) + 0.5 * (abs(vals) <= cut)  # 1 above the cut, 1/2 within it
+    c1 = (vecs * weights) @ dag(vecs)
+    c2 = np.eye(len(c1)) - c1
     p_err = float(eta * np.trace(m1 @ c2).real + (1 - eta) * np.trace(m2 @ c1).real)
-    povm = Povm(("1", "2"), (c1, c2))
-    return DiscriminationResult(povm, 1 - p_err, p_err, {"1": "1", "2": "2"})
+    return DiscriminationResult(Povm(("1", "2"), (c1, c2)), 1 - p_err, p_err)
 
 
 def _span_projector(kets) -> np.ndarray:
     stack = np.hstack(kets)
-    q, _ = np.linalg.qr(stack)
-    keep = matrix_rank(stack)
-    q = q[:, :keep]
+    q = np.linalg.qr(stack)[0][:, :matrix_rank(stack)]
     return q @ dag(q)
+
+
+def _unambiguous(rho1, rho2, c1, c2, eta: float) -> DiscriminationResult:
+    """The scheme with conclusive effects c1, c2 and "?" effect I - c1 - c2, on rho1, rho2."""
+    cq = np.eye(len(c1)) - c1 - c2
+    p_succ = float(eta * np.trace(rho1 @ c1).real + (1 - eta) * np.trace(rho2 @ c2).real)
+    p_inc = float(eta * np.trace(rho1 @ cq).real + (1 - eta) * np.trace(rho2 @ cq).real)
+    return DiscriminationResult(Povm(("1", "2", "?"), (c1, c2, cq)), p_succ, p_inc)
 
 
 def unambiguous_two_pure(psi1, psi2, eta: float = 0.5) -> DiscriminationResult:
     """Optimal unambiguous discrimination of two pure states.
 
     Conclusive effects are c (Q - P_other) with c = 1 / (1 + |overlap|)
-    and Q the projector onto span{psi1, psi2}; conclusions are
+    and Q the projector onto span{psi1, psi2}; conclusive outcomes are
     error-free and, for eta = 1/2, the success probability is
     1 - |<psi1|psi2>|.
     """
@@ -121,21 +121,15 @@ def unambiguous_two_pure(psi1, psi2, eta: float = 0.5) -> DiscriminationResult:
         raise ValueError("states identical - nothing to discriminate")
     q_perp = _span_projector([v1, v2])
     c = 1 / (1 + overlap)
-    d1 = c * (q_perp - outer(v2))
-    d2 = c * (q_perp - outer(v1))
-    dq = np.eye(v1.shape[0]) - d1 - d2
-    povm = Povm(("1", "2", "?"), (d1, d2, dq))
     rho1, rho2 = outer(v1), outer(v2)
-    p_succ = float(eta * np.trace(rho1 @ d1).real + (1 - eta) * np.trace(rho2 @ d2).real)
-    p_inc = float(eta * np.trace(rho1 @ dq).real + (1 - eta) * np.trace(rho2 @ dq).real)
-    return DiscriminationResult(povm, p_succ, p_inc, {"1": "1", "2": "2", "?": "?"})
+    return _unambiguous(rho1, rho2, c * (q_perp - rho2), c * (q_perp - rho1), eta)
 
 
 def unambiguous_mixture_povm(psi1, psi2, q: float, eta: float = 0.5) -> DiscriminationResult:
     """Suboptimal unambiguous scheme mixing the two single-state identifiers.
 
-    C(1) = q (I - rho2), C(2) = (1-q)(I - rho1), C(?) = q rho2 +
-    (1-q) rho1.  For q = eta = 1/2 the success probability equals
+    C(1) = q (I - rho2), C(2) = (1-q)(I - rho1), C(?) = I - C(1) - C(2)
+    = q rho2 + (1-q) rho1.  For q = eta = 1/2 the success probability equals
     (1 - tr[rho1 rho2]) / 2.
     """
     if not 0 < q < 1:
@@ -144,13 +138,7 @@ def unambiguous_mixture_povm(psi1, psi2, q: float, eta: float = 0.5) -> Discrimi
     v1, v2 = _state_pair(unit_ket(psi1), unit_ket(psi2))
     rho1, rho2 = outer(v1), outer(v2)
     eye = np.eye(v1.shape[0])
-    c1 = q * (eye - rho2)
-    c2 = (1 - q) * (eye - rho1)
-    cq = q * rho2 + (1 - q) * rho1
-    povm = Povm(("1", "2", "?"), (c1, c2, cq))
-    p_succ = float(eta * np.trace(rho1 @ c1).real + (1 - eta) * np.trace(rho2 @ c2).real)
-    p_inc = float(eta * np.trace(rho1 @ cq).real + (1 - eta) * np.trace(rho2 @ cq).real)
-    return DiscriminationResult(povm, p_succ, p_inc, {"1": "1", "2": "2", "?": "?"})
+    return _unambiguous(rho1, rho2, q * (eye - rho2), (1 - q) * (eye - rho1), eta)
 
 
 def idp_bound(rho1, rho2, eta: float = 0.5) -> float:

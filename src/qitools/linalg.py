@@ -80,6 +80,16 @@ def _require_size(value, name: str, least: int) -> None:
         raise ValueError(f"{name} must be {bound or f'at least {least}'}")
 
 
+def _probability_vector(weights, message: str, size: int | None = None) -> np.ndarray:
+    """Float weights, or ValueError(message) unless >= 0 with sum 1 (NaN fails) and, when
+    ``size`` is given, ``size`` of them."""
+    p = np.asarray(weights, dtype=float)
+    shaped = p.ndim == 1 and size in (None, len(p))
+    if not (shaped and (p >= 0).all() and abs(p.sum() - 1) <= 1e-12):
+        raise ValueError(message)
+    return p
+
+
 def _require_unit_interval(x, name: str) -> None:
     """Raise ValueError unless 0 <= x <= 1; NaN fails."""
     if not 0 <= x <= 1:
@@ -256,21 +266,26 @@ def _by_side(side: str, a, b):
     return a if side == "A" else b
 
 
+def _bipartite(t: np.ndarray, dA: int, dB: int) -> np.ndarray:
+    """An operator on a dA*dB space as its (dA, dB, dA, dB) array, or ValueError."""
+    t = asarray(t)
+    if t.shape != (dA * dB, dA * dB):
+        raise ValueError(f"expected a {dA * dB} x {dA * dB} matrix, got {t.shape}")
+    return t.reshape(dA, dB, dA, dB)
+
+
 def partial_trace(t: np.ndarray, dA: int, dB: int, side: str = "A") -> np.ndarray:
     """Trace out one tensor factor of an operator on a dA*dB space.
 
     ``side="A"`` returns the dB x dB operator tr_A[t]; ``side="B"`` the
     dA x dA operator tr_B[t].
     """
-    t = asarray(t)
-    if t.shape != (dA * dB, dA * dB):
-        raise ValueError(f"expected a {dA * dB} x {dA * dB} matrix, got {t.shape}")
-    return np.einsum(_by_side(side, "ijik->jk", "ijkj->ik"), t.reshape(dA, dB, dA, dB))
+    return np.einsum(_by_side(side, "ijik->jk", "ijkj->ik"), _bipartite(t, dA, dB))
 
 
 def partial_transpose(t: np.ndarray, dA: int, dB: int, side: str = "B") -> np.ndarray:
-    """Blockwise transpose of one tensor factor in the product basis."""
-    r = asarray(t).reshape(dA, dB, dA, dB)
+    """Blockwise transpose of one tensor factor of an operator on a dA*dB space."""
+    r = _bipartite(t, dA, dB)
     return np.einsum(_by_side(side, "ijkl->kjil", "ijkl->ilkj"), r).reshape(dA * dB, dA * dB)
 
 

@@ -7,9 +7,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import (ATOL, _eig_tol, _frozen_copy, _kraus_columns, _min_eig, _require_finite,
-                     _require_hermitian, _require_psd, _require_size, _within, asarray, dag, eigh,
-                     inner, psd_sqrt, unit_ket)
+from .linalg import (ATOL, _eig_tol, _frozen_copy, _kraus_columns, _min_eig, _probability_vector,
+                     _require_finite, _require_hermitian, _require_psd, _require_size, _within,
+                     asarray, dag, eigh, inner, psd_sqrt, unit_ket)
 
 
 @lru_cache(maxsize=None)
@@ -259,11 +259,12 @@ def maximally_entangled_ket(d: int) -> np.ndarray:
 
 
 def conjugation_average(rho, unitaries, weights=None) -> np.ndarray:
-    """Average of U rho U^dag over a family of unitaries."""
+    """Average of U rho U^dag over a family of unitaries, uniform unless ``weights``
+    gives a probability vector with one weight per unitary."""
     m = _as_matrix(rho)
     n = len(unitaries)
-    if weights is None:
-        weights = [1.0 / n] * n
+    message = "weights must form a probability vector, one per unitary"
+    weights = np.full(n, 1 / n) if weights is None else _probability_vector(weights, message, n)
     out = np.zeros_like(m)
     for w, u in zip(weights, unitaries):
         out = out + w * (u @ m @ dag(u))

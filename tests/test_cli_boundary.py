@@ -363,6 +363,29 @@ def test_a_document_of_the_wrong_kind_exits_2(tmp_path, capsys):
         assert code == 0 or out == "", argv
 
 
+KRAUS, CHOI, STATE, KET = (str(CORPUS / name) for name in (
+    "amplitude_damping.kraus.json", "depolarizing.choi.json", "mixed_a.state.json",
+    "zero.ket.json"))
+
+
+@pytest.mark.parametrize("argv, detail", [
+    (["certify-channel", "--in", STATE], "certify-channel expects a kraus or choi document"),
+    (["certify-channel", "--in", CHOI, "--rep", "kraus"],
+     "certify-channel expects a kraus document"),
+    (["entanglement", "--in", KRAUS, "--dims", "2,2"],
+     "entanglement expects a state or ket document"),
+    (["discriminate", "--s1", KRAUS, "--s2", STATE, "--mode", "minerror"],
+     "discriminate --mode minerror expects a state or ket document"),
+    (["discriminate", "--s1", KET, "--s2", STATE, "--mode", "unambiguous"],
+     "discriminate --mode unambiguous expects a ket document"),
+])
+def test_a_command_names_the_document_kinds_it_reads(capsys, argv, detail):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["detail"] == detail
+
+
 def test_entanglement_names_a_malformed_dims_flag(capsys):
     for dims in ("2", "a,b", "2,2,2"):
         assert run(["entanglement", "--in", str(CORPUS / "noisy_bell.state.json"),

@@ -1,7 +1,10 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from qitools.discrimination import (
+    DiscriminationResult,
     fidelity,
     helstrom,
     idp_bound,
@@ -129,6 +132,7 @@ def test_helstrom_edge_cases():
     rho = State(random_density(2, np.random.default_rng(4)))
     res = helstrom(rho, rho)
     assert abs(res.p_error - 0.5) < 1e-12
+    assert np.abs(res.povm.effects[0] - np.eye(2) / 2).max() < 1e-12
 
 
 def test_helstrom_matches_trace_distance_formula():
@@ -180,6 +184,23 @@ def test_unambiguous_no_error_conditions_d5():
         rho1, rho2 = outer(psi1), outer(psi2)
         assert abs(np.trace(rho2 @ res.povm.effect("1"))) < 1e-12
         assert abs(np.trace(rho1 @ res.povm.effect("2"))) < 1e-12
+
+
+@pytest.mark.parametrize("scheme", [unambiguous_two_pure,
+                                    lambda a, b, eta: unambiguous_mixture_povm(a, b, 0.3, eta)])
+def test_an_unambiguous_scheme_errs_never_and_is_inconclusive_otherwise(scheme):
+    rng = np.random.default_rng(9)
+    for d in (2, 3, 5):
+        psi1, psi2 = random_ket(d, rng), random_ket(d, rng)
+        res = scheme(psi1, psi2, eta=0.3)
+        assert res.povm.outcomes == ("1", "2", "?")
+        c1, c2, cq = res.povm.effects
+        assert np.array_equal(cq, np.eye(d) - c1 - c2)
+        assert abs(res.p_error - (1 - res.p_success)) < 1e-12
+
+
+def test_a_result_holds_the_measurement_and_its_two_probabilities():
+    assert [f.name for f in fields(DiscriminationResult)] == ["povm", "p_success", "p_error"]
 
 
 def test_unambiguous_rejects_identical():

@@ -359,6 +359,34 @@ def test_pauli_rejects_nan_weight():
         make("pauli", q=(float("nan"), 1, 0, 0))
 
 
+@pytest.mark.parametrize("build", [lambda pairs: make("random_unitary", pairs=pairs),
+                                   random_unitary_conjugate])
+@pytest.mark.parametrize("pairs", [[(1.0, 2 * np.eye(2))],
+                                   [(0.5, np.eye(2)), (0.5, [[1, 1], [0, 1]])],
+                                   [(1.0, np.ones((2, 3)))]])
+def test_random_unitary_builders_reject_an_operator_that_is_not_unitary(build, pairs):
+    with pytest.raises(ValueError, match="^operator is not unitary$"):
+        build(pairs)
+    bad_weight = [(float("nan"), u) for _, u in pairs]  # the weights are checked first
+    with pytest.raises(ValueError, match="^weights must form a probability vector$"):
+        build(bad_weight)
+
+
+@pytest.mark.parametrize("xi, message", [
+    (2 * np.eye(2), r"^state trace is 4\.0, not 1$"),
+    (-np.eye(2), r"^state matrix is not PSD: eigenvalue -1\.000e\+00 below"),
+])
+def test_contraction_reads_its_fixed_point_as_a_state(xi, message):
+    with pytest.raises(ValueError, match=message):
+        make("contraction", xi=xi)
+
+
+def test_contraction_of_a_matrix_is_the_contraction_of_its_state():
+    m = random_density(3, np.random.default_rng(8))
+    got = make("contraction", xi=m).kraus_ops
+    assert np.array_equal(got, make("contraction", xi=State(m)).kraus_ops)
+
+
 def test_random_unitary_conjugate_rejects_nan_weight():
     pairs = [(float("nan"), np.eye(2)), (1.0, PAULIS[1])]
     with pytest.raises(ValueError, match="^weights must form a probability vector$"):

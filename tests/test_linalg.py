@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from qitools.linalg import (
     matrix_rank,
     norms,
     partial_trace,
+    partial_transpose,
     polar,
     psd_sqrt,
     tensor,
@@ -65,6 +68,16 @@ def test_partial_trace_preserves_trace():
     rng = np.random.default_rng(2)
     t = random_hermitian(6, rng)
     assert np.isclose(np.trace(partial_trace(t, 2, 3, "A")), np.trace(t))
+
+
+@pytest.mark.parametrize("partial", [partial_trace, partial_transpose])
+@pytest.mark.parametrize("t, d, message", [
+    (np.arange(16.0).reshape(2, 8), 2, "expected a 4 x 4 matrix, got (2, 8)"),
+    (np.eye(4), 3, "expected a 9 x 9 matrix, got (4, 4)"),
+])
+def test_partial_maps_reject_a_matrix_off_the_product_space(partial, t, d, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        partial(t, d, d)
 
 
 def test_partial_trace_positivity():

@@ -295,6 +295,19 @@ def test_boundary_flag():
     assert not State(random_density(3, np.random.default_rng(13))).is_boundary()
 
 
+@pytest.mark.parametrize("weights", [[0.2, 0.3, 0.5], [5.0], [1.0], [1.5, -0.5],
+                                     [float("nan"), 1.0]])
+def test_conjugation_average_needs_one_probability_per_unitary(weights):
+    with pytest.raises(ValueError,
+                       match="^weights must form a probability vector, one per unitary$"):
+        conjugation_average(np.diag([1.0, 0.0]), [np.eye(2), PAULI_X], weights=weights)
+
+
+def test_conjugation_average_weighs_each_conjugate():
+    got = conjugation_average(np.diag([1.0, 0.0]), [np.eye(2), PAULI_X], weights=[0.25, 0.75])
+    assert np.abs(got - np.diag([0.25, 0.75])).max() < 1e-15
+
+
 def test_maximally_mixed_fixed_by_orthogonal_unitary_average():
     # averaging over a unitary operator basis sends everything to I/d
     from qitools.protocols import ShiftMultiplyBasis
