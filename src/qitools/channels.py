@@ -502,6 +502,8 @@ def _weighted_unitaries(pairs) -> tuple[np.ndarray, list]:
     unitaries = [asarray(u) for _, u in pairs]
     if not all(map(is_unitary, unitaries)):
         raise ValueError("operator is not unitary")
+    if len({u.shape for u in unitaries}) > 1:
+        raise ValueError("unitaries must share a shape")
     return probs, unitaries
 
 

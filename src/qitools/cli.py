@@ -158,7 +158,10 @@ def dump_document(obj) -> dict:
     from .states import State
 
     if isinstance(obj, State):
-        return {"kind": "state", "dims": obj.dim, "entries": _array_to_entries(obj.matrix)}
+        doc = {"kind": "state", "dims": obj.dim, "entries": _array_to_entries(obj.matrix)}
+        if isinstance(obj, BipartiteState):
+            doc["bipartite_dims"] = [obj.dA, obj.dB]
+        return doc
     if isinstance(obj, Effect):
         return {"kind": "effect", "dims": obj.dim, "entries": _array_to_entries(obj.matrix)}
     if isinstance(obj, Povm):
@@ -168,10 +171,6 @@ def dump_document(obj) -> dict:
             "outcomes": [str(x) for x in obj.outcomes],
             "effects": [_array_to_entries(e) for e in obj.effects],
         }
-    if isinstance(obj, BipartiteState):
-        doc = dump_document(obj.state)
-        doc["bipartite_dims"] = [obj.dA, obj.dB]
-        return doc
     if isinstance(obj, KrausChannel):
         return {
             "kind": "kraus",
@@ -342,9 +341,7 @@ def _state_of(obj):
     """The ``State`` of a state or ket document's object."""
     from .states import State
 
-    if isinstance(obj, np.ndarray):
-        return State.from_ket(obj)
-    return obj if isinstance(obj, State) else obj.state  # a BipartiteState
+    return State.from_ket(obj) if isinstance(obj, np.ndarray) else obj
 
 
 def _cmd_certify_channel(args) -> dict:

@@ -18,22 +18,21 @@ from .states import State, _sigma_dot, _unit_directions, maximally_entangled_ket
 
 
 @dataclass(frozen=True, eq=False)
-class BipartiteState:
-    """State together with its tensor factor dimensions."""
+class BipartiteState(State):
+    """A ``State`` on a dA*dB space with its tensor factor dimensions dA and dB.
 
-    state: State
+    The inherited ``from_ket`` and ``maximally_mixed`` raise TypeError, as they take
+    no factor dimensions: build ``BipartiteState(State.from_ket(psi), dA, dB)``."""
+
     dA: int
     dB: int
 
     def __post_init__(self):
+        super().__post_init__()
         _require_size(self.dA, "dimension", 1)
         _require_size(self.dB, "dimension", 1)
-        if self.dA * self.dB != self.state.dim:
+        if self.dA * self.dB != self.dim:
             raise ValueError("factor dimensions do not multiply to the state dimension")
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.state.matrix
 
     def reduced(self, side: str) -> State:
         """Reduced state of subsystem A or B."""
@@ -222,7 +221,7 @@ def werner(d: int, mu: float) -> BipartiteState:
     d_plus = d * (d + 1) // 2
     d_minus = d * (d - 1) // 2
     m = mu * p_plus / d_plus + (1 - mu) * p_minus / d_minus
-    return BipartiteState(State(m), d, d)
+    return BipartiteState(m, d, d)
 
 
 def werner_report(d: int, mu: float, tol: float = ATOL) -> dict:
@@ -355,7 +354,7 @@ def _upb_projector() -> np.ndarray:
 def upb_state() -> BipartiteState:
     """Normalized complement of the tiles span: a PPT entangled state."""
     pi = _upb_projector()
-    return BipartiteState(State((np.eye(9) - pi) / 4), 3, 3)
+    return BipartiteState((np.eye(9) - pi) / 4, 3, 3)
 
 
 def _min_product_step(t: np.ndarray, phi: np.ndarray):

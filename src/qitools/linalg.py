@@ -312,30 +312,23 @@ def psd_sqrt(t: np.ndarray, tol: float = ATOL) -> np.ndarray:
     """Unique PSD square root; eigenvalues in [-tol*||t||, 0) are clamped.
 
     A stack ``(n, d, d)`` gives the stack of roots from one stacked
-    eigendecomposition; each member is checked as a single matrix is, and
-    the first that fails raises the single-matrix message.
+    eigendecomposition, and a matrix is run as a stack of one.  Each member is
+    checked as a single matrix is, and the first that fails raises the
+    single-matrix message.
     """
     t = asarray(t)
-    if t.ndim == 3:
-        return _psd_sqrt_stack(t, tol)
-    vals, vecs = eigh(t, tol)
-    _require_psd(vals, tol, t, "matrix")
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ dag(vecs)
-
-
-def _psd_sqrt_stack(t: np.ndarray, tol: float) -> np.ndarray:
-    """psd_sqrt of each member of a stack, with the checks and the descending
-    eigenvalue order of ``eigh`` and ``psd_sqrt`` on one matrix."""
-    vals, vecs = np.linalg.eigh(_require_hermitian(t, tol, "matrix"))
-    order = np.argsort(vals, axis=-1)[:, ::-1]
-    vals = np.take_along_axis(vals, order, axis=-1)
-    vecs = np.take_along_axis(vecs, order[:, None, :], axis=-1)
+    stack = t[None] if t.ndim == 2 else t  # any other shape fails the Hermitian check
+    vals, vecs = np.linalg.eigh(_require_hermitian(stack, tol, "matrix"))
+    order = np.argsort(vals, axis=-1)[:, ::-1]  # descending, as eigh orders them: it fixes the bits
+    rows = np.arange(len(stack))[:, None]
+    vals, vecs = vals[rows, order], vecs.swapaxes(1, 2)[rows, order].swapaxes(1, 2)
+    vecs = np.ascontiguousarray(vecs)  # C order: the bits of the product below depend on it
     low = vals.min(axis=-1, initial=np.inf)
-    for k in np.flatnonzero(~_within_each(-low, tol, t)):
-        _require_psd(vals[k], tol, t[k], "matrix")  # raises for the first member that fails
+    for k in np.flatnonzero(~_within_each(-low, tol, stack)):
+        _require_psd(vals[k], tol, stack[k], "matrix")  # raises for the first member that fails
     vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+    roots = (vecs * np.sqrt(vals)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+    return roots[0] if t.ndim == 2 else roots
 
 
 def polar(t: np.ndarray):

@@ -40,6 +40,11 @@ class Effect:
         return self.matrix.shape[0]
 
 
+def _effect_matrix(e) -> np.ndarray:
+    """The matrix of an ``Effect``, or an array-like read as a complex array."""
+    return e.matrix if isinstance(e, Effect) else asarray(e)
+
+
 @dataclass(frozen=True, eq=False)
 class Povm:
     """Finite labeled family of effects summing to the identity.
@@ -52,7 +57,7 @@ class Povm:
     effects: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        effs = [e.matrix if isinstance(e, Effect) else e for e in self.effects]
+        effs = [_effect_matrix(e) for e in self.effects]
         stack = _frozen_stack(effs, "POVM effect", "a POVM needs at least one effect", "(n, d, d)")
         stack = np.stack([_require_effect(m) for m in stack])
         outs = tuple(self.outcomes)
@@ -221,8 +226,7 @@ def commuting_joint(a, b) -> Povm:
     Effects are {AB, (I-A)B, A(I-B), (I-A)(I-B)} with outcomes 1..4;
     the margins {1, 3} and {1, 2} recover A and B.
     """
-    am = a.matrix if isinstance(a, Effect) else asarray(a)
-    bm = b.matrix if isinstance(b, Effect) else asarray(b)
+    am, bm = _effect_matrix(a), _effect_matrix(b)
     ab = am @ bm
     if not _within(np.max(np.abs(ab - bm @ am)), ATOL, ab):
         raise ValueError("effects do not commute; no joint observable is constructed")
@@ -238,7 +242,7 @@ UNIT_EIGENVALUE_TOL = 1e-7
 
 def has_unit_eigenvalue(e: np.ndarray, tol: float = UNIT_EIGENVALUE_TOL) -> bool:
     """True when the largest eigenvalue of an effect is 1 within tol."""
-    h = _require_hermitian(asarray(e), ATOL, "effect")
+    h = _require_hermitian(_effect_matrix(e), ATOL, "effect")
     return bool(abs(np.linalg.eigvalsh(h).max() - 1) < tol)
 
 

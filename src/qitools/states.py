@@ -90,13 +90,14 @@ def _unit_directions(directions) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class State:
-    """Trace-one positive matrix, optionally with bipartite dimensions."""
+    """Trace-one positive matrix, read from an array-like or from a ``State``'s
+    matrix; a bipartite state is the subclass ``entanglement.BipartiteState``."""
 
     matrix: np.ndarray
     dim: int = field(init=False)
 
     def __post_init__(self):
-        m = asarray(self.matrix)
+        m = _as_matrix(self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("a state must be a square matrix")
         _require_finite(m, "state")  # the one finiteness check: h is formed from m

@@ -1,8 +1,11 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
-from qitools.channels import KrausChannel, apply
-from qitools.discrimination import trace_distance
+from qitools.channels import KrausChannel, apply, fixed_point, make
+from qitools.discrimination import fidelity, helstrom, trace_distance
 from qitools.entanglement import (
     BipartiteState,
     Witness,
@@ -34,8 +37,11 @@ from qitools.entanglement import (
     witness_evaluate,
 )
 from qitools.linalg import dag, inner, outer, partial_trace as ptrace, tensor, unit_ket
+from qitools.observables import minimal_ic_povm, outcome_distribution
+from qitools.protocols import teleport
 from qitools.rand import haar_unitary, random_density, random_ket, random_kraus_ops
-from qitools.states import State
+from qitools.states import (State, canonical_decomposition, purify, purity, to_bloch,
+                            von_neumann_entropy)
 
 S2 = 1 / np.sqrt(2)
 CHSH_VECTORS = ((1, 0, 0), (0, 1, 0), (S2, S2, 0), (S2, -S2, 0))
@@ -347,7 +353,7 @@ def test_pure_reduced_state_implies_product():
     joint = BipartiteState(State(tensor(outer(psi), rho_b)), 2, 3)
     assert joint.reduced("A").is_pure()
     product = tensor(joint.reduced("A").matrix, joint.reduced("B").matrix)
-    assert trace_distance(joint.state, State(product)) < 1e-9
+    assert trace_distance(joint, State(product)) < 1e-9
 
 
 def test_pure_bipartite_reduced_spectra_agree():
@@ -366,3 +372,45 @@ def test_teleportation_identity():
         x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         lhs = (dag(psi) @ tensor(np.eye(d), x) @ psi)[0, 0]
         assert abs(lhs - np.trace(x) / d) < 1e-12
+
+
+MIXED4 = State.maximally_mixed(4)
+
+# Each function that reads a state, as a value np.array_equal compares.
+STATE_FUNCTIONS = {
+    "purity": purity,
+    "von_neumann_entropy": von_neumann_entropy,
+    "to_bloch": lambda r: to_bloch(r).components,
+    "canonical_decomposition": lambda r: np.hstack([w * v for w, v in canonical_decomposition(r)]),
+    "purify": purify,
+    "trace_distance": lambda r: trace_distance(r, MIXED4),
+    "fidelity": lambda r: fidelity(r, MIXED4),
+    "helstrom": lambda r: helstrom(r, MIXED4).povm.effects,
+    "outcome_distribution": lambda r: outcome_distribution(minimal_ic_povm(4), r),
+    "apply": lambda r: apply(make("depolarizing", d=4, p=0.5), r),
+    "teleport": lambda r: [(x["probability"], x["fidelity"]) for x in teleport(r).records],
+    "fixed_point": lambda r: fixed_point(make("depolarizing", d=4, p=0.5), r).matrix,
+}
+
+
+@pytest.mark.parametrize("read", STATE_FUNCTIONS.values(), ids=STATE_FUNCTIONS)
+def test_a_bipartite_state_is_read_as_the_state_it_is(read):
+    w = werner(2, 0.3)
+    assert np.array_equal(read(w), read(State(w.matrix)))
+
+
+def test_a_bipartite_state_reads_a_state_as_its_matrix():
+    m = random_density(4, np.random.default_rng(14))
+    assert isinstance(werner(2, 0.3), State)
+    assert np.array_equal(BipartiteState(State(m), 2, 2).matrix, BipartiteState(m, 2, 2).matrix)
+    for build in (lambda: BipartiteState.from_ket(unit_ket([1, 0, 0, 0])),
+                  lambda: BipartiteState.maximally_mixed(4)):
+        with pytest.raises(TypeError, match="'dA' and 'dB'"):
+            build()  # the inherited constructors take no factor dimensions
+
+
+def test_a_bipartite_state_keeps_its_factor_dimensions_through_pickle_and_deepcopy():
+    joint = BipartiteState(random_density(6, np.random.default_rng(15)), 2, 3)
+    for clone in (pickle.loads(pickle.dumps(joint)), copy.deepcopy(joint)):
+        assert type(clone) is BipartiteState and (clone.dA, clone.dB, clone.dim) == (2, 3, 6)
+        assert np.array_equal(clone.matrix, joint.matrix)

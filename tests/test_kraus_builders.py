@@ -359,8 +359,11 @@ def test_pauli_rejects_nan_weight():
         make("pauli", q=(float("nan"), 1, 0, 0))
 
 
-@pytest.mark.parametrize("build", [lambda pairs: make("random_unitary", pairs=pairs),
-                                   random_unitary_conjugate])
+RANDOM_UNITARY_BUILDERS = [lambda pairs: make("random_unitary", pairs=pairs),
+                           random_unitary_conjugate]
+
+
+@pytest.mark.parametrize("build", RANDOM_UNITARY_BUILDERS)
 @pytest.mark.parametrize("pairs", [[(1.0, 2 * np.eye(2))],
                                    [(0.5, np.eye(2)), (0.5, [[1, 1], [0, 1]])],
                                    [(1.0, np.ones((2, 3)))]])
@@ -370,6 +373,12 @@ def test_random_unitary_builders_reject_an_operator_that_is_not_unitary(build, p
     bad_weight = [(float("nan"), u) for _, u in pairs]  # the weights are checked first
     with pytest.raises(ValueError, match="^weights must form a probability vector$"):
         build(bad_weight)
+
+
+@pytest.mark.parametrize("build", RANDOM_UNITARY_BUILDERS)
+def test_random_unitary_builders_reject_unitaries_of_different_dimensions(build):
+    with pytest.raises(ValueError, match="^unitaries must share a shape$"):
+        build([(0.5, np.eye(2)), (0.5, np.eye(3))])
 
 
 @pytest.mark.parametrize("xi, message", [

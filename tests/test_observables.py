@@ -286,3 +286,12 @@ def test_has_unit_eigenvalue():
     assert not has_unit_eigenvalue(np.diag([0.9, 0.3]))
     with pytest.raises(ValueError, match="not Hermitian"):
         has_unit_eigenvalue([[1, 7], [0, 0.2]])  # its lower triangle has eigenvalue 1
+
+
+def test_every_function_taking_an_effect_reads_an_effect():
+    e, f = Effect(np.diag([1.0, 0.3])), Effect(np.diag([0.5, 0.5]))
+    assert has_unit_eigenvalue(e) and not has_unit_eigenvalue(f)
+    joint = commuting_joint(e, f.matrix).effects
+    assert np.array_equal(joint, commuting_joint(e.matrix, f).effects)
+    povm = Povm((0, 1), [e, np.eye(2) - e.matrix]).effects
+    assert np.array_equal(povm, Povm((0, 1), [e.matrix, np.eye(2) - e.matrix]).effects)

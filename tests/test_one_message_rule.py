@@ -150,6 +150,8 @@ RHO4 = State(np.eye(4) / 4)
     [
         (lambda: BipartiteState(RHO4, 2.0, 2.0), "^dimension must be an integer, got 2.0$"),
         (lambda: BipartiteState(RHO4, True, 4), "^dimension must be an integer, got True$"),
+        (lambda: BipartiteState(RHO4, 2, 3),
+         "^factor dimensions do not multiply to the state dimension$"),
         (lambda: State.maximally_mixed(2.5), "^dimension must be an integer, got 2.5$"),
         (lambda: werner(2.5, 0.3), "^dimension must be an integer, got 2.5$"),
         (lambda: bb84(2.5), "^rounds must be an integer, got 2.5$"),
