@@ -543,8 +543,7 @@ def make(kind: str, **params):
         probs, unitaries = _weighted_unitaries(params["pairs"])
         return KrausChannel([np.sqrt(p) * u for p, u in zip(probs, unitaries) if p > 0])
     if kind == "contraction":
-        xi = params["xi"]
-        xi = (xi if isinstance(xi, State) else State(xi)).matrix
+        xi = State(params["xi"]).matrix
         ops = _prepare_kraus(_kraus_columns(*eigh(xi), ATOL), np.eye(len(xi)))
         return KrausChannel(ops)  # A_jk = sqrt(lambda_j) v_j e_k^T
     if kind == "transposition":

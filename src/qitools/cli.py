@@ -102,9 +102,8 @@ def load_document(doc: dict):
     try:
         if kind == "state":
             d = _dim(doc["dims"])
-            m = _entries_to_array(doc["entries"], d, d, "entries")
             from .states import State
-            state = State(m)
+            state = State(_entries_to_array(doc["entries"], d, d, "entries"))
             if "bipartite_dims" in doc:
                 da, db = (_dim(x) for x in doc["bipartite_dims"])
                 from .entanglement import BipartiteState

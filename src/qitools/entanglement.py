@@ -9,7 +9,7 @@ from math import isqrt
 
 import numpy as np
 
-from .linalg import (ATOL, _frozen_copy, _lowest_eigh, _min_eig, _require_finite,
+from .linalg import (ATOL, _bipartite, _frozen_copy, _lowest_eigh, _min_eig, _require_finite,
                      _require_hermitian, _require_size, _require_unit_interval, _seesaw, _within,
                      asarray, dag, eigh, outer, partial_trace, partial_transpose, swap_operator,
                      tensor)
@@ -163,6 +163,7 @@ def witness_evaluate(w: Witness, rho: BipartiteState, tol: float = ATOL):
     """(tr[W rho], verdict); the verdict never claims separability."""
     if not isinstance(w, Witness):
         raise ValueError("witness must be certified; use certify_witness")
+    _bipartite(w.matrix, rho.dA, rho.dB)  # the witness must act on the state's space
     value = float(np.trace(w.matrix @ rho.matrix).real)
     return value, ("entangled" if value < -tol else "inconclusive")
 
@@ -244,19 +245,12 @@ def werner_report(d: int, mu: float, tol: float = ATOL) -> dict:
     }
 
 
-def _require_operator(x: np.ndarray, d: int) -> None:
-    """Raise ValueError unless ``x`` is a finite operator on C^d (x) C^d."""
-    if x.shape != (d * d, d * d):
-        raise ValueError("operator must act on a d*d space")
-    _require_finite(x, "operator")
-
-
 def twirl(x: np.ndarray, d: int | None = None) -> np.ndarray:
     """Project onto the U (x) U commutant: span{P+, P-}."""
-    x = asarray(x)
     if d is None:
-        d = int(round(np.sqrt(x.shape[0])))
-    _require_operator(x, d)
+        d = round(np.size(x) ** 0.25)  # x is d^2 x d^2; other input fails the shape rule
+    x = _bipartite(x, d, d).reshape(d * d, d * d)
+    _require_finite(x, "operator")
     p_plus, p_minus, _ = sym_antisym(d)
     d_plus = d * (d + 1) // 2
     d_minus = d * (d - 1) // 2
@@ -280,8 +274,8 @@ _TWIRL_BLOCK = 8
 
 def twirl_monte_carlo(x: np.ndarray, d: int, samples: int, rng=0) -> np.ndarray:
     """Haar Monte-Carlo estimate of the twirl, for cross-checking."""
-    x = asarray(x)
-    _require_operator(x, d)
+    x = _bipartite(x, d, d).reshape(d * d, d * d)
+    _require_finite(x, "operator")
     _require_size(samples, "samples", 1)
     rng = rng_from(rng)
     full, rest = divmod(samples, _TWIRL_BATCH)
@@ -380,7 +374,7 @@ def _min_product_expectation(op: np.ndarray, dA: int, dB: int, rng, restarts: in
     steps per start, a slow start also trying an extrapolated jump
     (``linalg._seesaw``); a start stops once a step gains at most 1e-12.
     """
-    t = asarray(op).reshape(dA, dB, dA, dB)
+    t = _bipartite(op, dA, dB)
     _, phi = random_kets((dA, dB), restarts, rng)
     return -_seesaw(lambda p: _min_product_step(t, p), phi, 100, 1e-12)[0]
 

@@ -9,7 +9,7 @@ import numpy as np
 from .linalg import (ATOL, _frozen_copy, _kraus_columns, _prepare_kraus, basis_ket, eigh,
                      is_unitary, outer, psd_sqrt)
 from .channels import ChoiMatrix, KrausChannel, _dilation_unitary, _superop, apply, from_choi
-from .observables import UNIT_EIGENVALUE_TOL, Povm, is_sharp
+from .observables import UNIT_EIGENVALUE_TOL, Povm, _outcome_labels, is_sharp
 from .states import State, _as_matrix, _operator_basis
 
 
@@ -21,11 +21,9 @@ class DiscreteInstrument:
     operations: tuple  # one Kraus list per outcome
 
     def __post_init__(self):
-        outs = tuple(self.outcomes)
         ops = tuple(op if isinstance(op, KrausChannel) else KrausChannel(op)
                     for op in self.operations)
-        if len(outs) != len(ops):
-            raise ValueError("need one operation per outcome")
+        outs = _outcome_labels(self.outcomes, len(ops), "need one operation per outcome")
         object.__setattr__(self, "outcomes", outs)
         object.__setattr__(self, "operations", ops)
         if not self.total_channel().is_trace_preserving():
@@ -47,7 +45,7 @@ class DiscreteInstrument:
 
 @dataclass(frozen=True, eq=False)
 class MeasurementModel:
-    """Probe space, probe state, unitary coupling, pointer observable."""
+    """Probe space, probe state (read as a ``State``), unitary coupling, pointer observable."""
 
     probe_dim: int
     probe_state: State
@@ -58,6 +56,7 @@ class MeasurementModel:
         u = _frozen_copy(self.coupling, "coupling")
         if not is_unitary(u, 1e-8):
             raise ValueError("coupling must be unitary")
+        object.__setattr__(self, "probe_state", State(self.probe_state))
         if self.probe_state.dim != self.probe_dim or self.pointer.dim != self.probe_dim:
             raise ValueError("probe state and pointer must live on the probe space")
         if u.shape[0] % self.probe_dim != 0:
@@ -122,7 +121,7 @@ def instrument_to_normal_memo(ins: DiscreteInstrument) -> MeasurementModel:
     u = _dilation_unitary(tagged, probe_dim)
     probe0 = outer(basis_ket(probe_dim, 0))
     pointer = Povm(ins.outcomes, tuple(np.diag(np.repeat(t, len(ops))) for t in tags))
-    return MeasurementModel(probe_dim, State(probe0), u, pointer)
+    return MeasurementModel(probe_dim, probe0, u, pointer)
 
 
 def conditional_output(ins: DiscreteInstrument, rho, x, tol: float = ATOL) -> State:

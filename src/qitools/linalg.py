@@ -29,26 +29,24 @@ def _eig_tol(vals: np.ndarray, tol: float) -> float:
     return tol * max(1.0, float(np.abs(vals).max(initial=0.0)))
 
 
-def _within(err: float, tol: float, a: np.ndarray, offset: float = 0.0) -> bool:
+def _within(err: float | np.ndarray, tol: float, a: np.ndarray, offset: float = 0.0) -> bool:
     """err <= offset + tol * _scale(a), computing the norm only when needed.
 
+    For an (n, d, d) stack ``a``, ``err`` holds one error per member: every member
+    must pass, and each that fails the unscaled test, not only the first, is scaled.
     _scale(a) >= 1 and IEEE rounding is monotone, so for tol >= 0 the
     unscaled test err <= offset + tol already implies the scaled one.
     Non-finite ``a`` always takes the scaled path, so its errors (an SVD
     that does not converge on NaN entries) are raised as before.
     """
+    if a.ndim == 3:  # the unscaled test once for the whole stack
+        if tol >= 0 and (err <= offset + tol).all() and np.isfinite(a).all():
+            return True
+        ok = (err <= offset + tol) & np.isfinite(a).all(axis=(1, 2)) & (tol >= 0)
+        return all([_within(err[k], tol, a[k], offset) for k in np.flatnonzero(~ok)])
     if tol >= 0 and err <= offset + tol and np.isfinite(a).all():
         return True
     return bool(err <= offset + tol * _scale(a))
-
-
-def _within_each(errs: np.ndarray, tol: float, stack: np.ndarray) -> np.ndarray:
-    """_within(errs[k], tol, stack[k]) for each member of a stack, the fast
-    path taken for all members at once."""
-    ok = (errs <= tol) & np.isfinite(stack).all(axis=(1, 2)) & (tol >= 0)
-    for k in np.flatnonzero(~ok):
-        ok[k] = _within(errs[k], tol, stack[k])
-    return ok
 
 
 def _require_finite(a: np.ndarray, what: str) -> None:
@@ -191,7 +189,7 @@ def _hermitian(a: np.ndarray, tol: float) -> np.ndarray | None:
     """_herm(a) if ``a`` (each member of an (n, d, d) stack) is Hermitian within tol, else None."""
     if a.ndim == 3 and a.shape[1] == a.shape[2]:
         errs = np.abs(a - a.conj().swapaxes(1, 2)).max(axis=(1, 2), initial=0.0)
-        ok = _within_each(errs, tol, a).all()
+        ok = _within(errs, tol, a)
     else:
         ok = is_hermitian(a, tol)  # False for anything but a square matrix
     return _herm(a) if ok else None
@@ -268,10 +266,11 @@ def _by_side(side: str, a, b):
 
 def _bipartite(t: np.ndarray, dA: int, dB: int) -> np.ndarray:
     """An operator on a dA*dB space as its (dA, dB, dA, dB) array, or ValueError."""
-    t = asarray(t)
-    if t.shape != (dA * dB, dA * dB):
-        raise ValueError(f"expected a {dA * dB} x {dA * dB} matrix, got {t.shape}")
-    return t.reshape(dA, dB, dA, dB)
+    _require_size(dA, "dimension", 1)
+    _require_size(dB, "dimension", 1)
+    if np.shape(t) != (dA * dB, dA * dB):
+        raise ValueError(f"expected a {dA * dB} x {dA * dB} matrix, got {np.shape(t)}")
+    return asarray(t).reshape(dA, dB, dA, dB)
 
 
 def partial_trace(t: np.ndarray, dA: int, dB: int, side: str = "A") -> np.ndarray:
@@ -323,9 +322,9 @@ def psd_sqrt(t: np.ndarray, tol: float = ATOL) -> np.ndarray:
     rows = np.arange(len(stack))[:, None]
     vals, vecs = vals[rows, order], vecs.swapaxes(1, 2)[rows, order].swapaxes(1, 2)
     vecs = np.ascontiguousarray(vecs)  # C order: the bits of the product below depend on it
-    low = vals.min(axis=-1, initial=np.inf)
-    for k in np.flatnonzero(~_within_each(-low, tol, stack)):
-        _require_psd(vals[k], tol, stack[k], "matrix")  # raises for the first member that fails
+    if not _within(-vals.min(axis=-1, initial=np.inf), tol, stack):
+        for k in range(len(stack)):
+            _require_psd(vals[k], tol, stack[k], "matrix")  # raises for the first member that fails
     vals = np.clip(vals, 0.0, None)
     roots = (vecs * np.sqrt(vals)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
     return roots[0] if t.ndim == 2 else roots

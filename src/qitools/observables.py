@@ -45,6 +45,16 @@ def _effect_matrix(e) -> np.ndarray:
     return e.matrix if isinstance(e, Effect) else asarray(e)
 
 
+def _outcome_labels(outcomes, n: int, mismatch: str) -> tuple:
+    """``outcomes`` as a tuple of n distinct labels, or ValueError(mismatch) for another count."""
+    outs = tuple(outcomes)
+    if len(outs) != n:
+        raise ValueError(mismatch)
+    if len(set(outs)) != n:
+        raise ValueError("outcome labels must be distinct")
+    return outs
+
+
 @dataclass(frozen=True, eq=False)
 class Povm:
     """Finite labeled family of effects summing to the identity.
@@ -60,11 +70,8 @@ class Povm:
         effs = [_effect_matrix(e) for e in self.effects]
         stack = _frozen_stack(effs, "POVM effect", "a POVM needs at least one effect", "(n, d, d)")
         stack = np.stack([_require_effect(m) for m in stack])
-        outs = tuple(self.outcomes)
-        if len(outs) != len(stack):
-            raise ValueError("outcomes and effects must have the same length")
-        if len(set(outs)) != len(outs):
-            raise ValueError("outcome labels must be distinct")
+        outs = _outcome_labels(self.outcomes, len(stack),
+                               "outcomes and effects must have the same length")
         total = stack.sum(axis=0)
         err = np.max(np.abs(total - np.eye(len(total))))
         if not _within(err, ATOL, total):

@@ -154,7 +154,7 @@ def teleport(rho_in, rng=0) -> ProtocolReport:
     """
     from .discrimination import fidelity
 
-    rho = (rho_in if isinstance(rho_in, State) else State(rho_in)).matrix
+    rho = State(rho_in).matrix
     d = rho.shape[0]
     ks = _teleport_kraus(d)
     branches = ks @ rho @ ks.conj().transpose(0, 2, 1)  # Bob's corrected, unnormalized states

@@ -90,23 +90,25 @@ def _unit_directions(directions) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class State:
-    """Trace-one positive matrix, read from an array-like or from a ``State``'s
-    matrix; a bipartite state is the subclass ``entanglement.BipartiteState``."""
+    """Trace-one positive matrix, checked once: a ``State`` given shares its read-only
+    matrix unchecked.  A bipartite state is the subclass ``entanglement.BipartiteState``."""
 
     matrix: np.ndarray
     dim: int = field(init=False)
 
     def __post_init__(self):
         m = _as_matrix(self.matrix)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("a state must be a square matrix")
-        _require_finite(m, "state")  # the one finiteness check: h is formed from m
-        h = _require_hermitian(m, ATOL, "state matrix")
-        _require_psd(np.linalg.eigvalsh(h), ATOL, m, "state matrix")
-        tr = np.trace(m).real
-        if not _within(abs(tr - 1), ATOL, m):
-            raise ValueError(f"state trace is {tr}, not 1")
-        object.__setattr__(self, "matrix", _frozen_copy(h, "state", finite=True))
+        if not isinstance(self.matrix, State):
+            if m.ndim != 2 or m.shape[0] != m.shape[1]:
+                raise ValueError("a state must be a square matrix")
+            _require_finite(m, "state")  # the one finiteness check: h is formed from m
+            h = _require_hermitian(m, ATOL, "state matrix")
+            _require_psd(np.linalg.eigvalsh(h), ATOL, m, "state matrix")
+            tr = np.trace(m).real
+            if not _within(abs(tr - 1), ATOL, m):
+                raise ValueError(f"state trace is {tr}, not 1")
+            m = _frozen_copy(h, "state", finite=True)
+        object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dim", m.shape[0])
 
     @classmethod

@@ -67,6 +67,8 @@ def test_certify_identity():
 def test_certify_transposition():
     rep = certify(transposition_map(2))
     assert not rep["cp"]
+    made = make("transposition", d=2)
+    assert np.array_equal(made.matrix, transposition_map(2).matrix) and made.in_dim == 2
     assert abs(rep["choi_min_eig"] + 0.5) < 1e-12
     # the d = 2 chi-normalized Choi is the swap-like matrix with entries 0/1
     omega = to_choi(transposition_map(2)).matrix
@@ -209,6 +211,8 @@ def test_kraus_equivalent():
     rebuilt = [sum(witness[j, k] * mixed.kraus_ops[k] for k in range(3)) for j in range(3)]
     assert max(np.abs(a - b).max() for a, b in zip(rebuilt, ch.kraus_ops)) < 1e-8
     assert not kraus_equivalent(IDENT2, make("depolarizing", d=2, p=0.5))
+    assert kraus_equivalent(IDENT2, make("depolarizing", d=2, p=0.5), return_witness=True) == (
+        False, None)
 
 
 def test_stinespring_unitary_channel():

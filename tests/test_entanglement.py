@@ -1,10 +1,14 @@
 import copy
+import json
 import pickle
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qitools.channels import KrausChannel, apply, fixed_point, make
+from qitools.cli import load_document
 from qitools.discrimination import fidelity, helstrom, trace_distance
 from qitools.entanglement import (
     BipartiteState,
@@ -414,3 +418,42 @@ def test_a_bipartite_state_keeps_its_factor_dimensions_through_pickle_and_deepco
     for clone in (pickle.loads(pickle.dumps(joint)), copy.deepcopy(joint)):
         assert type(clone) is BipartiteState and (clone.dA, clone.dB, clone.dim) == (2, 3, 6)
         assert np.array_equal(clone.matrix, joint.matrix)
+
+
+def test_a_state_built_from_a_state_shares_its_checked_matrix():
+    s = State(random_density(4, np.random.default_rng(16)))
+    assert State(s).matrix is s.matrix and State(s).dim == 4
+    joint = BipartiteState(s, 2, 2)
+    assert joint.matrix is s.matrix and BipartiteState(joint, 4, 1).matrix is s.matrix
+    with pytest.raises(ValueError, match="^factor dimensions do not multiply"):
+        BipartiteState(s, 2, 3)
+
+
+NOISY_BELL = json.loads((Path(__file__).parent / "corpus" / "noisy_bell.state.json").read_text())
+BIPARTITE_BUILDERS = {
+    "load_document": lambda: load_document(NOISY_BELL),
+    "maximally_entangled_state": lambda: maximally_entangled_state(3),
+    "BipartiteState(State(m))": lambda: BipartiteState(State(np.eye(9) / 9), 3, 3),
+}
+
+
+@pytest.mark.parametrize("build", BIPARTITE_BUILDERS.values(), ids=BIPARTITE_BUILDERS)
+def test_a_bipartite_state_checks_its_matrix_once(build, monkeypatch):
+    spectra = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: spectra.append(a) or eigvalsh(a))
+    assert isinstance(build(), BipartiteState)
+    assert len(spectra) == 1
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: twirl(np.float64(1.0)), "expected a 1 x 1 matrix, got ()"),
+    (lambda: twirl(np.eye(4), 3), "expected a 9 x 9 matrix, got (4, 4)"),
+    (lambda: twirl_monte_carlo(np.eye(4), 3, 10), "expected a 9 x 9 matrix, got (4, 4)"),
+    (lambda: witness_evaluate(chsh_witness(*CHSH_VECTORS, rng=0), werner(3, 0.2)),
+     "expected a 9 x 9 matrix, got (4, 4)"),
+    (lambda: ptrace(np.eye(4), 3, 3), "expected a 9 x 9 matrix, got (4, 4)"),
+])
+def test_operators_on_a_product_space_share_one_shape_rule(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

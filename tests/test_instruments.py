@@ -318,3 +318,25 @@ def test_memo_to_instrument_matches_the_per_effect_contraction(d, k):
     for op, ref in zip(ins.operations, memo_to_instrument_per_effect(m), strict=True):
         assert len(op.kraus_ops) == len(ref.kraus_ops)
         assert np.abs(to_choi(op).matrix - to_choi(ref).matrix).max() <= 1e-12
+
+
+def test_an_instrument_reads_its_outcome_labels_as_a_povm_does():
+    ops = ((np.diag([1.0, 0.0]),), (np.diag([0.0, 1.0]),))
+    with pytest.raises(ValueError, match="^outcome labels must be distinct$"):
+        DiscreteInstrument(("a", "a"), ops)
+    with pytest.raises(ValueError, match="^outcome labels must be distinct$"):
+        Povm(("a", "a"), tuple(op[0] for op in ops))
+    assert induced_observable(DiscreteInstrument(("a", "b"), ops)).outcomes == ("a", "b")
+
+
+def test_a_measurement_model_reads_its_probe_state_as_a_state():
+    memo = instrument_to_normal_memo(luders(z_basis_povm()))
+    probe = np.array(memo.probe_state.matrix)
+    m = MeasurementModel(memo.probe_dim, probe, memo.coupling, memo.pointer)
+    assert isinstance(m.probe_state, State)
+    assert np.array_equal(m.probe_state.matrix, memo.probe_state.matrix)
+    ops = memo_to_instrument(m).operations
+    assert all(np.array_equal(a.kraus_ops, b.kraus_ops)
+               for a, b in zip(ops, memo_to_instrument(memo).operations))
+    with pytest.raises(ValueError, match="^state trace is 2.0, not 1$"):
+        MeasurementModel(memo.probe_dim, 2 * probe, memo.coupling, memo.pointer)

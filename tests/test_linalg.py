@@ -5,6 +5,7 @@ import pytest
 
 from qitools.linalg import (
     _lowest_eigh,
+    _within,
     complete_unitary,
     dag,
     eigh,
@@ -164,12 +165,41 @@ def test_stacked_psd_sqrt_and_trace_norm_equal_the_matrix_calls(d):
 def test_stacked_psd_sqrt_rejects_a_member_with_the_matrix_message(bad):
     with pytest.raises(ValueError) as single:
         psd_sqrt(bad)
-    stack = np.array([np.eye(2) / 2, bad, np.eye(2)])
+    # the fourth member fails too, with another eigenvalue: the second is named
+    stack = np.array([np.eye(2) / 2, bad, np.eye(2), np.diag([1.0, -0.25])])
     with pytest.raises(ValueError) as stacked:
         psd_sqrt(stack)
     assert str(stacked.value) == str(single.value)
     with pytest.raises(ValueError, match="not Hermitian"):
         psd_sqrt(np.zeros((2, 2, 3)))
+
+
+EYE2 = np.eye(2, dtype=complex)
+
+
+@pytest.mark.parametrize("errs, stack, verdict", [
+    (np.zeros(3), np.array([EYE2, 2 * EYE2, EYE2 / 2]), True),
+    # the second member fails the unscaled test and passes the one scaled by its norm
+    (np.array([0.0, 5e-8]), np.array([EYE2, 1000 * EYE2]), True),
+    (np.array([0.0, 5e-6]), np.array([EYE2, 1000 * EYE2]), False),
+    (np.array([5e-8, 0.0]), np.array([EYE2, 1000 * EYE2]), False),
+    (np.zeros(0), np.zeros((0, 2, 2)), True),
+])
+def test_within_decides_a_stack_as_all_of_its_members(errs, stack, verdict):
+    assert _within(errs, 1e-9, stack) is verdict
+    assert all(_within(e, 1e-9, m) for e, m in zip(errs, stack)) is verdict
+
+
+@pytest.mark.parametrize("stack", [  # the member at 1 is not finite
+    np.array([[[0, 1], [0, 0]], [[np.nan, 0], [0, 1]]], dtype=complex),  # not only 0 is read
+    np.array([EYE2 / 2, [[np.nan, 0], [0, 1]]]),
+    np.array([EYE2 / 2, [[1, np.nan], [np.nan, 1]], EYE2]),
+])
+def test_a_stack_with_a_non_finite_member_raises_as_that_member_does(stack):
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+        psd_sqrt(stack[1])
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+        psd_sqrt(stack)
 
 
 def test_polar_unitary():

@@ -160,7 +160,7 @@ def test_twirl_monte_carlo_rejects_bad_input():
     x = random_density(4, np.random.default_rng(8))
     with pytest.raises(ValueError, match="^samples must be a positive integer$"):
         twirl_monte_carlo(x, 2, 0)
-    with pytest.raises(ValueError, match=r"operator must act on a d\*d space"):
+    with pytest.raises(ValueError, match=r"^expected a 9 x 9 matrix, got \(4, 4\)$"):
         twirl_monte_carlo(x, 3, 10)
 
 

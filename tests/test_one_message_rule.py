@@ -19,8 +19,8 @@ import numpy as np
 import pytest
 
 from qitools.channels import AffineRep, ChoiMatrix, make
-from qitools.entanglement import BipartiteState, werner
-from qitools.linalg import eigh
+from qitools.entanglement import BipartiteState, twirl, werner
+from qitools.linalg import eigh, partial_trace, partial_transpose
 from qitools.observables import efficiency_coarse_matrix, photon_counting
 from qitools.protocols import Processor, bb84
 from qitools.states import State
@@ -156,6 +156,9 @@ RHO4 = State(np.eye(4) / 4)
         (lambda: werner(2.5, 0.3), "^dimension must be an integer, got 2.5$"),
         (lambda: bb84(2.5), "^rounds must be an integer, got 2.5$"),
         (lambda: werner(1, 0.3), "^dimension must be at least 2$"),
+        (lambda: twirl(np.eye(4) / 4, 2.0), "^dimension must be an integer, got 2.0$"),
+        (lambda: partial_trace(np.eye(4), 2.0, 2), "^dimension must be an integer, got 2.0$"),
+        (lambda: partial_transpose(np.eye(4), 2, 0), "^dimension must be a positive integer$"),
         (lambda: bb84(0), "^rounds must be a positive integer$"),
         (lambda: ChoiMatrix(np.eye(4) / 2, 2.0, 2.0), "^dimension must be an integer, got 2.0$"),
         (lambda: ChoiMatrix(np.eye(4) / 2, 2, 2.0), "^dimension must be an integer, got 2.0$"),
