@@ -65,6 +65,8 @@ from .linalg import (
     dag,
     eigh,
     is_unitary,
+    ket,
+    outer,
     partial_trace,
     partial_transpose,
     swap_operator,
@@ -364,10 +366,10 @@ def to_chi(ch, basis=None) -> ChiMatrix:
     return ChiMatrix(dag(b) @ (d * choi.matrix) @ b, ops)
 
 
-def chi_to_kraus(chi: ChiMatrix, tol: float = ATOL) -> KrausChannel:
+def chi_to_kraus(chi: ChiMatrix) -> KrausChannel:
     vals, vecs = eigh(chi.matrix)
     basis = np.asarray(chi.basis)
-    ops = basis.reshape(len(basis), -1).T @ _kraus_columns(vals, vecs, tol)
+    ops = basis.reshape(len(basis), -1).T @ _kraus_columns(vals, vecs, ATOL)
     return KrausChannel(ops.T.reshape(-1, *basis.shape[1:]))
 
 
@@ -410,15 +412,14 @@ def _require_same_dims(ch1, ch2) -> None:
         raise ValueError("channels must share dimensions")
 
 
-def kraus_equivalent(k1: KrausChannel, k2: KrausChannel, tol: float = 1e-8,
-                     return_witness: bool = False):
+def kraus_equivalent(k1: KrausChannel, k2: KrausChannel, return_witness: bool = False):
     """Whether two Kraus lists define the same map (Choi uniqueness).
 
     When they do and a witness is requested, the partial-isometry matrix
     u with A_j = sum_k u[j, k] B_k is recovered by least squares.
     """
     _require_same_dims(k1, k2)
-    same = trace_norm(to_choi(k1).matrix - to_choi(k2).matrix) < tol
+    same = trace_norm(to_choi(k1).matrix - to_choi(k2).matrix) < 1e-8
     if not return_witness:
         return same
     if not same:
@@ -710,8 +711,8 @@ def sup_distance(ch1, ch2, rng=0, restarts: int = 64):
     s = _superop(ch1) - _superop(ch2)
     (kets,) = random_kets((d,), restarts, rng)
     psi = _seesaw(lambda k: _sup_step(s, ch1.out_dim, k), kets, 1000, 1e-12)[1]
-    psi = psi.reshape(-1, 1)
-    rho = psi @ dag(psi)
+    psi = ket(psi)
+    rho = outer(psi)
     return trace_norm(apply(ch1, rho) - apply(ch2, rho)) / 2, psi
 
 
@@ -721,14 +722,14 @@ def noise_distance(ch, rng=0, restarts: int = 64) -> float:
     return sup_distance(ch, ident, rng, restarts)[0]
 
 
-def fixed_point(ch: KrausChannel, rho0, max_iter: int = 20000, tol: float = ATOL) -> State:
-    """Iterate a TP channel until the trace-norm increment drops below tol."""
+def fixed_point(ch: KrausChannel, rho0, max_iter: int = 20000) -> State:
+    """Iterate a TP channel until the trace-norm increment drops below ATOL."""
     if not ch.is_trace_preserving():
         raise ValueError("fixed-point iteration requires a trace-preserving channel")
     rho = _as_matrix(rho0)
     for _ in range(max_iter):
         nxt = apply(ch, rho)
-        if trace_norm(nxt - rho) < tol:
+        if trace_norm(nxt - rho) < ATOL:
             return State(_herm(nxt))
         rho = nxt
     raise NumericError(f"no fixed point found within {max_iter} iterations "
@@ -752,14 +753,14 @@ def contraction_factor(ch: KrausChannel, sample_pairs: int = 50, rng=0) -> float
     return _seesaw(lambda x: _contraction_step(s, ch.out_dim, x), pairs, 1000, 1e-12)[0]
 
 
-def is_pure_decoherence(ch: KrausChannel, basis, tol: float = 1e-8) -> bool:
+def is_pure_decoherence(ch: KrausChannel, basis) -> bool:
     """True iff every Kraus operator commutes with every basis projector."""
     kets = asarray(basis).reshape(len(basis), -1)
     projs = kets[:, :, None] * kets[:, None, :].conj()
     a = ch.kraus_ops[:, None]  # every Kraus operator against every projector / operator
-    if np.max(np.abs(a @ projs - projs @ a)) > tol:
+    if np.max(np.abs(a @ projs - projs @ a)) > 1e-8:
         return False
-    if np.max(np.abs(a @ ch.kraus_ops - ch.kraus_ops @ a)) > tol:
+    if np.max(np.abs(a @ ch.kraus_ops - ch.kraus_ops @ a)) > 1e-8:
         raise AssertionError("pure decoherence Kraus operators must commute")
     return True
 
@@ -827,7 +828,7 @@ def _close_polygon(lengths: np.ndarray) -> np.ndarray:
     return w
 
 
-def product_decomposition_2x2(omega: np.ndarray, tol: float = 1e-9):
+def product_decomposition_2x2(omega: np.ndarray):
     """Decompose a separable two-qubit state into pure product terms.
 
     Uses the concurrence-optimal decomposition: for a separable state
@@ -836,7 +837,7 @@ def product_decomposition_2x2(omega: np.ndarray, tol: float = 1e-9):
     each z_k of Schmidt rank one.
     """
     yy = tensor(PAULIS[2], PAULIS[2])
-    subnorm = _kraus_columns(*eigh(omega), tol)  # one zero column for omega = 0
+    subnorm = _kraus_columns(*eigh(omega), ATOL)  # one zero column for omega = 0
     tau = dag(subnorm) @ yy @ subnorm.conj()
     u, lam = _takagi((tau + tau.T) / 2)
     x = np.zeros((4, 4), dtype=complex)
@@ -853,7 +854,7 @@ def product_decomposition_2x2(omega: np.ndarray, tol: float = 1e-9):
     return [z[:, [k]] for k in range(4) if np.linalg.norm(z[:, k]) > 1e-9]
 
 
-def is_entanglement_breaking(ch: KrausChannel, tol: float = ATOL) -> dict:
+def is_entanglement_breaking(ch: KrausChannel) -> dict:
     """Entanglement-breaking verdict {yes | no | inconclusive} via the Choi state.
 
     NPPT Choi means not entanglement breaking.  For qubit-to-qubit
@@ -865,7 +866,7 @@ def is_entanglement_breaking(ch: KrausChannel, tol: float = ATOL) -> dict:
     d_in, d_out = choi.in_dim, choi.out_dim
     pt = partial_transpose(choi.matrix, d_out, d_in)
     min_eig = _min_eig(pt)
-    if not _within(-min_eig, tol, choi.matrix):
+    if not _within(-min_eig, ATOL, choi.matrix):
         return {"verdict": "no", "pt_min_eig": min_eig, "measure_prepare": None}
     if d_in == 2 and d_out == 2:
         kets = product_decomposition_2x2(choi.matrix)
@@ -877,8 +878,8 @@ def is_entanglement_breaking(ch: KrausChannel, tol: float = ATOL) -> dict:
             out_ket = left[:, [0]]
             # The in-side factor enters the effect transposed: F_n = d p beta^T.
             in_ket = dag(right_h)[:, [0]]
-            effect = d_in * p * (in_ket @ dag(in_ket))
-            state = State(out_ket @ dag(out_ket))
+            effect = d_in * p * outer(in_ket)
+            state = State(outer(out_ket))
             pairs.append((effect, state))
         return {"verdict": "yes", "pt_min_eig": min_eig, "measure_prepare": pairs}
     return {"verdict": "inconclusive", "pt_min_eig": min_eig, "measure_prepare": None}

@@ -152,7 +152,7 @@ def idp_bound(rho1, rho2, eta: float = 0.5) -> float:
     return float(1 - 2 * np.sqrt(eta * (1 - eta)) * cross)
 
 
-def unambiguous_feasible(rho1, rho2, tol: float = ATOL) -> tuple[bool, bool]:
+def unambiguous_feasible(rho1, rho2) -> tuple[bool, bool]:
     """Which of the two states can be unambiguously identified.
 
     State 1 is identifiable iff its support is not contained in the
@@ -162,12 +162,12 @@ def unambiguous_feasible(rho1, rho2, tol: float = ATOL) -> tuple[bool, bool]:
 
     def support_cols(m):
         vals, vecs = eigh(m)
-        return vecs[:, vals > _eig_tol(vals, tol)]
+        return vecs[:, vals > _eig_tol(vals, ATOL)]
 
     s1, s2 = support_cols(m1), support_cols(m2)
 
     def contained(inner_cols, outer_cols):
         joint = np.hstack([outer_cols, inner_cols])
-        return matrix_rank(joint, tol) == matrix_rank(outer_cols, tol)
+        return matrix_rank(joint) == matrix_rank(outer_cols)
 
     return (not contained(s1, s2), not contained(s2, s1))

@@ -11,7 +11,7 @@ import numpy as np
 
 from .linalg import (ATOL, _bipartite, _frozen_copy, _lowest_eigh, _min_eig, _require_finite,
                      _require_hermitian, _require_size, _require_unit_interval, _seesaw, _within,
-                     asarray, dag, eigh, outer, partial_trace, partial_transpose, swap_operator,
+                     asarray, eigh, ket, outer, partial_trace, partial_transpose, swap_operator,
                      tensor)
 from .rand import _gram_schmidt, _haar_normals, haar_unitaries, random_kets, rng_from
 from .states import State, _sigma_dot, _unit_directions, maximally_entangled_ket
@@ -62,8 +62,8 @@ class SchmidtData:
     def squares(self) -> np.ndarray:
         return self.coefficients**2
 
-    def is_entangled(self, tol: float = ATOL) -> bool:
-        return self.rank >= 2 and bool(self.squares[1] > tol)
+    def is_entangled(self) -> bool:
+        return self.rank >= 2 and bool(self.squares[1] > ATOL)
 
     def reconstruct(self) -> np.ndarray:
         return ((self.left * self.coefficients) @ self.right.T).reshape(-1, 1)
@@ -99,18 +99,21 @@ def schmidt(psi, dA: int, dB: int, tol: float = ATOL) -> SchmidtData:
     return SchmidtData(sing[keep], left[:, keep], right_h.T[:, keep])
 
 
-def ppt(rho: BipartiteState, side: str = "B", tol: float = ATOL) -> tuple[bool, float]:
-    """(is PPT, minimal eigenvalue of the partial transpose)."""
-    pt = partial_transpose(rho.matrix, rho.dA, rho.dB, side=side)
+def ppt(rho: BipartiteState, tol: float = ATOL) -> tuple[bool, float]:
+    """(is PPT, minimal eigenvalue of the partial transpose on B).
+
+    rho^{T_A} = (rho^{T_B})^T has the same spectrum, so one side decides.
+    """
+    pt = partial_transpose(rho.matrix, rho.dA, rho.dB)
     min_eig = _min_eig(pt)
     return _within(-min_eig, tol, pt), min_eig
 
 
-def peres_horodecki(rho: BipartiteState, tol: float = ATOL) -> str:
+def peres_horodecki(rho: BipartiteState) -> str:
     """Exact separability verdict in 2x2, 2x3 and 3x2."""
     if (rho.dA, rho.dB) not in {(2, 2), (2, 3), (3, 2)}:
         raise ValueError("the PPT criterion is conclusive only for 2x2 and 2x3; use ppt()")
-    is_ppt, _ = ppt(rho, tol=tol)
+    is_ppt, _ = ppt(rho)
     return "separable" if is_ppt else "entangled"
 
 
@@ -159,13 +162,13 @@ def certify_witness(w: np.ndarray, dA: int, dB: int, rng=0, restarts: int = 100)
     return Witness(w, value, _min_eig(w))
 
 
-def witness_evaluate(w: Witness, rho: BipartiteState, tol: float = ATOL):
+def witness_evaluate(w: Witness, rho: BipartiteState):
     """(tr[W rho], verdict); the verdict never claims separability."""
     if not isinstance(w, Witness):
         raise ValueError("witness must be certified; use certify_witness")
     _bipartite(w.matrix, rho.dA, rho.dB)  # the witness must act on the state's space
     value = float(np.trace(w.matrix @ rho.matrix).real)
-    return value, ("entangled" if value < -tol else "inconclusive")
+    return value, ("entangled" if value < -ATOL else "inconclusive")
 
 
 def _mef_step(rho: np.ndarray, shifted: np.ndarray, u: np.ndarray):
@@ -297,11 +300,11 @@ def twirl_monte_carlo(x: np.ndarray, d: int, samples: int, rng=0) -> np.ndarray:
     return acc / samples
 
 
-def majorization_convertible(psi, phi, dA: int, dB: int, tol: float = 1e-10) -> bool:
+def majorization_convertible(psi, phi, dA: int, dB: int) -> bool:
     """Whether psi can be turned into phi by LOCC (majorization criterion).
 
     True iff every partial sum of psi's descending Schmidt squares is
-    bounded by phi's.
+    bounded by phi's, up to 1e-10.
     """
     lam_psi = schmidt(psi, dA, dB, tol=0).squares
     lam_phi = schmidt(phi, dA, dB, tol=0).squares
@@ -310,7 +313,7 @@ def majorization_convertible(psi, phi, dA: int, dB: int, tol: float = 1e-10) -> 
     b = np.zeros(n)
     a[: len(lam_psi)] = np.sort(lam_psi)[::-1]
     b[: len(lam_phi)] = np.sort(lam_phi)[::-1]
-    return bool(np.all(np.cumsum(a) <= np.cumsum(b) + tol))
+    return bool(np.all(np.cumsum(a) <= np.cumsum(b) + 1e-10))
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +321,7 @@ def majorization_convertible(psi, phi, dA: int, dB: int, tol: float = 1e-10) -> 
 # ---------------------------------------------------------------------------
 
 def _tile(a, b) -> np.ndarray:
-    return tensor(asarray(a).reshape(-1, 1), asarray(b).reshape(-1, 1))
+    return tensor(ket(a), ket(b))
 
 
 def tiles_upb() -> list[np.ndarray]:
@@ -395,4 +398,4 @@ def upb_witness(rng=0, restarts: int = 200) -> Witness:
     eps = upb_epsilon(rng=rng, restarts=restarts)
     vals, vecs = eigh(np.eye(9) - pi)
     phi = vecs[:, [0]]  # deterministic: first basis vector of the complement
-    return certify_witness(pi - eps * (phi @ dag(phi)), 3, 3, rng, restarts)
+    return certify_witness(pi - eps * outer(phi), 3, 3, rng, restarts)

@@ -87,7 +87,7 @@ def trivial_instrument(a: Povm, xi: State) -> DiscreteInstrument:
     return DiscreteInstrument(a.outcomes, terms)
 
 
-def memo_to_instrument(m: MeasurementModel, tol: float = 1e-8) -> DiscreteInstrument:
+def memo_to_instrument(m: MeasurementModel) -> DiscreteInstrument:
     """Instrument induced by a measurement model.
 
     I_x(rho) = tr_probe[V (rho (x) rho_0) V^dag (I (x) F(x))].  Every
@@ -100,7 +100,7 @@ def memo_to_instrument(m: MeasurementModel, tol: float = 1e-8) -> DiscreteInstru
     t = np.einsum("xsp,apbr->xabsr", m.pointer.effects, v @ m.probe_state.matrix)
     # d Omega_x[(a, b), (e, c)] = sum_{s, r} T[x, a, b, s, r] conj(V[e, s, c, r])
     chois = t.reshape(-1, d * d, k * k) @ v.conj().transpose(1, 3, 0, 2).reshape(k * k, d * d) / d
-    ops = tuple(from_choi(ChoiMatrix(c, d, d), tol) for c in chois)
+    ops = tuple(from_choi(ChoiMatrix(c, d, d), 1e-8) for c in chois)
     return DiscreteInstrument(m.pointer.outcomes, ops)
 
 
@@ -124,22 +124,22 @@ def instrument_to_normal_memo(ins: DiscreteInstrument) -> MeasurementModel:
     return MeasurementModel(probe_dim, probe0, u, pointer)
 
 
-def conditional_output(ins: DiscreteInstrument, rho, x, tol: float = ATOL) -> State:
+def conditional_output(ins: DiscreteInstrument, rho, x) -> State:
     """Normalized post-measurement state for an observed outcome."""
     out = ins.apply(x, rho)
     p = np.trace(out).real
-    if p <= tol:
+    if p <= ATOL:
         raise ValueError(f"conditional state undefined: outcome {x!r} has probability {p:.3e}")
     return State(out / p)
 
 
-def is_repeatable(ins: DiscreteInstrument, tol: float = UNIT_EIGENVALUE_TOL) -> bool:
+def is_repeatable(ins: DiscreteInstrument) -> bool:
     """tr[I_x(I_x(rho))] = tr[I_x(rho)] checked on a spanning operator basis."""
     s = np.stack([_superop(op) for op in ins.operations])
     once = s @ _operator_basis(ins.dim)  # column j of once[x] is vec(I_x(basis op j))
     twice = s @ once
     vec_id = np.eye(ins.dim).reshape(-1)
-    return bool(np.all(np.abs((vec_id @ twice).real - (vec_id @ once).real) <= tol))
+    return bool(np.all(np.abs((vec_id @ twice).real - (vec_id @ once).real) <= UNIT_EIGENVALUE_TOL))
 
 
 def repeatable_instrument(a: Povm) -> DiscreteInstrument:
@@ -163,7 +163,7 @@ def repeatable_instrument(a: Povm) -> DiscreteInstrument:
     return DiscreteInstrument(a.outcomes, tuple(ops))
 
 
-def luders_disturbs(a: Povm, b: Povm, tol: float = 1e-8) -> bool:
+def luders_disturbs(a: Povm, b: Povm) -> bool:
     """Whether a sharp Lüders measurement of A disturbs the statistics of B.
 
     Disturbance occurs exactly when some pair [A(x), B(y)] fails to
@@ -174,14 +174,14 @@ def luders_disturbs(a: Povm, b: Povm, tol: float = 1e-8) -> bool:
     disturbed = noncommuting = False
     for eb in b.effects:  # against every A(x) at once
         ab = a.effects @ eb
-        disturbed |= bool(np.abs((ab @ a.effects).sum(axis=0) - eb).max() > tol)
-        noncommuting |= bool(np.abs(ab - eb @ a.effects).max() > tol)
+        disturbed |= bool(np.abs((ab @ a.effects).sum(axis=0) - eb).max() > 1e-8)
+        noncommuting |= bool(np.abs(ab - eb @ a.effects).max() > 1e-8)
     if disturbed != noncommuting:
         raise AssertionError("disturbance and commutation checks disagree")
     return disturbed
 
 
-def no_information_no_disturbance_check(ins: DiscreteInstrument, tol: float = 1e-8) -> dict:
+def no_information_no_disturbance_check(ins: DiscreteInstrument) -> dict:
     """Check the no-information-without-disturbance trade-off.
 
     If every operation acts as I_x(rho) = c_x rho on a spanning basis,
@@ -193,10 +193,10 @@ def no_information_no_disturbance_check(ins: DiscreteInstrument, tol: float = 1e
     images = np.stack([_superop(op) for op in ins.operations]) @ g
     # c_x = tr[I_x(I / d)]; the first basis column is vec(I).
     c = (images[:, :, 0] @ g[:, 0]).real / d
-    non_disturbing = bool(np.max(np.abs(images - c[:, None, None] * g)) <= tol)
+    non_disturbing = bool(np.max(np.abs(images - c[:, None, None] * g)) <= 1e-8)
     obs = induced_observable(ins)
     scale = np.trace(obs.effects, axis1=1, axis2=2) / d
-    trivial = bool(np.abs(obs.effects - scale[:, None, None] * np.eye(d)).max() <= tol)
+    trivial = bool(np.abs(obs.effects - scale[:, None, None] * np.eye(d)).max() <= 1e-8)
     if non_disturbing and not trivial:
         raise AssertionError("non-disturbing instrument induced a nontrivial observable")
     return {"non_disturbing": non_disturbing, "observable_trivial": trivial}

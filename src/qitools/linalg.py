@@ -294,7 +294,7 @@ def swap_operator(d: int) -> np.ndarray:
     return eye.transpose(0, 1, 3, 2).reshape(d * d, d * d)
 
 
-def eigh(t: np.ndarray, tol: float = ATOL):
+def eigh(t: np.ndarray):
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
     Returns ``(values, vectors)`` with orthonormal eigenvector columns.
@@ -302,7 +302,7 @@ def eigh(t: np.ndarray, tol: float = ATOL):
     """
     t = asarray(t)
     m = t if t.ndim == 2 else t.reshape(-1)  # flattened, a stack fails as a vector does
-    vals, vecs = np.linalg.eigh(_require_hermitian(m, tol, "matrix"))  # freed before the copy below
+    vals, vecs = np.linalg.eigh(_require_hermitian(m, ATOL, "matrix"))  # freed before the copy
     order = np.argsort(vals)[::-1]
     return vals[order], vecs[:, order]
 

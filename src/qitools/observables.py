@@ -10,7 +10,7 @@ import numpy as np
 
 from .linalg import (ATOL, _effect, _frozen_copy, _frozen_stack, _herm, _require_finite,
                      _require_hermitian, _require_size, _require_unit_interval, _within, asarray,
-                     dag, eigh, is_hermitian, is_projection, matrix_rank)
+                     dag, eigh, is_hermitian, is_projection, ket, matrix_rank, outer)
 from .states import _as_matrix, _sigma_dot, _unit_directions
 
 
@@ -91,19 +91,16 @@ class Povm:
         return self.effects[[self.outcomes.index(x) for x in outcomes]].sum(axis=0)
 
     @classmethod
-    def from_basis(cls, kets, outcomes=None) -> "Povm":
-        """Sharp observable associated to an orthonormal basis."""
-        kets = [asarray(v).reshape(-1, 1) for v in kets]
-        effs = [v @ dag(v) for v in kets]
-        outs = tuple(range(len(kets))) if outcomes is None else tuple(outcomes)
-        return cls(outs, tuple(effs))
+    def from_basis(cls, kets) -> "Povm":
+        """Sharp observable of an orthonormal basis, outcome k for ket k."""
+        effs = tuple(outer(ket(v)) for v in kets)
+        return cls(tuple(range(len(effs))), effs)
 
     @classmethod
-    def trivial(cls, d: int, probabilities=(1.0,), outcomes=None) -> "Povm":
-        """Trivial observable: every effect a multiple of the identity."""
-        outs = tuple(range(len(probabilities))) if outcomes is None else tuple(outcomes)
+    def trivial(cls, d: int, probabilities=(1.0,)) -> "Povm":
+        """Trivial observable: effect k is probabilities[k] times the identity."""
         effs = tuple(p * np.eye(d, dtype=complex) for p in probabilities)
-        return cls(outs, effs)
+        return cls(tuple(range(len(effs))), effs)
 
 
 def outcome_distribution(a: Povm, rho) -> np.ndarray:
@@ -117,9 +114,9 @@ def outcome_distribution(a: Povm, rho) -> np.ndarray:
     return np.clip(p, 0.0, 1.0)
 
 
-def is_sharp(a: Povm, tol: float = ATOL) -> bool:
+def is_sharp(a: Povm) -> bool:
     """True iff every effect is a projection; orthogonality is then verified."""
-    if not all(is_projection(e, tol) for e in a.effects):
+    if not all(is_projection(e) for e in a.effects):
         return False
     for i, e in enumerate(a.effects):
         for f in a.effects[i + 1:]:
@@ -128,13 +125,13 @@ def is_sharp(a: Povm, tol: float = ATOL) -> bool:
     return True
 
 
-def is_informationally_complete(a: Povm, tol: float = ATOL) -> bool:
+def is_informationally_complete(a: Povm) -> bool:
     """True iff the effects span the full d^2-dimensional Hermitian space.
 
     The rows are the vectorized effects: vec(E)^dag vec(F) = tr[EF] for
     Hermitian E, F, so they have the singular values of real coordinates.
     """
-    return matrix_rank(a.effects.reshape(len(a.effects), -1), tol) == a.dim**2
+    return matrix_rank(a.effects.reshape(len(a.effects), -1)) == a.dim**2
 
 
 def minimal_ic_povm(d: int) -> Povm:
@@ -155,7 +152,7 @@ def minimal_ic_povm(d: int) -> Povm:
                 v = (eye[:, [j]] + eye[:, [k]]) / np.sqrt(2)
             else:
                 v = (eye[:, [j]] + 1j * eye[:, [k]]) / np.sqrt(2)
-            projections[(j, k)] = v @ dag(v)
+            projections[(j, k)] = outer(v)
     t = sum(projections.values())
     vals, vecs = eigh(t)
     inv_root = (vecs / np.sqrt(vals)) @ dag(vecs)
@@ -164,16 +161,14 @@ def minimal_ic_povm(d: int) -> Povm:
     return Povm(outcomes, effects)
 
 
-def coarse_grain(a: Povm, nu: np.ndarray, outcomes=None) -> Povm:
-    """Post-process with a stochastic matrix: B(b_j) = sum_i nu[i, j] A(a_i)."""
+def coarse_grain(a: Povm, nu: np.ndarray) -> Povm:
+    """Post-process with a stochastic matrix: B(j) = sum_i nu[i, j] A(a_i), outcomes 0..m-1."""
     nu = np.asarray(nu, dtype=float)
     if nu.ndim != 2 or nu.shape[0] != len(a.outcomes):
         raise ValueError("stochastic matrix rows must match the POVM outcomes")
     if not (nu.min() >= -ATOL and np.max(np.abs(nu.sum(axis=1) - 1)) <= ATOL):
         raise ValueError("matrix is not stochastic (rows must be probability vectors)")
-    m = nu.shape[1]
-    outs = tuple(range(m)) if outcomes is None else tuple(outcomes)
-    return Povm(outs, np.einsum("ij,iab->jab", nu, a.effects))
+    return Povm(tuple(range(nu.shape[1])), np.einsum("ij,iab->jab", nu, a.effects))
 
 
 def photon_counting(eps: float, cutoff: int) -> Povm:
@@ -247,10 +242,10 @@ def commuting_joint(a, b) -> Povm:
 UNIT_EIGENVALUE_TOL = 1e-7
 
 
-def has_unit_eigenvalue(e: np.ndarray, tol: float = UNIT_EIGENVALUE_TOL) -> bool:
-    """True when the largest eigenvalue of an effect is 1 within tol."""
+def has_unit_eigenvalue(e: np.ndarray) -> bool:
+    """True when the largest eigenvalue of an effect is 1 within UNIT_EIGENVALUE_TOL."""
     h = _require_hermitian(_effect_matrix(e), ATOL, "effect")
-    return bool(abs(np.linalg.eigvalsh(h).max() - 1) < tol)
+    return bool(abs(np.linalg.eigvalsh(h).max() - 1) < UNIT_EIGENVALUE_TOL)
 
 
 def stern_gerlach(direction) -> Povm:

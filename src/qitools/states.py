@@ -9,7 +9,7 @@ import numpy as np
 
 from .linalg import (ATOL, _eig_tol, _frozen_copy, _kraus_columns, _min_eig, _probability_vector,
                      _require_finite, _require_hermitian, _require_psd, _require_size, _within,
-                     asarray, dag, eigh, inner, psd_sqrt, unit_ket)
+                     asarray, dag, eigh, inner, ket, outer, psd_sqrt, unit_ket)
 
 
 @lru_cache(maxsize=None)
@@ -113,20 +113,19 @@ class State:
 
     @classmethod
     def from_ket(cls, psi) -> "State":
-        v = unit_ket(psi)
-        return cls(v @ dag(v))
+        return cls(outer(unit_ket(psi)))
 
     @classmethod
     def maximally_mixed(cls, d: int) -> "State":
         _require_size(d, "dimension", 1)
         return cls(np.eye(d, dtype=complex) / d)
 
-    def is_pure(self, tol: float = ATOL) -> bool:
-        return _within(abs(purity(self) - 1), tol, self.matrix)
+    def is_pure(self) -> bool:
+        return _within(abs(purity(self) - 1), ATOL, self.matrix)
 
-    def is_boundary(self, tol: float = ATOL) -> bool:
-        """True when the state has a zero eigenvalue within tol."""
-        return _min_eig(self.matrix) < tol
+    def is_boundary(self) -> bool:
+        """True when the state has a zero eigenvalue within ATOL."""
+        return _min_eig(self.matrix) < ATOL
 
 
 def _as_matrix(rho) -> np.ndarray:
@@ -180,13 +179,13 @@ def to_bloch(rho) -> BlochVector:
     return BlochVector(d, (dag(_operator_basis(d)[:, 1:]) @ m.reshape(-1)).real)
 
 
-def from_bloch(b: BlochVector, tol: float = ATOL) -> State:
+def from_bloch(b: BlochVector) -> State:
     """State from a Bloch vector; rejects vectors outside the state space."""
     d = b.dim
     g = _operator_basis(d)
     m = ((g[:, 0] + g[:, 1:] @ b.components) / d).reshape(d, d)
     low = _min_eig(m)
-    if not _within(-low, tol, m):
+    if not _within(-low, ATOL, m):
         raise ValueError(f"Bloch vector lies outside the state space: eigenvalue {low:.6g}")
     return State(m)
 
@@ -196,14 +195,14 @@ def qubit_state(r) -> State:
     return from_bloch(BlochVector(2, np.asarray(r, dtype=float)))
 
 
-def canonical_decomposition(rho, tol: float = ATOL) -> list[tuple[float, np.ndarray]]:
+def canonical_decomposition(rho) -> list[tuple[float, np.ndarray]]:
     """Spectral decomposition as (weight, unit ket) pairs, weights descending."""
     vals, vecs = eigh(_as_matrix(rho))
-    cut = _eig_tol(vals, tol)
+    cut = _eig_tol(vals, ATOL)
     return [(float(v), vecs[:, [j]]) for j, v in enumerate(vals) if v > cut]
 
 
-def convex_decomposition(rho, basis, tol: float = ATOL) -> list[tuple[float, np.ndarray]]:
+def convex_decomposition(rho, basis) -> list[tuple[float, np.ndarray]]:
     """Decomposition induced by an orthonormal basis via the state square root.
 
     Weight lambda_j = ||sqrt(rho) phi_j||^2 and ket lambda_j^{-1/2}
@@ -211,7 +210,7 @@ def convex_decomposition(rho, basis, tol: float = ATOL) -> list[tuple[float, np.
     """
     m = _as_matrix(rho)
     d = m.shape[0]
-    kets = [asarray(v).reshape(-1, 1) for v in basis]
+    kets = [ket(v) for v in basis]
     gram = np.array([[inner(a, b) for b in kets] for a in kets])
     if len(kets) != d or not np.max(np.abs(gram - np.eye(d))) <= 1e-7:
         raise ValueError("basis is not orthonormal")
@@ -220,19 +219,19 @@ def convex_decomposition(rho, basis, tol: float = ATOL) -> list[tuple[float, np.
     for phi in kets:
         v = root @ phi
         lam = float(np.linalg.norm(v) ** 2)
-        if lam > tol:
+        if lam > ATOL:
             out.append((lam, v / np.sqrt(lam)))
     return out
 
 
-def purify(rho, tol: float = ATOL) -> np.ndarray:
+def purify(rho) -> np.ndarray:
     """Minimal purification ket on a dim * rank(rho) space, ancilla inner.
 
     Ancilla basis is computational and all phases are +1, so the result
     is sum_j sqrt(lambda_j) phi_j (x) e_j.
     """
     # The (d, r) columns sqrt(lambda_j) phi_j flattened row-major: system outer.
-    return unit_ket(_kraus_columns(*eigh(_as_matrix(rho)), tol))
+    return unit_ket(_kraus_columns(*eigh(_as_matrix(rho)), ATOL))
 
 
 def interference_term(psi, phi, a: complex, b: complex, effect) -> float:
@@ -241,8 +240,8 @@ def interference_term(psi, phi, a: complex, b: complex, effect) -> float:
     For orthogonal unit kets and the superposition (a psi + b phi), the
     value is 2 Re{conj(a) b <psi|E phi>} / (|a|^2 + |b|^2).
     """
-    psi = asarray(psi).reshape(-1, 1)
-    phi = asarray(phi).reshape(-1, 1)
+    psi = ket(psi)
+    phi = ket(phi)
     if not abs(inner(psi, phi)) <= 1e-8:
         raise ValueError("interference is defined for orthogonal kets")
     w = abs(a) ** 2 + abs(b) ** 2
@@ -253,7 +252,7 @@ def interference_term(psi, phi, a: complex, b: complex, effect) -> float:
 
 
 def superposition_ket(psi, phi, a: complex, b: complex) -> np.ndarray:
-    return unit_ket(a * asarray(psi).reshape(-1, 1) + b * asarray(phi).reshape(-1, 1))
+    return unit_ket(a * ket(psi) + b * ket(phi))
 
 
 def maximally_entangled_ket(d: int) -> np.ndarray:

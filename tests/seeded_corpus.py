@@ -90,11 +90,12 @@ def cli_stdout(argv: list[str]) -> str:
 
 
 def demo_process(script: Path) -> subprocess.CompletedProcess:
-    """Run a demo script against the source tree in a fresh interpreter."""
+    """Run a demo script against the source tree in a fresh interpreter, where a
+    RuntimeWarning is an error as it is in the test suite."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, str(script)], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=300)
+    argv = [sys.executable, "-W", "error::RuntimeWarning", str(script)]
+    return subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
 
 
 def expected() -> dict:

@@ -14,7 +14,7 @@ from qitools.discrimination import (
     unambiguous_mixture_povm,
     unambiguous_two_pure,
 )
-from qitools.linalg import dag, outer, unit_ket
+from qitools.linalg import dag, inner, outer, unit_ket
 from qitools.rand import haar_unitary, random_density, random_ket, random_kraus_ops
 from qitools.states import State, qubit_state
 
@@ -233,13 +233,16 @@ def test_idp_bound():
 
 
 def test_idp_bound_dominates_schemes():
-    rng = np.random.default_rng(9)
-    for _ in range(20):
-        psi1, psi2 = random_ket(4, rng), random_ket(4, rng)
-        bound = idp_bound(State.from_ket(psi1), State.from_ket(psi2))
-        assert unambiguous_two_pure(psi1, psi2).p_success <= bound + 1e-9
-        q = rng.uniform(0.1, 0.9)
-        assert unambiguous_mixture_povm(psi1, psi2, q=q).p_success <= bound + 1e-9
+    for eta in (0.5, 0.3, 0.8):
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            psi1, psi2 = random_ket(4, rng), random_ket(4, rng)
+            bound = idp_bound(State.from_ket(psi1), State.from_ket(psi2), eta=eta)
+            # pure pair: 1 - 2 sqrt(eta (1 - eta)) |<psi1|psi2>|
+            assert abs(bound - (1 - 2 * np.sqrt(eta * (1 - eta)) * abs(inner(psi1, psi2)))) < 1e-9
+            assert unambiguous_two_pure(psi1, psi2, eta).p_success <= bound + 1e-9
+            q = rng.uniform(0.1, 0.9)
+            assert unambiguous_mixture_povm(psi1, psi2, q=q, eta=eta).p_success <= bound + 1e-9
 
 
 def test_unambiguous_feasible():

@@ -167,6 +167,16 @@ def test_chsh_witness_detects_singlet():
     for _ in range(5):
         value, verdict = witness_evaluate(w, random_separable(2, 2, rng))
         assert value >= -1e-9
+    # sign -1: 2 I - B, also >= 0 on product states, detects psi+ = (|01> + |10>) / sqrt(2),
+    # where <B> = +2 sqrt(2) and the sign +1 witness reads 2 + 2 sqrt(2)
+    minus = chsh_witness(*CHSH_VECTORS, sign=-1, rng=0)
+    assert np.array_equal(minus.matrix, 2 * np.eye(4) - chsh_operator(*CHSH_VECTORS))
+    assert minus.certified_min_product_value >= -1e-9
+    psi_plus = BipartiteState(State.from_ket(unit_ket([0, 1, 1, 0])), 2, 2)
+    value, verdict = witness_evaluate(minus, psi_plus)
+    assert verdict == "entangled" and abs(value - (2 - 2 * np.sqrt(2))) < 1e-9
+    value, verdict = witness_evaluate(w, psi_plus)
+    assert verdict == "inconclusive" and abs(value - (2 + 2 * np.sqrt(2))) < 1e-9
 
 
 def test_witness_rejects_psd_or_uncertified():

@@ -306,18 +306,19 @@ def test_distinct_unitaries_need_orthogonal_programs():
 
 
 def test_phase_damping_family_single_program_space():
-    proc, xi_i, xi_u = phase_damping_processor()
-    rng = np.random.default_rng(4)
-    rho = random_density(2, rng)
-    for eta in (0.0, 0.25, 1.0):
-        xi = np.sqrt(eta) * xi_i + np.sqrt(1 - eta) * xi_u
-        target = make("phase_damping", eta=eta)
-        assert np.abs(proc.apply(rho, xi) - apply(target, rho)).max() < 1e-9
-        # program overlap identity <Xi_eta1|Xi_eta2>
-        k1 = proc.kraus_for_program(xi)
-        k2 = proc.kraus_for_program(xi_i)
-        _, scalar = processor_identity_check(k1, k2)
-        assert abs(scalar - np.sqrt(eta)) < 1e-9
+    for axis in ("z", "x", (0, 1, 0)):
+        proc, xi_i, xi_u = phase_damping_processor(axis)
+        rng = np.random.default_rng(4)
+        rho = random_density(2, rng)
+        for eta in (0.0, 0.25, 1.0):
+            xi = np.sqrt(eta) * xi_i + np.sqrt(1 - eta) * xi_u
+            target = make("phase_damping", eta=eta, axis=axis)
+            assert np.abs(proc.apply(rho, xi) - apply(target, rho)).max() < 1e-9
+            # program overlap identity <Xi_eta1|Xi_eta2>
+            k1 = proc.kraus_for_program(xi)
+            k2 = proc.kraus_for_program(xi_i)
+            _, scalar = processor_identity_check(k1, k2)
+            assert abs(scalar - np.sqrt(eta)) < 1e-9
 
 
 def test_probabilistic_processor():
