@@ -301,6 +301,7 @@ def eigh(t: np.ndarray):
     Degenerate eigenspaces come with an arbitrary orthonormal basis.
     """
     t = asarray(t)
+    _require_finite(t, "matrix")
     m = t if t.ndim == 2 else t.reshape(-1)  # flattened, a stack fails as a vector does
     vals, vecs = np.linalg.eigh(_require_hermitian(m, ATOL, "matrix"))  # freed before the copy
     order = np.argsort(vals)[::-1]
@@ -316,6 +317,7 @@ def psd_sqrt(t: np.ndarray, tol: float = ATOL) -> np.ndarray:
     single-matrix message.
     """
     t = asarray(t)
+    _require_finite(t, "matrix")
     stack = t[None] if t.ndim == 2 else t  # any other shape fails the Hermitian check
     vals, vecs = np.linalg.eigh(_require_hermitian(stack, tol, "matrix"))
     order = np.argsort(vals, axis=-1)[:, ::-1]  # descending, as eigh orders them: it fixes the bits

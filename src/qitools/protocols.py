@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import operator
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
@@ -29,66 +27,19 @@ def _seed_repr(rng_arg) -> object:
     return rng_arg
 
 
-class _PqcRecords(Sequence):
-    """A private-quantum-channel report's records, kept as two read-only columns.
-
-    Record i is a fresh ``{"key": list(keys[picks[i]]), "decode_fidelity":
-    fidelities[i]}``, built when it is read.  Indexing takes negative and
-    numpy integers, a slice gives a tuple, and the sequence equals a tuple,
-    list or ``_PqcRecords`` of equal records.
-    """
-
-    __slots__ = ("_keys", "_picks", "_fidelities")
-
-    def __init__(self, keys: tuple, picks, fidelities):
-        self._keys = keys
-        self._picks = _frozen_copy(picks, "key pick", dtype=int, finite=True)
-        self._fidelities = _frozen_copy(fidelities, "decode fidelity", dtype=float, finite=True)
-
-    def _record(self, pick: int, fidelity: float) -> dict:
-        return {"key": list(self._keys[pick]), "decode_fidelity": fidelity}
-
-    def __len__(self) -> int:
-        return len(self._picks)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(map(self._record, self._picks[i].tolist(), self._fidelities[i].tolist()))
-        i = operator.index(i)
-        return self._record(self._picks.item(i), self._fidelities.item(i))
-
-    def __iter__(self):
-        return map(self._record, self._picks.tolist(), self._fidelities.tolist())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (tuple, list, _PqcRecords)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
-
-    def __reduce__(self):
-        return _PqcRecords, (self._keys, self._picks, self._fidelities)
-
-
 @dataclass(frozen=True)
 class ProtocolReport:
     """Simulation record: per-round data plus summary statistics and the seed.
 
-    ``records`` is a tuple, except for the private quantum channel.  BB84 and
-    B92 rounds share their records: each is one of a few read-only dicts,
-    built once per process, so ``dict(record)`` gives a mutable copy.  The
-    private quantum channel keeps its rounds as two read-only columns, and
-    its ``records`` is a read-only sequence (no concatenation, repetition or
-    hash; ``tuple(records)`` gives a tuple) that builds a fresh dict each
-    time a record is read, so editing one leaves the report as it was.  The
-    records of every other protocol are fresh dicts.
+    ``records`` is a tuple.  BB84, B92 and private-quantum-channel rounds
+    share their records: each is one of a few read-only dicts, built once
+    per process, so ``dict(record)`` gives a mutable copy.  The records of
+    every other protocol are fresh dicts.
     """
 
     protocol: str
     rounds: int
-    records: Sequence
+    records: tuple
     summary: dict
     seed: object
 
@@ -227,11 +178,11 @@ def superdense(message: int, rng=0) -> ProtocolReport:
 # Key distribution
 # ---------------------------------------------------------------------------
 
-# A BB84 or B92 round's record is one of a few templates, built once per
-# process and shared by every report: a round holds a reference, not a copy.
-# The templates are read-only dicts in a read-only object array, so no caller
-# can change another's rounds, and a report gathers its rounds' references in
-# one indexing call.
+# A BB84, B92 or private-quantum-channel round's record is one of a few
+# templates, built once per process and shared by every report: a round holds
+# a reference, not a copy.  The templates are read-only dicts in a read-only
+# object array, so no caller can change another's rounds, and a report
+# gathers its rounds' references in one indexing call.
 
 class _SharedRecord(dict):
     """A read-only dict shared between rounds; ``dict(record)`` is a mutable copy."""
@@ -239,7 +190,7 @@ class _SharedRecord(dict):
     __slots__ = ()
 
     def _read_only(self, *args, **kwargs):
-        raise TypeError("a BB84 or B92 record is shared between rounds and read-only; "
+        raise TypeError("this record is shared between rounds and read-only; "
                         "use dict(record) for a mutable copy")
 
     __setitem__ = __delitem__ = __ior__ = _read_only
@@ -389,6 +340,7 @@ def private_quantum_channel(d: int, n_messages: int, rng=0) -> ProtocolReport:
     Bob decodes exactly with the shared key; without the key the average
     channel is the contraction to the total mixture, so the ciphertext
     carries no information.  The key costs 2 log2(d) bits per message.
+    Each message's record is the shared ``{"key": (r, s)}`` of its key.
     ``keyless_choi_deviation`` is the largest entry of the difference of
     the two Choi matrices, reported as 0.0 when it is at or below
     ``linalg.ATOL``, where only rounding noise remains.
@@ -397,25 +349,33 @@ def private_quantum_channel(d: int, n_messages: int, rng=0) -> ProtocolReport:
     seed = _seed_repr(rng)
     rng = rng_from(rng)
     basis = _shift_multiply(d)
-    # The draw order, all keys and then all messages, fixes the seeded stream.
+    # The draw order, all keys and then the messages, fixes the seeded stream;
+    # the kets of consecutive chunks are consecutive rows of one draw.
     picks = rng.integers(len(basis.keys), size=n_messages)
-    (kets,) = random_kets([d], n_messages, rng)
     fidelities = np.empty(n_messages)
-    # Chunked, so the gathered key unitaries take O(_PQC_BATCH d^2) memory, not O(n d^2).
+    # Chunked, so the kets and gathered key unitaries take O(_PQC_BATCH d^2) memory, not O(n d^2).
     for lo in range(0, n_messages, _PQC_BATCH):
         u = basis.unitaries[picks[lo:lo + _PQC_BATCH]]
-        psi = kets[lo:lo + _PQC_BATCH]
+        (psi,) = random_kets([d], len(u), rng)
         cipher = u @ psi[:, :, None]  # c = U psi
         decoded = u.conj().transpose(0, 2, 1) @ cipher  # phi = U^dag c
         # F(phi phi^dag, psi psi^dag) = |<psi|phi>|, per message ket.
         fidelities[lo:lo + _PQC_BATCH] = np.abs((psi.conj() * decoded[:, :, 0]).sum(axis=1))
-    records = _PqcRecords(basis.keys, picks, fidelities)
+    records = tuple(_pqc_templates(d)[picks].tolist())
     summary = {
         "keyless_choi_deviation": _pqc_keyless_gap(d),
         "min_decode_fidelity": float(fidelities.min()) if n_messages else 1.0,
         "key_bits_total": 2 * n_messages * np.log2(d),
     }
     return ProtocolReport("private_quantum_channel", n_messages, records, summary, seed)
+
+
+@lru_cache(maxsize=16)
+def _pqc_templates(d: int) -> np.ndarray:
+    """The read-only object array of the d^2 records ``{"key": (r, s)}``, in the
+    order of the shift-multiply ``keys``."""
+    return _frozen_copy(tuple(_SharedRecord({"key": key}) for key in _shift_multiply(d).keys),
+                        "private quantum channel records", dtype=object, finite=True)
 
 
 @lru_cache(maxsize=16)

@@ -10,11 +10,8 @@ import numpy as np
 import pytest
 
 from qitools.channels import (
-    AffineRep,
     KrausChannel,
-    affine_to_choi,
     apply,
-    compose,
     conjugate,
     dilation_apply,
     from_choi,
@@ -58,7 +55,7 @@ from qitools.instruments import (
     memo_to_instrument,
     trivial_instrument,
 )
-from qitools.linalg import dag, inner, outer, tensor, trace_norm, unit_ket
+from qitools.linalg import dag, inner, outer, tensor, unit_ket
 from qitools.observables import Povm, efficiency_coarse_matrix, outcome_distribution, photon_counting
 from qitools.protocols import (
     b92,

@@ -195,8 +195,8 @@ def test_tol_env_var_is_fallback(capsys, monkeypatch):
 
 def test_all_document_kinds_round_trip():
     from qitools.cli import dump_document, load_document
-    from qitools.channels import ChoiMatrix, to_choi
-    from qitools.observables import Effect, Povm, minimal_ic_povm
+    from qitools.channels import to_choi
+    from qitools.observables import Effect, minimal_ic_povm
     from qitools.linalg import unit_ket
 
     objs = [

@@ -16,7 +16,7 @@ from qitools.discrimination import (
 )
 from qitools.linalg import dag, inner, outer, unit_ket
 from qitools.rand import haar_unitary, random_density, random_ket, random_kraus_ops
-from qitools.states import State, qubit_state
+from qitools.states import State
 
 
 def pure_pair_with_overlap(c):

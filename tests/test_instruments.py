@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qitools.channels import KrausChannel, _superop_to_choi, apply, certify, from_choi, to_choi
+from qitools.channels import KrausChannel, _superop_to_choi, certify, from_choi, to_choi
 from qitools.instruments import (
     DiscreteInstrument,
     MeasurementModel,
@@ -16,10 +16,10 @@ from qitools.instruments import (
     repeatable_instrument,
     trivial_instrument,
 )
-from qitools.linalg import dag, outer, tensor, unit_ket
+from qitools.linalg import dag, tensor, unit_ket
 from qitools.observables import Povm, outcome_distribution
 from qitools.rand import haar_unitary, random_density, random_ket
-from qitools.states import PAULIS, State
+from qitools.states import State
 
 
 def z_basis_povm():

@@ -1,6 +1,7 @@
 """The batched Monte-Carlo paths: stacked Haar draws, the chunked twirl
-estimate, the table-driven BB84/B92 rounds and their shared read-only
-records, and the chunked private-quantum-channel decode."""
+estimate, the table-driven BB84/B92 rounds and private-quantum-channel
+messages with their shared read-only records, and the chunked
+private-quantum-channel decode."""
 
 import copy
 import json
@@ -13,8 +14,8 @@ import pytest
 from qitools.channels import KrausChannel
 from qitools.entanglement import _TWIRL_BATCH, _TWIRL_BLOCK, twirl, twirl_monte_carlo
 from qitools.linalg import ATOL, dag, is_unitary, tensor
-from qitools.protocols import (_PQC_BATCH, _b92_tables, _bb84_tables, _shift_multiply, b92,
-                               bb84, private_quantum_channel)
+from qitools.protocols import (_PQC_BATCH, _b92_tables, _bb84_tables, _pqc_templates,
+                               _shift_multiply, b92, bb84, private_quantum_channel)
 from qitools.rand import (_gram_schmidt, _haar_columns, _haar_normals, haar_unitaries,
                           haar_unitary, random_density, random_kets, random_kraus_ops)
 
@@ -293,6 +294,11 @@ def b92_reference(rounds, overlap, seed):
 
 
 def pqc_reference(d, n_messages, seed):
+    return [{"key": key} for key, _ in pqc_messages(d, n_messages, seed)]
+
+
+def pqc_messages(d, n_messages, seed):
+    """(key, decode fidelity) per message, from all keys and all kets drawn at once."""
     rng = np.random.default_rng(seed)
     basis = _shift_multiply(d)
     picks = rng.integers(len(basis.keys), size=n_messages)
@@ -300,10 +306,7 @@ def pqc_reference(d, n_messages, seed):
     u = basis.unitaries[picks]
     decoded = u.conj().transpose(0, 2, 1) @ (u @ kets[:, :, None])
     fidelities = np.abs((kets.conj() * decoded[:, :, 0]).sum(axis=1))
-    return [
-        {"key": list(basis.keys[j]), "decode_fidelity": float(f)}
-        for j, f in zip(picks, fidelities)
-    ]
+    return [(basis.keys[j], f) for j, f in zip(picks.tolist(), fidelities.tolist())]
 
 
 def assert_same_records(got, expected):
@@ -334,8 +337,6 @@ def test_pqc_records_match_the_numpy_scalar_reference(d):
     for seed in range(10):
         rep = private_quantum_channel(d, 40, rng=seed)
         assert_same_records(rep.records, pqc_reference(d, 40, seed))
-        recs = list(rep.records)
-        assert len({id(r["key"]) for r in recs}) == len(recs)
 
 
 SHARED_PROTOCOLS = [
@@ -343,6 +344,8 @@ SHARED_PROTOCOLS = [
      lambda: bb84_reference(300, "intercept_resend", 4, 0.25)),
     (lambda: bb84(300, rng=4), lambda: bb84_reference(300, "none", 4, 0.25)),
     (lambda: b92(300, 0.3, rng=4), lambda: b92_reference(300, 0.3, 4)),
+    (lambda: private_quantum_channel(3, 300, rng=4), lambda: pqc_reference(3, 300, 4)),
+    (lambda: private_quantum_channel(2, 257, rng=5), lambda: pqc_reference(2, 257, 5)),
 ]
 
 MUTATIONS = [
@@ -380,18 +383,23 @@ def test_shared_records_round_trip(protocol, reference):
         assert type(clone.records[0]) is type(rep.records[0])
         assert_same_records(clone.records, reference())
     doc = json.loads(json.dumps(rep.to_dict()))
-    assert doc["records"] == reference() and doc["rounds"] == rep.rounds
+    assert doc["records"] == json.loads(json.dumps(reference())) and doc["rounds"] == rep.rounds
 
 
-def test_bb84_rounds_share_the_templates():
+@pytest.mark.parametrize("protocol, templates, count", [
+    (lambda: bb84(100_000, eve="intercept_resend", rng=1), lambda: _bb84_tables()[1], 96),
+    (lambda: private_quantum_channel(10, 100_000, rng=3), lambda: _pqc_templates(10), 100),
+], ids=["bb84", "pqc"])
+def test_long_reports_share_the_templates(protocol, templates, count):
+    templates = templates()  # built outside the trace
     tracemalloc.start()
     try:
-        rep = bb84(100_000, eve="intercept_resend", rng=1)
+        rep = protocol()
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    templates = _bb84_tables()[1]
-    assert len({id(r) for r in rep.records}) <= len(templates) == 96
+    assert len(rep.records) == 100_000
+    assert len({id(r) for r in rep.records}) <= len(templates) == count
     assert all(any(r is t for t in templates) for r in rep.records[:200])
     # One pointer per round; a dict per round held about 28 MB.
     assert held < 4e6
@@ -400,99 +408,37 @@ def test_bb84_rounds_share_the_templates():
 def test_shared_records_are_a_tuple_gathered_from_a_read_only_table():
     for protocol, _ in SHARED_PROTOCOLS:
         assert type(protocol().records) is tuple
-    for templates in (_bb84_tables()[1], _b92_tables(0.3)[1]):
+    for templates in (_bb84_tables()[1], _b92_tables(0.3)[1], _pqc_templates(3)):
         assert templates.dtype == object and not templates.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             templates[0] = {}
 
 
-# The private quantum channel keeps its rounds as read-only columns;
-# ``records`` builds each item when it is read.
-PQC_PROTOCOLS = [
-    (lambda: private_quantum_channel(3, 300, rng=4), lambda: pqc_reference(3, 300, 4)),
-    (lambda: private_quantum_channel(2, 257, rng=5), lambda: pqc_reference(2, 257, 5)),
-]
-
-
-@pytest.mark.parametrize("protocol, reference", PQC_PROTOCOLS)
-def test_pqc_records_index_like_a_tuple(protocol, reference):
-    records, expected = protocol().records, reference()
-    n = len(expected)
-    assert len(records) == n
-    for i in (0, 7, n - 1, -1, -n, np.int64(5), np.int32(-3), np.uint8(200)):
-        assert_same_records([records[i]], [expected[i]])
-    for cut in (slice(2, 9), slice(None, None, -37), slice(n, None), slice(-5, None)):
-        part = records[cut]
-        assert type(part) is tuple
-        assert_same_records(part, expected[cut])
-    for i in (n, -n - 1):
-        with pytest.raises(IndexError):
-            records[i]
-    with pytest.raises(TypeError):
-        records[1.0]
-
-
-@pytest.mark.parametrize("protocol, reference", PQC_PROTOCOLS)
-def test_pqc_records_iterate_again_and_compare_both_ways(protocol, reference):
-    records, expected = protocol().records, reference()
-    first, second = list(records), list(records)
-    assert_same_records(first, expected)
-    assert first == second
-    assert repr(records) == repr(tuple(expected))
-    for other in (expected, tuple(expected), protocol().records):
-        assert records == other and other == records
-        assert not (records != other or other != records)
-    for other in (expected[:-1], expected[1:] + expected[:1], (), "not records"):
-        assert records != other and other != records
-
-
-@pytest.mark.parametrize("protocol, reference", PQC_PROTOCOLS)
-def test_pqc_records_round_trip(protocol, reference):
-    test_shared_records_round_trip(protocol, reference)
-
-
-def test_a_pqc_record_is_a_fresh_dict_on_each_read():
-    rep = private_quantum_channel(3, 10, rng=1)
-    record = rep.records[0]
-    record["decode_fidelity"] = 0.0
-    record["key"].append(9)
-    assert rep.records[0] is not rep.records[0]
-    assert_same_records(rep.records, pqc_reference(3, 10, 1))
-
-
-def test_a_long_pqc_report_holds_two_columns():
+def test_pqc_decode_memory_does_not_grow_with_the_messages():
     private_quantum_channel(10, 1)  # build the per-d tables outside the trace
     tracemalloc.start()
     try:
-        rep = private_quantum_channel(10, 100_000, rng=3)
-        held = tracemalloc.get_traced_memory()[0]
+        rep = private_quantum_channel(10, 100_000, rng=2)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(rep.records) == 100_000
-    # A key index and a fidelity per message (1.6 MB); a dict and a list per
-    # message held about 29 MB.
-    assert held < 4e6
+    # A chunk's kets and gathered U and U^dag take 16 d^2 _PQC_BATCH bytes or
+    # less each (1.6 MB), and the key picks, fidelities and records 0.8 MB
+    # each.  Drawing every ket at once peaked at about 50 MB here, and
+    # gathering U and U^dag for every message took 16 d^2 bytes each way per
+    # message.
+    assert peak < 10e6
 
 
-def test_pqc_decode_memory_does_not_grow_with_the_messages():
-    d, n = 10, 16 * _PQC_BATCH
-    private_quantum_channel(d, 1)  # build the per-d tables outside the trace
-    tracemalloc.start()
-    try:
-        rep = private_quantum_channel(d, n, rng=2)
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(rep.records) == n
-    # Gathering U and U^dag for every message at once took 16 d^2 bytes each
-    # way per message (52 MB here); a chunk takes 2 * 16 d^2 _PQC_BATCH (3.3 MB).
-    assert peak - held < 8e6
-
-
-@pytest.mark.parametrize("d", [2, 3, 4, 7])
+@pytest.mark.parametrize("d", [2, 3, 4, 7, 10])
 def test_pqc_chunks_decode_the_whole_stream(d):
-    for n in (1, _PQC_BATCH, _PQC_BATCH + 1, 2 * _PQC_BATCH + 3):
-        assert_same_records(private_quantum_channel(d, n, rng=n).records, pqc_reference(d, n, n))
+    for n in (0, 1, _PQC_BATCH, _PQC_BATCH + 1, 2 * _PQC_BATCH + 3):
+        rep = private_quantum_channel(d, n, rng=n)
+        messages = pqc_messages(d, n, n)
+        assert_same_records(rep.records, [{"key": key} for key, _ in messages])
+        # The kets of consecutive chunks are the rows of one draw: the same bits.
+        assert rep.summary["min_decode_fidelity"] == min((f for _, f in messages), default=1.0)
 
 
 def test_b92_bob_bits_follow_the_templates():
@@ -506,14 +452,20 @@ def test_b92_bob_bits_follow_the_templates():
 def test_record_templates_are_built_once_per_process():
     _bb84_tables.cache_clear()
     _b92_tables.cache_clear()
+    _pqc_templates.cache_clear()
     for seed in range(3):
         for eve in ("none", "intercept_resend"):
             bb84(200, eve=eve, rng=seed)
         for overlap in (0.3, 0.5):
             b92(200, overlap, rng=seed)
+        for d in (2, 3):
+            private_quantum_channel(d, 200, rng=seed)
     assert _bb84_tables.cache_info().misses == 1
     assert len(_bb84_tables()[1]) == 96
     assert _b92_tables.cache_info().misses == 2
     assert _b92_tables.cache_info().maxsize is not None
+    assert _pqc_templates.cache_info().misses == 2
+    assert _pqc_templates.cache_info().maxsize is not None
+    assert [r["key"] for r in _pqc_templates(3)] == list(_shift_multiply(3).keys)
     cdf, templates, _ = _b92_tables(0.5)
     assert len(templates) == 2 * cdf.shape[1]

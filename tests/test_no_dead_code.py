@@ -15,6 +15,9 @@ bare name, so a call of any function of that name counts.  A function that
 is used as a value rather than called (passed, stored, wrapped) counts as
 setting every parameter; a name that a file binds as a variable or an
 argument is that variable there, not a use of the function.
+
+Every name that a file under ``tests/`` imports is referred to in that
+file's code, as a name or the base of an attribute.
 """
 
 import ast
@@ -152,3 +155,26 @@ def test_a_parameter_no_call_gives_is_unset():
            "f(0, 1)\nmod.f(0, c=2)\nC().m(1)\ng(**kw)\ncallbacks = [h]\nk(*args)\n")
     definitions = {"probe": _defaulted_parameters(ast.parse(src))}
     assert _unset_parameters(definitions, [src]) == ["probe.f(d)", "probe.C.m(y)"]
+
+
+def _unused_imports(src: str) -> list[str]:
+    """Names that ``src`` imports (``__future__`` aside) and never refers to in its code."""
+    tree = ast.parse(src)
+    imported = [alias.asname or alias.name.partition(".")[0] for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__" for alias in node.names]
+    referred = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in referred]
+
+
+def test_every_test_import_is_referenced():
+    unused = {str(path.relative_to(ROOT)): names for path in sorted((ROOT / "tests").rglob("*.py"))
+              if (names := _unused_imports(path.read_text(encoding="utf-8")))}
+    assert not unused, f"imported and never referenced: {unused}"
+
+
+def test_an_import_only_in_prose_is_unused():
+    src = ("from __future__ import annotations\nimport os.path\nimport json as j\n"
+           "from m import a, b as c, d, e\n\n"
+           "def f():\n    'Uses d.'\n    return os.sep, j.dumps, a  # e\n")
+    assert _unused_imports(src) == ["c", "d", "e"]

@@ -18,7 +18,7 @@ from qitools.observables import (
     sharp_operator,
     stern_gerlach,
 )
-from qitools.rand import haar_unitary, random_density, random_ket
+from qitools.rand import haar_unitary, random_density
 from qitools.states import PAULIS, State, qubit_state
 
 

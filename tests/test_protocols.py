@@ -13,8 +13,6 @@ from qitools.discrimination import fidelity
 from qitools.entanglement import maximally_entangled_ket
 from qitools.linalg import dag, outer, tensor, trace_norm
 from qitools.protocols import (
-    Processor,
-    ProtocolReport,
     ShiftMultiplyBasis,
     _pqc_keyless_gap,
     _shift_multiply,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qitools.linalg import dag, inner, outer, partial_trace, tensor
+from qitools.linalg import dag, inner, outer, partial_trace
 from qitools.rand import haar_unitary, random_density, random_ket
 from qitools.states import (
     BlochVector,
