@@ -173,11 +173,23 @@ def basis_ket(d: int, j: int) -> np.ndarray:
     return v
 
 
+def _finite_error(err: float, a: np.ndarray) -> float:
+    """``err``, a predicate's defect of ``a``; if it is not finite, ValueError first names
+    a non-finite entry of ``a``, if there is one.
+
+    Any non-finite entry makes the defect non-finite, so a finite defect needs no scan of
+    ``a``, and a matrix its caller has checked is not checked again.
+    """
+    if not np.isfinite(err):
+        _require_finite(a, "matrix")
+    return err
+
+
 def is_hermitian(a: np.ndarray, tol: float = ATOL) -> bool:
     a = asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return False
-    return _within(np.max(np.abs(a - dag(a))), tol, a)
+    return _within(_finite_error(np.max(np.abs(a - dag(a))), a), tol, a)
 
 
 def _herm(a: np.ndarray) -> np.ndarray:
@@ -226,7 +238,7 @@ def is_unitary(a: np.ndarray, tol: float = ATOL) -> bool:
     a = asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return False
-    return _within(np.max(np.abs(dag(a) @ a - np.eye(a.shape[0]))), tol, a)
+    return _within(_finite_error(np.max(np.abs(dag(a) @ a - np.eye(a.shape[0]))), a), tol, a)
 
 
 def is_projection(a: np.ndarray, tol: float = ATOL) -> bool:

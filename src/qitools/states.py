@@ -140,7 +140,7 @@ def purity(rho) -> float:
 
 def von_neumann_entropy(rho, base: str | int = "e") -> float:
     """-tr[rho log rho]; eigenvalues below tolerance contribute zero."""
-    m = _as_matrix(rho)
+    m = _require_hermitian(_as_matrix(rho), ATOL, "state matrix")
     evals = np.linalg.eigvalsh(m)
     evals = evals[evals > ATOL]
     s = float(-(evals * np.log(evals)).sum())

@@ -196,24 +196,24 @@ def test_is_cp_matches_eager_scale(placement, kind):
 
 
 # eigvalsh reads this NaN as eigenvalue 0 without complaint, so only the
-# scale's SVD reports it.  psd_sqrt rejects it at entry with the finite-entry
-# message instead (test_linalg.py).
+# scale's SVD reports it.  The predicates and psd_sqrt name it with the
+# finite-entry message instead (psd_sqrt in test_linalg.py).
 NAN = np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex)
 
 
-@pytest.mark.parametrize("lazy, eager", [
-    (linalg.is_hermitian, eager_is_hermitian),
-    (linalg.is_psd, eager_is_psd),
-    (linalg.is_unitary, eager_is_unitary),
-    (linalg.is_projection, eager_is_projection),
-    (linalg.is_effect, eager_is_effect),
-    (lambda a, tol: ChoiMatrix(a, 1, 2).is_cp(tol), lambda a, tol: eager_is_cp(ChoiMatrix(a, 1, 2), tol)),
+@pytest.mark.parametrize("predicate", [
+    linalg.is_hermitian, linalg.is_psd, linalg.is_unitary, linalg.is_projection, linalg.is_effect,
 ])
-def test_nan_input_raises_as_before(lazy, eager):
+def test_nan_input_is_named_by_the_predicates(predicate):
+    with pytest.raises(ValueError, match=r"^matrix\[0\]: entries must be finite, got \[nan, 0\.0\]$"):
+        predicate(NAN, linalg.ATOL)
+
+
+def test_nan_input_raises_as_before():
     with pytest.raises(Exception) as before:
-        eager(NAN, linalg.ATOL)
+        eager_is_cp(ChoiMatrix(NAN, 1, 2), linalg.ATOL)
     with pytest.raises(type(before.value)):
-        lazy(NAN, linalg.ATOL)
+        ChoiMatrix(NAN, 1, 2).is_cp(linalg.ATOL)
 
 
 # Inputs of the norm_calls tests, built before any counter is installed:

@@ -88,9 +88,9 @@ def test_twirl_monte_carlo_single_sample(d):
     assert np.abs(twirl_monte_carlo(x, d, 1, rng=5) - uu @ x @ dag(uu)).max() < 1e-12
 
 
-def twirl_per_chunk(x, d, samples, seed):
-    """The twirl with one _haar_columns draw per _TWIRL_BATCH samples, the
-    arithmetic of each chunk unchanged: the draw order without blocks."""
+def twirl_per_chunk_product(x, d, samples, seed):
+    """The twirl with one _haar_columns draw per _TWIRL_BATCH samples, x
+    applied to each chunk's U (x) U: the library's arithmetic for d >= 3."""
     rng = np.random.default_rng(seed)
     acc = np.zeros_like(x)
     for start in range(0, samples, _TWIRL_BATCH):
@@ -99,6 +99,22 @@ def twirl_per_chunk(x, d, samples, seed):
         y = (uu.reshape(d * d, -1).T @ x).reshape(d * d, -1)
         acc += y @ uu.transpose(2, 0, 1).conj().reshape(-1, d * d)
     return acc / samples
+
+
+def twirl_per_chunk(x, d, samples, seed):
+    """The twirl with one _haar_columns draw per _TWIRL_BATCH samples, the
+    arithmetic of each chunk unchanged: the draw order without blocks.  For
+    d <= 2 each chunk adds its second moment W W^dag, W = vec(U (x) U) as
+    columns, and x is contracted with the sum once."""
+    if d > 2:
+        return twirl_per_chunk_product(x, d, samples, seed)
+    rng = np.random.default_rng(seed)
+    moment = np.zeros((d ** 4, d ** 4), dtype=complex)
+    for start in range(0, samples, _TWIRL_BATCH):
+        q = _haar_columns(d, min(_TWIRL_BATCH, samples - start), rng)
+        w = (q[:, None, :, None, :] * q[None, :, None, :, :]).reshape(d ** 4, -1)
+        moment += w @ w.conj().T
+    return np.einsum("caeb,ce->ab", moment.reshape((d * d,) * 4), x) / samples
 
 
 # Sample counts on both sides of the chunk and block edges.
@@ -111,6 +127,15 @@ def test_twirl_monte_carlo_is_bitwise_the_per_chunk_draws(d, samples):
     x = random_density(d * d, np.random.default_rng(d))
     expected = twirl_per_chunk(x, d, samples, 11)
     assert np.array_equal(twirl_monte_carlo(x, d, samples, rng=11), expected)
+
+
+@pytest.mark.parametrize("samples", EDGE_SAMPLES)
+def test_qubit_twirl_moment_matches_the_product_order(samples):
+    # The d = 2 second moment sums the same draws as x applied to each
+    # U (x) U; the two orders differ by rounding only.
+    x = random_density(4, np.random.default_rng(2))
+    expected = twirl_per_chunk_product(x, 2, samples, 11)
+    assert np.abs(twirl_monte_carlo(x, 2, samples, rng=11) - expected).max() < 1e-14
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5])

@@ -80,6 +80,13 @@ def test_entropy_values():
     assert abs(von_neumann_entropy(rho, base=2) - expected / np.log(2)) < 1e-12
 
 
+def test_entropy_rejects_a_non_hermitian_matrix():
+    # eigvalsh reads only the lower triangle: this matrix would read as
+    # diag(0.5, 0.5) and give ln 2.
+    with pytest.raises(ValueError, match="^state matrix is not Hermitian within tolerance$"):
+        von_neumann_entropy(np.array([[0.5, 5.0], [0.0, 0.5]]))
+
+
 def test_gell_mann_matches_paulis_for_qubits():
     basis = traceless_hermitian_basis(2)
     assert np.allclose(basis[0], PAULI_X)
