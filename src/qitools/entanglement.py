@@ -10,10 +10,11 @@ from math import isqrt
 import numpy as np
 
 from .linalg import (ATOL, _bipartite, _frozen_copy, _lowest_eigh, _min_eig, _require_finite,
-                     _require_hermitian, _require_size, _require_unit_interval, _seesaw, _within,
-                     asarray, eigh, ket, outer, partial_trace, partial_transpose, swap_operator,
-                     tensor)
-from .rand import _gram_schmidt, _haar_normals, haar_unitaries, random_kets, rng_from
+                     _require_hermitian, _require_size, _require_unit_interval, _seesaw, _unit_rows,
+                     _within, asarray, eigh, ket, outer, partial_trace, partial_transpose,
+                     swap_operator, tensor)
+from .rand import (_gram_schmidt, _haar_normals, _su2_columns, haar_unitaries, random_kets,
+                   rng_from)
 from .states import State, _sigma_dot, _unit_directions, maximally_entangled_ket
 
 
@@ -264,26 +265,56 @@ def twirl(x: np.ndarray, d: int | None = None) -> np.ndarray:
 
 
 # Haar samples per chunk in twirl_monte_carlo, and full chunks per block.
-# The chunk size fixes the seeded draw stream: each chunk takes one normal
-# block, real parts then imaginary parts, so another size gives other
-# unitaries.  Up to _TWIRL_BLOCK full chunks are drawn with one
-# (k, 2, _TWIRL_BATCH, d, d) call, which holds the same numbers as k
-# chunk-sized draws, and run through the Gram-Schmidt kernel together; a
-# last partial chunk is drawn on its own.  U (x) U is formed one chunk at a
-# time, so its memory does not grow with the block.
 #
-# sum_m A_m x A_m^dag (A_m = U_m (x) U_m) is summed in one of two orders.
-# For d <= 2 each chunk adds its Haar second moment G += W W^dag, with
-# W = vec(A_m) as columns (one 16 x 256 x 16 GEMM at d = 2), and x is
-# contracted with G once at the end: every chunk's GEMM has inner
-# dimension 256, not d^2 = 4.  From d = 3 on, x is applied to each chunk's
-# A_m: G has d^8 entries (1.6 GB at d = 10), the two orders take the same
-# time at d = 3, and the moment takes twice as long at d = 4 (10000
-# samples, one BLAS thread on a 2-vCPU x86-64 VM: 17 ms both ways at d = 3,
-# 112 against 53 ms at d = 4).  Both orders sum the same draws and differ
-# only by rounding (below 2e-16 at d = 2).
+# At d = 2 a twirl conjugates by U (x) U, which cancels a global phase, so
+# Haar draws on SU(2) stand in for Haar draws on U(2): each sample is one
+# row of four standard normals scaled to unit length, the unit quaternion
+# behind U = [[a, -conj(b)], [b, conj(a)]] (rand._su2_columns).  A block of
+# up to _TWIRL_BATCH * _TWIRL_BLOCK samples is drawn with one
+# (n, 4) call, sample by sample, so the block size changes no value.  Each
+# chunk of _TWIRL_BATCH samples adds its second moment G += W W^dag, with
+# W = vec(U_m (x) U_m) as columns (one 16 x 256 x 16 GEMM), and x is
+# contracted with G once at the end.  W is built one chunk at a time: a W
+# for a whole block raised the call's traced peak from 0.5 to 1.5 MB.
+#
+# Every other d draws Ginibre matrices for two-pass Gram-Schmidt: each
+# chunk takes one normal block, real parts then imaginary parts, so another
+# chunk size gives other unitaries.  Up to _TWIRL_BLOCK full chunks are
+# drawn with one (k, 2, _TWIRL_BATCH, d, d) call, which holds the same
+# numbers as k chunk-sized draws, and run through the Gram-Schmidt kernel
+# together; a last partial chunk is drawn on its own.  x is applied to
+# each chunk's U_m (x) U_m: G has d^8 entries (1.6 GB at d = 10), the two
+# orders take the same time at d = 3, and the moment takes twice as long
+# at d = 4 (10000 samples, one BLAS thread on a 2-vCPU x86-64 VM: 17 ms
+# both ways at d = 3, 112 against 53 ms at d = 4).
 _TWIRL_BATCH = 256
 _TWIRL_BLOCK = 8
+
+
+def _uu_columns(q: np.ndarray) -> np.ndarray:
+    """uu[(j, l), (i, k), m] = (U_m (x) U_m)[(i, k), (j, l)] from q[j, i, m] = U_m[i, j],
+    samples last, by one broadcast product."""
+    d = len(q)
+    return (q[:, None, :, None, :] * q[None, :, None, :, :]).reshape(d * d, d * d, -1)
+
+
+def _qubit_twirl_moment(samples: int, rng) -> np.ndarray:
+    """sum_m vec(A_m) vec(A_m)^dag over ``samples`` Haar SU(2) draws, A_m = U_m (x) U_m,
+    as G[(c, a), (e, b)] = sum_m A_m[a, c] conj(A_m[b, e])."""
+    moment = np.zeros((16, 16), dtype=complex)
+    step = _TWIRL_BATCH * _TWIRL_BLOCK
+    for start in range(0, samples, step):
+        q = _su2_columns(_unit_rows(rng.standard_normal((min(step, samples - start), 4))))
+        for c in range(0, q.shape[-1], _TWIRL_BATCH):
+            w = _uu_columns(q[:, :, c:c + _TWIRL_BATCH]).reshape(16, -1)
+            moment += w @ w.conj().T
+    return moment
+
+
+def _apply_moment(moment: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_m A_m x A_m^dag from the second moment G of ``_qubit_twirl_moment``."""
+    n = len(x)
+    return np.einsum("caeb,ce->ab", moment.reshape(n, n, n, n), x)
 
 
 def twirl_monte_carlo(x: np.ndarray, d: int, samples: int, rng=0) -> np.ndarray:
@@ -292,30 +323,21 @@ def twirl_monte_carlo(x: np.ndarray, d: int, samples: int, rng=0) -> np.ndarray:
     _require_finite(x, "operator")
     _require_size(samples, "samples", 1)
     rng = rng_from(rng)
+    if d == 2:
+        return _apply_moment(_qubit_twirl_moment(samples, rng), x) / samples
     full, rest = divmod(samples, _TWIRL_BATCH)
     blocks = [(min(_TWIRL_BLOCK, full - c), _TWIRL_BATCH) for c in range(0, full, _TWIRL_BLOCK)]
     blocks += [(1, rest)] if rest else []
-    moment = d <= 2
-    acc = np.zeros((d ** 4, d ** 4) if moment else (d * d, d * d), dtype=complex)
+    acc = np.zeros((d * d, d * d), dtype=complex)
     for chunks, n in blocks:
         q = _gram_schmidt(_haar_normals(d, n, rng, chunks))  # q[j, i, m] = U_m[i, j]
         for start in range(0, chunks * n, n):
-            qc = q[:, :, start:start + n]
-            # uu[(j, l), (i, k), m] = (U_m (x) U_m)[(i, k), (j, l)], samples last,
-            # from one broadcast product.
-            uu = (qc[:, None, :, None, :] * qc[None, :, None, :, :]).reshape(d * d, d * d, -1)
-            if moment:
-                w = uu.reshape(d ** 4, -1)
-                acc += w @ w.conj().T
-            else:
-                # The rows (i, k, m) of uu.T are the rows of every U_m (x) U_m, so
-                # one GEMM gives y[(i, k), (m, c)] = ((U_m (x) U_m) x)[(i, k), c],
-                # and a second with the stacked (U_m (x) U_m)^dag sums over m.
-                y = (uu.reshape(d * d, -1).T @ x).reshape(d * d, -1)
-                acc += y @ uu.transpose(2, 0, 1).conj().reshape(-1, d * d)
-    if moment:
-        # acc[(c, a), (e, b)] = sum_m A_m[a, c] conj(A_m[b, e]).
-        acc = np.einsum("caeb,ce->ab", acc.reshape((d * d,) * 4), x)
+            uu = _uu_columns(q[:, :, start:start + n])
+            # The rows (i, k, m) of uu.T are the rows of every U_m (x) U_m, so
+            # one GEMM gives y[(i, k), (m, c)] = ((U_m (x) U_m) x)[(i, k), c],
+            # and a second with the stacked (U_m (x) U_m)^dag sums over m.
+            y = (uu.reshape(d * d, -1).T @ x).reshape(d * d, -1)
+            acc += y @ uu.transpose(2, 0, 1).conj().reshape(-1, d * d)
     return acc / samples
 
 

@@ -178,7 +178,9 @@ def _finite_error(err: float, a: np.ndarray) -> float:
     a non-finite entry of ``a``, if there is one.
 
     Any non-finite entry makes the defect non-finite, so a finite defect needs no scan of
-    ``a``, and a matrix its caller has checked is not checked again.
+    ``a``, and a matrix its caller has checked is not checked again.  The callers form the
+    defect under ``np.errstate(invalid="ignore")``: inf - inf or inf * 0 in it gives NaN,
+    which this names, and no RuntimeWarning comes first.
     """
     if not np.isfinite(err):
         _require_finite(a, "matrix")
@@ -189,7 +191,9 @@ def is_hermitian(a: np.ndarray, tol: float = ATOL) -> bool:
     a = asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return False
-    return _within(_finite_error(np.max(np.abs(a - dag(a))), a), tol, a)
+    with np.errstate(invalid="ignore"):
+        err = np.max(np.abs(a - dag(a)))
+    return _within(_finite_error(err, a), tol, a)
 
 
 def _herm(a: np.ndarray) -> np.ndarray:
@@ -238,7 +242,9 @@ def is_unitary(a: np.ndarray, tol: float = ATOL) -> bool:
     a = asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return False
-    return _within(_finite_error(np.max(np.abs(dag(a) @ a - np.eye(a.shape[0]))), a), tol, a)
+    with np.errstate(invalid="ignore"):
+        err = np.max(np.abs(dag(a) @ a - np.eye(a.shape[0])))
+    return _within(_finite_error(err, a), tol, a)
 
 
 def is_projection(a: np.ndarray, tol: float = ATOL) -> bool:

@@ -85,6 +85,23 @@ def _gram_schmidt(z: np.ndarray) -> np.ndarray:
     return q
 
 
+def _su2_columns(g: np.ndarray) -> np.ndarray:
+    """U_m = [[a, -conj(b)], [b, conj(a)]], a = g0 + i g1 and b = g2 + i g3, from the
+    rows g[m] of an (n, 4) real array, with the sample index last: q[j, i, m] = U_m[i, j].
+
+    Linear in g.  Unit rows give SU(2) matrices, the unit quaternions, and
+    standard normal rows scaled to unit length are uniform on S^3, so they
+    give Haar draws on SU(2) (Mezzadri, Notices AMS 54, 2007).
+    """
+    ab = g.view(complex)  # ab[m] = (a_m, b_m) from a C-contiguous float g
+    q = np.empty((2, 2, len(ab)), dtype=complex)
+    q[0, 0] = ab[:, 0]
+    q[0, 1] = ab[:, 1]
+    q[1, 0] = -ab[:, 1].conj()
+    q[1, 1] = ab[:, 0].conj()
+    return q
+
+
 def _haar_columns(d: int, count: int, rng) -> np.ndarray:
     """``count`` Haar unitaries with the sample index last: q[j, i, m] = U_m[i, j]."""
     return _gram_schmidt(_haar_normals(d, count, rng))

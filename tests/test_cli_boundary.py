@@ -1,5 +1,6 @@
 """Input-boundary rejections and the exit-code taxonomy of the CLI."""
 
+import argparse
 import json
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qitools.cli import (_MAX_DEMO_DIM, _MAX_DIM, _MAX_ENTRIES, _MAX_ROUNDS, _MAX_WERNER_DIM,
-                         ValidationError, dump_document, load_document, run)
+                         ValidationError, _cmd_demo, dump_document, emit, load_document, run)
 from qitools.discrimination import (helstrom, unambiguous_feasible, unambiguous_mixture_povm,
                                      unambiguous_two_pure)
 from qitools.entanglement import BipartiteState
@@ -426,3 +427,30 @@ def test_entanglement_rejects_dims_that_contradict_the_document(capsys):
         assert json.loads(captured.err)["detail"] == (
             f"--dims {dims} contradicts the document's bipartite_dims 2,2")
     assert run(["entanglement", "--in", doc, "--dims", "2,2"]) == 0
+
+
+@pytest.mark.parametrize("text, argv, detail", [
+    ('{"kind": "ket", "dims": 2', ["entanglement", "--dims", "1,2"], "{doc}: malformed JSON ("),
+    ('{"kind": "ket", "dims": 2, "entries": [[1, 0], [0]]}', ["entanglement", "--dims", "1,2"],
+     "entries[1]: entries must be [re, im] pairs"),
+    ('{"kind": "ket", "dims": 2, "entries": [[2, 0], [0, 0]]}', ["entanglement", "--dims", "1,2"],
+     "entries: ket norm is 2.0, not 1"),
+    ('{"kind": "ket", "dims": 2, "entries": [[1, 0], [0, 0]]}',
+     ["entanglement", "--dims", "1,2", "--tests", "ppt,bell"], "unknown entanglement test 'bell'"),
+])
+def test_a_rejected_document_or_flag_exits_2_with_its_message(tmp_path, capsys, text, argv, detail):
+    doc = tmp_path / "doc.json"
+    doc.write_text(text)
+    assert run([*argv, "--in", str(doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["detail"].startswith(detail.format(doc=doc))
+
+
+def test_rejections_that_argparse_choices_keep_from_the_command_line():
+    with pytest.raises(TypeError, match="^cannot serialize object of type object$"):
+        dump_document(object())
+    with pytest.raises(ValidationError, match="^unknown format 'xml'$"):
+        emit({"a": 1}, "xml")
+    with pytest.raises(ValidationError, match="^unknown demo 'nope'$"):
+        _cmd_demo(argparse.Namespace(name="nope", d=2, rounds=1, seed=0))

@@ -5,6 +5,8 @@ scale, on seeded matrices with ||a||_2 > 1 whose defect lies below tol,
 between tol and tol * scale, and above tol * scale.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -209,11 +211,17 @@ def test_nan_input_is_named_by_the_predicates(predicate):
         predicate(NAN, linalg.ATOL)
 
 
-def test_nan_input_raises_as_before():
-    with pytest.raises(Exception) as before:
-        eager_is_cp(ChoiMatrix(NAN, 1, 2), linalg.ATOL)
-    with pytest.raises(type(before.value)):
-        ChoiMatrix(NAN, 1, 2).is_cp(linalg.ATOL)
+@pytest.mark.parametrize("predicate", [
+    linalg.is_hermitian, linalg.is_psd, linalg.is_unitary, linalg.is_projection, linalg.is_effect,
+])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_infinite_input_is_named_before_any_arithmetic(predicate, bad):
+    # inf - inf in the Hermitian defect and inf * 0 in U^dag U would warn first.
+    a = np.array([[bad, 0.0], [0.0, 1.0]], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^matrix\[0\]: entries must be finite, got "):
+            predicate(a, linalg.ATOL)
 
 
 # Inputs of the norm_calls tests, built before any counter is installed:

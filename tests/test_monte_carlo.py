@@ -12,12 +12,14 @@ import numpy as np
 import pytest
 
 from qitools.channels import KrausChannel
-from qitools.entanglement import _TWIRL_BATCH, _TWIRL_BLOCK, twirl, twirl_monte_carlo
-from qitools.linalg import ATOL, dag, is_unitary, tensor
+from qitools.entanglement import (_TWIRL_BATCH, _TWIRL_BLOCK, _apply_moment, twirl,
+                                  twirl_monte_carlo)
+from qitools.linalg import ATOL, _unit_rows, dag, is_unitary, tensor
 from qitools.protocols import (_PQC_BATCH, _b92_tables, _bb84_tables, _pqc_templates,
                                _shift_multiply, b92, bb84, private_quantum_channel)
-from qitools.rand import (_gram_schmidt, _haar_columns, _haar_normals, haar_unitaries,
-                          haar_unitary, random_density, random_kets, random_kraus_ops)
+from qitools.rand import (_gram_schmidt, _haar_columns, _haar_normals, _su2_columns,
+                          haar_unitaries, haar_unitary, random_density, random_kets,
+                          random_kraus_ops)
 
 
 def _haar_reference(d, seed):
@@ -81,20 +83,41 @@ def test_haar_unitaries_are_unitary():
     assert all(is_unitary(u) for u in us)
 
 
+def su2_draws(count, rng):
+    """``count`` Haar SU(2) unitaries, one explicit matrix per row of four normals:
+    the unit quaternion g / |g| gives [[a, -conj(b)], [b, conj(a)]], a = g0 + i g1,
+    b = g2 + i g3."""
+    g = rng.standard_normal((count, 4))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    return np.array([[[complex(g0, g1), -complex(g2, -g3)], [complex(g2, g3), complex(g0, -g1)]]
+                     for g0, g1, g2, g3 in g])
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_twirl_monte_carlo_single_sample(d):
     x = random_density(d * d, np.random.default_rng(2))
-    uu = tensor(haar_unitary(d, 5), haar_unitary(d, 5))
+    u = su2_draws(1, np.random.default_rng(5))[0] if d == 2 else haar_unitary(d, 5)
+    uu = tensor(u, u)
     assert np.abs(twirl_monte_carlo(x, d, 1, rng=5) - uu @ x @ dag(uu)).max() < 1e-12
 
 
-def twirl_per_chunk_product(x, d, samples, seed):
-    """The twirl with one _haar_columns draw per _TWIRL_BATCH samples, x
-    applied to each chunk's U (x) U: the library's arithmetic for d >= 3."""
+def chunk_draws(d, samples, seed):
+    """The Haar columns q[j, i, m] = U_m[i, j] behind twirl_monte_carlo, one draw per
+    _TWIRL_BATCH samples: SU(2) rows of four normals at d = 2, else Gram-Schmidt."""
     rng = np.random.default_rng(seed)
-    acc = np.zeros_like(x)
     for start in range(0, samples, _TWIRL_BATCH):
-        q = _haar_columns(d, min(_TWIRL_BATCH, samples - start), rng)
+        n = min(_TWIRL_BATCH, samples - start)
+        if d == 2:
+            yield _su2_columns(_unit_rows(rng.standard_normal((n, 4))))
+        else:
+            yield _haar_columns(d, n, rng)
+
+
+def twirl_per_chunk_product(x, d, samples, seed):
+    """The twirl over chunk_draws, x applied to each chunk's U (x) U: the library's
+    arithmetic for d != 2."""
+    acc = np.zeros_like(x)
+    for q in chunk_draws(d, samples, seed):
         uu = (q[:, None, :, None, :] * q[None, :, None, :, :]).reshape(d * d, d * d, -1)
         y = (uu.reshape(d * d, -1).T @ x).reshape(d * d, -1)
         acc += y @ uu.transpose(2, 0, 1).conj().reshape(-1, d * d)
@@ -102,19 +125,16 @@ def twirl_per_chunk_product(x, d, samples, seed):
 
 
 def twirl_per_chunk(x, d, samples, seed):
-    """The twirl with one _haar_columns draw per _TWIRL_BATCH samples, the
-    arithmetic of each chunk unchanged: the draw order without blocks.  For
-    d <= 2 each chunk adds its second moment W W^dag, W = vec(U (x) U) as
-    columns, and x is contracted with the sum once."""
-    if d > 2:
+    """The twirl over chunk_draws, the arithmetic of each chunk unchanged: the draw
+    order without blocks.  At d = 2 each chunk adds its second moment W W^dag,
+    W = vec(U (x) U) as columns, and x is contracted with the sum once."""
+    if d != 2:
         return twirl_per_chunk_product(x, d, samples, seed)
-    rng = np.random.default_rng(seed)
-    moment = np.zeros((d ** 4, d ** 4), dtype=complex)
-    for start in range(0, samples, _TWIRL_BATCH):
-        q = _haar_columns(d, min(_TWIRL_BATCH, samples - start), rng)
-        w = (q[:, None, :, None, :] * q[None, :, None, :, :]).reshape(d ** 4, -1)
+    moment = np.zeros((16, 16), dtype=complex)
+    for q in chunk_draws(d, samples, seed):
+        w = (q[:, None, :, None, :] * q[None, :, None, :, :]).reshape(16, -1)
         moment += w @ w.conj().T
-    return np.einsum("caeb,ce->ab", moment.reshape((d * d,) * 4), x) / samples
+    return np.einsum("caeb,ce->ab", moment.reshape((4,) * 4), x) / samples
 
 
 # Sample counts on both sides of the chunk and block edges.
@@ -131,11 +151,28 @@ def test_twirl_monte_carlo_is_bitwise_the_per_chunk_draws(d, samples):
 
 @pytest.mark.parametrize("samples", EDGE_SAMPLES)
 def test_qubit_twirl_moment_matches_the_product_order(samples):
-    # The d = 2 second moment sums the same draws as x applied to each
+    # The d = 2 second moment sums the same SU(2) draws as x applied to each
     # U (x) U; the two orders differ by rounding only.
     x = random_density(4, np.random.default_rng(2))
     expected = twirl_per_chunk_product(x, 2, samples, 11)
     assert np.abs(twirl_monte_carlo(x, 2, samples, rng=11) - expected).max() < 1e-14
+
+
+def test_qubit_twirl_moment_is_exact_on_the_s3_fourth_moment():
+    # U is linear in g, so vec(U (x) U) = L (g (x) g), where column (s, t) of L is
+    # vec(U(e_s) (x) U(e_t)) from the library's map at the basis vectors.  With
+    # the exact fourth moment of the uniform S^3 in place of the draws, the
+    # library's contraction is the twirl itself: no sample is drawn.
+    q = _su2_columns(np.eye(4))
+    lmat = (q[:, None, :, None, :, None] * q[None, :, None, :, None, :]).reshape(16, 16)
+    e = np.eye(4)
+    fourth = (np.einsum("ij,kl->ijkl", e, e) + np.einsum("ik,jl->ijkl", e, e)
+              + np.einsum("il,jk->ijkl", e, e)) / 24
+    moment = lmat @ fourth.reshape(16, 16) @ lmat.conj().T
+    rng = np.random.default_rng(12)
+    z = rng.standard_normal((2, 4, 4))
+    for x in (random_density(4, rng), z[0] + 1j * z[1]):
+        assert np.abs(_apply_moment(moment, x) - twirl(x)).max() < 1e-15
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
@@ -152,9 +189,7 @@ def test_twirl_monte_carlo_matches_per_sample_loop():
     d = 2
     x = random_density(4, np.random.default_rng(3))
     for samples in EDGE_SAMPLES:
-        rng = np.random.default_rng(4)
-        sizes = [min(_TWIRL_BATCH, samples - s) for s in range(0, samples, _TWIRL_BATCH)]
-        us = np.concatenate([haar_unitaries(d, n, rng) for n in sizes])
+        us = su2_draws(samples, np.random.default_rng(4))
         expected = sum(tensor(u, u) @ x @ dag(tensor(u, u)) for u in us) / samples
         assert np.abs(twirl_monte_carlo(x, d, samples, rng=4) - expected).max() < 1e-12, samples
 

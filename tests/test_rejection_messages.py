@@ -7,12 +7,12 @@ import pytest
 
 from qitools.channels import (KrausChannel, apply, conjugate, fixed_point, kraus_equivalent, make,
                               qubit_normal_form, stinespring, sup_distance, to_affine)
-from qitools.discrimination import unambiguous_mixture_povm
+from qitools.discrimination import trace_distance, unambiguous_mixture_povm
 from qitools.entanglement import (BipartiteState, Witness, chsh_value, max_entangled_fraction,
                                   schmidt, werner)
 from qitools.instruments import DiscreteInstrument, MeasurementModel
 from qitools.linalg import _seesaw, basis_ket, norms, partial_trace, polar
-from qitools.observables import Povm, coarse_grain, outcome_distribution
+from qitools.observables import Povm, coarse_grain, has_unit_eigenvalue, outcome_distribution
 from qitools.protocols import b92, bb84, processor_pair
 from qitools.states import BlochVector, interference_term, von_neumann_entropy
 
@@ -85,3 +85,18 @@ DIRS = ([0, 0, 1], [1, 0, 0], [0, 0, 1], [1, 0, 0])
 def test_rejections_no_other_test_reaches(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("call", [
+    von_neumann_entropy,
+    lambda m: trace_distance(m, np.eye(2) / 2),
+    lambda m: trace_distance(np.eye(2) / 2, m),
+    has_unit_eigenvalue,
+])
+def test_raw_matrices_with_a_non_finite_entry_are_named(call, bad):
+    # The Hermitian check names the entry; inf - inf in its defect must not warn first
+    # (RuntimeWarning is an error in this suite).
+    m = np.array([[bad, 0], [0, 1]], dtype=complex)
+    with pytest.raises(ValueError, match=r"^matrix\[0\]: entries must be finite, got "):
+        call(m)
